@@ -175,6 +175,13 @@ def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     return abort
 
 
+# Trials per block of the tree walk.  Each round walks the trials block by
+# block, so the numpy temporaries stay this many rows tall at any trial
+# count; drawing the blocks in order consumes the stream exactly as one
+# (trials, n) draw would.
+WALK_BLOCK = 16384
+
+
 def tree_abort_rounds(
     k: int, p: float, m: int, n_stations: int, trials: int, seed: int
 ) -> np.ndarray:
@@ -192,23 +199,25 @@ def tree_abort_rounds(
     counters = np.zeros((trials, n), dtype=np.int32)
     abort = np.zeros(trials, dtype=np.int32)
     active = np.ones(trials, dtype=bool)
-    cur = np.zeros(trials, dtype=np.int64)  # 0-based color of current node
-    rows = np.arange(trials)
+    cur = np.zeros(trials, dtype=np.intp)  # 0-based color of current node
+    rows = np.arange(min(trials, WALK_BLOCK))
     for r in range(1, k + 2):
-        np.subtract(counters, 1, out=counters, where=counters > 0)
-        deaths = (counters == 0) & (rng.random((trials, n)) < p)
-        counters[deaths] = m
-        dead = counters > 0
-        if r == 1:
-            died_now = active & dead[:, 0]
-        else:
-            masked = dead.copy()
-            masked[rows, cur] = True  # own color is not a child color
-            died_now = active & masked.all(axis=1)
-            survivors = active & ~died_now
-            cur[survivors] = np.argmin(masked[survivors], axis=1)
-        abort[died_now] = r
-        active &= ~died_now
+        for lo in range(0, trials, WALK_BLOCK):
+            hi = min(lo + WALK_BLOCK, trials)
+            cnt, act = counters[lo:hi], active[lo:hi]
+            np.subtract(cnt, 1, out=cnt, where=cnt > 0)
+            deaths = (cnt == 0) & (rng.random((hi - lo, n)) < p)
+            cnt[deaths] = m
+            dead = cnt > 0
+            if r == 1:
+                died_now = act & dead[:, 0]
+            else:
+                dead[rows[: hi - lo], cur[lo:hi]] = True  # own color is not a child color
+                died_now = act & dead.all(axis=1)
+                survivors = act & ~died_now
+                cur[lo:hi][survivors] = np.argmin(dead[survivors], axis=1)
+            abort[lo:hi][died_now] = r
+            act &= ~died_now
     return abort
 
 

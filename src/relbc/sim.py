@@ -209,10 +209,14 @@ class RunResult:
     events: list[Event]
 
 
-def _descendants(v: str, target_depth: int, arity: int) -> list[str]:
-    nodes = [v]
+def _descendants(
+    v: str, color: int, target_depth: int, rows: list
+) -> list[tuple[str, int]]:
+    """(node, color) for every depth-``target_depth`` descendant of v, left
+    to right; ``rows[c]`` lists (digit, child color) for a color-c node."""
+    nodes = [(v, color)]
     for _ in range(target_depth - len(v)):
-        nodes = [w + str(t) for w in nodes for t in range(arity)]
+        nodes = [(w + t, ct) for w, c in nodes for t, ct in rows[c]]
     return nodes
 
 
@@ -238,6 +242,8 @@ def run_tree(
     arity = coloring.arity
     if coloring.k != k or coloring.n_stations - 1 != arity:
         raise ValueError("coloring does not match the run parameters")
+    if not coloring.is_canonical:
+        raise ValueError("run_tree follows the canonical coloring rule")
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
     # Without effective pruning the scheduled set is a whole tree level.
@@ -254,6 +260,17 @@ def run_tree(
     ev_index: dict[str, int] = {}  # node -> challenge event index
     stations = StationTracker(coloring.n_stations, loss, seed, trial)
     lm_path: list[str] = []  # leftmost alive path, grown one node per round
+    digits = [str(t) for t in range(arity)]
+    rows = [None] + [
+        list(zip(digits, coloring.child_colors(c)))
+        for c in range(1, coloring.n_stations + 1)
+    ]
+
+    def base_of(j0: int) -> tuple[str, int]:
+        if j0 < 0:
+            return tt.ROOT, coloring.color(tt.ROOT)
+        base = lm_path[j0]
+        return base, transcript.records[base].color
 
     def record_station_events(t: int, changed: list[int]) -> None:
         if collect_events:
@@ -275,14 +292,8 @@ def run_tree(
         record_station_events(t, stations.step())
         j = r - 1  # depth handled this round
         j0 = r - 1 - prune_lag  # deepest depth known to all receiver agents
-        if j0 < 0:
-            base = tt.ROOT
-        else:
-            base = lm_path[j0]
-        scheduled = _descendants(base, j, arity)
-        for v in scheduled:
+        for v, color in _descendants(*base_of(j0), j, rows):
             b = field.sample_hashed(seed, trial, "b", v)
-            color = coloring.color(v)
             if collect_events:
                 ci = len(events)
                 events.append(Event(t, color, "challenge", v, b, ()))
@@ -326,12 +337,9 @@ def run_tree(
         r = k + 1
         t = r - 1
         record_station_events(t, stations.step())
-        j0 = k - prune_lag
-        base = lm_path[j0] if j0 >= 0 else tt.ROOT
         revealed_any_child = False
         vstar = lm_path[-1]
-        for leaf in _descendants(base, k, arity):
-            color = coloring.color(leaf)
+        for leaf, color in _descendants(*base_of(k - prune_lag), k, rows):
             if stations.is_dead(color):
                 continue
             out = alice.reveal(leaf, acc_view_for(leaf))

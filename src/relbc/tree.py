@@ -4,13 +4,20 @@ Nodes are strings over the digit alphabet ``'0'..'n-1'`` (``'0'`` = left,
 ``'1'`` = right for the binary tree); the root is the empty string.  Depth
 equals string length, and lexicographic order of equal-length strings is
 the left-to-right order of a level.
+
+Canonical coloring: the root has color 1, and child t of a color-c node
+has the t-th (0-based) of the colors 1..n other than c, in increasing
+order, which is ``t + 1 if t + 1 < c else t + 2``.  Every family
+{v} + children(v) thus uses each of the n station colors once.  A node's
+color is this rule folded over its digits, so no coloring is ever
+stored.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 ROOT = ""
 
@@ -84,9 +91,16 @@ class Coloring:
     With ``n_stations`` stations the tree has arity ``n_stations - 1`` and
     every internal node's family {v} + children(v) must use all station
     colors exactly once.  Colors are 1-based.
+
+    Without an explicit assignment the coloring is the canonical rule,
+    computed per node on demand (see the module docstring), and
+    ``assignment`` is a read-only view of it.  An explicit assignment is
+    validated against the family rule over the whole tree.
     """
 
-    def __init__(self, k: int, n_stations: int, assignment: dict[str, int]):
+    def __init__(
+        self, k: int, n_stations: int, assignment: Optional[Mapping[str, int]] = None
+    ):
         if k < 1:
             raise ValueError("depth k must be >= 1")
         if n_stations < 3:
@@ -94,8 +108,15 @@ class Coloring:
         self.k = k
         self.n_stations = n_stations
         self.arity = n_stations - 1
-        self.assignment = assignment
-        self.validate()
+        if assignment is None:
+            self.assignment: Mapping[str, int] = CanonicalColors(self)
+        else:
+            self.assignment = dict(assignment)
+            self.validate()
+
+    @property
+    def is_canonical(self) -> bool:
+        return isinstance(self.assignment, CanonicalColors)
 
     def color(self, v: str) -> int:
         return self.assignment[v]
@@ -111,35 +132,48 @@ class Coloring:
                         f"coloring violated at node {v!r}: family colors {family}"
                     )
 
-    @classmethod
-    def canonical(cls, k: int, n_stations: int = 3) -> "Coloring":
-        """Root gets color 1; children of v get the colors != c(v) in
-        increasing order, left to right."""
-        arity = n_stations - 1
-        assignment = {ROOT: 1}
-        frontier = [ROOT]
-        for _ in range(k):
-            nxt = []
-            for v in frontier:
-                missing = sorted(set(range(1, n_stations + 1)) - {assignment[v]})
-                for t, color in enumerate(missing):
-                    w = v + str(t)
-                    assignment[w] = color
-                    nxt.append(w)
-            frontier = nxt
-        return cls(k, n_stations, assignment)
-
     def child_colors(self, color: int) -> list[int]:
         """Colors of the children of any node with the given color, in
-        left-to-right order (canonical rule: increasing)."""
-        return sorted(set(range(1, self.n_stations + 1)) - {color})
+        left-to-right order (canonical rule: the t-th missing color)."""
+        return [t + 1 if t + 1 < color else t + 2 for t in range(self.arity)]
 
 
-@lru_cache(maxsize=64)
+class CanonicalColors(Mapping[str, int]):
+    """Read-only node -> color view of the canonical rule; stores nothing.
+
+    A lookup folds the rule over the node's digits, O(depth).  ``len()``
+    is the node count of the depth-k tree, so like ``range`` it raises
+    OverflowError once that count exceeds ``sys.maxsize``.
+    """
+
+    def __init__(self, coloring: Coloring):
+        self.k = coloring.k
+        self.arity = coloring.arity
+        self._rows = [None] + [
+            coloring.child_colors(c) for c in range(1, coloring.n_stations + 1)
+        ]
+
+    def __getitem__(self, v: str) -> int:
+        if not isinstance(v, str) or len(v) > self.k:
+            raise KeyError(v)
+        c = 1
+        for ch in v:
+            t = ord(ch) - 48
+            if not 0 <= t < self.arity:
+                raise KeyError(v)
+            c = self._rows[c][t]
+        return c
+
+    def __iter__(self) -> Iterator[str]:
+        for j in range(self.k + 1):
+            yield from nodes_at_depth(j, self.arity)
+
+    def __len__(self) -> int:
+        return (self.arity ** (self.k + 1) - 1) // (self.arity - 1)
+
+
 def make_coloring(k: int, n_stations: int = 3) -> Coloring:
-    # colorings are read-only after construction, so sharing one instance
-    # per (k, n_stations) across runs is safe and skips the O(2^k) rebuild
-    return Coloring.canonical(k, n_stations)
+    return Coloring(k, n_stations)
 
 
 @dataclass
@@ -159,9 +193,6 @@ class Liveness:
 
     def is_alive(self, v: str) -> bool:
         return self.status.get(v) == ALIVE
-
-    def snapshot(self) -> "Liveness":
-        return Liveness(dict(self.status))
 
 
 def leftmost_alive(j: int, live: Liveness, arity: int = 2) -> Optional[str]:

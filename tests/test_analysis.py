@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relbc import analysis as an
@@ -165,3 +166,42 @@ def test_csv_schema_and_determinism():
     header = text.splitlines()[0].split(",")
     assert header == an.CSV_COLUMNS
     assert an.rows_to_csv([row]) == text  # byte-stable
+
+
+def _unblocked_tree_walk(k, p, m, n_stations, trials, seed):
+    """Reference: the walk over all trials at once, one (trials, n) draw
+    per round."""
+    rng = an._station_rng(seed, "tree")
+    n = n_stations
+    counters = np.zeros((trials, n), dtype=np.int32)
+    abort = np.zeros(trials, dtype=np.int32)
+    active = np.ones(trials, dtype=bool)
+    cur = np.zeros(trials, dtype=np.int64)
+    rows = np.arange(trials)
+    for r in range(1, k + 2):
+        np.subtract(counters, 1, out=counters, where=counters > 0)
+        deaths = (counters == 0) & (rng.random((trials, n)) < p)
+        counters[deaths] = m
+        dead = counters > 0
+        if r == 1:
+            died_now = active & dead[:, 0]
+        else:
+            masked = dead.copy()
+            masked[rows, cur] = True
+            died_now = active & masked.all(axis=1)
+            survivors = active & ~died_now
+            cur[survivors] = np.argmin(masked[survivors], axis=1)
+        abort[died_now] = r
+        active &= ~died_now
+    return abort
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("p", [0.004, 0.03])
+def test_blocked_tree_walk_matches_unblocked(seed, p):
+    trials = an.WALK_BLOCK + 3001  # one full block and a ragged one
+    for n_stations in (3, 4):
+        got = an.tree_abort_rounds(40, p, 5, n_stations, trials, seed)
+        ref = _unblocked_tree_walk(40, p, 5, n_stations, trials, seed)
+        assert np.array_equal(got, ref)
+        assert 0 < np.count_nonzero(got) < trials

@@ -26,6 +26,15 @@ def test_simulate_no_loss(capsys):
     assert doc["p_ok_mc"] == 1.0
 
 
+def test_simulate_deep_tree_completes(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--protocol", "tree", "--k", "200", "--q", "101",
+        "--p", "0.002", "--m", "5", "--seed", "7", "--trials", "2000",
+    )
+    assert code == 0
+    assert json.loads(out)["k"] == 200
+
+
 def test_simulate_requires_seed(capsys):
     code, _, err = run(capsys, "simulate", "--protocol", "fq", "--p", "0")
     assert code == 1

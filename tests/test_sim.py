@@ -115,6 +115,12 @@ def test_resource_guard_on_huge_lag():
         run_protocol("tree", 20, field, d=0, seed=1, prune_lag=15)
 
 
+def test_run_tree_refuses_a_non_canonical_coloring():
+    swapped = tt.Coloring(1, 3, {tt.ROOT: 1, "0": 3, "1": 2})
+    with pytest.raises(ValueError, match="canonical"):
+        run_protocol("tree", 1, Field(5), d=0, seed=1, coloring=swapped)
+
+
 def test_root_death_aborts_round_one():
     field = Field(5)
     res = run_protocol("tree", 3, field, d=0, seed=2, loss=LossModel(p=1.0, m=1))

@@ -99,3 +99,38 @@ def test_accessible_set_grows_with_smaller_delay():
     tight = tt.accessible_set("0101", col, acc_delay=3)
     default = tt.accessible_set("0101", col, acc_delay=2)
     assert tight <= default
+
+
+def _breadth_first_canonical(k, n_stations):
+    """Reference: the stored breadth-first build of the canonical rule."""
+    assignment = {tt.ROOT: 1}
+    frontier = [tt.ROOT]
+    for _ in range(k):
+        nxt = []
+        for v in frontier:
+            missing = sorted(set(range(1, n_stations + 1)) - {assignment[v]})
+            for t, color in enumerate(missing):
+                w = v + str(t)
+                assignment[w] = color
+                nxt.append(w)
+        frontier = nxt
+    return assignment
+
+
+@pytest.mark.parametrize("n_stations", [3, 4, 5])
+def test_on_demand_coloring_matches_breadth_first_build(n_stations):
+    for k in range(1, 7):
+        ref = _breadth_first_canonical(k, n_stations)
+        col = tt.make_coloring(k, n_stations)
+        assert {v: col.color(v) for v in ref} == ref
+        assert len(col.assignment) == len(ref)
+        assert dict(col.assignment) == ref
+
+
+def test_canonical_view_rejects_nodes_outside_the_tree():
+    view = tt.make_coloring(3, 3).assignment
+    for v in ("0000", "2", "0x", 0):
+        assert v not in view
+    assert "011" in view
+    # deep trees cost nothing to set up, and a lookup reads only the path
+    assert tt.make_coloring(200, 3).color("1" * 200) in (1, 2, 3)
