@@ -10,6 +10,7 @@ for cross-validation at small sizes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -158,8 +159,15 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 # Vectorized Monte Carlo (station-level walk; no tree materialized)
 
 
+# Version of the Monte Carlo stream derivation, reported in the metadata.
+# Stream 2 keys the walk by a SHA-256 digest of its tag; stream 1 used the
+# per-process salted hash(), so its estimates changed between processes.
+RNG_STREAM = 2
+
+
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, hash(tag) & 0x7FFFFFFF])))
+    tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag_key])))
 
 
 def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
@@ -340,6 +348,7 @@ def monte_carlo_reliability(
         "approx_per_round_loss": float(per_round_loss_prob(n_stations, mp)) if kind == KIND_TREE else p,
         "regime_ok": bool(mp < 0.1 and m * 10 <= k),
         "engine": engine,
+        "rng_stream": RNG_STREAM,
     }
     if kind in (KIND_SINGLE, KIND_FQ) and m > 1:
         # the published half-life 1/(mp) disagrees with the survival

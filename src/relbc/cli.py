@@ -46,7 +46,6 @@ class ExperimentConfig:
     seed: Optional[int]
     trials: int
     engine: str = "fast"
-    jobs: int = 1
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
 
@@ -74,8 +73,6 @@ class ExperimentConfig:
             errs.append(f"trials: must be >= 1, got {self.trials}")
         if self.engine not in ("fast", "events"):
             errs.append(f"engine: must be 'fast' or 'events', got {self.engine!r}")
-        if self.jobs < 1:
-            errs.append(f"jobs: must be >= 1, got {self.jobs}")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -105,7 +102,6 @@ class ExperimentConfig:
             seed=pick("seed", None),
             trials=pick("trials", 1000),
             engine=pick("engine", "fast"),
-            jobs=pick("jobs", 1),
             out_csv=pick("out_csv", None),
             out_json=pick("out_json", None),
         )
@@ -264,7 +260,7 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
     try:
         text = Path(args.transcript).read_text()
         tr = Transcript.from_json(text)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"transcript: {exc}") from exc
     field = Field(tr.q)
     if tr.kind == KIND_TREE:
@@ -315,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--trials", type=int)
     sim.add_argument("--engine", choices=("fast", "events"))
-    sim.add_argument("--jobs", type=int, help="trial parallelism (results are order-canonical)")
     sim.add_argument("--out-csv", dest="out_csv")
     sim.add_argument("--out-json", dest="out_json")
     sim.add_argument("--transcript-out", help="also export one replayable transcript")

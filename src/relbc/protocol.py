@@ -116,27 +116,93 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        doc = json.loads(text)
-        tr = cls(
-            kind=doc["protocol"],
-            k=doc["k"],
-            q=doc["q"],
-            n_stations=doc.get("n_stations", 3),
-        )
-        for rec in doc["records"]:
-            y = rec["y"]
-            tr.records[rec["node"]] = Record(
-                b=rec["b"],
-                y=None if y == "bot" else y,
-                round=rec["round"],
-                color=rec["color"],
+        """Parse a transcript document, checking its schema first.
+
+        Raises ValueError naming the first field that is missing, has the
+        wrong type or is out of range: an unknown kind, k < 1, integers
+        outside their range (challenges, responses and claims in [0, q)),
+        or node labels that are not nodes of the protocol.
+        """
+        doc = _object(json.loads(text), "transcript")
+        kind = doc.get("protocol")
+        if kind not in KINDS:
+            raise ValueError(f"protocol: must be one of {KINDS}, got {kind!r}")
+        k = _int_in(doc.get("k"), "k", 1, None)
+        q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
+        n_stations = doc.get("n_stations", 3)
+        if kind == KIND_TREE:
+            # arity <= 10, so that every level is one digit of a label
+            n_stations = _int_in(n_stations, "n_stations", 3, 11)
+            digits = "".join(str(t) for t in range(n_stations - 1))
+
+            def node(v, leaf: bool) -> bool:
+                return (
+                    isinstance(v, str)
+                    and (len(v) == k if leaf else len(v) < k)
+                    and all(ch in digits for ch in v)
+                )
+        else:
+            n_stations = _int_in(n_stations, "n_stations", 2, None)
+
+            def node(v, leaf: bool) -> bool:
+                return (
+                    isinstance(v, str) and len(v) <= len(str(k))
+                    and v.isascii() and v.isdigit()
+                    and v == str(int(v)) and 1 <= int(v) <= k
+                )
+
+        tr = cls(kind=kind, k=k, q=q, n_stations=n_stations)
+        for i, rec in enumerate(_list(doc, "records")):
+            where = f"records[{i}]"
+            rec = _object(rec, where)
+            v = rec.get("node")
+            if not node(v, leaf=False):
+                raise ValueError(f"{where}.node: {v!r:.40} is not an internal node of the protocol")
+            y = rec.get("y")
+            tr.records[v] = Record(
+                b=_int_in(rec.get("b"), f"{where}.b", 0, q - 1),
+                y=None if y == "bot" else _int_in(y, f"{where}.y", 0, q - 1),
+                round=_int_in(rec.get("round"), f"{where}.round", 1, k),
+                color=_int_in(rec.get("color"), f"{where}.color", 1, n_stations),
             )
-        for rv in doc["reveals"]:
-            tr.reveals[rv["leaf"]] = Reveal(d=rv["d"], claim=rv["claim"])
-        if doc.get("abort"):
-            tr.abort_reason = doc["abort"]["reason"]
-            tr.abort_round = doc["abort"]["round"]
+        for i, rv in enumerate(_list(doc, "reveals")):
+            where = f"reveals[{i}]"
+            rv = _object(rv, where)
+            leaf = rv.get("leaf")
+            if not node(leaf, leaf=True):
+                raise ValueError(f"{where}.leaf: {leaf!r:.40} is not a leaf of the protocol")
+            tr.reveals[leaf] = Reveal(
+                d=_int_in(rv.get("d"), f"{where}.d", 0, 1),
+                claim=_int_in(rv.get("claim"), f"{where}.claim", 0, q - 1),
+            )
+        if doc.get("abort") is not None:
+            abort = _object(doc["abort"], "abort")
+            tr.abort_round = _int_in(abort.get("round"), "abort.round", 1, k + 1)
+            tr.abort_reason = abort.get("reason")
+            if not isinstance(tr.abort_reason, str):
+                raise ValueError(f"abort.reason: expected a string, got {tr.abort_reason!r:.40}")
         return tr
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {value!r:.40}")
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected a JSON list, got {value!r:.40}")
+    return value
+
+
+def _int_in(value, name: str, lo: int, hi: Optional[int]) -> int:
+    """value as an integer in [lo, hi] (no upper end when hi is None)."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        span = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ValueError(f"{name}: expected an integer {span}, got {value!r:.40}")
+    return value
 
 
 class ShareTable:

@@ -158,7 +158,7 @@ class CanonicalColors(Mapping[str, int]):
             raise KeyError(v)
         c = 1
         for ch in v:
-            t = ord(ch) - 48
+            t = ord(ch) - ord("0")
             if not 0 <= t < self.arity:
                 raise KeyError(v)
             c = self._rows[c][t]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relbc
 from relbc.cli import ExperimentConfig, ConfigError, dispatch
 
 
@@ -59,6 +64,23 @@ def test_simulate_csv_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_output_identical_across_hash_seeds():
+    argv = [
+        sys.executable, "-m", "relbc.cli", "simulate", "--protocol", "tree",
+        "--k", "12", "--q", "101", "--p", "0.02", "--m", "5", "--seed", "7",
+        "--trials", "5000",
+    ]
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert 0.0 < json.loads(outs[0])["p_ok_mc"] < 1.0
 
 
 def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
@@ -155,6 +177,39 @@ def test_verify_transcript_detects_tampering(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-transcript", str(tr_path))
     assert code == 0
     assert json.loads(out)["outcome"] == "reject"
+
+
+@pytest.mark.parametrize("field, value", [("records", 5), ("y", "x")])
+def test_verify_transcript_bad_types_exit_1(capsys, tmp_path, field, value):
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", "tree", "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1",
+        "--transcript-out", str(tr_path),
+    )
+    doc = json.loads(tr_path.read_text())
+    if field == "records":
+        doc["records"] = value
+    else:
+        doc["records"][0][field] = value
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: transcript: ") and field in err
+
+
+def test_verify_transcript_deep_tree_accepts(capsys, tmp_path):
+    tr_path = tmp_path / "run.json"
+    code, _, _ = run(
+        capsys, "simulate", "--protocol", "tree", "--k", "40", "--q", "97",
+        "--p", "0", "--seed", "3", "--trials", "1",
+        "--transcript-out", str(tr_path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "accept"
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

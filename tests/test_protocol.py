@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from relbc import tree as tt
@@ -158,6 +161,29 @@ def test_transcript_serializes_missing_response_as_bot():
     tr.records[""] = Record(b=0, y=None, round=1, color=1)
     assert '"bot"' in tr.to_json()
     assert Transcript.from_json(tr.to_json()).records[""].y is None
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda doc: doc.update(protocol="ring"), "protocol"),
+    (lambda doc: doc.update(k=0), "k"),
+    (lambda doc: doc.update(q=True), "q"),
+    (lambda doc: doc.update(reveals={}), "reveals"),
+    (lambda doc: doc["records"].append(7), "records[7]"),
+    (lambda doc: doc["records"][1].update(node="2"), "records[1].node"),
+    (lambda doc: doc["records"][2].update(b=97), "records[2].b"),
+    (lambda doc: doc["records"][0].update(y=1.5), "records[0].y"),
+    (lambda doc: doc["records"][0].update(color=4), "records[0].color"),
+    (lambda doc: doc["reveals"][0].update(leaf="0"), "reveals[0].leaf"),
+    (lambda doc: doc["reveals"][0].update(d=2), "reveals[0].d"),
+    (lambda doc: doc.update(abort={"round": 1}), "abort.reason"),
+])
+def test_transcript_from_json_checks_schema(edit, name):
+    field = Field(97)
+    tr, _, _ = _honest_tree_transcript(3, field, 0, seed=4)
+    doc = json.loads(tr.to_json())
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        Transcript.from_json(json.dumps(doc))
 
 
 def test_exhaustive_hiding_small():
