@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
@@ -147,11 +146,19 @@ def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> 
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
+    """Exact binomial confidence interval.
+
+    The bounds are beta quantiles, computed as ``betaincinv(a, b, q)``;
+    it agrees bit for bit with ``scipy.stats.beta.ppf(q, a, b)`` (a test
+    checks this) and is imported here, on first use, because importing
+    ``scipy.stats`` would add about a second to every command.
+    """
+    from scipy.special import betaincinv
+
     if trials < 1:
         raise ValueError("need at least one trial")
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 
@@ -184,7 +191,7 @@ def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
 
 
 # Trials per block of the tree walk.  Each round walks the trials block by
-# block, so the numpy temporaries stay this many rows tall at any trial
+# block, so the numpy temporaries stay this many trials wide at any trial
 # count; drawing the blocks in order consumes the stream exactly as one
 # (trials, n) draw would.
 WALK_BLOCK = 16384
@@ -204,27 +211,34 @@ def tree_abort_rounds(
     """
     rng = _station_rng(seed, "tree")
     n = n_stations
-    counters = np.zeros((trials, n), dtype=np.int32)
+    # Station-major, so each station's column is one contiguous row and
+    # the per-station steps below are plain 1-D ops.
+    counters = np.zeros((n, trials), dtype=np.int32)
     abort = np.zeros(trials, dtype=np.int32)
     active = np.ones(trials, dtype=bool)
     cur = np.zeros(trials, dtype=np.intp)  # 0-based color of current node
-    rows = np.arange(min(trials, WALK_BLOCK))
+    colors = np.arange(n)[:, None]
     for r in range(1, k + 2):
         for lo in range(0, trials, WALK_BLOCK):
             hi = min(lo + WALK_BLOCK, trials)
-            cnt, act = counters[lo:hi], active[lo:hi]
+            cnt, act = counters[:, lo:hi], active[lo:hi]
             np.subtract(cnt, 1, out=cnt, where=cnt > 0)
-            deaths = (cnt == 0) & (rng.random((hi - lo, n)) < p)
-            cnt[deaths] = m
+            deaths = rng.random((hi - lo, n)).T < p
+            deaths &= cnt == 0
+            np.copyto(cnt, m, where=deaths)
             dead = cnt > 0
             if r == 1:
-                died_now = act & dead[:, 0]
+                died_now = act & dead[0]
             else:
-                dead[rows[: hi - lo], cur[lo:hi]] = True  # own color is not a child color
-                died_now = act & dead.all(axis=1)
-                survivors = act & ~died_now
-                cur[lo:hi][survivors] = np.argmin(dead[survivors], axis=1)
-            abort[lo:hi][died_now] = r
+                c = cur[lo:hi]
+                dead |= c == colors  # own color is not a child color
+                all_dead = np.logical_and.reduce(dead, axis=0)
+                died_now = act & all_dead
+                survivors = act & ~all_dead
+                # move to the first alive child color: the lowest write wins
+                for j in range(n - 1, -1, -1):
+                    np.copyto(c, j, where=survivors & ~dead[j])
+            np.copyto(abort[lo:hi], r, where=died_now)
             act &= ~died_now
     return abort
 

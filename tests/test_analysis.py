@@ -101,6 +101,19 @@ def test_comm_bits_formula():
     )
 
 
+@pytest.mark.parametrize("alpha", [0.05, 1e-6])
+@pytest.mark.parametrize("trials", [1, 64, 10**4, 10**6])
+def test_clopper_pearson_matches_beta_ppf(trials, alpha):
+    from scipy import stats
+
+    for successes in sorted({0, 1, trials // 2, trials}):
+        lo = 0.0 if successes == 0 else float(
+            stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        hi = 1.0 if successes == trials else float(
+            stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        assert an.clopper_pearson(successes, trials, alpha) == (lo, hi)
+
+
 def test_clopper_pearson_edges():
     lo, hi = an.clopper_pearson(0, 100)
     assert lo == 0.0 and 0 < hi < 0.05
@@ -199,9 +212,13 @@ def _unblocked_tree_walk(k, p, m, n_stations, trials, seed):
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("p", [0.004, 0.03])
 def test_blocked_tree_walk_matches_unblocked(seed, p):
-    trials = an.WALK_BLOCK + 3001  # one full block and a ragged one
-    for n_stations in (3, 4):
-        got = an.tree_abort_rounds(40, p, 5, n_stations, trials, seed)
-        ref = _unblocked_tree_walk(40, p, 5, n_stations, trials, seed)
+    ragged = an.WALK_BLOCK + 3001  # one full block and a ragged one
+    shapes = [  # (n_stations, m, trials)
+        (3, 5, ragged), (4, 5, ragged), (5, 5, ragged),
+        (3, 1, an.WALK_BLOCK), (5, 1, an.WALK_BLOCK),
+    ]
+    for n_stations, m, trials in shapes:
+        got = an.tree_abort_rounds(40, p, m, n_stations, trials, seed)
+        ref = _unblocked_tree_walk(40, p, m, n_stations, trials, seed)
         assert np.array_equal(got, ref)
         assert 0 < np.count_nonzero(got) < trials
