@@ -50,7 +50,9 @@ class ExperimentConfig:
     out_json: Optional[str] = None
 
     def validate(self) -> None:
-        errs = []
+        errs = self._type_errors()
+        if errs:
+            raise ConfigError("; ".join(errs))
         if self.protocol not in KINDS:
             errs.append(f"protocol: must be one of {KINDS}, got {self.protocol!r}")
         if self.k < 1:
@@ -75,6 +77,28 @@ class ExperimentConfig:
             errs.append(f"engine: must be 'fast' or 'events', got {self.engine!r}")
         if errs:
             raise ConfigError("; ".join(errs))
+
+    def _type_errors(self) -> list[str]:
+        """One message per field whose value has the wrong JSON type; a
+        config file can hold any type, and bools are not numbers here."""
+        def is_int(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        checks = [
+            ("protocol", self.protocol, isinstance(self.protocol, str), "a string"),
+            ("k", self.k, is_int(self.k), "an integer"),
+            ("q", self.q, is_int(self.q), "an integer"),
+            ("p", self.p, is_int(self.p) or isinstance(self.p, float), "a number"),
+            ("m", self.m, is_int(self.m), "an integer"),
+            ("n_stations", self.n_stations, is_int(self.n_stations), "an integer"),
+            ("N", self.prune_lag, is_int(self.prune_lag), "an integer"),
+            ("seed", self.seed, self.seed is None or is_int(self.seed), "an integer"),
+            ("trials", self.trials, is_int(self.trials), "an integer"),
+            ("engine", self.engine, isinstance(self.engine, str), "a string"),
+            ("out_csv", self.out_csv, self.out_csv is None or isinstance(self.out_csv, str), "a string"),
+            ("out_json", self.out_json, self.out_json is None or isinstance(self.out_json, str), "a string"),
+        ]
+        return [f"{name}: expected {want}, got {value!r:.40}" for name, value, ok, want in checks if not ok]
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ExperimentConfig":

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relbc
 from relbc.cli import ExperimentConfig, ConfigError, dispatch
+from relbc.field import Field
+from relbc.sim import run_protocol
 
 
 def run(capsys, *argv):
@@ -232,3 +238,83 @@ def test_experiment_config_validation_collects_errors():
         cfg.validate()
     msg = str(exc.value)
     assert "protocol" in msg and "k:" in msg and "q:" in msg and "seed" in msg
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"k": "x", "seed": 1}, "k:"),
+    ({"p": "0.1", "seed": 1}, "p:"),
+    ({"seed": 1.5}, "seed:"),
+    ({"k": True, "seed": 1}, "k:"),
+    ({"p": False, "seed": 1}, "p:"),
+    ({"seed": True}, "seed:"),
+    ({"protocol": 3, "seed": 1}, "protocol:"),
+    ({"engine": ["fast"], "seed": 1}, "engine:"),
+    ({"out_csv": 5, "seed": 1}, "out_csv:"),
+])
+def test_config_file_wrong_type_exit_1(capsys, tmp_path, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_import_and_light_commands_load_no_scipy():
+    # scipy is imported only where a command computes an interval, so
+    # start-up stays cheap for every command
+    script = (
+        "import sys\n"
+        "import relbc.cli\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not scipy_loaded(), scipy_loaded()[:5]\n"
+        "for argv in (['bounds', '--k', '1,10', '--q', '97', '--invert-epsilon', '0.5'],\n"
+        "             ['chsh', '--q', '2', '--uniform']):\n"
+        "    assert relbc.cli.dispatch(argv) == 0\n"
+        "    assert not scipy_loaded(), (argv, scipy_loaded()[:5])\n"
+    )
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+
+VALID_TRANSCRIPTS = [
+    json.loads(run_protocol(kind, k, Field(5), d=1, seed=3, trial=0).transcript.to_json())
+    for kind, k in (("tree", 2), ("fq", 3), ("single", 1))
+]
+
+
+@st.composite
+def mutated_transcripts(draw):
+    """A valid transcript with one top-level or per-message value replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_TRANSCRIPTS)))
+    parts = [doc, *doc["records"], *doc["reveals"]]
+    target = draw(st.sampled_from(parts))
+    target[draw(st.sampled_from(sorted(target)))] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=2000)
+@given(doc=JSON_VALUES | mutated_transcripts())
+def test_verify_transcript_fuzz_exits_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["verify-transcript", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
