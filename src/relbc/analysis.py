@@ -22,7 +22,7 @@ import numpy as np
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
-from .sim import LossModel, comm_cost, run_protocol
+from .sim import LossModel, ResourceGuardError, comm_cost, run_protocol
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -170,6 +170,48 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 # Stream 2 keys the walk by a SHA-256 digest of its tag; stream 1 used the
 # per-process salted hash(), so its estimates changed between processes.
 RNG_STREAM = 2
+
+
+# Work budgets, checked before any work starts.  On a 2-core host the
+# tree walk steps 1.5e7 to 2.2e7 trial-rounds/s and the chain walk about
+# 2e8, so a full walk budget is about a minute of tree walk.  The event
+# engine schedules about 1e5 nodes/s at k <= 200, but node labels are up
+# to k characters long, so a run's time and memory grow faster than k:
+# one run at k = 5000 takes about 0.5 s and 95 MB.
+WALK_BUDGET = 10**9        # trial-rounds of one station walk
+EVENT_MAX_K = 5000         # rounds in one event-engine run
+EVENT_BUDGET = 2 * 10**6   # nodes scheduled over all event-engine runs
+
+
+def check_budget(
+    kind: str,
+    k: int,
+    walk_trials: int = 0,
+    event_runs: int = 0,
+    n_stations: int = 3,
+    prune_lag: int = 2,
+) -> None:
+    """Raise ResourceGuardError, naming the budget and the size asked for,
+    if a station walk over ``walk_trials`` trials or ``event_runs``
+    event-engine runs of depth k exceed a work budget."""
+    rounds = k + 1 if kind == KIND_TREE else k
+    if rounds * walk_trials > WALK_BUDGET:
+        raise ResourceGuardError(
+            f"station walk of {rounds} rounds x {walk_trials} trials = "
+            f"{rounds * walk_trials} trial-rounds exceeds the budget of {WALK_BUDGET}"
+        )
+    if not event_runs:
+        return
+    if k > EVENT_MAX_K:
+        raise ResourceGuardError(
+            f"event-engine run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K}"
+        )
+    per_run = rounds * (n_stations - 1) ** min(prune_lag, k) if kind == KIND_TREE else k
+    if event_runs * per_run > EVENT_BUDGET:
+        raise ResourceGuardError(
+            f"{event_runs} event-engine runs of up to {per_run} nodes = "
+            f"{event_runs * per_run} scheduled nodes exceed the budget of {EVENT_BUDGET}"
+        )
 
 
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
@@ -324,6 +366,7 @@ def monte_carlo_reliability(
     if trials < 1:
         raise ValueError("need at least one trial")
     if engine == "fast":
+        check_budget(kind, k, walk_trials=trials)
         if kind in (KIND_SINGLE, KIND_FQ):
             aborts = chain_abort_rounds(k, p, trials, seed)
         elif kind == KIND_TREE:
@@ -334,6 +377,7 @@ def monte_carlo_reliability(
         rounds, counts = np.unique(aborts[aborts > 0], return_counts=True)
         freq = {int(r): float(c) / trials for r, c in zip(rounds, counts)}
     elif engine == "events":
+        check_budget(kind, k, event_runs=trials, n_stations=n_stations, prune_lag=prune_lag)
         field = Field(q_modulus)
         loss = LossModel(p=p, m=m)
         n_ok = 0
@@ -451,6 +495,7 @@ def measure_comm_bits(
     prune_lag: int = 2,
 ) -> float:
     """Mean measured challenge/response cost over event-driven sample runs."""
+    check_budget(kind, k, event_runs=samples, n_stations=n_stations, prune_lag=prune_lag)
     field = Field(q_modulus)
     loss = LossModel(p=p, m=m)
     total = 0.0

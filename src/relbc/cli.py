@@ -176,6 +176,17 @@ def _fmt(v) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_args(args)
+    if args.comm_samples < 1:
+        raise ConfigError(f"comm-samples: must be >= 1, got {args.comm_samples}")
+    comm_samples = min(cfg.trials, args.comm_samples)
+    # Every work budget is checked here, before the walk or any run starts.
+    events = cfg.engine == "events"
+    analysis.check_budget(
+        cfg.protocol, cfg.k,
+        walk_trials=0 if events else cfg.trials,
+        event_runs=comm_samples + bool(args.transcript_out) + (cfg.trials if events else 0),
+        n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
+    )
     rep = analysis.monte_carlo_reliability(
         cfg.protocol,
         cfg.k,
@@ -188,7 +199,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         q_modulus=cfg.q,
         prune_lag=cfg.prune_lag,
     )
-    comm_samples = min(cfg.trials, args.comm_samples)
     comm_mean = analysis.measure_comm_bits(
         cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
         n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,

@@ -108,24 +108,45 @@ class Field:
         """Uniform residue drawn directly from a named hash stream.
 
         Equivalent in distribution to ``sample(derived_rng(...))`` but
-        without paying a full PRNG state initialization per stream; used
-        on simulation hot paths where each stream yields one value.
+        without paying a full PRNG state initialization per stream.  The
+        last label names the draw, so at least one label is needed; equal
+        to ``hash_stream(seed, *labels[:-1])(labels[-1])``.
+        """
+        *head, label = labels
+        return self.hash_stream(seed, *head)(label)
+
+    def hash_stream(self, seed: int, *labels):
+        """Draw function for the hash stream named by (seed, *labels).
+
+        ``draw(x)`` is the uniform residue hashed from the bytes
+        ``"seed:l1:...:x:ctr"``, rejecting chunks >= q and bumping ctr
+        when a digest runs out.  The common prefix is hashed once into a
+        SHA-256 object that every draw copies, so a run draws many
+        values for the cost of hashing only their own labels.
         """
         import hashlib
 
-        bits = self.q.bit_length()
+        copy_base = hashlib.sha256("".join(f"{x}:" for x in (seed, *labels)).encode()).copy
+        from_bytes = int.from_bytes
+        q = self.q
+        bits = q.bit_length()
         mask = (1 << bits) - 1
-        prefix = ":".join(str(x) for x in (seed, *labels))
-        ctr = 0
-        while True:
-            digest = hashlib.sha256(f"{prefix}:{ctr}".encode()).digest()
-            val = int.from_bytes(digest, "big")
-            for _ in range(256 // bits):
-                v = val & mask
-                val >>= bits
-                if v < self.q:
-                    return v
-            ctr += 1
+        chunks = 256 // bits
+
+        def draw(label) -> int:
+            ctr = 0
+            while True:
+                h = copy_base()
+                h.update(f"{label}:{ctr}".encode())
+                val = from_bytes(h.digest(), "big")
+                for _ in range(chunks):
+                    v = val & mask
+                    if v < q:
+                        return v
+                    val >>= bits
+                ctr += 1
+
+        return draw
 
 
 class Elem:

@@ -157,17 +157,14 @@ class HashedShares:
     stream, so a run only ever materializes shares for nodes it touches."""
 
     def __init__(self, field: Field, seed: int, trial: int):
-        self.field = field
-        self.seed = seed
-        self.trial = trial
+        self._draw = field.hash_stream(seed, trial, "share")
         self._cache: dict[str, int] = {}
 
     def __getitem__(self, v: str) -> int:
         try:
             return self._cache[v]
         except KeyError:
-            share = self.field.sample_hashed(self.seed, self.trial, "share", v)
-            self._cache[v] = share
+            share = self._cache[v] = self._draw(v)
             return share
 
     def __contains__(self, v: str) -> bool:
@@ -256,9 +253,13 @@ def run_tree(
     geometry.validate()
 
     transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=coloring.n_stations)
+    records = transcript.records
     events: list[Event] = []
     ev_index: dict[str, int] = {}  # node -> challenge event index
     stations = StationTracker(coloring.n_stations, loss, seed, trial)
+    dead_for = stations.counters  # nonzero = station dead this round
+    draw_b = field.hash_stream(seed, trial, "b")
+    respond, needs_history = alice.respond, alice.needs_history
     lm_path: list[str] = []  # leftmost alive path, grown one node per round
     digits = [str(t) for t in range(arity)]
     rows = [None] + [
@@ -270,20 +271,22 @@ def run_tree(
         if j0 < 0:
             return tt.ROOT, coloring.color(tt.ROOT)
         base = lm_path[j0]
-        return base, transcript.records[base].color
+        return base, records[base].color
 
     def record_station_events(t: int, changed: list[int]) -> None:
         if collect_events:
             for c in changed:
-                kind = "death" if stations.is_dead(c) else "revival"
+                kind = "death" if dead_for[c] else "revival"
                 events.append(Event(t, c, kind, "", None, ()))
 
     def acc_view_for(v: str) -> dict[str, int]:
-        if not alice.needs_history:
-            return {}
-        acc = tt.accessible_set(v, coloring, acc_delay)
+        """Challenges the agent at v can know, for an agent that needs its
+        history; only scheduled nodes have one, so this filters the
+        records, never the whole tree."""
         return {
-            w: transcript.records[w].b for w in acc if w in transcript.records
+            w: rec.b
+            for w, rec in records.items()
+            if tt.is_accessible(w, v, coloring, acc_delay)
         }
 
     aborted = False
@@ -293,24 +296,24 @@ def run_tree(
         j = r - 1  # depth handled this round
         j0 = r - 1 - prune_lag  # deepest depth known to all receiver agents
         for v, color in _descendants(*base_of(j0), j, rows):
-            b = field.sample_hashed(seed, trial, "b", v)
+            b = draw_b(v)
             if collect_events:
                 ci = len(events)
                 events.append(Event(t, color, "challenge", v, b, ()))
                 ev_index[v] = ci
-            if stations.is_dead(color):
+            if dead_for[color]:
                 y = None
             else:
-                view = acc_view_for(v)
-                y = alice.respond(v, b, view)
+                view = acc_view_for(v) if needs_history else {}
+                y = respond(v, b, view)
                 if collect_events and y is not None:
                     deps = [ev_index[v]]
                     deps += [ev_index[w] for w in sorted(view) if w in ev_index]
                     events.append(Event(t, color, "response", v, y, tuple(deps)))
-            transcript.records[v] = Record(b=b, y=y, round=r, color=color)
+            records[v] = Record(b, y, r, color)
         # Advance the leftmost alive path.
         if r == 1:
-            if transcript.records[tt.ROOT].y is None:
+            if records[tt.ROOT].y is None:
                 transcript.abort_reason = "root did not respond"
                 transcript.abort_round = 1
                 aborted = True
@@ -319,7 +322,7 @@ def run_tree(
         else:
             vstar = lm_path[-1]
             for w in tt.children(vstar, arity):
-                rec = transcript.records.get(w)
+                rec = records.get(w)
                 if rec is not None and rec.y is not None:
                     lm_path.append(w)
                     break
@@ -340,17 +343,16 @@ def run_tree(
         revealed_any_child = False
         vstar = lm_path[-1]
         for leaf, color in _descendants(*base_of(k - prune_lag), k, rows):
-            if stations.is_dead(color):
+            if dead_for[color]:
                 continue
-            out = alice.reveal(leaf, acc_view_for(leaf))
+            view = acc_view_for(leaf) if needs_history else {}
+            out = alice.reveal(leaf, view)
             if out is None:
                 continue
             d_claim, share_claim = out
             transcript.reveals[leaf] = Reveal(d=d_claim, claim=share_claim)
             if collect_events:
-                deps = tuple(
-                    ev_index[w] for w in sorted(acc_view_for(leaf)) if w in ev_index
-                )
+                deps = tuple(ev_index[w] for w in sorted(view) if w in ev_index)
                 events.append(Event(t, color, "reveal", leaf, (d_claim, share_claim), deps))
             if tt.parent(leaf) == vstar:
                 revealed_any_child = True
@@ -405,6 +407,7 @@ def run_chain(
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=2)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
+    draw_b = field.hash_stream(seed, trial, "b")
     for j in range(1, k + 1):
         t = j - 1
         color = 1 if j % 2 == 1 else 2
@@ -414,7 +417,7 @@ def run_chain(
             if collect_events:
                 events.append(Event(t, color, "abort", str(j), None, ()))
             return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
-        b = field.sample_hashed(seed, trial, "b", j)
+        b = draw_b(j)
         y = alice.respond_round(j, b)
         transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
         if collect_events:

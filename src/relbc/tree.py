@@ -215,24 +215,29 @@ def leftmost_alive(j: int, live: Liveness, arity: int = 2) -> Optional[str]:
     return None
 
 
-def accessible_set(v: str, coloring: Coloring, acc_delay: int = 2) -> set[str]:
-    """Nodes whose challenge values are available to the agent answering v.
+def is_accessible(w: str, v: str, coloring: Coloring, acc_delay: int = 2) -> bool:
+    """Whether the challenge at w is available to the agent answering v.
 
     Everything at least ``acc_delay`` rounds old is globally known (the
     signal had time to reach every station); same-color history is local
     and always known.  The committed bit is tracked separately and is not
-    part of this set.  Only internal nodes carry challenges.
+    part of this rule.  Only internal nodes (depth < k) carry challenges.
     """
-    dv = depth(v)
-    acc: set[str] = set()
-    limit = min(dv - 1, coloring.k - 1)
-    for j in range(limit + 1):
-        if j <= dv - acc_delay:
-            acc.update(nodes_at_depth(j, coloring.arity))
-        else:
-            acc.update(
-                w
-                for w in nodes_at_depth(j, coloring.arity)
-                if coloring.color(w) == coloring.color(v)
-            )
-    return acc
+    dw, dv = len(w), len(v)
+    if dw >= dv or dw >= coloring.k:
+        return False
+    return dw <= dv - acc_delay or coloring.color(w) == coloring.color(v)
+
+
+def accessible_set(v: str, coloring: Coloring, acc_delay: int = 2) -> set[str]:
+    """Every node w with ``is_accessible(w, v, ...)``.
+
+    The set holds whole tree levels, so it costs O(arity^depth(v)); run
+    paths filter the nodes they scheduled with ``is_accessible`` instead.
+    """
+    return {
+        w
+        for j in range(min(depth(v), coloring.k))
+        for w in nodes_at_depth(j, coloring.arity)
+        if is_accessible(w, v, coloring, acc_delay)
+    }

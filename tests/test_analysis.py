@@ -222,3 +222,27 @@ def test_blocked_tree_walk_matches_unblocked(seed, p):
         ref = _unblocked_tree_walk(40, p, m, n_stations, trials, seed)
         assert np.array_equal(got, ref)
         assert 0 < np.count_nonzero(got) < trials
+
+
+def test_work_budgets_admit_the_readme_and_benchmark_sizes():
+    # README: k=200 x 100k-trial walk plus 16 cost runs and a transcript
+    an.check_budget("tree", 200, walk_trials=100_000, event_runs=17)
+    # criterion-6 sweep, chain point and the engine cross-check
+    an.check_budget("tree", 200, walk_trials=100_000)
+    an.check_budget("fq", 69, walk_trials=100_000)
+    an.check_budget("tree", 15, event_runs=1500)
+    an.check_budget("tree", an.EVENT_MAX_K, event_runs=16)
+
+
+def test_work_budgets_refuse_before_any_work():
+    huge = an.WALK_BUDGET
+    with pytest.raises(an.ResourceGuardError, match="trial-rounds exceeds the budget"):
+        an.monte_carlo_reliability("tree", huge, 0.001, 1, 1, seed=1)
+    with pytest.raises(an.ResourceGuardError, match="trial-rounds exceeds the budget"):
+        an.monte_carlo_reliability("fq", 1000, 0.001, 1, huge // 1000 + 1, seed=1)
+    with pytest.raises(an.ResourceGuardError, match="per-run cap"):
+        an.measure_comm_bits("tree", an.EVENT_MAX_K + 1, 101, 0.0, 1, seed=1, samples=1)
+    with pytest.raises(an.ResourceGuardError, match="scheduled nodes exceed"):
+        an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
+    # the exact boundary is admitted
+    an.check_budget("fq", 1000, walk_trials=huge // 1000)

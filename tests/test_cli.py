@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,30 @@ def test_bind_oracle_budget_refusal_exit_2(capsys):
     code, _, err = run(capsys, "bind-oracle", "--protocol", "tree", "--q", "7")
     assert code == 2
     assert "refused" in err
+
+
+def test_simulate_over_a_work_budget_exit_2_at_once(capsys):
+    cases = [
+        (["--k", "1000000000", "--p", "0.001", "--trials", "1"], "1000000001 trial-rounds"),
+        (["--k", "5001", "--trials", "1"], "per-run cap of 5000"),
+        (["--k", "100", "--trials", "100000", "--engine", "events"], "scheduled nodes"),
+        (["--k", "100", "--trials", "100000", "--comm-samples", "100000"], "scheduled nodes"),
+    ]
+    for flags, size in cases:
+        t0 = time.process_time()
+        code, out, err = run(capsys, "simulate", "--protocol", "tree", "--seed", "1", *flags)
+        assert time.process_time() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("refused:") and size in err
+
+
+def test_simulate_comm_samples_below_one_exit_1(capsys):
+    code, _, err = run(
+        capsys, "simulate", "--protocol", "fq", "--k", "3", "--seed", "1",
+        "--trials", "5", "--comm-samples", "0",
+    )
+    assert code == 1
+    assert "comm-samples" in err
 
 
 def test_chsh_uniform(capsys):

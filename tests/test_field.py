@@ -87,3 +87,44 @@ def test_sample_no_modulo_bias_smell():
     for _ in range(20000):
         counts[f.sample(rng)] += 1
     assert min(counts) > 3600 and max(counts) < 4400
+
+
+def _reference_hashed(q: int, *labels) -> tuple[int, int]:
+    """(value, counter used) of one hashed draw, from one fresh SHA-256
+    of the whole label string per digest, as the draws were first
+    defined."""
+    import hashlib
+
+    bits = q.bit_length()
+    prefix = ":".join(str(x) for x in labels)
+    ctr = 0
+    while True:
+        val = int.from_bytes(hashlib.sha256(f"{prefix}:{ctr}".encode()).digest(), "big")
+        for _ in range(256 // bits):
+            v = val & ((1 << bits) - 1)
+            val >>= bits
+            if v < q:
+                return v, ctr
+        ctr += 1
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2**61 - 1, _next_prime(2**62 + 1)])
+def test_hash_stream_matches_sample_hashed(q):
+    f = Field(q)
+    retried = 0
+    for prefix in [(7,), (7, 3, "b"), (123456789, 0, "share")]:
+        draw = f.hash_stream(*prefix)
+        for x in ["", "0", "0110", 1, 17, "share"]:
+            want, ctr = _reference_hashed(q, *prefix, x)
+            retried += ctr > 0
+            assert draw(x) == f.sample_hashed(*prefix, x) == want
+    if q > 2**62:
+        # four 63-bit chunks per digest, each kept with probability about
+        # 1/2: some draws must have needed a second digest
+        assert retried > 0

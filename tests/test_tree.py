@@ -134,3 +134,29 @@ def test_canonical_view_rejects_nodes_outside_the_tree():
     assert "011" in view
     # deep trees cost nothing to set up, and a lookup reads only the path
     assert tt.make_coloring(200, 3).color("1" * 200) in (1, 2, 3)
+
+
+def _levelwise_accessible_set(v, coloring, acc_delay):
+    """Reference: the accessible set built level by level, whole levels
+    at least acc_delay rounds old plus same-color nodes of newer ones."""
+    dv = tt.depth(v)
+    acc = set()
+    for j in range(min(dv - 1, coloring.k - 1) + 1):
+        level = tt.nodes_at_depth(j, coloring.arity)
+        if j <= dv - acc_delay:
+            acc.update(level)
+        else:
+            acc.update(w for w in level if coloring.color(w) == coloring.color(v))
+    return acc
+
+
+@pytest.mark.parametrize("n_stations", [3, 4])
+def test_is_accessible_agrees_with_accessible_set(n_stations):
+    for k in range(1, 7):
+        col = tt.make_coloring(k, n_stations)
+        nodes = list(col.assignment)
+        for acc_delay in (1, 2, 3):
+            for v in nodes:
+                ref = _levelwise_accessible_set(v, col, acc_delay)
+                assert tt.accessible_set(v, col, acc_delay) == ref
+                assert {w for w in nodes if tt.is_accessible(w, v, col, acc_delay)} == ref
