@@ -6,7 +6,7 @@ exact cheating oracles, restricted nonlocal games, and closed-form
 performance analysis.
 """
 
-from .field import Field, FieldMismatchError, derived_rng, is_prime
+from .field import Field, derived_rng, is_prime
 from .protocol import (
     KIND_FQ,
     KIND_SINGLE,
@@ -22,7 +22,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Field",
-    "FieldMismatchError",
     "Geometry",
     "KIND_FQ",
     "KIND_SINGLE",

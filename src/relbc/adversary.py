@@ -21,9 +21,18 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .field import Field
+from .field import Field, derived_rng
 from . import tree as tt
-from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, Record, Reveal, Transcript, verify_tree
+from .protocol import (
+    KIND_FQ,
+    KIND_SINGLE,
+    KIND_TREE,
+    Record,
+    Reveal,
+    ShareTable,
+    Transcript,
+    verify_tree,
+)
 from .sim import ResourceGuardError
 
 DEFAULT_BUDGET = 20_000_000
@@ -489,21 +498,10 @@ def brute_force_binding(
 # Named heuristic attacks (depth-2 tree unless stated otherwise)
 
 
-def _fixed_shares(field: Field, seed: int, k: int = 2) -> dict[str, int]:
-    from .field import derived_rng
-
-    rng = derived_rng(seed, "heuristic-shares")
-    shares = {}
-    for j in range(k):
-        for v in tt.nodes_at_depth(j, 2):
-            shares[v] = field.sample(rng)
-    return shares
-
-
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int = 0) -> StrategyTable:
     """The honest committer as a strategy table: fixed shares, committed
     bit baked into the root answer, honest claims for either open attempt."""
-    a = _fixed_shares(field, seed, k)
+    a = ShareTable.prepare_tree(k, field, derived_rng(seed, "heuristic-shares"))
 
     def respond_fn(v, b, view):
         if v == tt.ROOT:
@@ -527,7 +525,7 @@ def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
     * ``late_decision``: answer with no bit folded in at the root and
       shift the choice of bit entirely to the reveal claims.
     """
-    a = _fixed_shares(field, seed)
+    a = ShareTable.prepare_tree(2, field, derived_rng(seed, "heuristic-shares"))
     zero = 0
 
     if kind == "guess_share":
@@ -601,8 +599,6 @@ class ChainStrategy:
 def late_decision_chain(field: Field, seed: int = 0) -> ChainStrategy:
     """Answer both rounds with no bit folded in; at reveal, open either
     bit exactly whenever b_1 = 0 and guess otherwise."""
-    from .field import derived_rng
-
     rng = derived_rng(seed, "chain-shares")
     a1, a2 = field.sample(rng), field.sample(rng)
     y1 = tuple(field.add(a1, 0) for _ in range(field.q))

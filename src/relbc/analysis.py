@@ -15,7 +15,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,6 +178,7 @@ RNG_STREAM = 2
 # to k characters long, so a run's time and memory grow faster than k:
 # one run at k = 5000 takes about 0.5 s and 95 MB.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
+WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
 EVENT_MAX_K = 5000         # rounds in one event-engine run
 EVENT_BUDGET = 2 * 10**6   # nodes scheduled over all event-engine runs
 
@@ -193,12 +193,23 @@ def check_budget(
 ) -> None:
     """Raise ResourceGuardError, naming the budget and the size asked for,
     if a station walk over ``walk_trials`` trials or ``event_runs``
-    event-engine runs of depth k exceed a work budget."""
+    event-engine runs of depth k exceed a work budget.
+
+    The walk keeps every trial's state at once: an int32 counter per
+    station plus the abort round, alive flag and current color, which
+    ``4 * n_stations + 16`` bytes per trial covers.
+    """
     rounds = k + 1 if kind == KIND_TREE else k
     if rounds * walk_trials > WALK_BUDGET:
         raise ResourceGuardError(
             f"station walk of {rounds} rounds x {walk_trials} trials = "
             f"{rounds * walk_trials} trial-rounds exceeds the budget of {WALK_BUDGET}"
+        )
+    per_trial = 4 * n_stations + 16
+    if walk_trials * per_trial > WALK_STATE_BYTES:
+        raise ResourceGuardError(
+            f"station walk of {walk_trials} trials x {per_trial} bytes = "
+            f"{walk_trials * per_trial} bytes of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
     if not event_runs:
         return
@@ -285,7 +296,7 @@ def tree_abort_rounds(
     return abort
 
 
-def _steady_hazard(freq: dict[int, float], trials: int, k: int, m: int) -> float:
+def _steady_hazard(freq: dict[int, float], k: int, m: int) -> float:
     """Per-round abort rate in the stationary regime.
 
     The aggregate rate 1 - P_ok^(1/k) is contaminated by the warm-up
@@ -366,7 +377,7 @@ def monte_carlo_reliability(
     if trials < 1:
         raise ValueError("need at least one trial")
     if engine == "fast":
-        check_budget(kind, k, walk_trials=trials)
+        check_budget(kind, k, walk_trials=trials, n_stations=n_stations)
         if kind in (KIND_SINGLE, KIND_FQ):
             aborts = chain_abort_rounds(k, p, trials, seed)
         elif kind == KIND_TREE:
@@ -397,7 +408,7 @@ def monte_carlo_reliability(
 
     p_ok_mc = n_ok / trials
     lo, hi = clopper_pearson(n_ok, trials)
-    rate = _steady_hazard(freq, trials, k, m)
+    rate = _steady_hazard(freq, k, m)
     mp = m * p
     meta = {
         "approx_station_loss": mp,

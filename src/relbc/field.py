@@ -1,8 +1,9 @@
 """Exact arithmetic in the prime field F_q.
 
 Every challenge, response and share in the protocols is a residue mod a
-prime q.  Elements carry a reference to their field so that values from
-different moduli can never be mixed silently.
+prime q, held as a plain int in [0, q).  A ``Field`` holds the modulus
+and does the arithmetic mod q; no wrapper type sits between the ints and
+the hot paths (simulation, brute-force search).
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldMismatchError(ValueError):
-    """Raised when elements of different fields meet in one operation."""
-
-
 class Field:
     """The field F_q for a prime modulus q."""
 
@@ -68,17 +65,8 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.q})"
 
-    def elem(self, value: int) -> "Elem":
-        return Elem(self, value % self.q)
-
-    def zero(self) -> "Elem":
-        return Elem(self, 0)
-
-    def one(self) -> "Elem":
-        return Elem(self, 1 % self.q)
-
-    # Plain-int arithmetic; the Elem wrapper forwards here.  Hot paths
-    # (simulation, brute-force search) use these directly.
+    # Arithmetic on plain ints: any int is accepted, and the result is
+    # reduced into [0, q).
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
@@ -100,9 +88,6 @@ class Field:
             v = rng.getrandbits(bits)
             if v < self.q:
                 return v
-
-    def sample_elem(self, rng: random.Random) -> "Elem":
-        return Elem(self, self.sample(rng))
 
     def sample_hashed(self, seed: int, *labels) -> int:
         """Uniform residue drawn directly from a named hash stream.
@@ -147,58 +132,6 @@ class Field:
                 ctr += 1
 
         return draw
-
-
-class Elem:
-    """A residue in [0, q) tied to its Field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        if not 0 <= value < field.q:
-            raise ValueError(f"value {value} out of range for {field}")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other: "Elem") -> int:
-        if not isinstance(other, Elem):
-            raise TypeError(f"cannot combine Elem with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"elements of {self.field} and {other.field} cannot mix"
-            )
-        return other.value
-
-    def __add__(self, other: "Elem") -> "Elem":
-        return Elem(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other: "Elem") -> "Elem":
-        return Elem(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other: "Elem") -> "Elem":
-        return Elem(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __neg__(self) -> "Elem":
-        return Elem(self.field, (-self.value) % self.field.q)
-
-    def inv(self) -> "Elem":
-        return Elem(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Elem)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.q})"
 
 
 def derived_rng(seed: int, *labels) -> random.Random:

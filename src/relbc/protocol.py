@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Optional
+from typing import Optional
 
 from .field import Field
 from . import tree as tt
@@ -205,24 +205,29 @@ def _int_in(value, name: str, lo: int, hi: Optional[int]) -> int:
     return value
 
 
-class ShareTable:
+class ShareTable(dict):
     """Alice's pre-shared random numbers, one per internal node (tree) or
-    per round (chained protocol).  Frozen after preparation."""
+    per round (chained protocol), keyed by node label.
 
-    def __init__(self, shares: Mapping[str, int]):
-        self._shares = dict(shares)
+    ``prepare_tree``/``prepare_chain`` fill the table up front from one
+    PRNG.  ``hashed`` starts it empty and draws each node's share from its
+    own named hash stream on first lookup, so a run only materializes the
+    shares of the nodes it touches.
+    """
 
-    def __getitem__(self, v: str) -> int:
-        try:
-            return self._shares[v]
-        except KeyError:
-            raise KeyError(f"no share prepared for node {v!r}") from None
+    _draw = None
 
-    def __contains__(self, v: str) -> bool:
-        return v in self._shares
+    @classmethod
+    def hashed(cls, field: Field, seed: int, trial: int) -> "ShareTable":
+        table = cls()
+        table._draw = field.hash_stream(seed, trial, "share")
+        return table
 
-    def __len__(self) -> int:
-        return len(self._shares)
+    def __missing__(self, v: str) -> int:
+        if self._draw is None:
+            raise KeyError(f"no share prepared for node {v!r}")
+        share = self[v] = self._draw(v)
+        return share
 
     @classmethod
     def prepare_tree(cls, k: int, field: Field, rng, arity: int = 2) -> "ShareTable":

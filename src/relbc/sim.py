@@ -14,7 +14,7 @@ leftmost alive branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Protocol as TypingProtocol
 
 from .field import Field, derived_rng
@@ -152,25 +152,6 @@ class StationTracker:
         return self.counters[color] > 0
 
 
-class HashedShares:
-    """Lazy share table: each node's share comes from its own named hash
-    stream, so a run only ever materializes shares for nodes it touches."""
-
-    def __init__(self, field: Field, seed: int, trial: int):
-        self._draw = field.hash_stream(seed, trial, "share")
-        self._cache: dict[str, int] = {}
-
-    def __getitem__(self, v: str) -> int:
-        try:
-            return self._cache[v]
-        except KeyError:
-            share = self._cache[v] = self._draw(v)
-            return share
-
-    def __contains__(self, v: str) -> bool:
-        return True
-
-
 class AliceAgent(TypingProtocol):
     needs_history: bool
 
@@ -226,9 +207,7 @@ def run_tree(
     seed: int,
     trial: int = 0,
     prune_lag: int = 2,
-    acc_delay: int = 2,
     collect_events: bool = False,
-    geometry: Optional[Geometry] = None,
 ) -> RunResult:
     """One full tree-protocol run with an honest receiver.
 
@@ -237,20 +216,19 @@ def run_tree(
     the deepest known depth; everything else stays unqueried.
     """
     arity = coloring.arity
-    if coloring.k != k or coloring.n_stations - 1 != arity:
+    if coloring.k != k:
         raise ValueError("coloring does not match the run parameters")
-    if not coloring.is_canonical:
-        raise ValueError("run_tree follows the canonical coloring rule")
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
-    # Without effective pruning the scheduled set is a whole tree level.
-    if min(prune_lag, k) > 14:
+    # Without effective pruning a round schedules a whole tree level,
+    # arity**lag nodes.  arity >= 2, so a lag over 14 is refused before any
+    # power is taken.
+    lag = min(prune_lag, k)
+    if lag > 14 or arity**lag > 2**14:
         raise ResourceGuardError(
-            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{min(prune_lag, k)} "
-            "nodes per round; reduce the lag or the depth"
+            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
+            "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
         )
-    geometry = geometry or Geometry(n_stations=coloring.n_stations)
-    geometry.validate()
 
     transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=coloring.n_stations)
     records = transcript.records
@@ -286,7 +264,7 @@ def run_tree(
         return {
             w: rec.b
             for w, rec in records.items()
-            if tt.is_accessible(w, v, coloring, acc_delay)
+            if tt.is_accessible(w, v, coloring)
         }
 
     aborted = False
@@ -364,7 +342,7 @@ def run_tree(
 
     verdict = verify_tree(transcript, transcript.liveness(), coloring, field)
     if collect_events:
-        violations = validate_causality(events, geometry)
+        violations = validate_causality(events, Geometry(n_stations=coloring.n_stations))
         if violations:  # must never happen; a bug in the scheduler
             raise AssertionError("causality violated:\n" + "\n".join(violations))
     return RunResult(transcript, verdict, events)
@@ -442,23 +420,21 @@ def run_protocol(
     prune_lag: int = 2,
     alice: Optional[AliceAgent] = None,
     collect_events: bool = False,
-    coloring: Optional[tt.Coloring] = None,
 ) -> RunResult:
     """Drive one protocol run with honest receiver and (by default) honest
     committer; preparation randomness comes from the per-trial streams."""
     if kind == KIND_SINGLE:
         k = 1
     if kind in (KIND_SINGLE, KIND_FQ):
-        agent = HonestChainAlice(HashedShares(field, seed, trial), d, field)
+        agent = HonestChainAlice(ShareTable.hashed(field, seed, trial), d, field)
         return run_chain(k, field, agent, loss, seed, trial, collect_events)
     if kind == KIND_TREE:
-        coloring = coloring or tt.make_coloring(k, n_stations)
         if alice is None:
-            alice = HonestTreeAlice(HashedShares(field, seed, trial), d, field)
+            alice = HonestTreeAlice(ShareTable.hashed(field, seed, trial), d, field)
         return run_tree(
             k,
             field,
-            coloring,
+            tt.make_coloring(k, n_stations),
             alice,
             loss,
             seed,
@@ -477,11 +453,10 @@ def comm_cost(transcript: Transcript, field: Field, include_reveal: bool = False
     traffic.
     """
     log2q = math.log2(field.q)
-    n_chal = len(transcript.records)
-    n_resp = sum(1 for rec in transcript.records.values() if rec.y is not None)
+    n_chal, n_resp, n_reveal = message_counts(transcript)
     bits = (n_chal + n_resp) * log2q
     if include_reveal:
-        bits += len(transcript.reveals) * (1 + log2q)
+        bits += n_reveal * (1 + log2q)
     return bits
 
 

@@ -89,18 +89,13 @@ class Coloring:
     """Station assignment for every node of the depth-k complete tree.
 
     With ``n_stations`` stations the tree has arity ``n_stations - 1`` and
-    every internal node's family {v} + children(v) must use all station
-    colors exactly once.  Colors are 1-based.
-
-    Without an explicit assignment the coloring is the canonical rule,
-    computed per node on demand (see the module docstring), and
-    ``assignment`` is a read-only view of it.  An explicit assignment is
-    validated against the family rule over the whole tree.
+    every internal node's family {v} + children(v) uses all station colors
+    exactly once.  Colors are 1-based.  The coloring is the canonical
+    rule, computed per node on demand (see the module docstring), and
+    ``assignment`` is a read-only view of it.
     """
 
-    def __init__(
-        self, k: int, n_stations: int, assignment: Optional[Mapping[str, int]] = None
-    ):
+    def __init__(self, k: int, n_stations: int):
         if k < 1:
             raise ValueError("depth k must be >= 1")
         if n_stations < 3:
@@ -108,29 +103,10 @@ class Coloring:
         self.k = k
         self.n_stations = n_stations
         self.arity = n_stations - 1
-        if assignment is None:
-            self.assignment: Mapping[str, int] = CanonicalColors(self)
-        else:
-            self.assignment = dict(assignment)
-            self.validate()
-
-    @property
-    def is_canonical(self) -> bool:
-        return isinstance(self.assignment, CanonicalColors)
+        self.assignment = CanonicalColors(self)
 
     def color(self, v: str) -> int:
         return self.assignment[v]
-
-    def validate(self) -> None:
-        all_colors = set(range(1, self.n_stations + 1))
-        for j in range(self.k):
-            for v in nodes_at_depth(j, self.arity):
-                family = {self.assignment[v]}
-                family.update(self.assignment[c] for c in children(v, self.arity))
-                if family != all_colors:
-                    raise ValueError(
-                        f"coloring violated at node {v!r}: family colors {family}"
-                    )
 
     def child_colors(self, color: int) -> list[int]:
         """Colors of the children of any node with the given color, in

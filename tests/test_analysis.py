@@ -246,3 +246,9 @@ def test_work_budgets_refuse_before_any_work():
         an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
     # the exact boundary is admitted
     an.check_budget("fq", 1000, walk_trials=huge // 1000)
+    # one round, but more trials than the walk can hold in memory at once;
+    # checked through check_budget alone, so nothing is allocated
+    per_trial = 4 * 3 + 16
+    with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
+        an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
+    an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)

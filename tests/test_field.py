@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relbc.field import MAX_MODULUS, Elem, Field, FieldMismatchError, derived_rng, is_prime
+from relbc.field import MAX_MODULUS, Field, derived_rng, is_prime
 
 
 def test_is_prime_small_cases():
@@ -41,25 +41,6 @@ def test_inverse_property(q, a):
     if a == 0:
         a = 1
     assert f.mul(a, f.inv(a)) == 1
-
-
-def test_elem_operators_and_mixing():
-    f2, f3 = Field(2), Field(3)
-    x, y = f3.elem(2), f3.elem(2)
-    assert (x + y).value == 1
-    assert (x * y).value == 1
-    assert (x - y).value == 0
-    assert (-x).value == 1
-    assert x.inv().value == 2
-    with pytest.raises(FieldMismatchError):
-        _ = x + f2.elem(1)
-    with pytest.raises(TypeError):
-        _ = x + 1
-
-
-def test_elem_equality_is_field_aware():
-    assert Field(5).elem(2) == Field(5).elem(2)
-    assert Field(5).elem(2) != Field(7).elem(2)
 
 
 def test_sample_uniform_range_and_determinism():

@@ -186,6 +186,18 @@ def test_transcript_from_json_checks_schema(edit, name):
         Transcript.from_json(json.dumps(doc))
 
 
+def test_hashed_share_table_draws_each_node_once():
+    field = Field(101)
+    shares = ShareTable.hashed(field, 7, 3)
+    nodes = [v for j in range(4) for v in tt.nodes_at_depth(j)]
+    for v in nodes:
+        assert shares[v] == field.sample_hashed(7, 3, "share", v)
+    assert dict(shares) == {v: shares[v] for v in nodes}  # cached, not redrawn
+    prepared = ShareTable.prepare_chain(3, field, derived_rng(7, "cs"))
+    with pytest.raises(KeyError, match="no share prepared for node '4'"):
+        prepared["4"]
+
+
 def test_exhaustive_hiding_small():
     # pre-reveal response distribution over uniform shares is d-independent
     # for every fixed challenge assignment (spot check at q=3, k=1)

@@ -1,6 +1,5 @@
 import pytest
 
-from relbc import tree as tt
 from relbc.field import Field
 from relbc.sim import (
     Geometry,
@@ -115,10 +114,10 @@ def test_resource_guard_on_huge_lag():
         run_protocol("tree", 20, field, d=0, seed=1, prune_lag=15)
 
 
-def test_run_tree_refuses_a_non_canonical_coloring():
-    swapped = tt.Coloring(1, 3, {tt.ROOT: 1, "0": 3, "1": 2})
-    with pytest.raises(ValueError, match="canonical"):
-        run_protocol("tree", 1, Field(5), d=0, seed=1, coloring=swapped)
+def test_resource_guard_counts_the_arity():
+    # 10 children per node: a lag of 5 schedules 10**5 nodes per round
+    with pytest.raises(ResourceGuardError, match="10\\*\\*5 nodes per round"):
+        run_protocol("tree", 5, Field(5), d=0, seed=1, n_stations=11, prune_lag=5)
 
 
 def test_root_death_aborts_round_one():

@@ -10,7 +10,8 @@ import json
 import time
 
 from relbc.field import Field
-from relbc.sim import HashedShares, HonestTreeAlice, LossModel, run_protocol
+from relbc.protocol import ShareTable
+from relbc.sim import HonestTreeAlice, LossModel, run_protocol
 
 GOLDEN_RUNS_SHA256 = "9eb76dea02e373b8d95e5d3c47150d1af7b65dca291dbbae43df84944cfe87a4"
 GOLDEN_HISTORY_SHA256 = "f477aa8f8fc4e73cb1187a237da182bafe4417a6c9ca3bbab6b15afc5ef80a98"
@@ -57,7 +58,7 @@ class ViewDependentAlice:
     needs_history = True
 
     def __init__(self, field: Field, seed: int, trial: int, d: int):
-        self.honest = HonestTreeAlice(HashedShares(field, seed, trial), d, field)
+        self.honest = HonestTreeAlice(ShareTable.hashed(field, seed, trial), d, field)
 
     @staticmethod
     def _silent(acc_view) -> bool:

@@ -36,14 +36,6 @@ def test_canonical_coloring_nary():
             assert family == {1, 2, 3, 4}
 
 
-def test_coloring_validation_catches_bad_assignment():
-    col = tt.make_coloring(2, 3)
-    bad = dict(col.assignment)
-    bad["0"] = bad[tt.ROOT]  # child repeats the parent's color
-    with pytest.raises(ValueError):
-        tt.Coloring(2, 3, bad)
-
-
 def test_child_colors_matches_canonical_layout():
     col = tt.make_coloring(3, 3)
     for v in ["", "0", "1", "00", "11"]:
