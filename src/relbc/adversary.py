@@ -203,28 +203,6 @@ def strategy_eval(
     return wins[0] / n_hist, wins[1] / n_hist
 
 
-def leftmost_distribution(strat: StrategyTable, j: int) -> dict[str, float]:
-    """Diagnostic: distribution of the leftmost alive node at depth j over
-    uniform challenge histories (nodes with zero mass omitted; missing
-    total mass corresponds to aborted histories)."""
-    field, k, coloring = strat.field, strat.k, strat.coloring
-    q = field.q
-    internals = _internal_nodes(k, coloring.arity)
-    counts: dict[str, int] = {}
-    total = q ** len(internals)
-    for combo in product(range(q), repeat=len(internals)):
-        bs = dict(zip(internals, combo))
-        live = tt.Liveness()
-        for v in internals:
-            acc_view = {w: bs[w] for w in _acc_nodes(v, coloring, strat.acc_delay)}
-            y = strat.respond(v, bs[v], acc_view)
-            live.set(v, tt.ALIVE if y is not None else tt.DEAD)
-        node = tt.leftmost_alive(j, live, coloring.arity)
-        if node is not None:
-            counts[node] = counts.get(node, 0) + 1
-    return {v: c / total for v, c in sorted(counts.items())}
-
-
 @dataclass
 class BindingReport:
     kind: str
@@ -469,13 +447,8 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
         best_leaf, tab = chosen[path]
         if leaf != best_leaf:
             return None
-        if leaf in ("00", "10"):
-            key = (view[tt.ROOT],)
-        elif leaf == "01":
-            key = (view[tt.ROOT], view["1"])
-        else:
-            key = (view[tt.ROOT], view["0"])
-        return tab.get(key)
+        # the view holds exactly the leaf's accessible challenges
+        return tab.get(tuple(view[w] for w in sorted(view)))
 
     return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name="oracle-argmax")
 
@@ -522,11 +495,8 @@ def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
     * ``selective_silence``: the left depth-1 node answers only when its
       challenge is zero, which decouples the chain from the root answer on
       that branch and makes both opens succeed there.
-    * ``late_decision``: answer with no bit folded in at the root and
-      shift the choice of bit entirely to the reveal claims.
     """
     a = ShareTable.prepare_tree(2, field, derived_rng(seed, "heuristic-shares"))
-    zero = 0
 
     if kind == "guess_share":
 
@@ -547,7 +517,7 @@ def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
         def respond_fn(v, b, view):
             if v == tt.ROOT:
                 return a[tt.ROOT]
-            if v == "0" and b != zero:
+            if v == "0" and b != 0:
                 return None  # refuse: hand the branch to the brother
             return field.add(a[v], field.mul(b, a[tt.ROOT]))
 
@@ -560,24 +530,6 @@ def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
                 # b_root = 0, otherwise hope b_right lands on zero
                 return a["1"]
             return None
-
-        return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name=kind)
-
-    if kind == "late_decision":
-
-        def respond_fn(v, b, view):
-            if v == tt.ROOT:
-                return a[tt.ROOT]
-            return field.add(a[v], field.mul(b, a[tt.ROOT]))
-
-        def reveal_fn(leaf, view, d):
-            # alpha at the path node is a_node + b_node*b_root*d; the leaf
-            # knows b_root, and when it is zero either bit opens exactly.
-            b_root = view.get(tt.ROOT, 0)
-            node = leaf[0]
-            if d == 0 or b_root == zero:
-                return a[node]
-            return a[node]  # the path node's own challenge is unseen: guess zero
 
         return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name=kind)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
-from .sim import LossModel, ResourceGuardError, comm_cost, run_protocol
+from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, comm_cost, run_protocol
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -174,12 +174,10 @@ RNG_STREAM = 2
 # Work budgets, checked before any work starts.  On a 2-core host the
 # tree walk steps 1.5e7 to 2.2e7 trial-rounds/s and the chain walk about
 # 2e8, so a full walk budget is about a minute of tree walk.  The event
-# engine schedules about 1e5 nodes/s at k <= 200, but node labels are up
-# to k characters long, so a run's time and memory grow faster than k:
-# one run at k = 5000 takes about 0.5 s and 95 MB.
+# engine schedules about 1e5 nodes/s at k <= 200; its per-run cap
+# EVENT_MAX_K lives in sim, next to run_tree, which checks it too.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
-EVENT_MAX_K = 5000         # rounds in one event-engine run
 EVENT_BUDGET = 2 * 10**6   # nodes scheduled over all event-engine runs
 
 
@@ -547,6 +545,3 @@ def rows_to_csv(rows: list[dict]) -> str:
         writer.writerow({c: row.get(c, "") for c in CSV_COLUMNS})
     return buf.getvalue()
 
-
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2)

@@ -76,12 +76,11 @@ class Transcript:
     abort_reason: Optional[str] = None
     abort_round: Optional[int] = None
 
-    def liveness(self) -> tt.Liveness:
-        live = tt.Liveness()
-        for v, rec in self.records.items():
-            live.set(v, tt.ALIVE if rec.y is not None else tt.DEAD)
-        for v in self.reveals:
-            live.set(v, tt.ALIVE)
+    def liveness(self) -> set[str]:
+        """The alive nodes: every record that was answered, plus every
+        revealing leaf.  A silent or never-queried node is absent."""
+        live = {v for v, rec in self.records.items() if rec.y is not None}
+        live.update(self.reveals)
         return live
 
     # Serialization uses a stable field order so that identical runs give
@@ -294,7 +293,7 @@ def verify_fq(
 
 def verify_tree(
     transcript: Transcript,
-    live: tt.Liveness,
+    live: set[str],
     coloring: tt.Coloring,
     field: Field,
 ) -> Verdict:
@@ -303,13 +302,14 @@ def verify_tree(
     Walks the leftmost alive path from the root: at every depth the current
     node must have an alive child (else reject), and at the bottom the
     revealing leaf's claimed share must equal the verification chain value
-    at the deepest internal node.  Nothing outside the path and its
-    children's liveness is read.
+    at the deepest internal node.  ``live`` is the set of alive nodes
+    (``Transcript.liveness``); nothing outside the path and its children's
+    membership in it is read.
     """
     if transcript.abort_reason is not None:
         return Verdict.abort(transcript.abort_reason)
     k, arity = transcript.k, coloring.arity
-    if not live.is_alive(tt.ROOT):
+    if tt.ROOT not in live:
         return Verdict.abort("root did not respond")
     # Descend through alive children; prefix stability makes this walk the
     # leftmost alive node at every depth.
@@ -317,7 +317,7 @@ def verify_tree(
     v = tt.ROOT
     for j in range(k - 1):
         for w in tt.children(v, arity):
-            if live.is_alive(w):
+            if w in live:
                 v = w
                 path.append(w)
                 break

@@ -38,6 +38,12 @@ class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured enumeration budget."""
 
 
+# Rounds in one event-engine run.  Node labels are up to k characters
+# long, so a run's time and memory grow faster than k: one run at
+# k = 5000 takes about 0.5 s and 95 MB.
+EVENT_MAX_K = 5000
+
+
 @dataclass(frozen=True)
 class LossModel:
     """Independent per-station failure: an alive station dies with
@@ -59,32 +65,13 @@ class LossModel:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Station layout; distances in units of the honest separation D."""
+    """Station layout: every pair of distinct stations sits at the honest
+    separation D, the unit of distance."""
 
     n_stations: int = 3
-    distances: Optional[tuple[tuple[float, ...], ...]] = None
 
     def dist(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if self.distances is None:
-            return 1.0
-        return self.distances[i - 1][j - 1]
-
-    def validate(self) -> None:
-        if self.n_stations < 2:
-            raise ValueError("need at least 2 stations")
-        if self.distances is not None:
-            n = self.n_stations
-            for i in range(1, n + 1):
-                if self.dist(i, i) != 0.0:
-                    raise ValueError("distance diagonal must be zero")
-                for j in range(1, n + 1):
-                    if i != j:
-                        if self.dist(i, j) != self.dist(j, i):
-                            raise ValueError("distances must be symmetric")
-                        if self.dist(i, j) < 1.0:
-                            raise ValueError("stations closer than D")
+        return 0.0 if i == j else 1.0
 
 
 @dataclass
@@ -213,13 +200,19 @@ def run_tree(
 
     The receiver's agents learn node statuses with a lag of ``prune_lag``
     rounds and only challenge descendants of the leftmost alive node at
-    the deepest known depth; everything else stays unqueried.
+    the deepest known depth; everything else stays unqueried.  A run over
+    ``EVENT_MAX_K`` rounds, or one whose lag schedules over 2**14 nodes a
+    round, raises ResourceGuardError before round 1.
     """
     arity = coloring.arity
     if coloring.k != k:
         raise ValueError("coloring does not match the run parameters")
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
+    if k > EVENT_MAX_K:
+        raise ResourceGuardError(
+            f"tree run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
+        )
     # Without effective pruning a round schedules a whole tree level,
     # arity**lag nodes.  arity >= 2, so a lag over 14 is refused before any
     # power is taken.
@@ -350,8 +343,6 @@ def run_tree(
 
 class HonestChainAlice:
     """Honest agent pair for the chained (two-station) protocol."""
-
-    needs_history = False
 
     def __init__(self, shares: ShareTable, d: int, field: Field):
         self.shares = shares

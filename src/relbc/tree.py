@@ -1,4 +1,4 @@
-"""Complete n-ary tree topology: node addressing, coloring, liveness.
+"""Complete n-ary tree topology: node addressing, coloring, accessibility.
 
 Nodes are strings over the digit alphabet ``'0'..'n-1'`` (``'0'`` = left,
 ``'1'`` = right for the binary tree); the root is the empty string.  Depth
@@ -15,15 +15,9 @@ stored.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 ROOT = ""
-
-ALIVE = "alive"
-DEAD = "dead"
-UNQUERIED = "unqueried"
 
 
 def depth(v: str) -> int:
@@ -34,28 +28,6 @@ def parent(v: str) -> str:
     if not v:
         raise ValueError("the root has no parent")
     return v[:-1]
-
-
-def brother(v: str) -> str:
-    """The other child of v's parent (binary trees only)."""
-    if not v:
-        raise ValueError("the root has no brother")
-    t = v[-1]
-    if t not in "01":
-        raise ValueError("brother() is defined for binary trees; use siblings()")
-    return v[:-1] + ("1" if t == "0" else "0")
-
-
-def siblings(v: str, arity: int) -> list[str]:
-    if not v:
-        raise ValueError("the root has no siblings")
-    return [v[:-1] + str(t) for t in range(arity) if str(t) != v[-1]]
-
-
-def child(v: str, t: int, arity: int = 2) -> str:
-    if not 0 <= t < arity:
-        raise ValueError(f"child index {t} out of range for arity {arity}")
-    return v + str(t)
 
 
 def children(v: str, arity: int = 2) -> list[str]:
@@ -74,25 +46,14 @@ def nodes_at_depth(j: int, arity: int = 2) -> Iterator[str]:
         yield "".join(combo)
 
 
-def from_lr(s: str) -> str:
-    """Convenience parser for binary node labels written with l/r letters."""
-    table = {"l": "0", "r": "1"}
-    return "".join(table[ch] for ch in s)
-
-
-def to_lr(v: str) -> str:
-    table = {"0": "l", "1": "r"}
-    return "".join(table[ch] for ch in v) if v else "root"
-
-
 class Coloring:
     """Station assignment for every node of the depth-k complete tree.
 
     With ``n_stations`` stations the tree has arity ``n_stations - 1`` and
     every internal node's family {v} + children(v) uses all station colors
     exactly once.  Colors are 1-based.  The coloring is the canonical
-    rule, computed per node on demand (see the module docstring), and
-    ``assignment`` is a read-only view of it.
+    rule, computed per node on demand (see the module docstring); nothing
+    is stored but the n child-color rows.
     """
 
     def __init__(self, k: int, n_stations: int):
@@ -103,33 +64,13 @@ class Coloring:
         self.k = k
         self.n_stations = n_stations
         self.arity = n_stations - 1
-        self.assignment = CanonicalColors(self)
+        self._rows = [None] + [self.child_colors(c) for c in range(1, n_stations + 1)]
 
     def color(self, v: str) -> int:
-        return self.assignment[v]
+        """The color of node v, folding the rule over its digits, O(depth).
 
-    def child_colors(self, color: int) -> list[int]:
-        """Colors of the children of any node with the given color, in
-        left-to-right order (canonical rule: the t-th missing color)."""
-        return [t + 1 if t + 1 < color else t + 2 for t in range(self.arity)]
-
-
-class CanonicalColors(Mapping[str, int]):
-    """Read-only node -> color view of the canonical rule; stores nothing.
-
-    A lookup folds the rule over the node's digits, O(depth).  ``len()``
-    is the node count of the depth-k tree, so like ``range`` it raises
-    OverflowError once that count exceeds ``sys.maxsize``.
-    """
-
-    def __init__(self, coloring: Coloring):
-        self.k = coloring.k
-        self.arity = coloring.arity
-        self._rows = [None] + [
-            coloring.child_colors(c) for c in range(1, coloring.n_stations + 1)
-        ]
-
-    def __getitem__(self, v: str) -> int:
+        Raises KeyError for a label that is not a node of the depth-k tree.
+        """
         if not isinstance(v, str) or len(v) > self.k:
             raise KeyError(v)
         c = 1
@@ -140,55 +81,14 @@ class CanonicalColors(Mapping[str, int]):
             c = self._rows[c][t]
         return c
 
-    def __iter__(self) -> Iterator[str]:
-        for j in range(self.k + 1):
-            yield from nodes_at_depth(j, self.arity)
-
-    def __len__(self) -> int:
-        return (self.arity ** (self.k + 1) - 1) // (self.arity - 1)
+    def child_colors(self, color: int) -> list[int]:
+        """Colors of the children of any node with the given color, in
+        left-to-right order (canonical rule: the t-th missing color)."""
+        return [t + 1 if t + 1 < color else t + 2 for t in range(self.arity)]
 
 
 def make_coloring(k: int, n_stations: int = 3) -> Coloring:
     return Coloring(k, n_stations)
-
-
-@dataclass
-class Liveness:
-    """Per-node status map; nodes never touched by the receiver stay
-    unqueried."""
-
-    status: dict[str, str] = field(default_factory=dict)
-
-    def set(self, v: str, st: str) -> None:
-        if st not in (ALIVE, DEAD, UNQUERIED):
-            raise ValueError(f"unknown status {st!r}")
-        self.status[v] = st
-
-    def get(self, v: str) -> str:
-        return self.status.get(v, UNQUERIED)
-
-    def is_alive(self, v: str) -> bool:
-        return self.status.get(v) == ALIVE
-
-
-def leftmost_alive(j: int, live: Liveness, arity: int = 2) -> Optional[str]:
-    """Leftmost depth-j node whose whole root path is alive, or None.
-
-    Depth-first with backtracking: a branch that goes dead above depth j
-    does not hide alive nodes further right.
-    """
-    if not live.is_alive(ROOT):
-        return None
-    stack = [ROOT]
-    while stack:
-        v = stack.pop()
-        if depth(v) == j:
-            return v
-        for t in reversed(range(arity)):
-            w = v + str(t)
-            if live.is_alive(w):
-                stack.append(w)
-    return None
 
 
 def is_accessible(w: str, v: str, coloring: Coloring, acc_delay: int = 2) -> bool:

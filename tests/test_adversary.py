@@ -58,7 +58,7 @@ def test_tree_oracle_argmax_replays_through_real_verifier():
 
 def test_tree_heuristics_within_oracle_optimum():
     rep, _ = adv.brute_force_tree(F2, 2, reduced=True)
-    for name in ("guess_share", "selective_silence", "late_decision"):
+    for name in ("guess_share", "selective_silence"):
         strat = adv.heuristic_attack(name, F2)
         adv.audit_information_constraint(strat)
         s0, s1 = adv.strategy_eval(strat)
@@ -92,13 +92,6 @@ def test_hygiene_audit_rejects_silent_root():
     strat.responses[""][key] = None
     with pytest.raises(AssertionError):
         adv.audit_information_constraint(strat)
-
-
-def test_leftmost_distribution_sums_to_one_when_all_alive():
-    strat = adv.honest_strategy_table(F2)
-    dist = adv.leftmost_distribution(strat, 1)
-    assert sum(dist.values()) == pytest.approx(1.0)
-    assert set(dist) == {"0"}  # honest agents never go silent
 
 
 def test_budget_guard_trips():

@@ -105,6 +105,17 @@ def test_verify_tree_follows_leftmost_alive_branch():
     assert verdict.outcome == "accept" and verdict.revealed == 1
 
 
+def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
+    field = Field(97)
+    tr, col, _ = _honest_tree_transcript(2, field, 0, seed=8)
+    rec = tr.records["1"]
+    tr.records["1"] = Record(b=rec.b, y=None, round=2, color=rec.color)
+    del tr.reveals["10"], tr.reveals["11"]
+    live = tr.liveness()
+    assert live == {tt.ROOT, "0", "00", "01"}
+    assert verify_tree(tr, live, col, field).outcome == "accept"
+
+
 def _honest_chain_transcript(k, field, d, seed):
     shares = ShareTable.prepare_chain(k, field, derived_rng(seed, "cs"))
     tr = Transcript(kind=KIND_FQ, k=k, q=field.q, n_stations=2)

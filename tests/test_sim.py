@@ -2,6 +2,7 @@ import pytest
 
 from relbc.field import Field
 from relbc.sim import (
+    EVENT_MAX_K,
     Geometry,
     LossModel,
     ResourceGuardError,
@@ -149,10 +150,9 @@ def test_tree_survives_single_station_outages():
     assert outcomes == {"accept", "abort"}
 
 
-def test_geometry_validation():
-    Geometry(3).validate()
-    with pytest.raises(ValueError):
-        Geometry(3, distances=((0.0, 0.5, 1.0), (0.5, 0.0, 1.0), (1.0, 1.0, 0.0))).validate()
+def test_run_tree_refuses_a_depth_over_its_cap():
+    with pytest.raises(ResourceGuardError, match=f"EVENT_MAX_K = {EVENT_MAX_K}"):
+        run_protocol("tree", EVENT_MAX_K + 1, Field(2), d=0, seed=1)
 
 
 def test_single_round_is_k1():

@@ -6,16 +6,10 @@ from relbc import tree as tt
 def test_addressing_basics():
     assert tt.depth(tt.ROOT) == 0
     assert tt.parent("01") == "0"
-    assert tt.brother("01") == "00"
     assert tt.children("1") == ["10", "11"]
-    assert tt.siblings("12", 3) == ["10", "11"]
     assert list(tt.nodes_at_depth(2)) == ["00", "01", "10", "11"]
-    assert tt.from_lr("lr") == "01"
-    assert tt.to_lr("01") == "lr"
     with pytest.raises(ValueError):
         tt.parent(tt.ROOT)
-    with pytest.raises(ValueError):
-        tt.brother("2")
 
 
 def test_canonical_coloring_family_property():
@@ -43,27 +37,6 @@ def test_child_colors_matches_canonical_layout():
         assert col.child_colors(col.color(v)) == expect
 
 
-def test_leftmost_alive_backtracks():
-    live = tt.Liveness()
-    live.set(tt.ROOT, tt.ALIVE)
-    live.set("0", tt.ALIVE)
-    live.set("1", tt.ALIVE)
-    live.set("00", tt.DEAD)
-    live.set("01", tt.DEAD)
-    live.set("10", tt.ALIVE)
-    # the whole left subtree is dead at depth 2; search must hop to "10"
-    assert tt.leftmost_alive(2, live) == "10"
-    assert tt.leftmost_alive(1, live) == "0"
-    live.set("10", tt.DEAD)
-    assert tt.leftmost_alive(2, live) is None
-
-
-def test_leftmost_alive_dead_root():
-    live = tt.Liveness()
-    live.set(tt.ROOT, tt.DEAD)
-    assert tt.leftmost_alive(0, live) is None
-
-
 def test_accessible_set_depth2_examples():
     col = tt.make_coloring(2, 3)
     # depth-1 nodes: nothing is old enough and no shallower node shares
@@ -83,7 +56,7 @@ def test_accessible_set_excludes_parent_and_brother():
     for v in ["010", "101", "0110"]:
         acc = tt.accessible_set(v, col)
         assert tt.parent(v) not in acc
-        assert tt.brother(v) not in acc
+        assert v[:-1] + ("1" if v[-1] == "0" else "0") not in acc
 
 
 def test_accessible_set_grows_with_smaller_delay():
@@ -115,15 +88,16 @@ def test_on_demand_coloring_matches_breadth_first_build(n_stations):
         ref = _breadth_first_canonical(k, n_stations)
         col = tt.make_coloring(k, n_stations)
         assert {v: col.color(v) for v in ref} == ref
-        assert len(col.assignment) == len(ref)
-        assert dict(col.assignment) == ref
+        nodes = [v for j in range(k + 1) for v in tt.nodes_at_depth(j, n_stations - 1)]
+        assert {v: col.color(v) for v in nodes} == ref
 
 
 def test_canonical_view_rejects_nodes_outside_the_tree():
-    view = tt.make_coloring(3, 3).assignment
+    col = tt.make_coloring(3, 3)
     for v in ("0000", "2", "0x", 0):
-        assert v not in view
-    assert "011" in view
+        with pytest.raises(KeyError):
+            col.color(v)
+    assert col.color("011") in (1, 2, 3)
     # deep trees cost nothing to set up, and a lookup reads only the path
     assert tt.make_coloring(200, 3).color("1" * 200) in (1, 2, 3)
 
@@ -146,7 +120,7 @@ def _levelwise_accessible_set(v, coloring, acc_delay):
 def test_is_accessible_agrees_with_accessible_set(n_stations):
     for k in range(1, 7):
         col = tt.make_coloring(k, n_stations)
-        nodes = list(col.assignment)
+        nodes = [v for j in range(k + 1) for v in tt.nodes_at_depth(j, col.arity)]
         for acc_delay in (1, 2, 3):
             for v in nodes:
                 ref = _levelwise_accessible_set(v, col, acc_delay)
