@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Callable, Optional
 
 from .field import Field, derived_rng
@@ -33,7 +33,7 @@ from .protocol import (
     Transcript,
     verify_tree,
 )
-from .sim import ResourceGuardError
+from .sim import ResourceGuardError, capped_product
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -250,8 +250,10 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
     frequent value of y(b) - d*b.
     """
     q = field.q
-    if q**q * q > budget:
-        raise ResourceGuardError(f"single-round search over q={q} exceeds budget")
+    if capped_product(chain((q,), repeat(q, q)), budget) > budget:
+        raise ResourceGuardError(
+            f"single-round search of {q}**{q} answer tables x {q} exceeds the budget of {budget}"
+        )
     t0 = time.perf_counter()
     best_sum, best_y = -1.0, None
     for y_tab in product(range(q), repeat=q):
@@ -291,8 +293,10 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     if k != 2:
         raise ResourceGuardError("chained-protocol search supports k <= 2 only")
     q = field.q
-    if q ** (2 * q) * q * q > budget:
-        raise ResourceGuardError(f"chained search over q={q} exceeds budget")
+    if capped_product(chain((q, q), repeat(q, 2 * q)), budget) > budget:
+        raise ResourceGuardError(
+            f"chained search of {q}**{2 * q} answer tables x {q}**2 exceeds the budget of {budget}"
+        )
     t0 = time.perf_counter()
     best_sum, best_id = -1.0, ""
     n_hist = q * q
@@ -381,6 +385,23 @@ def _tree2_optimal_open(
     return total / q**3, chosen
 
 
+def _chain_agreement(q: int, y_root: tuple, y_node: tuple, d: int) -> int:
+    """Sum over b_root of the largest number of challenges b at which the
+    depth-1 node answers with one common chain value y_node[b] - b*a_root,
+    where a_root = y_root[b_root] - b_root*d; a None answer is silence."""
+    answered = [(b, y) for b, y in enumerate(y_node) if y is not None]
+    if not answered:
+        return 0
+    total = 0
+    for b0 in range(q):
+        a0 = (y_root[b0] - b0 * d) % q
+        counts = [0] * q
+        for b, y in answered:
+            counts[(y - b * a0) % q] += 1
+        total += max(counts)
+    return total
+
+
 def brute_force_tree(
     field: Field, k: int = 2, reduced: bool = True, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
@@ -392,32 +413,65 @@ def brute_force_tree(
     optimal-structure argument that refusing on the fallback branch can
     only lose; the unreduced search keeps the refusal option to verify the
     reduction is lossless.
+
+    The result, tie-break included, is that of scoring every (root, left,
+    right) triple with ``_tree2_optimal_open`` in that order and keeping
+    the first strictly larger sum; the scores are counted, not built.  The
+    two leaves under a depth-1 node score alike (their keys differ by a
+    challenge the chain value does not depend on), so the best open of
+    bit d wins on
+        T_d = q * A_d(root, left) + |Z| * A_d(root, right)
+    of the q**3 histories, with A = ``_chain_agreement`` and Z the
+    challenges the left node is silent on.  For each root only the rights
+    with the largest A_0 + A_1 can be best, and among them the float sum
+    (1/q**3 may be inexact) depends only on the pair (A_0, A_1); so each
+    left is scored against the first right of each such pair, or against
+    the first right of all when Z is empty.
     """
     if k != 2:
         raise ResourceGuardError("tree-protocol search supports k=2 only")
     q = field.q
+    n_right = q if reduced else q + 1
+    factors = chain((2, q, q, q), repeat(q, q), repeat(q + 1, q), repeat(n_right, q))
+    if capped_product(factors, budget) > budget:
+        raise ResourceGuardError(
+            f"tree search of {q}**{q} x {q + 1}**{q} x {n_right}**{q} strategies "
+            f"x 2*{q}**3 histories exceeds the budget of {budget}"
+        )
     opts_left = list(product(list(range(q)) + [None], repeat=q))
-    opts_right = (
-        list(product(range(q), repeat=q)) if reduced else opts_left
-    )
+    opts_right = list(product(range(q), repeat=q)) if reduced else opts_left
     search_size = q**q * len(opts_left) * len(opts_right)
-    if search_size * 2 * q**3 > budget:
-        raise ResourceGuardError(f"tree search over q={q} exceeds budget")
+    n_hist = q**3
     t0 = time.perf_counter()
-    best_sum, best_id, best_detail = -1.0, "", None
+    best_sum, best = -1.0, None
     for y_root in product(range(q), repeat=q):
+        scores = [
+            (_chain_agreement(q, y_root, y_right, 0), _chain_agreement(q, y_root, y_right, 1))
+            for y_right in opts_right
+        ]
+        top = max(a0 + a1 for a0, a1 in scores)
+        first_right: dict[tuple[int, int], tuple] = {}
+        for y_right, pair in zip(opts_right, scores):
+            if sum(pair) == top:
+                first_right.setdefault(pair, y_right)
         for y_left in opts_left:
-            for y_right in opts_right:
+            p0 = q * _chain_agreement(q, y_root, y_left, 0)
+            p1 = q * _chain_agreement(q, y_root, y_left, 1)
+            z = y_left.count(None)
+            rights = first_right.items() if z else [((0, 0), opts_right[0])]
+            for (a0, a1), y_right in rights:
                 s = 0.0
-                detail = []
-                for d in (0, 1):
-                    win, chosen = _tree2_optimal_open(field, y_root, y_left, y_right, d)
-                    s += win
-                    detail.append(chosen)
+                s += (p0 + z * a0) / n_hist
+                s += (p1 + z * a1) / n_hist
                 if s > best_sum:
-                    best_sum = s
-                    best_id = f"root={y_root}, left={y_left}, right={y_right}"
-                    best_detail = (y_root, y_left, y_right, detail)
+                    best_sum, best = s, (y_root, y_left, y_right)
+    y_root, y_left, y_right = best
+    s, detail = 0.0, []
+    for d in (0, 1):
+        win, chosen = _tree2_optimal_open(field, y_root, y_left, y_right, d)
+        s += win
+        detail.append(chosen)
+    assert s == best_sum
     return BindingReport(
         kind=KIND_TREE,
         k=2,
@@ -427,8 +481,8 @@ def brute_force_tree(
         bound=reference_bound(KIND_TREE, 2, q),
         search_size=search_size,
         seconds=time.perf_counter() - t0,
-        strategy_id=best_id,
-    ), best_detail
+        strategy_id=f"root={y_root}, left={y_left}, right={y_right}",
+    ), (y_root, y_left, y_right, detail)
 
 
 def argmax_strategy_table(field: Field, detail) -> StrategyTable:

@@ -245,13 +245,20 @@ def _parse_y_dist(text: str, q: int) -> tuple[Fraction, ...]:
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     field = Field(args.q)
-    support = (
-        tuple(int(t) for t in args.support.split(","))
-        if args.support
-        else tuple(range(args.q))
+    support = tuple(int(t) for t in args.support.split(",")) if args.support else None
+    y_dist = _parse_y_dist(args.y_dist, args.q) if args.y_dist else None
+    # The search budget is checked on the sizes alone, before a default
+    # support or a uniform distribution of q entries is built.
+    games.check_budget(
+        args.q,
+        args.q if support is None else len(support),
+        args.q if y_dist is None else sum(1 for p in y_dist if p > 0),
+        args.budget,
     )
-    if args.y_dist:
-        spec = games.GameSpec(field, support, _parse_y_dist(args.y_dist, args.q))
+    if support is None:
+        support = tuple(range(args.q))
+    if y_dist is not None:
+        spec = games.GameSpec(field, support, y_dist)
     else:
         spec = games.GameSpec.uniform(field, support)
     value = games.chsh_value(spec, budget=args.budget)

@@ -7,7 +7,8 @@ search over deterministic strategies; the analytic ceiling is
 p + sqrt(2/|S|).
 
 Input distributions are exact rationals so that the max-entry check and
-the reported value carry no float drift.
+the reported value carry no float drift; the search itself counts in
+integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Sequence
 
 from .field import Field
-from .sim import ResourceGuardError
+from .sim import ResourceGuardError, capped_product
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -96,6 +97,23 @@ def win_probability(spec: GameSpec, f: dict[int, int], g: dict[int, int]) -> Fra
     return total
 
 
+def check_budget(
+    q: int, support_size: int, y_support_size: int, budget: int = DEFAULT_BUDGET
+) -> None:
+    """Raise ResourceGuardError, naming the budget, if the exhaustive
+    search over q**support_size first-player tables, each scored on
+    support_size inputs for y_support_size values of y, exceeds it.  Needs
+    only the sizes, so a caller can check before building a spec."""
+    cost = capped_product(
+        chain((y_support_size, support_size), repeat(q, support_size)), budget
+    )
+    if cost > budget:
+        raise ResourceGuardError(
+            f"game enumeration of {q}**{support_size} tables x {support_size} x "
+            f"{y_support_size} exceeds the budget of {budget}"
+        )
+
+
 def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     """Exact classical value by exhausting the first player's tables.
 
@@ -103,31 +121,38 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     g(y) = argmax_c sum over x of [c = x*y - f(x)], so only the q**|S|
     f-tables are enumerated.  Ties break lexicographically for
     reproducible optimal strategies.
+
+    The search counts in integers: each positive y_dist entry is an
+    integer weight over one common denominator, a table scores the sum
+    of weight x best count, and only the winner's value is a Fraction.
     """
-    field = spec.field
-    q = field.q
+    q = spec.field.q
+    support = spec.support
     supp_y = [y for y, py in enumerate(spec.y_dist) if py > 0]
-    cost = q ** len(spec.support) * len(spec.support) * len(supp_y)
-    if cost > budget:
-        raise ResourceGuardError(
-            f"game enumeration cost {cost} exceeds budget {budget}"
-        )
-    px = Fraction(1, len(spec.support))
-    best: GameValue | None = None
-    for f_tab in product(range(q), repeat=len(spec.support)):
-        f = dict(zip(spec.support, f_tab))
-        value = Fraction(0)
-        g: dict[int, int] = {}
-        for y in supp_y:
-            scores = [Fraction(0)] * q
-            for x in spec.support:
-                scores[field.sub(field.mul(x, y), f[x])] += px
-            c_best = max(range(q), key=lambda c: (scores[c], -c))
-            g[y] = c_best
-            value += spec.y_dist[y] * scores[c_best]
-        if best is None or value > best.value:
-            best = GameValue(value, f, g)
-    assert best is not None
+    check_budget(q, len(support), len(supp_y), budget)
+    den = math.lcm(*(spec.y_dist[y].denominator for y in supp_y))
+    weights = [int(spec.y_dist[y] * den) for y in supp_y]
+    # rows[j][i][a]: the answer c that wins on (x_i, supp_y[j]) when f(x_i) = a
+    rows = [[[(x * y - a) % q for a in range(q)] for x in support] for y in supp_y]
+    best_total, best_tab = -1, ()
+    for f_tab in product(range(q), repeat=len(support)):
+        total = 0
+        for w, row in zip(weights, rows):
+            counts = [0] * q
+            for r, a in zip(row, f_tab):
+                counts[r[a]] += 1
+            total += w * max(counts)
+        if total > best_total:
+            best_total, best_tab = total, f_tab
+    f = dict(zip(support, best_tab))
+    g: dict[int, int] = {}
+    # recounted for the winner only; index() takes the lowest best answer
+    for y, row in zip(supp_y, rows):
+        counts = [0] * q
+        for r, a in zip(row, best_tab):
+            counts[r[a]] += 1
+        g[y] = counts.index(max(counts))
+    best = GameValue(Fraction(best_total, den * len(support)), f, g)
     assert win_probability(spec, best.f, best.g) == best.value
     return best
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol as TypingProtocol
+from typing import Iterable, Optional, Protocol as TypingProtocol
 
 from .field import Field, derived_rng
 from . import tree as tt
@@ -38,9 +38,23 @@ class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured enumeration budget."""
 
 
-# Rounds in one event-engine run.  Node labels are up to k characters
-# long, so a run's time and memory grow faster than k: one run at
-# k = 5000 takes about 0.5 s and 95 MB.
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of ``factors``, or the first partial product over
+    ``cap``.  Factors are multiplied one at a time, so a guard can refuse
+    a q**q search without computing q**q; pass the factors as lazy
+    iterables (``itertools.repeat``), and any factor that may be 0 first.
+    """
+    size = 1
+    for f in factors:
+        size *= f
+        if size > cap:
+            break
+    return size
+
+
+# Rounds in one event-engine run, tree or chain.  Tree node labels are up
+# to k characters long, so a tree run's time and memory grow faster than
+# k: one run at k = 5000 takes about 0.5 s and 95 MB.
 EVENT_MAX_K = 5000
 
 
@@ -370,8 +384,13 @@ def run_chain(
 
     Loss model: the protocol dies at the first failure of the active
     agent, so only one Bernoulli(p) draw per round matters and the dead
-    duration m never comes into play.
+    duration m never comes into play.  A run over ``EVENT_MAX_K`` rounds
+    raises ResourceGuardError before round 1.
     """
+    if k > EVENT_MAX_K:
+        raise ResourceGuardError(
+            f"chain run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
+        )
     kind = KIND_SINGLE if k == 1 else KIND_FQ
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=2)
     events: list[Event] = []

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from relbc import adversary as adv
@@ -119,3 +121,45 @@ def test_binding_report_json_fields():
     assert doc["sum"] == 1.5
     assert doc["epsilon"] == 0.5
     assert doc["kind"] == "single"
+
+
+def reference_brute_force_tree(field, reduced):
+    """Score every (root, left, right) commit triple with the reveal-phase
+    optimum, keeping the first strictly larger sum."""
+    q = field.q
+    opts_left = list(product(list(range(q)) + [None], repeat=q))
+    opts_right = list(product(range(q), repeat=q)) if reduced else opts_left
+    best_sum, best_id, best_detail = -1.0, "", None
+    for y_root in product(range(q), repeat=q):
+        for y_left in opts_left:
+            for y_right in opts_right:
+                s = 0.0
+                detail = []
+                for d in (0, 1):
+                    win, chosen = adv._tree2_optimal_open(field, y_root, y_left, y_right, d)
+                    s += win
+                    detail.append(chosen)
+                if s > best_sum:
+                    best_sum = s
+                    best_id = f"root={y_root}, left={y_left}, right={y_right}"
+                    best_detail = (y_root, y_left, y_right, detail)
+    return best_sum, best_id, best_detail
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_tree_oracle_q2_matches_exhaustive_reference(reduced):
+    rep, detail = adv.brute_force_tree(F2, 2, reduced=reduced)
+    assert (rep.sum, rep.strategy_id, detail) == reference_brute_force_tree(F2, reduced)
+
+
+@pytest.mark.parametrize("reduced, search_size", [(True, 27 * 64 * 27), (False, 27 * 64 * 64)])
+def test_tree_oracle_q3_pinned_and_replayed(reduced, search_size):
+    # Values of the exhaustive reference, which takes 8-21 s at q=3.
+    rep, detail = adv.brute_force_tree(F3, 2, reduced=reduced)
+    assert rep.sum == 1.7037037037037037 == pytest.approx(46 / 27)
+    assert rep.strategy_id == "root=(0, 0, 0), left=(0, None, None), right=(0, 0, 0)"
+    assert rep.search_size == search_size
+    strat = adv.argmax_strategy_table(F3, detail)
+    adv.audit_information_constraint(strat)
+    s0, s1 = adv.strategy_eval(strat)
+    assert s0 + s1 == pytest.approx(rep.sum)

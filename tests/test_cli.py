@@ -127,6 +127,24 @@ def test_simulate_over_a_work_budget_exit_2_at_once(capsys):
         assert err.startswith("refused:") and size in err
 
 
+def test_oracle_over_budget_exit_2_at_once(capsys):
+    # Each search size is multiplied out factor by factor and refused
+    # before any q**q power, table list or game spec is built.
+    cases = [
+        (["bind-oracle", "--protocol", "tree", "--q", "11"], "budget of 20000000"),
+        (["bind-oracle", "--protocol", "single", "--q", "10000019"], "budget of 20000000"),
+        (["bind-oracle", "--protocol", "fq", "--q", "10000019"], "budget of 20000000"),
+        (["chsh", "--q", "1000003"], "budget of 5000000"),
+        (["chsh", "--q", "10000019"], "budget of 5000000"),
+    ]
+    for argv, budget in cases:
+        t0 = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - t0 < 0.5, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("refused:") and budget in err, argv
+
+
 def test_simulate_comm_samples_below_one_exit_1(capsys):
     code, _, err = run(
         capsys, "simulate", "--protocol", "fq", "--k", "3", "--seed", "1",

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from relbc.field import Field
-from relbc.games import DEFAULT_BUDGET, GameSpec, chsh_bound, chsh_value, win_probability
+from relbc.games import (
+    DEFAULT_BUDGET,
+    GameSpec,
+    GameValue,
+    chsh_bound,
+    chsh_value,
+    win_probability,
+)
 from relbc.sim import ResourceGuardError
 
 F2 = Field(2)
@@ -95,3 +103,43 @@ def test_game_value_json():
     assert doc["value_float"] == 0.75
     assert doc["bound"] == pytest.approx(1.5)
     assert doc["gap"] == pytest.approx(0.75)
+
+
+def reference_chsh_value(spec: GameSpec) -> GameValue:
+    """The exhaustive search in Fraction arithmetic, score by score: every
+    f-table in product order, the lowest best answer per y, the first
+    table with a strictly larger value."""
+    field = spec.field
+    q = field.q
+    supp_y = [y for y, py in enumerate(spec.y_dist) if py > 0]
+    px = Fraction(1, len(spec.support))
+    best = None
+    for f_tab in product(range(q), repeat=len(spec.support)):
+        f = dict(zip(spec.support, f_tab))
+        value = Fraction(0)
+        g = {}
+        for y in supp_y:
+            scores = [Fraction(0)] * q
+            for x in spec.support:
+                scores[field.sub(field.mul(x, y), f[x])] += px
+            c_best = max(range(q), key=lambda c: (scores[c], -c))
+            g[y] = c_best
+            value += spec.y_dist[y] * scores[c_best]
+        if best is None or value > best.value:
+            best = GameValue(value, f, g)
+    return best
+
+
+def test_integer_search_matches_fraction_reference():
+    rng = random.Random(23)
+    for _ in range(80):
+        q = rng.choice((2, 3, 5, 7))
+        size = rng.randint(1, min(q, 3 if q == 7 else 4))
+        support = tuple(sorted(rng.sample(range(q), size)))
+        weights = [rng.randint(0, 6) if rng.random() < 0.7 else 0 for _ in range(q)]
+        if sum(weights) == 0:
+            weights[rng.randrange(q)] = 1
+        total = sum(weights)
+        spec = GameSpec(Field(q), support, tuple(Fraction(w, total) for w in weights))
+        got, want = chsh_value(spec), reference_chsh_value(spec)
+        assert (got.value, got.f, got.g) == (want.value, want.f, want.g), spec

@@ -155,6 +155,12 @@ def test_run_tree_refuses_a_depth_over_its_cap():
         run_protocol("tree", EVENT_MAX_K + 1, Field(2), d=0, seed=1)
 
 
+def test_run_chain_refuses_a_depth_over_its_cap():
+    with pytest.raises(ResourceGuardError, match=f"EVENT_MAX_K = {EVENT_MAX_K}"):
+        run_protocol("fq", EVENT_MAX_K + 1, Field(2), d=0, seed=1)
+    assert run_protocol("fq", EVENT_MAX_K, Field(2), d=0, seed=1).verdict.outcome == "accept"
+
+
 def test_single_round_is_k1():
     field = Field(11)
     res = run_protocol("single", 5, field, d=1, seed=4)
