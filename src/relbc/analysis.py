@@ -172,9 +172,9 @@ RNG_STREAM = 2
 
 
 # Work budgets, checked before any work starts.  On a 2-core host the
-# tree walk steps 1.5e7 to 2.2e7 trial-rounds/s and the chain walk about
-# 2e8, so a full walk budget is about a minute of tree walk.  The event
-# engine schedules about 1e5 nodes/s at k <= 200; its per-run cap
+# three-station tree walk steps 5e7 to 8e7 trial-rounds/s and the chain
+# walk about 2e8, so a full walk budget is 15 to 20 s of tree walk.  The
+# event engine schedules about 1e5 nodes/s at k <= 200; its per-run cap
 # EVENT_MAX_K lives in sim, next to run_tree, which checks it too.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
@@ -193,9 +193,10 @@ def check_budget(
     if a station walk over ``walk_trials`` trials or ``event_runs``
     event-engine runs of depth k exceed a work budget.
 
-    The walk keeps every trial's state at once: an int32 counter per
-    station plus the abort round, alive flag and current color, which
-    ``4 * n_stations + 16`` bytes per trial covers.
+    The walk keeps every trial's state at once: an int32 revive round per
+    station, the int32 abort round and the current color in the smallest
+    integer type that holds n_stations, which ``4 * n_stations + 16``
+    bytes per trial covers.
     """
     rounds = k + 1 if kind == KIND_TREE else k
     if rounds * walk_trials > WALK_BUDGET:
@@ -259,38 +260,49 @@ def tree_abort_rounds(
     O(k * trials) with no tree in memory.  Rounds 2..k+1 abort when every
     child color of the current node is dead; round 1 aborts when the root
     station is dead.
+
+    A station that dies in round r stays dead through round r + m - 1, so
+    each station keeps the round it revives in.  A station dead for k + 1
+    rounds stays dead to the end, so m is capped there; that keeps every
+    revive round inside int32 for any walk under WALK_BUDGET.
     """
     rng = _station_rng(seed, "tree")
     n = n_stations
+    m = min(m, k + 1)
     # Station-major, so each station's column is one contiguous row and
     # the per-station steps below are plain 1-D ops.
-    counters = np.zeros((n, trials), dtype=np.int32)
-    abort = np.zeros(trials, dtype=np.int32)
-    active = np.ones(trials, dtype=bool)
-    cur = np.zeros(trials, dtype=np.intp)  # 0-based color of current node
-    colors = np.arange(n)[:, None]
+    revive = np.zeros((n, trials), dtype=np.int32)
+    # Aborts are kept with np.minimum, so the first abort round of a trial
+    # stands; `never` marks a trial that has not aborted yet.  An aborted
+    # trial keeps walking, which spares a survivors mask.
+    never = k + 2
+    abort = np.full(trials, never, dtype=np.int32)
+    ctype = np.min_scalar_type(n)
+    cur = np.zeros(trials, dtype=ctype)  # 0-based color of current node
+    colors = np.arange(n, dtype=ctype)[:, None]
     for r in range(1, k + 2):
         for lo in range(0, trials, WALK_BLOCK):
             hi = min(lo + WALK_BLOCK, trials)
-            cnt, act = counters[:, lo:hi], active[lo:hi]
-            np.subtract(cnt, 1, out=cnt, where=cnt > 0)
-            deaths = rng.random((hi - lo, n)).T < p
-            deaths &= cnt == 0
-            np.copyto(cnt, m, where=deaths)
-            dead = cnt > 0
+            rev = revive[:, lo:hi]
+            drawn = np.ascontiguousarray((rng.random((hi - lo, n)) < p).T)
+            dead = rev > r
+            np.greater(drawn, dead, out=drawn)  # a dead station cannot die again
+            np.copyto(rev, r + m, where=drawn)
+            dead |= drawn
             if r == 1:
-                died_now = act & dead[0]
+                all_dead = dead[0]
             else:
                 c = cur[lo:hi]
                 dead |= c == colors  # own color is not a child color
-                all_dead = np.logical_and.reduce(dead, axis=0)
-                died_now = act & all_dead
-                survivors = act & ~all_dead
-                # move to the first alive child color: the lowest write wins
-                for j in range(n - 1, -1, -1):
-                    np.copyto(c, j, where=survivors & ~dead[j])
-            np.copyto(abort[lo:hi], r, where=died_now)
-            act &= ~died_now
+                # prefix AND over the stations: the count of leading dead
+                # colors is the first alive child color, and the last row
+                # says whether every child color is dead
+                for j in range(1, n):
+                    np.logical_and(dead[j - 1], dead[j], out=dead[j])
+                all_dead = dead[n - 1]
+                np.add.reduce(dead, axis=0, dtype=ctype, out=c)
+            np.minimum(abort[lo:hi], r, out=abort[lo:hi], where=all_dead)
+    abort[abort == never] = 0
     return abort
 
 
@@ -382,9 +394,9 @@ def monte_carlo_reliability(
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
         else:
             raise ValueError(f"unknown protocol kind {kind!r}")
-        n_ok = int((aborts == 0).sum())
-        rounds, counts = np.unique(aborts[aborts > 0], return_counts=True)
-        freq = {int(r): float(c) / trials for r, c in zip(rounds, counts)}
+        counts = np.bincount(aborts).tolist()
+        n_ok = counts[0]
+        freq = {r: c / trials for r, c in enumerate(counts) if r and c}
     elif engine == "events":
         check_budget(kind, k, event_runs=trials, n_stations=n_stations, prune_lag=prune_lag)
         field = Field(q_modulus)

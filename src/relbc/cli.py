@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import adversary, analysis, games, tree as tt
+from . import adversary, games, tree as tt
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Transcript, verify_fq, verify_tree
 from .sim import ResourceGuardError
@@ -175,6 +175,8 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import analysis  # numpy: loaded only by the commands that use it
+
     cfg = ExperimentConfig.from_args(args)
     if args.comm_samples < 1:
         raise ConfigError(f"comm-samples: must be >= 1, got {args.comm_samples}")
@@ -277,6 +279,8 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from . import analysis
+
     ks = [int(t) for t in args.k.split(",")]
     qs = [int(t) for t in args.q.split(",")]
     ns = [int(t) for t in args.n.split(",")]

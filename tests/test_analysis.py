@@ -224,6 +224,37 @@ def test_blocked_tree_walk_matches_unblocked(seed, p):
         assert 0 < np.count_nonzero(got) < trials
 
 
+@pytest.mark.parametrize(
+    "k, p, m, n_stations, trials",
+    [
+        (1, 0.3, 2, 3, 257),      # a single round past the root
+        (12, 0.0, 5, 3, 257),     # no deaths
+        (12, 1.0, 5, 4, 257),     # every station dead from round 1
+        (12, 0.2, 13, 3, 257),    # m = k + 1: a death lasts to the end
+        (12, 0.2, 40, 4, 257),    # m > k + 1
+        (15, 0.05, 3, 7, 257),
+        (6, 0.3, 2, 130, 257),
+        # nearly every station dead: the current color often passes 127
+        (6, 0.99, 1, 130, 4000),
+    ],
+)
+def test_tree_walk_edge_shapes_match_unblocked(k, p, m, n_stations, trials):
+    for t in (1, 3, trials):
+        got = an.tree_abort_rounds(k, p, m, n_stations, t, seed=5)
+        ref = _unblocked_tree_walk(k, p, m, n_stations, t, seed=5)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_tree_walk_caps_the_dead_time_at_the_walk_length():
+    # dead for k + 1 rounds is dead to the end, so any longer m walks the
+    # same; 3e9 does not fit the int32 station state
+    k, p = 20, 0.1
+    huge = an.tree_abort_rounds(k, p, 3_000_000_000, 3, 500, seed=2)
+    capped = an.tree_abort_rounds(k, p, k + 1, 3, 500, seed=2)
+    assert np.array_equal(huge, capped)
+    assert 0 < np.count_nonzero(capped) < 500
+
+
 def test_work_budgets_admit_the_readme_and_benchmark_sizes():
     # README: k=200 x 100k-trial walk plus 16 cost runs and a transcript
     an.check_budget("tree", 200, walk_trials=100_000, event_runs=17)

@@ -327,6 +327,43 @@ def test_import_and_light_commands_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_and_numpy_free_commands_load_no_numpy(tmp_path):
+    # only simulate and bounds use relbc.analysis, and with it numpy
+    transcript = tmp_path / "run.json"
+    transcript.write_text(run_protocol("tree", 4, Field(97), d=1, seed=3, trial=0).transcript.to_json())
+    script = (
+        "import sys\n"
+        "import relbc.cli\n"
+        "def numpy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+        "assert not numpy_loaded(), numpy_loaded()[:5]\n"
+        "for argv in (['bind-oracle', '--protocol', 'single', '--q', '2'],\n"
+        "             ['chsh', '--q', '2', '--uniform'],\n"
+        f"             ['verify-transcript', {str(transcript)!r}]):\n"
+        "    assert relbc.cli.dispatch(argv) == 0\n"
+        "    assert not numpy_loaded(), (argv, numpy_loaded()[:5])\n"
+    )
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"accept"' in proc.stdout
+
+
+def test_simulate_accepts_a_dead_time_past_int32(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "tree", "--k", "5", "--m", "3000000000",
+        "--p", "0.1", "--seed", "1", "--trials", "10",
+    )
+    assert code == 0, err
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["m"] == 3_000_000_000 and doc["trials"] == 10
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),

@@ -1,14 +1,22 @@
-"""Byte-identity of the hashed draws.
+"""Byte-identity of the hashed draws and of the Monte Carlo walks.
 
-The digests below were computed before per-run hash streams replaced the
-per-draw ``sample_hashed`` calls on the run paths; the streams hash the
-same bytes, so every transcript and event log must stay identical.
+The run digests below were computed before per-run hash streams replaced
+the per-draw ``sample_hashed`` calls on the run paths; the streams hash
+the same bytes, so every transcript and event log must stay identical.
+
+The walk digests were computed before the tree walk moved from per-round
+dead counters to revive rounds.  They depend on numpy's PCG64
+``Generator.random`` stream as well as on the walk, so a failure here
+after a numpy upgrade points at the stream before the code.
 """
 
 import hashlib
 import json
 import time
 
+import pytest
+
+from relbc import analysis as an
 from relbc.field import Field
 from relbc.protocol import ShareTable
 from relbc.sim import HonestTreeAlice, LossModel, run_protocol
@@ -101,3 +109,33 @@ def test_history_agent_runs_match_golden_digest_quickly():
     # Three k=18 runs.  Building each view from every node of the levels
     # above the answering one took about 6 s per run.
     assert seconds < 1.0
+
+
+GOLDEN_REPORT_SHA256 = "ad2bdff12301168f8c09eac442daa51a7a687f23d37b9f0d224fbfff70ea1c48"
+
+
+@pytest.mark.parametrize(
+    "walk, digest",
+    [
+        # README shape: k=200, p=0.002, m=5, three stations, seed 7
+        (lambda: an.tree_abort_rounds(200, 0.002, 5, 3, 20_000, 7),
+         "9e6d99d967bdd39dc3de8cbb9205d098600f5b8d223cb77d5ebdbefbc74c52c8"),
+        (lambda: an.tree_abort_rounds(30, 0.01, 3, 4, 20_000, 5),
+         "901b4059795f0fd1f8002e41208dd288dad30e7eabc6a95db0a3296c758f25de"),
+        (lambda: an.tree_abort_rounds(30, 0.02, 3, 5, 20_000, 5),
+         "34fe401d0172bd483857e35cba1a6f50d1bd4d52c5720df3b4789c4687969387"),
+        # one full block and a one-trial ragged block
+        (lambda: an.tree_abort_rounds(40, 0.01, 5, 3, an.WALK_BLOCK + 1, 3),
+         "a50ab22a708daf46b7f6f6e58707aa8a83e75234bb1021b79d33580c7c505eeb"),
+        (lambda: an.chain_abort_rounds(69, 0.01, 10_000, 11),
+         "9b95a002799b62cc6e951893121cbac7a4a2a65ba0bac620c1b9fe6a57f475e1"),
+    ],
+    ids=["tree_readme", "tree_n4", "tree_n5", "tree_block_plus_one", "chain"],
+)
+def test_walk_abort_rounds_match_golden_digest(walk, digest):
+    assert hashlib.sha256(walk().tobytes()).hexdigest() == digest
+
+
+def test_fast_report_matches_golden_digest():
+    rep = an.monte_carlo_reliability("tree", 60, 0.004, 5, 5_000, 9)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN_REPORT_SHA256
