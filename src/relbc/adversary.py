@@ -38,8 +38,8 @@ from .sim import ResourceGuardError, capped_product
 DEFAULT_BUDGET = 20_000_000
 
 
-def _acc_nodes(v: str, coloring: tt.Coloring, acc_delay: int) -> list[str]:
-    return sorted(tt.accessible_set(v, coloring, acc_delay))
+def _acc_nodes(v: str, coloring: tt.Coloring) -> list[str]:
+    return sorted(tt.accessible_set(v, coloring))
 
 
 class StrategyTable:
@@ -57,7 +57,6 @@ class StrategyTable:
         coloring: tt.Coloring,
         responses: dict[str, dict[tuple, Optional[int]]],
         reveals: dict[tuple[str, int], dict[tuple, Optional[int]]],
-        acc_delay: int = 2,
         name: str = "",
     ):
         self.k = k
@@ -65,12 +64,10 @@ class StrategyTable:
         self.coloring = coloring
         self.responses = responses
         self.reveals = reveals
-        self.acc_delay = acc_delay
         self.name = name
-        self.needs_history = True
 
     def _key(self, v: str, acc_view: dict[str, int]) -> tuple:
-        return tuple(acc_view[w] for w in _acc_nodes(v, self.coloring, self.acc_delay))
+        return tuple(acc_view[w] for w in _acc_nodes(v, self.coloring))
 
     def respond(self, v: str, b_v: int, acc_view: dict[str, int]) -> Optional[int]:
         return self.responses[v][(b_v,) + self._key(v, acc_view)]
@@ -86,7 +83,6 @@ class StrategyTable:
         respond_fn: Callable[[str, int, dict[str, int]], Optional[int]],
         reveal_fn: Callable[[str, dict[str, int], int], Optional[int]],
         n_stations: int = 3,
-        acc_delay: int = 2,
         budget: int = DEFAULT_BUDGET,
         name: str = "",
     ) -> "StrategyTable":
@@ -98,7 +94,7 @@ class StrategyTable:
         cost = 0
         for j in range(k):
             for v in tt.nodes_at_depth(j, coloring.arity):
-                acc = _acc_nodes(v, coloring, acc_delay)
+                acc = _acc_nodes(v, coloring)
                 cost += q ** (1 + len(acc))
                 if cost > budget:
                     raise ResourceGuardError(
@@ -110,7 +106,7 @@ class StrategyTable:
                     tab[combo] = respond_fn(v, combo[0], view)
                 responses[v] = tab
         for leaf in tt.nodes_at_depth(k, coloring.arity):
-            acc = _acc_nodes(leaf, coloring, acc_delay)
+            acc = _acc_nodes(leaf, coloring)
             for d in (0, 1):
                 cost += q ** len(acc)
                 if cost > budget:
@@ -122,7 +118,7 @@ class StrategyTable:
                     view = dict(zip(acc, combo))
                     tab[combo] = reveal_fn(leaf, view, d)
                 reveals[(leaf, d)] = tab
-        return cls(k, field, coloring, responses, reveals, acc_delay, name)
+        return cls(k, field, coloring, responses, reveals, name)
 
 
 def audit_information_constraint(strat: StrategyTable) -> None:
@@ -134,7 +130,7 @@ def audit_information_constraint(strat: StrategyTable) -> None:
     q = strat.field.q
     for j in range(strat.k):
         for v in tt.nodes_at_depth(j, strat.coloring.arity):
-            acc = _acc_nodes(v, strat.coloring, strat.acc_delay)
+            acc = _acc_nodes(v, strat.coloring)
             expected = set(product(range(q), repeat=1 + len(acc)))
             got = set(strat.responses[v])
             if got != expected:
@@ -142,7 +138,7 @@ def audit_information_constraint(strat: StrategyTable) -> None:
             if v == tt.ROOT and any(y is None for y in strat.responses[v].values()):
                 raise AssertionError("a silent root is an immediate abort; not allowed")
     for leaf in tt.nodes_at_depth(strat.k, strat.coloring.arity):
-        acc = _acc_nodes(leaf, strat.coloring, strat.acc_delay)
+        acc = _acc_nodes(leaf, strat.coloring)
         expected = set(product(range(q), repeat=len(acc)))
         for d in (0, 1):
             if set(strat.reveals[(leaf, d)]) != expected:
@@ -179,7 +175,7 @@ def strategy_eval(
         bs = dict(zip(internals, combo))
         base = Transcript(kind=KIND_TREE, k=k, q=q, n_stations=coloring.n_stations)
         for v in internals:
-            acc_view = {w: bs[w] for w in _acc_nodes(v, coloring, strat.acc_delay)}
+            acc_view = {w: bs[w] for w in _acc_nodes(v, coloring)}
             y = strat.respond(v, bs[v], acc_view)
             base.records[v] = Record(
                 b=bs[v], y=y, round=len(v) + 1, color=coloring.color(v)
@@ -193,7 +189,7 @@ def strategy_eval(
                 records=base.records,
             )
             for leaf in leaves:
-                acc_view = {w: bs[w] for w in _acc_nodes(leaf, coloring, strat.acc_delay)}
+                acc_view = {w: bs[w] for w in _acc_nodes(leaf, coloring)}
                 claim = strat.reveal_claim(leaf, acc_view, d)
                 if claim is not None:
                     tr.reveals[leaf] = Reveal(d=d, claim=claim)

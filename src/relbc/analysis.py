@@ -30,14 +30,20 @@ from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, comm_cost, run_prot
 def per_round_loss_prob(n_stations: int, mp):
     """Approximate per-round failure probability of the tree protocol:
     at least n-1 of the n stations non-responsive, each independently
-    non-responsive with probability mp."""
+    non-responsive with probability mp.
+
+    The sum over-counts, so it is capped at 1; mp >= 1 gives 1 before any
+    power is taken, which keeps a huge mp from overflowing a float.
+    """
+    if mp >= 1:
+        return 1
     n = n_stations
-    return n * mp ** (n - 1) + mp**n
+    return min(n * mp ** (n - 1) + mp**n, 1)
 
 
 def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
     """Published no-abort probability: (1-p)^k for the chained protocol,
-    (1-q)^k with q = n*(mp)^(n-1) + (mp)^n for the tree.
+    (1-q)^k with q = n*(mp)^(n-1) + (mp)^n, capped at 1, for the tree.
 
     Exact Fractions in give an exact Fraction out.  The tree formula is an
     approximation valid for mp << 1 and m << k; callers report that
@@ -58,9 +64,10 @@ def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
 def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
     """Rounds until the survival probability drops to about 1/e.
 
-    Chained protocol: returns the published 1/(m*p); see
-    ``half_life_variants`` for the value 1/p implied by the displayed
-    survival formula, which disagrees for m > 1.
+    Chained protocol: returns the published 1/(m*p).  The displayed
+    survival formula implies 1/p instead, which disagrees for m > 1;
+    reports carry that value as ``metadata.half_life_from_survival_formula``.
+    Tree: 1/q with q from ``per_round_loss_prob``, so at least 1 round.
     """
     if p == 0:
         return math.inf
@@ -70,15 +77,6 @@ def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
         q = per_round_loss_prob(n_stations, m * p)
         return 1.0 / q if q > 0 else math.inf
     raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-def half_life_variants(kind: str, p: float, m: int, n_stations: int = 3) -> dict[str, float]:
-    """Both readings of the chained-protocol half-life; they coincide at
-    m=1 and the discrepancy is surfaced rather than resolved."""
-    out = {"published": half_life(kind, p, m, n_stations)}
-    if kind in (KIND_SINGLE, KIND_FQ):
-        out["from_survival_formula"] = math.inf if p == 0 else 1.0 / p
-    return out
 
 
 def x_sequence(n: int) -> float:

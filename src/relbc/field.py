@@ -76,11 +76,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
     def sample(self, rng: random.Random) -> int:
         """Uniform residue via rejection sampling (no modulo bias)."""
         bits = self.q.bit_length()

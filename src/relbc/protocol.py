@@ -208,10 +208,10 @@ class ShareTable(dict):
     """Alice's pre-shared random numbers, one per internal node (tree) or
     per round (chained protocol), keyed by node label.
 
-    ``prepare_tree``/``prepare_chain`` fill the table up front from one
-    PRNG.  ``hashed`` starts it empty and draws each node's share from its
-    own named hash stream on first lookup, so a run only materializes the
-    shares of the nodes it touches.
+    ``prepare_tree`` fills the table up front from one PRNG.  ``hashed``
+    starts it empty and draws each node's share from its own named hash
+    stream on first lookup, so a run only materializes the shares of the
+    nodes it touches.
     """
 
     _draw = None
@@ -235,10 +235,6 @@ class ShareTable(dict):
             for v in tt.nodes_at_depth(j, arity):
                 shares[v] = field.sample(rng)
         return cls(shares)
-
-    @classmethod
-    def prepare_chain(cls, k: int, field: Field, rng) -> "ShareTable":
-        return cls({str(j): field.sample(rng) for j in range(1, k + 1)})
 
 
 def honest_response(

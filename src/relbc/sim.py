@@ -9,13 +9,16 @@ round.
 The receiver prunes: with an information lag of N rounds, his agents only
 challenge descendants of the node they currently know to be on the
 leftmost alive branch.
+
+Both parties are honest here; the binding of cheating committers is
+computed exactly by ``relbc.adversary``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol as TypingProtocol
+from typing import Iterable
 
 from .field import Field, derived_rng
 from . import tree as tt
@@ -149,37 +152,6 @@ class StationTracker:
                 changed.append(c)
         return changed
 
-    def is_dead(self, color: int) -> bool:
-        return self.counters[color] > 0
-
-
-class AliceAgent(TypingProtocol):
-    needs_history: bool
-
-    def respond(self, v: str, b_v: int, acc_view: dict[str, int]) -> Optional[int]: ...
-
-    def reveal(self, leaf: str, acc_view: dict[str, int]) -> Optional[tuple[int, int]]: ...
-
-
-class HonestTreeAlice:
-    """Follows the protocol: answers from the share table, reveals the
-    committed bit and the parent share at every leaf."""
-
-    needs_history = False
-
-    def __init__(self, shares: ShareTable, d: int, field: Field):
-        if d not in (0, 1):
-            raise ValueError("committed bit must be 0 or 1")
-        self.shares = shares
-        self.d = d
-        self.field = field
-
-    def respond(self, v, b_v, acc_view):
-        return honest_response(v, b_v, self.shares, self.d, self.field)
-
-    def reveal(self, leaf, acc_view):
-        return (self.d, self.shares[tt.parent(leaf)])
-
 
 @dataclass
 class RunResult:
@@ -202,25 +174,28 @@ def _descendants(
 def run_tree(
     k: int,
     field: Field,
-    coloring: tt.Coloring,
-    alice: AliceAgent,
+    n_stations: int,
+    d: int,
     loss: LossModel,
     seed: int,
     trial: int = 0,
     prune_lag: int = 2,
     collect_events: bool = False,
 ) -> RunResult:
-    """One full tree-protocol run with an honest receiver.
+    """One full tree-protocol run with an honest committer and an honest
+    receiver on the canonical coloring of ``n_stations`` stations.
 
-    The receiver's agents learn node statuses with a lag of ``prune_lag``
-    rounds and only challenge descendants of the leftmost alive node at
-    the deepest known depth; everything else stays unqueried.  A run over
-    ``EVENT_MAX_K`` rounds, or one whose lag schedules over 2**14 nodes a
-    round, raises ResourceGuardError before round 1.
+    The committer draws its shares with ``ShareTable.hashed``, answers
+    every challenge with ``honest_response`` and reveals (d, share of the
+    parent) at every live scheduled leaf.  The receiver's agents learn
+    node statuses with a lag of ``prune_lag`` rounds and only challenge
+    descendants of the leftmost alive node at the deepest known depth;
+    everything else stays unqueried.  A run over ``EVENT_MAX_K`` rounds,
+    or one whose lag schedules over 2**14 nodes a round, raises
+    ResourceGuardError before round 1.
     """
+    coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
-    if coloring.k != k:
-        raise ValueError("coloring does not match the run parameters")
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
     if k > EVENT_MAX_K:
@@ -237,19 +212,18 @@ def run_tree(
             "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
         )
 
-    transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=coloring.n_stations)
+    transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=n_stations)
     records = transcript.records
     events: list[Event] = []
-    ev_index: dict[str, int] = {}  # node -> challenge event index
-    stations = StationTracker(coloring.n_stations, loss, seed, trial)
+    stations = StationTracker(n_stations, loss, seed, trial)
     dead_for = stations.counters  # nonzero = station dead this round
+    shares = ShareTable.hashed(field, seed, trial)
     draw_b = field.hash_stream(seed, trial, "b")
-    respond, needs_history = alice.respond, alice.needs_history
     lm_path: list[str] = []  # leftmost alive path, grown one node per round
     digits = [str(t) for t in range(arity)]
     rows = [None] + [
         list(zip(digits, coloring.child_colors(c)))
-        for c in range(1, coloring.n_stations + 1)
+        for c in range(1, n_stations + 1)
     ]
 
     def base_of(j0: int) -> tuple[str, int]:
@@ -264,16 +238,6 @@ def run_tree(
                 kind = "death" if dead_for[c] else "revival"
                 events.append(Event(t, c, kind, "", None, ()))
 
-    def acc_view_for(v: str) -> dict[str, int]:
-        """Challenges the agent at v can know, for an agent that needs its
-        history; only scheduled nodes have one, so this filters the
-        records, never the whole tree."""
-        return {
-            w: rec.b
-            for w, rec in records.items()
-            if tt.is_accessible(w, v, coloring)
-        }
-
     aborted = False
     for r in range(1, k + 1):
         t = r - 1
@@ -285,16 +249,12 @@ def run_tree(
             if collect_events:
                 ci = len(events)
                 events.append(Event(t, color, "challenge", v, b, ()))
-                ev_index[v] = ci
             if dead_for[color]:
                 y = None
             else:
-                view = acc_view_for(v) if needs_history else {}
-                y = respond(v, b, view)
-                if collect_events and y is not None:
-                    deps = [ev_index[v]]
-                    deps += [ev_index[w] for w in sorted(view) if w in ev_index]
-                    events.append(Event(t, color, "response", v, y, tuple(deps)))
+                y = honest_response(v, b, shares, d, field)
+                if collect_events:
+                    events.append(Event(t, color, "response", v, y, (ci,)))
             records[v] = Record(b, y, r, color)
         # Advance the leftmost alive path.
         if r == 1:
@@ -321,7 +281,7 @@ def run_tree(
             break
 
     if not aborted:
-        # Reveal round: scheduled leaves send (d, claimed share).
+        # Reveal round: scheduled leaves send (d, share of the parent).
         r = k + 1
         t = r - 1
         record_station_events(t, stations.step())
@@ -330,15 +290,10 @@ def run_tree(
         for leaf, color in _descendants(*base_of(k - prune_lag), k, rows):
             if dead_for[color]:
                 continue
-            view = acc_view_for(leaf) if needs_history else {}
-            out = alice.reveal(leaf, view)
-            if out is None:
-                continue
-            d_claim, share_claim = out
-            transcript.reveals[leaf] = Reveal(d=d_claim, claim=share_claim)
+            share = shares[tt.parent(leaf)]
+            transcript.reveals[leaf] = Reveal(d=d, claim=share)
             if collect_events:
-                deps = tuple(ev_index[w] for w in sorted(view) if w in ev_index)
-                events.append(Event(t, color, "reveal", leaf, (d_claim, share_claim), deps))
+                events.append(Event(t, color, "reveal", leaf, (d, share), ()))
             if tt.parent(leaf) == vstar:
                 revealed_any_child = True
         if not revealed_any_child:
@@ -349,38 +304,24 @@ def run_tree(
 
     verdict = verify_tree(transcript, transcript.liveness(), coloring, field)
     if collect_events:
-        violations = validate_causality(events, Geometry(n_stations=coloring.n_stations))
+        violations = validate_causality(events, Geometry(n_stations=n_stations))
         if violations:  # must never happen; a bug in the scheduler
             raise AssertionError("causality violated:\n" + "\n".join(violations))
     return RunResult(transcript, verdict, events)
 
 
-class HonestChainAlice:
-    """Honest agent pair for the chained (two-station) protocol."""
-
-    def __init__(self, shares: ShareTable, d: int, field: Field):
-        self.shares = shares
-        self.d = d
-        self.field = field
-
-    def respond_round(self, j: int, b_j: int) -> int:
-        prev = self.d if j == 1 else self.shares[str(j - 1)]
-        return self.field.add(self.shares[str(j)], self.field.mul(b_j, prev))
-
-    def reveal_chain(self, k: int) -> tuple[int, int]:
-        return (self.d, self.shares[str(k)])
-
-
 def run_chain(
     k: int,
     field: Field,
-    alice: HonestChainAlice,
+    d: int,
     loss: LossModel,
     seed: int,
     trial: int = 0,
     collect_events: bool = False,
 ) -> RunResult:
-    """One run of the chained protocol (k=1 gives the single-round scheme).
+    """One run of the chained protocol (k=1 gives the single-round scheme)
+    with an honest committer, who answers round j with a_j + b_j*a_{j-1}
+    (a_0 = d) and reveals (d, a_k).
 
     Loss model: the protocol dies at the first failure of the active
     agent, so only one Bernoulli(p) draw per round matters and the dead
@@ -395,7 +336,9 @@ def run_chain(
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=2)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
+    shares = ShareTable.hashed(field, seed, trial)
     draw_b = field.hash_stream(seed, trial, "b")
+    prev = d
     for j in range(1, k + 1):
         t = j - 1
         color = 1 if j % 2 == 1 else 2
@@ -406,13 +349,15 @@ def run_chain(
                 events.append(Event(t, color, "abort", str(j), None, ()))
             return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
         b = draw_b(j)
-        y = alice.respond_round(j, b)
+        share = shares[str(j)]
+        y = field.add(share, field.mul(b, prev))
+        prev = share
         transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
         if collect_events:
             ci = len(events)
             events.append(Event(t, color, "challenge", str(j), b, ()))
             events.append(Event(t, color, "response", str(j), y, (ci,)))
-    d, share = alice.reveal_chain(k)
+    share = shares[str(k)]
     transcript.reveals[str(k)] = Reveal(d=d, claim=share)
     verdict = verify_fq(transcript, d, share, field)
     return RunResult(transcript, verdict, events)
@@ -428,46 +373,31 @@ def run_protocol(
     loss: LossModel = LossModel(),
     n_stations: int = 3,
     prune_lag: int = 2,
-    alice: Optional[AliceAgent] = None,
     collect_events: bool = False,
 ) -> RunResult:
-    """Drive one protocol run with honest receiver and (by default) honest
-    committer; preparation randomness comes from the per-trial streams."""
+    """Drive one protocol run with an honest receiver and an honest
+    committer of bit ``d``; preparation randomness comes from the
+    per-trial streams."""
+    if d not in (0, 1):
+        raise ValueError("committed bit must be 0 or 1")
     if kind == KIND_SINGLE:
         k = 1
     if kind in (KIND_SINGLE, KIND_FQ):
-        agent = HonestChainAlice(ShareTable.hashed(field, seed, trial), d, field)
-        return run_chain(k, field, agent, loss, seed, trial, collect_events)
+        return run_chain(k, field, d, loss, seed, trial, collect_events)
     if kind == KIND_TREE:
-        if alice is None:
-            alice = HonestTreeAlice(ShareTable.hashed(field, seed, trial), d, field)
-        return run_tree(
-            k,
-            field,
-            tt.make_coloring(k, n_stations),
-            alice,
-            loss,
-            seed,
-            trial,
-            prune_lag=prune_lag,
-            collect_events=collect_events,
-        )
+        return run_tree(k, field, n_stations, d, loss, seed, trial, prune_lag, collect_events)
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
-def comm_cost(transcript: Transcript, field: Field, include_reveal: bool = False) -> float:
+def comm_cost(transcript: Transcript, field: Field) -> float:
     """Bits on the wire: (challenges sent + answered responses) * log2(q).
 
-    Reveal messages (a bit plus one share claim) are reported separately
-    because the closed-form cost formulas only count challenge/response
-    traffic.
+    Reveal messages (a bit plus one share claim) are not counted, because
+    the closed-form cost formulas only count challenge/response traffic;
+    ``message_counts`` reports how many there were.
     """
-    log2q = math.log2(field.q)
-    n_chal, n_resp, n_reveal = message_counts(transcript)
-    bits = (n_chal + n_resp) * log2q
-    if include_reveal:
-        bits += n_reveal * (1 + log2q)
-    return bits
+    n_chal, n_resp, _ = message_counts(transcript)
+    return (n_chal + n_resp) * math.log2(field.q)
 
 
 def message_counts(transcript: Transcript) -> tuple[int, int, int]:

@@ -91,10 +91,16 @@ def make_coloring(k: int, n_stations: int = 3) -> Coloring:
     return Coloring(k, n_stations)
 
 
-def is_accessible(w: str, v: str, coloring: Coloring, acc_delay: int = 2) -> bool:
+# The challenge at depth j is sent at time j and reaches every other
+# station at time j + 1; the strict light cone lets only later events use
+# it, so the agent at depth dv knows every challenge at depth dv - 2 or less.
+ACC_DELAY = 2
+
+
+def is_accessible(w: str, v: str, coloring: Coloring) -> bool:
     """Whether the challenge at w is available to the agent answering v.
 
-    Everything at least ``acc_delay`` rounds old is globally known (the
+    Everything at least ``ACC_DELAY`` rounds old is globally known (the
     signal had time to reach every station); same-color history is local
     and always known.  The committed bit is tracked separately and is not
     part of this rule.  Only internal nodes (depth < k) carry challenges.
@@ -102,18 +108,19 @@ def is_accessible(w: str, v: str, coloring: Coloring, acc_delay: int = 2) -> boo
     dw, dv = len(w), len(v)
     if dw >= dv or dw >= coloring.k:
         return False
-    return dw <= dv - acc_delay or coloring.color(w) == coloring.color(v)
+    return dw <= dv - ACC_DELAY or coloring.color(w) == coloring.color(v)
 
 
-def accessible_set(v: str, coloring: Coloring, acc_delay: int = 2) -> set[str]:
-    """Every node w with ``is_accessible(w, v, ...)``.
+def accessible_set(v: str, coloring: Coloring) -> set[str]:
+    """Every node w with ``is_accessible(w, v, coloring)``.
 
-    The set holds whole tree levels, so it costs O(arity^depth(v)); run
-    paths filter the nodes they scheduled with ``is_accessible`` instead.
+    The set is built from whole tree levels, so it costs O(arity^depth(v));
+    the strategy tables of ``relbc.adversary`` use it on trees a few
+    levels deep.
     """
     return {
         w
         for j in range(min(depth(v), coloring.k))
         for w in nodes_at_depth(j, coloring.arity)
-        if is_accessible(w, v, coloring, acc_delay)
+        if is_accessible(w, v, coloring)
     }

@@ -47,13 +47,6 @@ def test_half_life_examples():
     assert an.half_life("fq", 0.0, 3) == math.inf
 
 
-def test_half_life_variants_reports_discrepancy():
-    both = an.half_life_variants("fq", 0.002, 5)
-    assert both["published"] == pytest.approx(100)
-    assert both["from_survival_formula"] == pytest.approx(500)
-    assert "from_survival_formula" not in an.half_life_variants("tree", 0.002, 5)
-
-
 def test_x_sequence_values():
     assert an.x_sequence(2) == 1.0
     assert an.x_sequence(3) == 1.25
@@ -170,6 +163,12 @@ def test_report_metadata_carries_all_loss_conventions():
     assert meta["approx_station_loss"] == pytest.approx(0.03)
     assert meta["station_loss_1m1pm"] == pytest.approx(1 - 0.99**3)
     assert meta["exact_stationary_station_loss"] == pytest.approx(0.03 / (0.99 + 0.03))
+    assert "half_life_from_survival_formula" not in meta
+    # the chained protocol's published half-life 1/(mp) disagrees with the
+    # survival formula's 1/p when m > 1, and the report carries both
+    fq = an.monte_carlo_reliability("fq", 30, 0.002, 5, 100, seed=4)
+    assert fq.half_life_formula == pytest.approx(100)
+    assert fq.metadata["half_life_from_survival_formula"] == pytest.approx(500)
 
 
 def test_csv_schema_and_determinism():

@@ -364,6 +364,27 @@ def test_simulate_accepts_a_dead_time_past_int32(capsys):
     assert doc["m"] == 3_000_000_000 and doc["trials"] == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--k", "5", "--m", "3000000000"),
+        ("--k", "50", "--m", "20"),
+        # lag 1 keeps the cost-sample runs of 129 children under the node cap
+        ("--k", "5", "--m", "3000000000", "--n-stations", "130", "--N", "1"),
+    ],
+    ids=["mp_huge", "mp_2", "mp_huge_n130"],
+)
+def test_simulate_keeps_the_tree_formula_in_range_past_mp_1(capsys, argv):
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "tree", "--p", "0.1", "--seed", "1",
+        "--trials", "10", *argv,
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert 0 <= doc["p_ok_formula"] <= 1
+    assert doc["half_life_formula"] >= 1
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids, max_size=4),

@@ -117,7 +117,8 @@ def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
 
 
 def _honest_chain_transcript(k, field, d, seed):
-    shares = ShareTable.prepare_chain(k, field, derived_rng(seed, "cs"))
+    rng = derived_rng(seed, "cs")
+    shares = ShareTable({str(j): field.sample(rng) for j in range(1, k + 1)})
     tr = Transcript(kind=KIND_FQ, k=k, q=field.q, n_stations=2)
     prev = d
     for j in range(1, k + 1):
@@ -204,7 +205,8 @@ def test_hashed_share_table_draws_each_node_once():
     for v in nodes:
         assert shares[v] == field.sample_hashed(7, 3, "share", v)
     assert dict(shares) == {v: shares[v] for v in nodes}  # cached, not redrawn
-    prepared = ShareTable.prepare_chain(3, field, derived_rng(7, "cs"))
+    rng = derived_rng(7, "cs")
+    prepared = ShareTable({str(j): field.sample(rng) for j in range(1, 4)})
     with pytest.raises(KeyError, match="no share prepared for node '4'"):
         prepared["4"]
 

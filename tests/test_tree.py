@@ -59,13 +59,6 @@ def test_accessible_set_excludes_parent_and_brother():
         assert v[:-1] + ("1" if v[-1] == "0" else "0") not in acc
 
 
-def test_accessible_set_grows_with_smaller_delay():
-    col = tt.make_coloring(4, 3)
-    tight = tt.accessible_set("0101", col, acc_delay=3)
-    default = tt.accessible_set("0101", col, acc_delay=2)
-    assert tight <= default
-
-
 def _breadth_first_canonical(k, n_stations):
     """Reference: the stored breadth-first build of the canonical rule."""
     assignment = {tt.ROOT: 1}
@@ -102,14 +95,14 @@ def test_canonical_view_rejects_nodes_outside_the_tree():
     assert tt.make_coloring(200, 3).color("1" * 200) in (1, 2, 3)
 
 
-def _levelwise_accessible_set(v, coloring, acc_delay):
+def _levelwise_accessible_set(v, coloring):
     """Reference: the accessible set built level by level, whole levels
-    at least acc_delay rounds old plus same-color nodes of newer ones."""
+    at least two rounds old plus same-color nodes of newer ones."""
     dv = tt.depth(v)
     acc = set()
     for j in range(min(dv - 1, coloring.k - 1) + 1):
         level = tt.nodes_at_depth(j, coloring.arity)
-        if j <= dv - acc_delay:
+        if j <= dv - 2:
             acc.update(level)
         else:
             acc.update(w for w in level if coloring.color(w) == coloring.color(v))
@@ -121,8 +114,7 @@ def test_is_accessible_agrees_with_accessible_set(n_stations):
     for k in range(1, 7):
         col = tt.make_coloring(k, n_stations)
         nodes = [v for j in range(k + 1) for v in tt.nodes_at_depth(j, col.arity)]
-        for acc_delay in (1, 2, 3):
-            for v in nodes:
-                ref = _levelwise_accessible_set(v, col, acc_delay)
-                assert tt.accessible_set(v, col, acc_delay) == ref
-                assert {w for w in nodes if tt.is_accessible(w, v, col, acc_delay)} == ref
+        for v in nodes:
+            ref = _levelwise_accessible_set(v, col)
+            assert tt.accessible_set(v, col) == ref
+            assert {w for w in nodes if tt.is_accessible(w, v, col)} == ref
