@@ -3,6 +3,8 @@
 The run digests below were computed before per-run hash streams replaced
 the per-draw ``sample_hashed`` calls on the run paths; the streams hash
 the same bytes, so every transcript and event log must stay identical.
+The wide run digest was computed before the tree run loop carried
+(label, color) pairs and answered from a per-run share dict.
 
 The walk digests were computed before the tree walk moved from per-round
 dead counters to revive rounds.  They depend on numpy's PCG64
@@ -56,6 +58,37 @@ def _golden_runs() -> bytes:
 
 def test_run_outputs_match_golden_digest():
     assert hashlib.sha256(_golden_runs()).hexdigest() == GOLDEN_RUNS_SHA256
+
+
+GOLDEN_RUNS_WIDE_SHA256 = "4294e3c1b2945622c32e1d1106760fa200287e3b9c1ed1d1272682f7f1914e38"
+
+
+def _golden_runs_wide() -> bytes:
+    """Tree transcripts and event logs at the shapes the golden runs above
+    leave out: prune lags 1 and 3, five stations, k=1, and a modulus just
+    over 2**62, where about one draw in 16 needs a second digest."""
+    parts = []
+    cases = [
+        # (k, q, n_stations, prune_lag, loss, trials)
+        (16, 101, 3, 1, LossModel(p=0.03, m=3), 8),
+        (14, 101, 3, 3, LossModel(p=0.06, m=4), 8),
+        (9, 101, 5, 2, LossModel(p=0.15, m=3), 6),
+        (1, 7, 3, 1, LossModel(p=0.4, m=1), 8),
+        (1, 7, 4, 2, LossModel(p=0.4, m=1), 8),
+        (10, 2**62 + 135, 3, 2, LossModel(p=0.05, m=3), 4),
+    ]
+    for k, q, n, lag, loss, trials in cases:
+        for trial in range(trials):
+            res = run_protocol(
+                "tree", k, Field(q), d=trial % 2, seed=11, trial=trial, loss=loss,
+                n_stations=n, prune_lag=lag, collect_events=trial % 2 == 0,
+            )
+            parts += [res.transcript.to_json(), _events_json(res.events)]
+    return "".join(parts).encode()
+
+
+def test_wide_run_outputs_match_golden_digest():
+    assert hashlib.sha256(_golden_runs_wide()).hexdigest() == GOLDEN_RUNS_WIDE_SHA256
 
 
 GOLDEN_REPORT_SHA256 = "ad2bdff12301168f8c09eac442daa51a7a687f23d37b9f0d224fbfff70ea1c48"
