@@ -38,16 +38,13 @@ from .sim import ResourceGuardError, capped_product
 DEFAULT_BUDGET = 20_000_000
 
 
-def _acc_nodes(v: str, coloring: tt.Coloring) -> list[str]:
-    return sorted(tt.accessible_set(v, coloring))
-
-
 class StrategyTable:
     """Deterministic cheating strategy for the tree protocol.
 
     ``responses[v]`` maps ``(b_v, *history values)`` to an answer or None
     (stay silent); ``reveals[(leaf, d)]`` maps the leaf's history values to
     the share claimed when trying to open ``d``, or None (leaf silent).
+    The history values are those of ``acc(v)``, in its order.
     """
 
     def __init__(
@@ -65,9 +62,18 @@ class StrategyTable:
         self.responses = responses
         self.reveals = reveals
         self.name = name
+        self._acc: dict[str, list[str]] = {}
+
+    def acc(self, v: str) -> list[str]:
+        """The nodes accessible to the agent at v, sorted; computed once
+        per node and kept."""
+        nodes = self._acc.get(v)
+        if nodes is None:
+            nodes = self._acc[v] = sorted(tt.accessible_set(v, self.coloring))
+        return nodes
 
     def _key(self, v: str, acc_view: dict[str, int]) -> tuple:
-        return tuple(acc_view[w] for w in _acc_nodes(v, self.coloring))
+        return tuple(acc_view[w] for w in self.acc(v))
 
     def respond(self, v: str, b_v: int, acc_view: dict[str, int]) -> Optional[int]:
         return self.responses[v][(b_v,) + self._key(v, acc_view)]
@@ -89,12 +95,12 @@ class StrategyTable:
         """Tabulate arbitrary functions over every accessible-history tuple."""
         coloring = tt.make_coloring(k, n_stations)
         q = field.q
-        responses: dict[str, dict[tuple, Optional[int]]] = {}
-        reveals: dict[tuple[str, int], dict[tuple, Optional[int]]] = {}
+        strat = cls(k, field, coloring, {}, {}, name)
+        responses, reveals = strat.responses, strat.reveals
         cost = 0
         for j in range(k):
             for v in tt.nodes_at_depth(j, coloring.arity):
-                acc = _acc_nodes(v, coloring)
+                acc = strat.acc(v)
                 cost += q ** (1 + len(acc))
                 if cost > budget:
                     raise ResourceGuardError(
@@ -106,7 +112,7 @@ class StrategyTable:
                     tab[combo] = respond_fn(v, combo[0], view)
                 responses[v] = tab
         for leaf in tt.nodes_at_depth(k, coloring.arity):
-            acc = _acc_nodes(leaf, coloring)
+            acc = strat.acc(leaf)
             for d in (0, 1):
                 cost += q ** len(acc)
                 if cost > budget:
@@ -118,7 +124,7 @@ class StrategyTable:
                     view = dict(zip(acc, combo))
                     tab[combo] = reveal_fn(leaf, view, d)
                 reveals[(leaf, d)] = tab
-        return cls(k, field, coloring, responses, reveals, name)
+        return strat
 
 
 def audit_information_constraint(strat: StrategyTable) -> None:
@@ -130,7 +136,7 @@ def audit_information_constraint(strat: StrategyTable) -> None:
     q = strat.field.q
     for j in range(strat.k):
         for v in tt.nodes_at_depth(j, strat.coloring.arity):
-            acc = _acc_nodes(v, strat.coloring)
+            acc = strat.acc(v)
             expected = set(product(range(q), repeat=1 + len(acc)))
             got = set(strat.responses[v])
             if got != expected:
@@ -138,7 +144,7 @@ def audit_information_constraint(strat: StrategyTable) -> None:
             if v == tt.ROOT and any(y is None for y in strat.responses[v].values()):
                 raise AssertionError("a silent root is an immediate abort; not allowed")
     for leaf in tt.nodes_at_depth(strat.k, strat.coloring.arity):
-        acc = _acc_nodes(leaf, strat.coloring)
+        acc = strat.acc(leaf)
         expected = set(product(range(q), repeat=len(acc)))
         for d in (0, 1):
             if set(strat.reveals[(leaf, d)]) != expected:
@@ -170,12 +176,13 @@ def strategy_eval(
             f"{n_hist} histories at q={q}, k={k} exceed the evaluation budget"
         )
     leaves = list(tt.nodes_at_depth(k, coloring.arity))
+    acc = strat.acc
     wins = [0, 0]
     for combo in product(range(q), repeat=len(internals)):
         bs = dict(zip(internals, combo))
         base = Transcript(kind=KIND_TREE, k=k, q=q, n_stations=coloring.n_stations)
         for v in internals:
-            acc_view = {w: bs[w] for w in _acc_nodes(v, coloring)}
+            acc_view = {w: bs[w] for w in acc(v)}
             y = strat.respond(v, bs[v], acc_view)
             base.records[v] = Record(
                 b=bs[v], y=y, round=len(v) + 1, color=coloring.color(v)
@@ -189,7 +196,7 @@ def strategy_eval(
                 records=base.records,
             )
             for leaf in leaves:
-                acc_view = {w: bs[w] for w in _acc_nodes(leaf, coloring)}
+                acc_view = {w: bs[w] for w in acc(leaf)}
                 claim = strat.reveal_claim(leaf, acc_view, d)
                 if claim is not None:
                     tr.reveals[leaf] = Reveal(d=d, claim=claim)

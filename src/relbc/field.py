@@ -114,17 +114,23 @@ class Field:
         chunks = 256 // bits
 
         def draw(label) -> int:
+            h = copy_base()
+            h.update(f"{label}:0".encode())
+            val = from_bytes(h.digest(), "big")
+            v = val & mask
+            if v < q:  # the common case: the first chunk is kept
+                return v
             ctr = 0
             while True:
-                h = copy_base()
-                h.update(f"{label}:{ctr}".encode())
-                val = from_bytes(h.digest(), "big")
                 for _ in range(chunks):
                     v = val & mask
                     if v < q:
                         return v
                     val >>= bits
                 ctr += 1
+                h = copy_base()
+                h.update(f"{label}:{ctr}".encode())
+                val = from_bytes(h.digest(), "big")
 
         return draw
 

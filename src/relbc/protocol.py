@@ -49,7 +49,7 @@ class Verdict:
         return cls(ABORT, reason=reason)
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     """One challenge/response round at one node."""
 
@@ -83,35 +83,49 @@ class Transcript:
         live.update(self.reveals)
         return live
 
-    # Serialization uses a stable field order so that identical runs give
-    # byte-identical files.
     def to_json(self) -> str:
-        doc = {
-            "protocol": self.kind,
-            "k": self.k,
-            "q": self.q,
-            "n_stations": self.n_stations,
-            "records": [
-                {
-                    "node": v,
-                    "b": rec.b,
-                    "y": "bot" if rec.y is None else rec.y,
-                    "round": rec.round,
-                    "color": rec.color,
-                }
-                for v, rec in sorted(self.records.items(), key=lambda kv: (kv[1].round, kv[0]))
-            ],
-            "reveals": [
-                {"leaf": v, "d": r.d, "claim": r.claim}
-                for v, r in sorted(self.reveals.items())
-            ],
-            "abort": (
-                None
-                if self.abort_reason is None
-                else {"round": self.abort_round, "reason": self.abort_reason}
-            ),
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        """The transcript as a JSON document with a stable layout, so that
+        identical runs give byte-identical files: the header fields, the
+        records in (round, node) order, the reveals in leaf order and the
+        abort, indented by 2.  The text equals ``json.dumps(doc, indent=2)``
+        of that document; strings go through ``json.dumps``, and the int
+        fields are written directly."""
+        dumps = json.dumps
+        records = [
+            "    {\n"
+            f'      "node": {dumps(v)},\n'
+            f'      "b": {rec.b},\n'
+            f'      "y": {_BOT if rec.y is None else rec.y},\n'
+            f'      "round": {rec.round},\n'
+            f'      "color": {rec.color}\n'
+            "    }"
+            for v, rec in sorted(self.records.items(), key=lambda kv: (kv[1].round, kv[0]))
+        ]
+        reveals = [
+            "    {\n"
+            f'      "leaf": {dumps(v)},\n'
+            f'      "d": {r.d},\n'
+            f'      "claim": {r.claim}\n'
+            "    }"
+            for v, r in sorted(self.reveals.items())
+        ]
+        abort = "null" if self.abort_reason is None else (
+            "{\n"
+            f'    "round": {dumps(self.abort_round)},\n'
+            f'    "reason": {dumps(self.abort_reason)}\n'
+            "  }"
+        )
+        return (
+            "{\n"
+            f'  "protocol": {dumps(self.kind)},\n'
+            f'  "k": {self.k},\n'
+            f'  "q": {self.q},\n'
+            f'  "n_stations": {self.n_stations},\n'
+            f'  "records": {_json_list(records)},\n'
+            f'  "reveals": {_json_list(reveals)},\n'
+            f'  "abort": {abort}\n'
+            "}"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
@@ -181,6 +195,16 @@ class Transcript:
             if not isinstance(tr.abort_reason, str):
                 raise ValueError(f"abort.reason: expected a string, got {tr.abort_reason!r:.40}")
         return tr
+
+
+# A missing response, as the transcript document writes it.
+_BOT = '"bot"'
+
+
+def _json_list(items: list[str]) -> str:
+    """Already-written list items as an indented JSON list, at the
+    transcript document's second level."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _object(value, where: str) -> dict:

@@ -81,6 +81,12 @@ def test_honest_strategy_is_perfectly_binding_to_its_bit():
     assert s0 + s1 <= 2.0
 
 
+def test_strategy_eval_of_the_depth_3_honest_table():
+    # 15 nodes, 3**7 challenge histories: every node's accessible list is
+    # read once per history and per open attempt
+    assert adv.strategy_eval(adv.honest_strategy_table(F3, k=3)) == (1.0, 19 / 27)
+
+
 def test_hygiene_audit_catches_missing_keys():
     strat = adv.honest_strategy_table(F2)
     strat.responses["0"].pop((0,))

@@ -90,6 +90,28 @@ def test_simulate_output_identical_across_hash_seeds():
     assert 0.0 < json.loads(outs[0])["p_ok_mc"] < 1.0
 
 
+def test_events_engine_output_identical_across_hash_seeds(tmp_path):
+    argv = [
+        sys.executable, "-m", "relbc.cli", "simulate", "--protocol", "tree",
+        "--k", "12", "--q", "101", "--p", "0.02", "--m", "5", "--seed", "7",
+        "--trials", "200", "--engine", "events", "--transcript-out", "run.json",
+    ]
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    outs, transcripts = [], []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / hash_seed
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, RELBC_OUT_DIR=str(out_dir))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+        transcripts.append((out_dir / "run.json").read_bytes())
+    assert outs[0] == outs[1]
+    assert transcripts[0] == transcripts[1]
+    assert 0.0 < json.loads(outs[0])["p_ok_mc"] < 1.0
+    assert json.loads(transcripts[0])["records"]
+
+
 def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RELBC_OUT_DIR", str(tmp_path))
     code, _, _ = run(

@@ -2,11 +2,13 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relbc import tree as tt
 from relbc.field import Field, derived_rng
 from relbc.protocol import (
     KIND_FQ,
+    KIND_SINGLE,
     KIND_TREE,
     Record,
     Reveal,
@@ -17,6 +19,7 @@ from relbc.protocol import (
     verify_fq,
     verify_tree,
 )
+from relbc.sim import LossModel, run_protocol
 
 
 def _honest_tree_transcript(k, field, d, seed, reveal_leaf=None):
@@ -173,6 +176,65 @@ def test_transcript_serializes_missing_response_as_bot():
     tr.records[""] = Record(b=0, y=None, round=1, color=1)
     assert '"bot"' in tr.to_json()
     assert Transcript.from_json(tr.to_json()).records[""].y is None
+
+
+def _reference_json(tr: Transcript) -> str:
+    """The transcript document as a dict written by ``json.dumps``: the
+    writer ``Transcript.to_json`` must match byte for byte."""
+    doc = {
+        "protocol": tr.kind,
+        "k": tr.k,
+        "q": tr.q,
+        "n_stations": tr.n_stations,
+        "records": [
+            {
+                "node": v,
+                "b": rec.b,
+                "y": "bot" if rec.y is None else rec.y,
+                "round": rec.round,
+                "color": rec.color,
+            }
+            for v, rec in sorted(tr.records.items(), key=lambda kv: (kv[1].round, kv[0]))
+        ],
+        "reveals": [
+            {"leaf": v, "d": r.d, "claim": r.claim} for v, r in sorted(tr.reveals.items())
+        ],
+        "abort": (
+            None
+            if tr.abort_reason is None
+            else {"round": tr.abort_round, "reason": tr.abort_reason}
+        ),
+    }
+    return json.dumps(doc, indent=2, sort_keys=False)
+
+
+@st.composite
+def _transcripts(draw):
+    kind = draw(st.sampled_from([KIND_TREE, KIND_FQ, KIND_SINGLE]))
+    k = draw(st.integers(1, 7))
+    q = draw(st.sampled_from([2, 101, 2**61 - 1]))
+    loss = LossModel(p=draw(st.sampled_from([0.0, 0.2, 1.0])), m=draw(st.integers(1, 3)))
+    tr = run_protocol(
+        kind, k, Field(q), d=draw(st.integers(0, 1)), seed=draw(st.integers(0, 2**32)),
+        loss=loss, n_stations=draw(st.integers(3, 5)), prune_lag=draw(st.integers(1, 3)),
+    ).transcript
+    if draw(st.booleans()):  # no records or reveals, as a transcript starts
+        tr = Transcript(kind=tr.kind, k=tr.k, q=tr.q, n_stations=tr.n_stations)
+    reason = draw(st.none() | st.text(alphabet=st.characters(blacklist_categories=["Cs"])))
+    if reason is not None:  # any text, read back by the schema-checked parser
+        doc = json.loads(_reference_json(tr))
+        doc["abort"] = {"round": draw(st.integers(1, tr.k + 1)), "reason": reason}
+        tr = Transcript.from_json(json.dumps(doc, ensure_ascii=draw(st.booleans())))
+    return tr
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transcripts())
+@example(Transcript(kind=KIND_FQ, k=2, q=5, abort_reason='q"uo\\te\n\x01\u00e9\U0001f600',
+                    abort_round=2))
+def test_transcript_to_json_equals_json_dumps_of_the_document(tr):
+    assert tr.to_json() == _reference_json(tr)
+    assert Transcript.from_json(tr.to_json()).to_json() == tr.to_json()
 
 
 @pytest.mark.parametrize("edit, name", [

@@ -1,6 +1,7 @@
 import pytest
 
 from relbc.field import Field
+from relbc.protocol import ShareTable, honest_response
 from relbc.sim import (
     EVENT_MAX_K,
     Geometry,
@@ -171,3 +172,35 @@ def test_single_round_is_k1():
     res = run_protocol("single", 5, field, d=1, seed=4)
     assert res.transcript.k == 1
     assert res.verdict.outcome == "accept"
+
+
+@pytest.mark.parametrize("n_stations", [3, 4, 5])
+def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
+    # run_tree computes the honest answer inline from its own share draws;
+    # protocol.honest_response over ShareTable.hashed is the reference
+    field = Field(101)
+    loss = LossModel(p=0.1, m=2)
+    answered = silent = 0
+    for d in (0, 1):
+        for trial in range(6):
+            res = run_protocol(
+                "tree", 8, field, d=d, seed=17, trial=trial, loss=loss, n_stations=n_stations
+            )
+            shares = ShareTable.hashed(field, 17, trial)
+            for v, rec in res.transcript.records.items():
+                if rec.y is None:
+                    silent += 1
+                else:
+                    assert rec.y == honest_response(v, rec.b, shares, d, field), (d, trial, v)
+                    answered += 1
+            for leaf, rv in res.transcript.reveals.items():
+                assert (rv.d, rv.claim) == (d, shares[leaf[:-1]])
+    assert answered > 100 and silent > 0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_chain_refuses_a_depth_below_1(k):
+    with pytest.raises(ValueError, match="depth k must be >= 1"):
+        run_protocol("fq", k, Field(5), d=0, seed=1)
+    with pytest.raises(ValueError, match="depth k must be >= 1"):
+        run_protocol("tree", k, Field(5), d=0, seed=1)
