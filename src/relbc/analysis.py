@@ -172,8 +172,10 @@ RNG_STREAM = 2
 # Work budgets, checked before any work starts.  On a 2-core host the
 # three-station tree walk steps 5e7 to 8e7 trial-rounds/s and the chain
 # walk about 2e8, so a full walk budget is 15 to 20 s of tree walk.  The
-# event engine schedules about 1e5 nodes/s at k <= 200; its per-run cap
-# EVENT_MAX_K lives in sim, next to run_tree, which checks it too.
+# event engine schedules 1.3e5 to 2.2e5 nodes/s at k <= 200 (one k=200
+# run schedules 795 nodes in 3.6 to 6.1 ms), so a full event budget is
+# 9 to 15 s; its per-run cap EVENT_MAX_K lives in sim, next to run_tree,
+# which checks it too.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
 EVENT_BUDGET = 2 * 10**6   # nodes scheduled over all event-engine runs

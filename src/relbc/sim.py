@@ -186,11 +186,11 @@ def run_tree(
     every live scheduled leaf.  The receiver's agents learn node statuses
     with a lag of ``prune_lag`` rounds and only challenge descendants of
     the leftmost alive node at the deepest known depth; everything else
-    stays unqueried.  A run costs about its hash draws plus
-    ``verify_tree``: on a 2-core host about 0.2 ms at k=18 (63 scheduled
-    nodes) and 2 ms at k=200 (about 800).  A run over ``EVENT_MAX_K``
-    rounds, or one whose lag schedules over 2**14 nodes a round, raises
-    ResourceGuardError before round 1.
+    stays unqueried.  A run costs little more than its hash draws and
+    ``verify_tree``: on a 2-core host 0.34 to 0.39 ms at k=18 (63
+    scheduled nodes, 124 draws) and 3.6 to 6.1 ms at k=200 (795 nodes).
+    A run over ``EVENT_MAX_K`` rounds, or one whose lag schedules over
+    2**14 nodes a round, raises ResourceGuardError before round 1.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
