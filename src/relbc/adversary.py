@@ -29,8 +29,8 @@ from .protocol import (
     KIND_TREE,
     Record,
     Reveal,
-    ShareTable,
     Transcript,
+    tree_shares,
     verify_tree,
 )
 from .sim import ResourceGuardError, capped_product
@@ -260,13 +260,7 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
     t0 = time.perf_counter()
     best_sum, best_y = -1.0, None
     for y_tab in product(range(q), repeat=q):
-        total = 0
-        for d in (0, 1):
-            counts = [0] * q
-            for b in range(q):
-                counts[field.sub(y_tab[b], field.mul(d, b))] += 1
-            total += max(counts)
-        s = total / q
+        s = (_best_count(q, y_tab, 0) + _best_count(q, y_tab, 1)) / q
         if s > best_sum:
             best_sum, best_y = s, y_tab
     return BindingReport(
@@ -305,18 +299,8 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     n_hist = q * q
     for y1 in product(range(q), repeat=q):
         for y2 in product(range(q), repeat=q):
-            total = 0
-            for d in (0, 1):
-                # best claim per observed b_1: majority of the chain value
-                per_b1 = 0
-                for b1 in range(q):
-                    counts = [0] * q
-                    a1 = field.sub(y1[b1], field.mul(b1, d))
-                    for b2 in range(q):
-                        counts[field.sub(y2[b2], field.mul(b2, a1))] += 1
-                    per_b1 += max(counts)
-                total += per_b1
-            s = total / n_hist
+            # best claim per observed b_1: majority of the chain value
+            s = (_chain_agreement(q, y1, y2, 0) + _chain_agreement(q, y1, y2, 1)) / n_hist
             if s > best_sum:
                 best_sum, best_id = s, f"y1={y1}, y2={y2}"
     return BindingReport(
@@ -344,37 +328,34 @@ def _tree2_optimal_open(
     stays silent (a silent brother frees the survivor from the consistency
     check)."""
     q = field.q
+    coloring = tt.make_coloring(2, 3)
     # histories grouped by which depth-1 node carries the leftmost path
-    per_path: dict[str, list[tuple[tuple, int]]] = {"0": [], "1": []}
+    per_path: dict[str, list[tuple[dict[str, int], int]]] = {"0": [], "1": []}
     for b0 in range(q):
         for bl in range(q):
             for br in range(q):
                 a0 = field.sub(y_root[b0], field.mul(b0, d))
+                h = {tt.ROOT: b0, "0": bl, "1": br}
                 if y_left[bl] is not None:
                     alpha = field.sub(y_left[bl], field.mul(bl, a0))
-                    per_path["0"].append(((b0, bl, br), alpha))
+                    per_path["0"].append((h, alpha))
                 elif y_right[br] is not None:
                     alpha = field.sub(y_right[br], field.mul(br, a0))
-                    per_path["1"].append(((b0, bl, br), alpha))
+                    per_path["1"].append((h, alpha))
                 # else: both depth-1 nodes silent, the run aborts
     total = 0
     chosen: dict = {}
-    # Accessible histories: left-of-left and left-of-right leaves know b_root;
-    # the right leaves additionally know the same-colored depth-1 challenge.
-    leaf_keys = {
-        "00": lambda h: (h[0],),
-        "01": lambda h: (h[0], h[2]),
-        "10": lambda h: (h[0],),
-        "11": lambda h: (h[0], h[1]),
-    }
     for path, hists in per_path.items():
         best_leaf, best_score, best_tab = None, -1, None
         for leaf in (path + "0", path + "1"):
-            keyf = leaf_keys[leaf]
+            # a leaf's claim table is keyed by its accessible challenges,
+            # in the order ``argmax_strategy_table`` reads them
+            acc = sorted(tt.accessible_set(leaf, coloring))
             groups: dict[tuple, dict[int, int]] = {}
             for h, alpha in hists:
-                groups.setdefault(keyf(h), {}).setdefault(alpha, 0)
-                groups[keyf(h)][alpha] += 1
+                key = tuple(h[w] for w in acc)
+                groups.setdefault(key, {}).setdefault(alpha, 0)
+                groups[key][alpha] += 1
             score = 0
             tab = {}
             for key, alpha_counts in groups.items():
@@ -388,21 +369,20 @@ def _tree2_optimal_open(
     return total / q**3, chosen
 
 
+def _best_count(q: int, y_node: tuple, a: int) -> int:
+    """The largest number of challenges b at which the node answers with
+    one common chain value y_node[b] - b*a; a None answer is silence."""
+    counts = [0] * q
+    for b, y in enumerate(y_node):
+        if y is not None:
+            counts[(y - b * a) % q] += 1
+    return max(counts)
+
+
 def _chain_agreement(q: int, y_root: tuple, y_node: tuple, d: int) -> int:
-    """Sum over b_root of the largest number of challenges b at which the
-    depth-1 node answers with one common chain value y_node[b] - b*a_root,
-    where a_root = y_root[b_root] - b_root*d; a None answer is silence."""
-    answered = [(b, y) for b, y in enumerate(y_node) if y is not None]
-    if not answered:
-        return 0
-    total = 0
-    for b0 in range(q):
-        a0 = (y_root[b0] - b0 * d) % q
-        counts = [0] * q
-        for b, y in answered:
-            counts[(y - b * a0) % q] += 1
-        total += max(counts)
-    return total
+    """Sum over b_root of ``_best_count`` of the depth-1 node's answers
+    against a_root = y_root[b_root] - b_root*d."""
+    return sum(_best_count(q, y_node, (y_root[b0] - b0 * d) % q) for b0 in range(q))
 
 
 def brute_force_tree(
@@ -513,7 +493,10 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
 def brute_force_binding(
     kind: str, k: int, field: Field, reduced: bool = True, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
-    """Dispatch to the exact search for one protocol kind."""
+    """Dispatch to the exact search for one protocol kind; a depth k < 1
+    raises ValueError."""
+    if k < 1:
+        raise ValueError(f"k: depth must be >= 1, got {k}")
     if kind == KIND_SINGLE:
         return brute_force_single(field, budget)
     if kind == KIND_FQ:
@@ -531,7 +514,7 @@ def brute_force_binding(
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int = 0) -> StrategyTable:
     """The honest committer as a strategy table: fixed shares, committed
     bit baked into the root answer, honest claims for either open attempt."""
-    a = ShareTable.prepare_tree(k, field, derived_rng(seed, "heuristic-shares"))
+    a = tree_shares(k, field, derived_rng(seed, "heuristic-shares"))
 
     def respond_fn(v, b, view):
         if v == tt.ROOT:
@@ -553,7 +536,7 @@ def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
       challenge is zero, which decouples the chain from the root answer on
       that branch and makes both opens succeed there.
     """
-    a = ShareTable.prepare_tree(2, field, derived_rng(seed, "heuristic-shares"))
+    a = tree_shares(2, field, derived_rng(seed, "heuristic-shares"))
 
     if kind == "guess_share":
 

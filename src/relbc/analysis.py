@@ -15,13 +15,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
-from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, comm_cost, run_protocol
+from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, RunResult, comm_cost, run_protocol
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -79,11 +79,21 @@ def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
+# Largest n for which x_sequence steps its recursion: about 0.04 s of
+# Python on a 2-core host.
+X_SEQUENCE_MAX_N = 10**6
+
+
 def x_sequence(n: int) -> float:
     """The conjectured n-agent binding coefficient: x_2 = 1 and
-    x_n = x_{n-1} + 1/(4 x_{n-1}); asymptotically sqrt(n/2)."""
+    x_n = x_{n-1} + 1/(4 x_{n-1}); asymptotically sqrt(n/2).  An n over
+    ``X_SEQUENCE_MAX_N`` raises ResourceGuardError before the n-2 steps."""
     if n < 2:
         raise ValueError("defined for n >= 2 agents")
+    if n > X_SEQUENCE_MAX_N:
+        raise ResourceGuardError(
+            f"x_n at n={n} takes n-2 steps, over the cap of X_SEQUENCE_MAX_N = {X_SEQUENCE_MAX_N}"
+        )
     x = 1.0
     for _ in range(n - 2):
         x = x + 1.0 / (4.0 * x)
@@ -98,8 +108,10 @@ def binding_bound(k: int, q_modulus: int, n_stations: int = 3) -> dict:
     """
     if k < 1 or n_stations < 3:
         raise ValueError("need k >= 1 and n_stations >= 3")
+    if q_modulus < 2:
+        raise ValueError(f"q: modulus must be >= 2, got {q_modulus}")
     x = x_sequence(n_stations)
-    raw = 2.0 * k * x * math.sqrt(2.0 / q_modulus)
+    raw = 2.0 * _real(k, "k") * x * math.sqrt(2.0 / _real(q_modulus, "q"))
     return {
         "k": k,
         "q": q_modulus,
@@ -126,9 +138,26 @@ def bound_table(
 def invert_binding_bound(k: int, epsilon: float) -> float:
     """Smallest modulus (as a real) for which the three-station ceiling
     5k/sqrt(2Q) reaches the target binding parameter."""
-    if epsilon <= 0:
-        raise ValueError("target binding parameter must be positive")
-    return 25.0 * k * k / (2.0 * epsilon * epsilon)
+    if not epsilon > 0:
+        raise ValueError(f"epsilon: target binding parameter must be positive, got {epsilon}")
+    k = _real(k, "k")
+    denom = 2.0 * epsilon * epsilon
+    q_min = 25.0 * k * k / denom if denom else math.inf
+    if q_min == math.inf:
+        raise ValueError(
+            f"epsilon: the minimal modulus 25k^2/(2 epsilon^2) overflows a float "
+            f"at k={k:g}, epsilon={epsilon}"
+        )
+    return q_min
+
+
+def _real(value: int, name: str) -> float:
+    """An integer parameter as a float; ValueError naming it when it is
+    too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: too large for a float, got {value!r:.40}") from None
 
 
 def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
@@ -365,6 +394,29 @@ class ReliabilityReport:
         return json.dumps(doc, indent=2)
 
 
+def _event_runs(
+    kind: str,
+    k: int,
+    q_modulus: int,
+    p: float,
+    m: int,
+    seed: int,
+    runs: int,
+    n_stations: int = 3,
+    prune_lag: int = 2,
+) -> Iterator[RunResult]:
+    """The event-engine runs a report samples, in trial order: trial t
+    commits bit t % 2.  The work budget is checked before the first run."""
+    check_budget(kind, k, event_runs=runs, n_stations=n_stations, prune_lag=prune_lag)
+    field = Field(q_modulus)
+    loss = LossModel(p=p, m=m)
+    for trial in range(runs):
+        yield run_protocol(
+            kind, k, field, d=trial % 2, seed=seed, trial=trial,
+            loss=loss, n_stations=n_stations, prune_lag=prune_lag,
+        )
+
+
 def monte_carlo_reliability(
     kind: str,
     k: int,
@@ -398,16 +450,9 @@ def monte_carlo_reliability(
         n_ok = counts[0]
         freq = {r: c / trials for r, c in enumerate(counts) if r and c}
     elif engine == "events":
-        check_budget(kind, k, event_runs=trials, n_stations=n_stations, prune_lag=prune_lag)
-        field = Field(q_modulus)
-        loss = LossModel(p=p, m=m)
         n_ok = 0
         fcount: dict[int, int] = {}
-        for trial in range(trials):
-            res = run_protocol(
-                kind, k, field, d=trial % 2, seed=seed, trial=trial,
-                loss=loss, n_stations=n_stations, prune_lag=prune_lag,
-            )
+        for res in _event_runs(kind, k, q_modulus, p, m, seed, trials, n_stations, prune_lag):
             if res.verdict.outcome == "accept":
                 n_ok += 1
             elif res.transcript.abort_round is not None:
@@ -516,15 +561,9 @@ def measure_comm_bits(
     prune_lag: int = 2,
 ) -> float:
     """Mean measured challenge/response cost over event-driven sample runs."""
-    check_budget(kind, k, event_runs=samples, n_stations=n_stations, prune_lag=prune_lag)
     field = Field(q_modulus)
-    loss = LossModel(p=p, m=m)
     total = 0.0
-    for trial in range(samples):
-        res = run_protocol(
-            kind, k, field, d=trial % 2, seed=seed, trial=trial,
-            loss=loss, n_stations=n_stations, prune_lag=prune_lag,
-        )
+    for res in _event_runs(kind, k, q_modulus, p, m, seed, samples, n_stations, prune_lag):
         total += comm_cost(res.transcript, field)
     return total / samples
 

@@ -278,12 +278,17 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_list(text: str, name: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     from . import analysis
 
-    ks = [int(t) for t in args.k.split(",")]
-    qs = [int(t) for t in args.q.split(",")]
-    ns = [int(t) for t in args.n.split(",")]
+    ks, qs, ns = _int_list(args.k, "k"), _int_list(args.q, "q"), _int_list(args.n, "n")
     rows = analysis.bound_table(ks, qs, ns)
     if args.invert_epsilon is not None:
         for k in ks:

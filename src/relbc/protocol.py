@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .field import Field
 from . import tree as tt
@@ -228,43 +228,21 @@ def _int_in(value, name: str, lo: int, hi: Optional[int]) -> int:
     return value
 
 
-class ShareTable(dict):
-    """Alice's pre-shared random numbers, one per internal node (tree) or
-    per round (chained protocol), keyed by node label.
-
-    ``prepare_tree`` fills the table up front from one PRNG.  ``hashed``
-    starts it empty and draws each node's share from its own named hash
-    stream on first lookup, so a run only materializes the shares of the
-    nodes it touches.
-    """
-
-    _draw = None
-
-    @classmethod
-    def hashed(cls, field: Field, seed: int, trial: int) -> "ShareTable":
-        table = cls()
-        table._draw = field.hash_stream(seed, trial, "share")
-        return table
-
-    def __missing__(self, v: str) -> int:
-        if self._draw is None:
-            raise KeyError(f"no share prepared for node {v!r}")
-        share = self[v] = self._draw(v)
-        return share
-
-    @classmethod
-    def prepare_tree(cls, k: int, field: Field, rng, arity: int = 2) -> "ShareTable":
-        shares = {}
-        for j in range(k):
-            for v in tt.nodes_at_depth(j, arity):
-                shares[v] = field.sample(rng)
-        return cls(shares)
+def tree_shares(k: int, field: Field, rng, arity: int = 2) -> dict[str, int]:
+    """Alice's pre-shared random numbers for a depth-k tree, one per
+    internal node, keyed by node label and drawn level by level from one
+    PRNG."""
+    return {
+        v: field.sample(rng)
+        for j in range(k)
+        for v in tt.nodes_at_depth(j, arity)
+    }
 
 
 def honest_response(
-    v: str, b_v: int, shares: ShareTable, d: int, field: Field
+    v: str, b_v: int, shares: Mapping[str, int], d: int, field: Field
 ) -> int:
-    """The honest answer at internal node v.
+    """The honest answer at internal node v, given each node's share.
 
     Root: y = a_root + d*b.  Non-root vt: y = a_vt + b_vt * a_v where v is
     the parent.

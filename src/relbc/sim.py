@@ -28,7 +28,6 @@ from .protocol import (
     KIND_TREE,
     Record,
     Reveal,
-    ShareTable,
     Transcript,
     Verdict,
     verify_fq,
@@ -180,17 +179,21 @@ def run_tree(
     """One full tree-protocol run with an honest committer and an honest
     receiver on the canonical coloring of ``n_stations`` stations.
 
-    The committer draws each node's share from the run's ``"share"`` hash
-    stream (the draws of ``ShareTable.hashed``), answers every challenge
-    as ``honest_response`` does and reveals (d, share of the parent) at
-    every live scheduled leaf.  The receiver's agents learn node statuses
-    with a lag of ``prune_lag`` rounds and only challenge descendants of
-    the leftmost alive node at the deepest known depth; everything else
-    stays unqueried.  A run costs little more than its hash draws and
-    ``verify_tree``: on a 2-core host 0.34 to 0.39 ms at k=18 (63
-    scheduled nodes, 124 draws) and 3.6 to 6.1 ms at k=200 (795 nodes).
-    A run over ``EVENT_MAX_K`` rounds, or one whose lag schedules over
-    2**14 nodes a round, raises ResourceGuardError before round 1.
+    Every round is one step: the receiver's agents query the nodes below
+    the leftmost alive node they know of, learning node statuses with a
+    lag of ``prune_lag`` rounds, and each station alive that round
+    answers.  Rounds 1..k query depths 0..k-1, where the committer answers
+    as ``honest_response`` does with each node's share drawn from the
+    run's ``"share"`` hash stream; round k+1 is the reveal, where each
+    alive scheduled leaf sends (d, share of its parent).  After each round
+    the leftmost alive path grows by the first live child of its end, and
+    the run aborts if there is none.  The answered nodes and the revealing
+    leaves make up the live set handed to ``verify_tree``.  A run costs
+    little more than its hash draws and ``verify_tree``: on a 2-core host
+    0.34 to 0.39 ms at k=18 (63 scheduled nodes, 125 draws) and 3.6 to
+    6.1 ms at k=200 (795 nodes).  A run over ``EVENT_MAX_K`` rounds, or
+    one whose lag schedules over 2**14 nodes a round, raises
+    ResourceGuardError before round 1.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
@@ -217,8 +220,9 @@ def run_tree(
     dead_for = stations.counters  # nonzero = station dead this round
     draw_b = field.hash_stream(seed, trial, "b")
     draw_share = field.hash_stream(seed, trial, "share")
-    shares: dict[str, int] = {}  # each node's share, drawn on first use
-    share_of = shares.get
+    # The share of every queried node.  A node's children are queried after
+    # it, so a lookup below finds its parent's share already drawn.
+    shares: dict[str, int] = {}
     q = field.q
     # rows[c]: (digit, child color) for each child of a color-c node
     digits = [str(t) for t in range(arity)]
@@ -229,6 +233,7 @@ def run_tree(
     root = (tt.ROOT, coloring.color(tt.ROOT))
     # (label, color) of the leftmost alive path, grown one node per round
     lm_path: list[tuple[str, int]] = []
+    live: set[str] = set()  # answered nodes and revealing leaves
 
     def scheduled(depth: int) -> list[tuple[str, int]]:
         """(label, color) of every depth-``depth`` descendant of the
@@ -239,90 +244,62 @@ def run_tree(
             nodes = [(w + t, ct) for w, c in nodes for t, ct in rows[c]]
         return nodes
 
-    def record_station_events(t: int, changed: list[int]) -> None:
+    # Round r queries depth r-1; round k+1 is the same step at the leaves,
+    # where an alive leaf reveals (d, share of its parent) instead.
+    for r in range(1, k + 2):
+        t = r - 1
+        changed = stations.step()
         if collect_events:
             for c in changed:
                 kind = "death" if dead_for[c] else "revival"
                 events.append(Event(t, c, kind, "", None, ()))
-
-    aborted = False
-    for r in range(1, k + 1):
-        t = r - 1
-        record_station_events(t, stations.step())
+        reveal = r > k
         for v, color in scheduled(r - 1):
+            alive = not dead_for[color]
+            if alive:
+                live.add(v)
+            if v:
+                # the parent's share; past ten children per node labels
+                # collide and v[:-1] may name a node never queried
+                pv = v[:-1]
+                a_up = shares[pv] if pv in shares else draw_share(pv)
+            else:
+                a_up = d  # the committed bit stands in above the root
+            if reveal:
+                if alive:
+                    transcript.reveals[v] = Reveal(d=d, claim=a_up)
+                    if collect_events:
+                        events.append(Event(t, color, "reveal", v, (d, a_up), ()))
+                continue
             b = draw_b(v)
-            if collect_events:
-                ci = len(events)
-                events.append(Event(t, color, "challenge", v, b, ()))
-            if dead_for[color]:
-                y = None
-            else:
-                # the honest answer: a_v + d*b at the root, a_v + b*a_parent below
-                a = share_of(v)
-                if a is None:
-                    a = shares[v] = draw_share(v)
-                if r == 1:
-                    y = (a + d * b) % q
-                else:
-                    pv = v[:-1]
-                    a_parent = share_of(pv)
-                    if a_parent is None:
-                        a_parent = shares[pv] = draw_share(pv)
-                    y = (a + b * a_parent) % q
-                if collect_events:
-                    events.append(Event(t, color, "response", v, y, (ci,)))
+            a = shares[v] = draw_share(v)
+            y = (a + b * a_up) % q if alive else None  # the honest answer
             records[v] = Record(b, y, r, color)
-        # Advance the leftmost alive path.
-        if r == 1:
-            if records[tt.ROOT].y is None:
-                transcript.abort_reason = "root did not respond"
-                transcript.abort_round = 1
-                aborted = True
-            else:
-                lm_path.append(root)
-        else:
+            if collect_events:
+                events.append(Event(t, color, "challenge", v, b, ()))
+                if alive:
+                    events.append(Event(t, color, "response", v, y, (len(events) - 1,)))
+        # Advance the leftmost alive path to the first live child of its
+        # end; in round 1 the root is the only candidate.
+        if lm_path:
             vstar, c = lm_path[-1]
-            for digit, ct in rows[c]:
-                w = vstar + digit
-                rec = records.get(w)
-                if rec is not None and rec.y is not None:
-                    lm_path.append((w, ct))
-                    break
-            else:
-                transcript.abort_reason = f"no alive child below {vstar!r}"
-                transcript.abort_round = r
-                aborted = True
-        if aborted:
+            candidates = [(vstar + digit, ct) for digit, ct in rows[c]]
+        else:
+            candidates = [root]
+        for node in candidates:
+            if node[0] in live:
+                lm_path.append(node)
+                break
+        else:
+            transcript.abort_reason = (
+                f"no alive child below {vstar!r}" if lm_path else "root did not respond"
+            )
+            transcript.abort_round = r
             if collect_events:
                 events.append(Event(t, 0, "abort", "", transcript.abort_reason, ()))
             break
 
-    if not aborted:
-        # Reveal round: scheduled leaves send (d, share of the parent).
-        r = k + 1
-        t = r - 1
-        record_station_events(t, stations.step())
-        revealed_any_child = False
-        vstar = lm_path[-1][0]
-        for leaf, color in scheduled(k):
-            if dead_for[color]:
-                continue
-            pv = leaf[:-1]
-            share = share_of(pv)
-            if share is None:
-                share = shares[pv] = draw_share(pv)
-            transcript.reveals[leaf] = Reveal(d=d, claim=share)
-            if collect_events:
-                events.append(Event(t, color, "reveal", leaf, (d, share), ()))
-            if pv == vstar:
-                revealed_any_child = True
-        if not revealed_any_child:
-            transcript.abort_reason = f"no alive child below {vstar!r}"
-            transcript.abort_round = r
-            if collect_events:
-                events.append(Event(t, 0, "abort", "", transcript.abort_reason, ()))
-
-    verdict = verify_tree(transcript, transcript.liveness(), coloring, field)
+    verdict = verify_tree(transcript, live, coloring, field)
     if collect_events:
         violations = validate_causality(events, Geometry(n_stations=n_stations))
         if violations:  # must never happen; a bug in the scheduler
@@ -359,9 +336,9 @@ def run_chain(
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=2)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
-    shares = ShareTable.hashed(field, seed, trial)
     draw_b = field.hash_stream(seed, trial, "b")
-    prev = d
+    draw_share = field.hash_stream(seed, trial, "share")
+    share = d  # a_{j-1}, with a_0 = d
     for j in range(1, k + 1):
         t = j - 1
         color = 1 if j % 2 == 1 else 2
@@ -372,15 +349,13 @@ def run_chain(
                 events.append(Event(t, color, "abort", str(j), None, ()))
             return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
         b = draw_b(j)
-        share = shares[str(j)]
+        prev, share = share, draw_share(str(j))
         y = field.add(share, field.mul(b, prev))
-        prev = share
         transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
         if collect_events:
             ci = len(events)
             events.append(Event(t, color, "challenge", str(j), b, ()))
             events.append(Event(t, color, "response", str(j), y, (ci,)))
-    share = shares[str(k)]
     transcript.reveals[str(k)] = Reveal(d=d, claim=share)
     verdict = verify_fq(transcript, d, share, field)
     return RunResult(transcript, verdict, events)

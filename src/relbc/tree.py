@@ -53,7 +53,7 @@ class Coloring:
     every internal node's family {v} + children(v) uses all station colors
     exactly once.  Colors are 1-based.  The coloring is the canonical
     rule, computed per node on demand (see the module docstring); nothing
-    is stored but the n child-color rows.
+    is stored.
     """
 
     def __init__(self, k: int, n_stations: int):
@@ -64,7 +64,6 @@ class Coloring:
         self.k = k
         self.n_stations = n_stations
         self.arity = n_stations - 1
-        self._rows = [None] + [self.child_colors(c) for c in range(1, n_stations + 1)]
 
     def color(self, v: str) -> int:
         """The color of node v, folding the rule over its digits, O(depth).
@@ -78,7 +77,7 @@ class Coloring:
             t = ord(ch) - ord("0")
             if not 0 <= t < self.arity:
                 raise KeyError(v)
-            c = self._rows[c][t]
+            c = t + 1 if t + 1 < c else t + 2
         return c
 
     def child_colors(self, color: int) -> list[int]:

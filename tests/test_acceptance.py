@@ -16,7 +16,7 @@ from relbc import analysis as an
 from relbc import games
 from relbc import tree as tt
 from relbc.field import Field
-from relbc.protocol import ShareTable, honest_response
+from relbc.protocol import honest_response
 from relbc.sim import comm_cost, message_counts, run_protocol
 
 
@@ -52,7 +52,7 @@ def test_criterion_2_perfect_hiding_exact():
         for d in (0, 1):
             counts = {}
             for a in product(range(q), repeat=len(internals)):
-                shares = ShareTable(dict(zip(internals, a)))
+                shares = dict(zip(internals, a))
                 view = tuple(
                     honest_response(v, b[v], shares, d, field) for v in internals
                 )

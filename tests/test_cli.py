@@ -209,6 +209,33 @@ def test_bounds_table_and_inversion(capsys):
     assert inv[0]["min_q"] == pytest.approx(25 * 1 / (2 * 0.25))
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--q", "0"], "q:"),
+    (["--q", "-5"], "q:"),
+    (["--k", "1" + "0" * 400], "k:"),
+    (["--invert-epsilon", "1e-300"], "epsilon:"),
+])
+def test_bounds_bad_value_exit_1_naming_the_field(capsys, argv, field):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + field)
+
+
+def test_bounds_station_count_over_the_cap_exit_2_at_once(capsys):
+    t0 = time.process_time()
+    code, out, err = run(capsys, "bounds", "--n", "1000000000")
+    assert time.process_time() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "X_SEQUENCE_MAX_N" in err
+
+
+@pytest.mark.parametrize("protocol", ["single", "fq", "tree"])
+def test_bind_oracle_depth_below_1_exit_1(capsys, protocol):
+    code, out, err = run(capsys, "bind-oracle", "--protocol", protocol, "--k", "0", "--q", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: k:")
+
+
 def test_pretty_rendering(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "1", "--q", "2", "--pretty")
     assert code == 0

@@ -12,10 +12,10 @@ from relbc.protocol import (
     KIND_TREE,
     Record,
     Reveal,
-    ShareTable,
     Transcript,
     alpha_chain,
     honest_response,
+    tree_shares,
     verify_fq,
     verify_tree,
 )
@@ -24,7 +24,7 @@ from relbc.sim import LossModel, run_protocol
 
 def _honest_tree_transcript(k, field, d, seed, reveal_leaf=None):
     col = tt.make_coloring(k, 3)
-    shares = ShareTable.prepare_tree(k, field, derived_rng(seed, "shares"))
+    shares = tree_shares(k, field, derived_rng(seed, "shares"))
     tr = Transcript(kind=KIND_TREE, k=k, q=field.q)
     for j in range(k):
         for v in tt.nodes_at_depth(j):
@@ -121,7 +121,7 @@ def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
 
 def _honest_chain_transcript(k, field, d, seed):
     rng = derived_rng(seed, "cs")
-    shares = ShareTable({str(j): field.sample(rng) for j in range(1, k + 1)})
+    shares = {str(j): field.sample(rng) for j in range(1, k + 1)}
     tr = Transcript(kind=KIND_FQ, k=k, q=field.q, n_stations=2)
     prev = d
     for j in range(1, k + 1):
@@ -260,19 +260,6 @@ def test_transcript_from_json_checks_schema(edit, name):
         Transcript.from_json(json.dumps(doc))
 
 
-def test_hashed_share_table_draws_each_node_once():
-    field = Field(101)
-    shares = ShareTable.hashed(field, 7, 3)
-    nodes = [v for j in range(4) for v in tt.nodes_at_depth(j)]
-    for v in nodes:
-        assert shares[v] == field.sample_hashed(7, 3, "share", v)
-    assert dict(shares) == {v: shares[v] for v in nodes}  # cached, not redrawn
-    rng = derived_rng(7, "cs")
-    prepared = ShareTable({str(j): field.sample(rng) for j in range(1, 4)})
-    with pytest.raises(KeyError, match="no share prepared for node '4'"):
-        prepared["4"]
-
-
 def test_exhaustive_hiding_small():
     # pre-reveal response distribution over uniform shares is d-independent
     # for every fixed challenge assignment (spot check at q=3, k=1)
@@ -283,7 +270,7 @@ def test_exhaustive_hiding_small():
         for d in (0, 1):
             counts = {}
             for a in range(q):
-                shares = ShareTable({"": a})
+                shares = {"": a}
                 y = honest_response("", b, shares, d, field)
                 counts[y] = counts.get(y, 0) + 1
             dists.append(counts)

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
+from relbc import tree as tt
 from relbc.field import Field
-from relbc.protocol import ShareTable, honest_response
+from relbc.protocol import Transcript, honest_response, verify_tree
 from relbc.sim import (
     EVENT_MAX_K,
     Geometry,
@@ -125,6 +128,11 @@ def test_resource_guard_counts_the_arity():
     # 10 children per node: a lag of 5 schedules 10**5 nodes per round
     with pytest.raises(ResourceGuardError, match="10\\*\\*5 nodes per round"):
         run_protocol("tree", 5, Field(5), d=0, seed=1, n_stations=11, prune_lag=5)
+    # 19999 children per node: refused before anything per station is built
+    t0 = time.process_time()
+    with pytest.raises(ResourceGuardError, match="19999\\*\\*1 nodes per round"):
+        run_protocol("tree", 1, Field(5), d=0, seed=1, n_stations=20000, prune_lag=1)
+    assert time.process_time() - t0 < 0.5
 
 
 def test_root_death_aborts_round_one():
@@ -177,7 +185,8 @@ def test_single_round_is_k1():
 @pytest.mark.parametrize("n_stations", [3, 4, 5])
 def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
     # run_tree computes the honest answer inline from its own share draws;
-    # protocol.honest_response over ShareTable.hashed is the reference
+    # protocol.honest_response over the run's "share" hash draws is the
+    # reference
     field = Field(101)
     loss = LossModel(p=0.1, m=2)
     answered = silent = 0
@@ -186,7 +195,8 @@ def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
             res = run_protocol(
                 "tree", 8, field, d=d, seed=17, trial=trial, loss=loss, n_stations=n_stations
             )
-            shares = ShareTable.hashed(field, 17, trial)
+            # every scheduled node's parent was scheduled the round before
+            shares = {v: field.sample_hashed(17, trial, "share", v) for v in res.transcript.records}
             for v, rec in res.transcript.records.items():
                 if rec.y is None:
                     silent += 1
@@ -196,6 +206,47 @@ def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
             for leaf, rv in res.transcript.reveals.items():
                 assert (rv.d, rv.claim) == (d, shares[leaf[:-1]])
     assert answered > 100 and silent > 0
+
+
+@pytest.mark.parametrize("prune_lag", [1, 2, 3])
+@pytest.mark.parametrize("n_stations", [3, 4, 5])
+def test_run_tree_verdict_equals_its_replayed_transcript(n_stations, prune_lag):
+    # run_tree hands verify_tree the live set its round loop kept; the
+    # replay rebuilds that set from the transcript alone
+    field = Field(31)
+    coloring = tt.make_coloring(6, n_stations)
+    accepted = 0
+    for trial in range(20):
+        res = run_protocol(
+            "tree", 6, field, d=trial % 2, seed=41, trial=trial,
+            loss=LossModel(p=0.15, m=2), n_stations=n_stations, prune_lag=prune_lag,
+        )
+        back = Transcript.from_json(res.transcript.to_json())
+        assert verify_tree(back, back.liveness(), coloring, field) == res.verdict, trial
+        accepted += res.verdict.outcome == "accept"
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("kind, k", [("single", 1), ("fq", 9)])
+def test_run_chain_answers_and_reveals_from_the_share_stream(kind, k):
+    # a_0 = d and a_j is draw j of the run's "share" hash stream; round j
+    # answers a_j + b_j*a_{j-1} and the reveal is (d, a_k)
+    field = Field(101)
+    for loss in (LossModel(), LossModel(p=0.2)):
+        for d in (0, 1):
+            for trial in range(8):
+                res = run_protocol(kind, k, field, d=d, seed=23, trial=trial, loss=loss)
+                a = [d] + [field.sample_hashed(23, trial, "share", str(j)) for j in range(1, k + 1)]
+                tr = res.transcript
+                for v, rec in tr.records.items():
+                    j = int(v)
+                    assert rec.y == (a[j] + rec.b * a[j - 1]) % field.q, (d, trial, j)
+                if tr.abort_round is None:
+                    assert len(tr.records) == k
+                    assert [(v, rv.d, rv.claim) for v, rv in tr.reveals.items()] == [(str(k), d, a[k])]
+                    assert res.verdict.outcome == "accept"
+                else:
+                    assert not tr.reveals
 
 
 @pytest.mark.parametrize("k", [0, -1])
