@@ -10,16 +10,22 @@ F2 = Field(2)
 F3 = Field(3)
 
 
-def test_single_round_oracle_q2():
-    rep = adv.brute_force_single(F2)
-    assert rep.sum == pytest.approx(1.5)
-    assert rep.epsilon == pytest.approx(0.5)
+@pytest.mark.parametrize(
+    "q, sum_hex",
+    [(2, "0x1.8000000000000p+0"), (3, "0x1.5555555555555p+0"), (5, "0x1.3333333333333p+0")],
+)
+def test_single_round_oracle(q, sum_hex):
+    # A constant answer opens d=0 always and d=1 at b=0 only: (q+1)/q,
+    # and no answer table does better.
+    rep = adv.brute_force_single(Field(q))
+    assert rep.sum == (q + 1) / q
+    assert rep.sum.hex() == sum_hex
+    assert rep.epsilon == rep.sum - 1
     assert rep.sum <= rep.bound
-
-
-def test_single_round_oracle_q3():
-    rep = adv.brute_force_single(F3)
-    assert rep.sum == pytest.approx(4 / 3)
+    assert rep.strategy_id == f"y={(0,) * q}"
+    assert rep.search_size == q**q
+    dispatched = adv.brute_force_binding("fq", 1, Field(q))
+    assert {**vars(dispatched), "seconds": 0} == {**vars(rep), "seconds": 0}
 
 
 def test_single_round_oracle_decreases_with_q():
