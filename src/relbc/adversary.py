@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Callable, Optional
 
 from .field import Field, derived_rng
-from . import tree as tt
+from . import games, tree as tt
 from .protocol import (
     KIND_FQ,
     KIND_SINGLE,
@@ -245,24 +246,24 @@ def reference_bound(kind: str, k: int, q: int) -> float:
 
 
 def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingReport:
-    """Exact optimum for the single-round scheme.
+    """Exact optimum for the single-round scheme, as a CHSH_q game value.
 
     The committing agent's answer is any function y(b); the revealing
-    agent is spacelike separated from the challenge, so each open attempt
-    is a constant claim.  For fixed y the best claim per bit is the most
-    frequent value of y(b) - d*b.
+    agent is spacelike separated from the challenge, so opening bit d is
+    a constant claim alpha_d, which wins when y(b) + (-alpha_d) = b*d.
+    That is CHSH_q with x = b uniform on F_q and the second input d
+    uniform on {0, 1}: the sum of both opens is twice the game's value,
+    and the first player's optimal table is the cheater's answer table.
+    The budget counts the game's work, 2*q**(q+1), and is checked before
+    a spec is built.
     """
     q = field.q
-    if capped_product(chain((q,), repeat(q, q)), budget) > budget:
-        raise ResourceGuardError(
-            f"single-round search of {q}**{q} answer tables x {q} exceeds the budget of {budget}"
-        )
+    games.check_budget(q, q, 2, budget)
     t0 = time.perf_counter()
-    best_sum, best_y = -1.0, None
-    for y_tab in product(range(q), repeat=q):
-        s = (_best_count(q, y_tab, 0) + _best_count(q, y_tab, 1)) / q
-        if s > best_sum:
-            best_sum, best_y = s, y_tab
+    half = Fraction(1, 2)
+    spec = games.GameSpec(field, tuple(range(q)), (half, half) + (Fraction(0),) * (q - 2))
+    game = games.chsh_value(spec, budget)
+    best_sum = float(2 * game.value)
     return BindingReport(
         kind=KIND_SINGLE,
         k=1,
@@ -272,7 +273,7 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
         bound=reference_bound(KIND_SINGLE, 1, q),
         search_size=q**q,
         seconds=time.perf_counter() - t0,
-        strategy_id=f"y={best_y}",
+        strategy_id=f"y={tuple(game.f[b] for b in range(q))}",
     )
 
 
@@ -507,10 +508,6 @@ def brute_force_binding(
     raise ValueError(f"unknown protocol kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Named heuristic attacks (depth-2 tree unless stated otherwise)
-
-
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int = 0) -> StrategyTable:
     """The honest committer as a strategy table: fixed shares, committed
     bit baked into the root answer, honest claims for either open attempt."""
@@ -525,55 +522,6 @@ def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int
         return a[tt.parent(leaf)]
 
     return StrategyTable.from_functions(k, field, respond_fn, reveal_fn, name="honest")
-
-
-def heuristic_attack(kind: str, field: Field, seed: int = 0) -> StrategyTable:
-    """Build one of the named depth-2 cheating heuristics.
-
-    * ``guess_share``: play honestly for bit 0; to open either bit, claim
-      the value the chain would have if every unseen challenge were zero.
-    * ``selective_silence``: the left depth-1 node answers only when its
-      challenge is zero, which decouples the chain from the root answer on
-      that branch and makes both opens succeed there.
-    """
-    a = tree_shares(2, field, derived_rng(seed, "heuristic-shares"))
-
-    if kind == "guess_share":
-
-        def respond_fn(v, b, view):
-            if v == tt.ROOT:
-                return a[tt.ROOT]  # honest for d=0
-            return field.add(a[v], field.mul(b, a[tt.ROOT]))
-
-        def reveal_fn(leaf, view, d):
-            # chain value for target d with unknown challenges guessed as 0:
-            # alpha_child = a_child + b_child*b_root*d, b_child unseen -> a_child
-            return a[leaf[0]]
-
-        return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name=kind)
-
-    if kind == "selective_silence":
-
-        def respond_fn(v, b, view):
-            if v == tt.ROOT:
-                return a[tt.ROOT]
-            if v == "0" and b != 0:
-                return None  # refuse: hand the branch to the brother
-            return field.add(a[v], field.mul(b, a[tt.ROOT]))
-
-        def reveal_fn(leaf, view, d):
-            if leaf.startswith("0"):
-                # left path only survives with b=0 there: claim is exact
-                return a["0"] if leaf == "00" else None
-            if leaf == "10":
-                # alpha_right = a_right + b_right*b_root*d; claim exact when
-                # b_root = 0, otherwise hope b_right lands on zero
-                return a["1"]
-            return None
-
-        return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name=kind)
-
-    raise ValueError(f"unknown heuristic {kind!r}")
 
 
 @dataclass(frozen=True)

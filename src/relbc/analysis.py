@@ -106,33 +106,39 @@ def binding_bound(k: int, q_modulus: int, n_stations: int = 3) -> dict:
     Three stations: 5k/sqrt(2Q), proven.  More stations:
     2*k*x_n*sqrt(2/Q), conjectured; the status is part of the output.
     """
-    if k < 1 or n_stations < 3:
-        raise ValueError("need k >= 1 and n_stations >= 3")
-    if q_modulus < 2:
-        raise ValueError(f"q: modulus must be >= 2, got {q_modulus}")
-    x = x_sequence(n_stations)
-    raw = 2.0 * _real(k, "k") * x * math.sqrt(2.0 / _real(q_modulus, "q"))
-    return {
-        "k": k,
-        "q": q_modulus,
-        "n_stations": n_stations,
-        "epsilon_bound": raw,
-        "epsilon_capped": min(raw, 1.0),
-        "x_n": x,
-        "status": "proven" if n_stations == 3 else "conjectured",
-    }
+    return bound_table([k], [q_modulus], [n_stations])[0]
 
 
 def bound_table(
     ks: Sequence[int], qs: Sequence[int], n_stations: Sequence[int] = (3,)
 ) -> list[dict]:
-    """Binding-ceiling rows over a (k, Q, n) grid."""
-    return [
-        binding_bound(k, q, n)
-        for n in n_stations
-        for k in ks
-        for q in qs
-    ]
+    """Binding-ceiling rows (see ``binding_bound``) over a (k, Q, n) grid.
+
+    x_n takes n-2 steps, so it is stepped once per station count, at that
+    count's first row, after the row's own checks.
+    """
+    rows = []
+    for n in n_stations:
+        x = None
+        for k in ks:
+            for q in qs:
+                if k < 1 or n < 3:
+                    raise ValueError("need k >= 1 and n_stations >= 3")
+                if q < 2:
+                    raise ValueError(f"q: modulus must be >= 2, got {q}")
+                if x is None:
+                    x = x_sequence(n)
+                raw = 2.0 * _real(k, "k") * x * math.sqrt(2.0 / _real(q, "q"))
+                rows.append({
+                    "k": k,
+                    "q": q,
+                    "n_stations": n,
+                    "epsilon_bound": raw,
+                    "epsilon_capped": min(raw, 1.0),
+                    "x_n": x,
+                    "status": "proven" if n == 3 else "conjectured",
+                })
+    return rows
 
 
 def invert_binding_bound(k: int, epsilon: float) -> float:
@@ -386,7 +392,8 @@ class ReliabilityReport:
             "p_ok_mc": self.p_ok_mc,
             "ci95": [self.ci_lo, self.ci_hi],
             "per_round_abort_rate": self.per_round_abort_rate,
-            "half_life_formula": self.half_life_formula,
+            # JSON has no infinity; metadata.half_life_note says why
+            "half_life_formula": None if math.isinf(self.half_life_formula) else self.half_life_formula,
             "fitted_slope": self.fitted_slope,
             "abort_round_freq": {str(r): f for r, f in sorted(self.abort_round_freq.items())},
             "metadata": self.metadata,
@@ -474,10 +481,16 @@ def monte_carlo_reliability(
         "engine": engine,
         "rng_stream": RNG_STREAM,
     }
+    hl = half_life(kind, p, m, n_stations)
+    if math.isinf(hl):
+        meta["half_life_note"] = (
+            "half-lives are null: the formula expects no abort, so they are "
+            "infinite, which JSON cannot write"
+        )
     if kind in (KIND_SINGLE, KIND_FQ) and m > 1:
         # the published half-life 1/(mp) disagrees with the survival
         # formula's 1/p when m > 1; surface both
-        meta["half_life_from_survival_formula"] = math.inf if p == 0 else 1.0 / p
+        meta["half_life_from_survival_formula"] = 1.0 / p if p else None
     return ReliabilityReport(
         kind=kind,
         k=k,
@@ -491,7 +504,7 @@ def monte_carlo_reliability(
         ci_hi=hi,
         abort_round_freq=freq,
         per_round_abort_rate=rate,
-        half_life_formula=half_life(kind, p, m, n_stations),
+        half_life_formula=hl,
         metadata=meta,
     )
 

@@ -65,8 +65,10 @@ class ExperimentConfig:
             errs.append(f"p: must be in [0,1], got {self.p}")
         if self.m < 1:
             errs.append(f"m: must be >= 1, got {self.m}")
-        if self.protocol == KIND_TREE and self.n_stations < 3:
-            errs.append(f"n_stations: tree protocol needs >= 3, got {self.n_stations}")
+        if self.protocol == KIND_TREE and not 3 <= self.n_stations <= tt.MAX_STATIONS:
+            errs.append(
+                f"n_stations: tree protocol takes 3 to {tt.MAX_STATIONS} stations, got {self.n_stations}"
+            )
         if self.prune_lag < 1:
             errs.append(f"N: pruning lag must be >= 1, got {self.prune_lag}")
         if self.seed is None:

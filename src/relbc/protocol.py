@@ -144,8 +144,7 @@ class Transcript:
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
         n_stations = doc.get("n_stations", 3)
         if kind == KIND_TREE:
-            # arity <= 10, so that every level is one digit of a label
-            n_stations = _int_in(n_stations, "n_stations", 3, 11)
+            n_stations = _int_in(n_stations, "n_stations", 3, tt.MAX_STATIONS)
             digits = "".join(str(t) for t in range(n_stations - 1))
 
             def node(v, leaf: bool) -> bool:

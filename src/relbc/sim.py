@@ -191,9 +191,10 @@ def run_tree(
     leaves make up the live set handed to ``verify_tree``.  A run costs
     little more than its hash draws and ``verify_tree``: on a 2-core host
     0.34 to 0.39 ms at k=18 (63 scheduled nodes, 125 draws) and 3.6 to
-    6.1 ms at k=200 (795 nodes).  A run over ``EVENT_MAX_K`` rounds, or
-    one whose lag schedules over 2**14 nodes a round, raises
-    ResourceGuardError before round 1.
+    6.1 ms at k=200 (795 nodes).  A station count outside 3 to
+    ``tree.MAX_STATIONS`` raises ValueError; a run over ``EVENT_MAX_K``
+    rounds, or one whose lag schedules over 2**14 nodes a round, raises
+    ResourceGuardError; both before round 1.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
@@ -204,10 +205,9 @@ def run_tree(
             f"tree run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
         )
     # Without effective pruning a round schedules a whole tree level,
-    # arity**lag nodes.  arity >= 2, so a lag over 14 is refused before any
-    # power is taken.
+    # arity**lag nodes; arity <= 10 and lag <= EVENT_MAX_K keep the power cheap.
     lag = min(prune_lag, k)
-    if lag > 14 or arity**lag > 2**14:
+    if arity**lag > 2**14:
         raise ResourceGuardError(
             f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
             "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
@@ -258,13 +258,8 @@ def run_tree(
             alive = not dead_for[color]
             if alive:
                 live.add(v)
-            if v:
-                # the parent's share; past ten children per node labels
-                # collide and v[:-1] may name a node never queried
-                pv = v[:-1]
-                a_up = shares[pv] if pv in shares else draw_share(pv)
-            else:
-                a_up = d  # the committed bit stands in above the root
+            # the parent's share; the committed bit stands in above the root
+            a_up = shares[v[:-1]] if v else d
             if reveal:
                 if alive:
                     transcript.reveals[v] = Reveal(d=d, claim=a_up)

@@ -19,6 +19,10 @@ from typing import Iterator
 
 ROOT = ""
 
+# Each level of a node label is one digit, so a node has at most ten
+# children and a tree at most eleven stations.
+MAX_STATIONS = 11
+
 
 def depth(v: str) -> int:
     return len(v)
@@ -59,8 +63,10 @@ class Coloring:
     def __init__(self, k: int, n_stations: int):
         if k < 1:
             raise ValueError("depth k must be >= 1")
-        if n_stations < 3:
-            raise ValueError("need at least 3 stations")
+        if not 3 <= n_stations <= MAX_STATIONS:
+            raise ValueError(
+                f"n_stations: a tree takes 3 to {MAX_STATIONS} stations, got {n_stations}"
+            )
         self.k = k
         self.n_stations = n_stations
         self.arity = n_stations - 1

@@ -87,6 +87,15 @@ def test_bound_table_grid():
     assert all(r["epsilon_bound"] >= 0 and math.isfinite(r["epsilon_bound"]) for r in rows)
 
 
+def test_bound_table_steps_x_n_once_per_station_count(monkeypatch):
+    calls = []
+    x_sequence = an.x_sequence
+    monkeypatch.setattr(an, "x_sequence", lambda n: calls.append(n) or x_sequence(n))
+    rows = an.bound_table([1, 2, 3], [2, 97], [3, 5])
+    assert calls == [3, 5]
+    assert rows == [an.binding_bound(k, q, n) for n in (3, 5) for k in (1, 2, 3) for q in (2, 97)]
+
+
 def test_comm_bits_formula():
     assert an.comm_bits_formula("fq", 10, 97) == pytest.approx(20 * math.log2(97))
     assert an.comm_bits_formula("tree", 10, 97, prune_lag=1) == pytest.approx(

@@ -47,6 +47,34 @@ def test_simulate_deep_tree_completes(capsys):
     assert json.loads(out)["k"] == 200
 
 
+def _strict_json(text):
+    """Parse as RFC 8259 JSON, which has no Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, null_keys",
+    [
+        (("--protocol", "tree", "--k", "10", "--q", "97", "--trials", "1"), ["half_life_formula"]),
+        (("--protocol", "fq", "--m", "3", "--trials", "3"),
+         ["half_life_formula", "metadata.half_life_from_survival_formula"]),
+    ],
+    ids=["tree", "fq_m3"],
+)
+def test_simulate_without_loss_prints_strict_json(capsys, argv, null_keys):
+    code, out, err = run(capsys, "simulate", "--p", "0", "--seed", "3", *argv)
+    assert code == 0, err
+    doc = _strict_json(out)
+    for key in null_keys:
+        value = doc
+        for part in key.split("."):
+            value = value[part]
+        assert value is None, key
+    assert "null" in doc["metadata"]["half_life_note"]
+
+
 def test_simulate_requires_seed(capsys):
     code, _, err = run(capsys, "simulate", "--protocol", "fq", "--p", "0")
     assert code == 1
@@ -174,6 +202,18 @@ def test_simulate_comm_samples_below_one_exit_1(capsys):
     )
     assert code == 1
     assert "comm-samples" in err
+
+
+def test_simulate_tree_over_eleven_stations_exit_1(capsys):
+    # a node label spends one digit per level, so a node has at most ten
+    # children; the fast engine would build no labels, but the cost
+    # samples run the event engine
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "tree", "--k", "4", "--seed", "1",
+        "--trials", "5", "--n-stations", "12",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: n_stations:") and "3 to 11" in err
 
 
 def test_chsh_uniform(capsys):
@@ -418,10 +458,10 @@ def test_simulate_accepts_a_dead_time_past_int32(capsys):
     [
         ("--k", "5", "--m", "3000000000"),
         ("--k", "50", "--m", "20"),
-        # lag 1 keeps the cost-sample runs of 129 children under the node cap
-        ("--k", "5", "--m", "3000000000", "--n-stations", "130", "--N", "1"),
+        # the most stations a tree takes; lag 1 keeps the cost samples small
+        ("--k", "5", "--m", "3000000000", "--n-stations", "11", "--N", "1"),
     ],
-    ids=["mp_huge", "mp_2", "mp_huge_n130"],
+    ids=["mp_huge", "mp_2", "mp_huge_n11"],
 )
 def test_simulate_keeps_the_tree_formula_in_range_past_mp_1(capsys, argv):
     code, out, err = run(

@@ -128,11 +128,19 @@ def test_resource_guard_counts_the_arity():
     # 10 children per node: a lag of 5 schedules 10**5 nodes per round
     with pytest.raises(ResourceGuardError, match="10\\*\\*5 nodes per round"):
         run_protocol("tree", 5, Field(5), d=0, seed=1, n_stations=11, prune_lag=5)
-    # 19999 children per node: refused before anything per station is built
+    # a label spends one digit per level: refused before anything per
+    # station is built
     t0 = time.process_time()
-    with pytest.raises(ResourceGuardError, match="19999\\*\\*1 nodes per round"):
+    with pytest.raises(ValueError, match="3 to 11 stations, got 20000"):
         run_protocol("tree", 1, Field(5), d=0, seed=1, n_stations=20000, prune_lag=1)
     assert time.process_time() - t0 < 0.5
+
+
+def test_run_tree_at_the_station_cap_accepts_lossless_runs():
+    # ten children per node, the most a one-digit level label can name
+    for lag, k in ((2, 4), (1, 5)):
+        res = run_protocol("tree", k, Field(101), d=0, seed=1, n_stations=11, prune_lag=lag)
+        assert res.verdict.outcome == "accept" and res.verdict.revealed == 0
 
 
 def test_root_death_aborts_round_one():
