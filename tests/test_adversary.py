@@ -13,6 +13,7 @@ F3 = Field(3)
 @pytest.mark.parametrize(
     "q, sum_hex",
     [(2, "0x1.8000000000000p+0"), (3, "0x1.5555555555555p+0"), (5, "0x1.3333333333333p+0")],
+    ids=["q2", "q3", "q5"],
 )
 def test_single_round_oracle(q, sum_hex):
     # A constant answer opens d=0 always and d=1 at b=0 only: (q+1)/q,

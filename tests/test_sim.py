@@ -136,13 +136,6 @@ def test_resource_guard_counts_the_arity():
     assert time.process_time() - t0 < 0.5
 
 
-def test_run_tree_at_the_station_cap_accepts_lossless_runs():
-    # ten children per node, the most a one-digit level label can name
-    for lag, k in ((2, 4), (1, 5)):
-        res = run_protocol("tree", k, Field(101), d=0, seed=1, n_stations=11, prune_lag=lag)
-        assert res.verdict.outcome == "accept" and res.verdict.revealed == 0
-
-
 def test_root_death_aborts_round_one():
     field = Field(5)
     res = run_protocol("tree", 3, field, d=0, seed=2, loss=LossModel(p=1.0, m=1))
@@ -190,7 +183,8 @@ def test_single_round_is_k1():
     assert res.verdict.outcome == "accept"
 
 
-@pytest.mark.parametrize("n_stations", [3, 4, 5])
+# 11 stations: ten children per node, the most one-digit level labels name
+@pytest.mark.parametrize("n_stations", [3, 4, 5, 11])
 def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
     # run_tree computes the honest answer inline from its own share draws;
     # protocol.honest_response over the run's "share" hash draws is the
