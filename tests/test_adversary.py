@@ -40,6 +40,44 @@ def test_chain_oracle_k2_q2():
     assert rep.sum <= min(2.0, rep.bound)
 
 
+def reference_brute_force_chain(field):
+    """Score every (y1, y2) answer-table pair from scratch: for each open
+    target d and observed b_1 the revealing agent claims the majority
+    round-2 chain value over b_2; keep the first strictly larger sum."""
+    q = field.q
+    best_sum, best_id = -1.0, ""
+    for y1 in product(range(q), repeat=q):
+        for y2 in product(range(q), repeat=q):
+            wins = 0
+            for d in (0, 1):
+                for b1 in range(q):
+                    a1 = field.sub(y1[b1], field.mul(b1, d))
+                    counts = [0] * q
+                    for b2 in range(q):
+                        counts[field.sub(y2[b2], field.mul(b2, a1))] += 1
+                    wins += max(counts)
+            s = wins / q**2
+            if s > best_sum:
+                best_sum, best_id = s, f"y1={y1}, y2={y2}"
+    return best_sum, best_id, q ** (2 * q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_chain_oracle_matches_exhaustive_reference(q):
+    rep = adv.brute_force_chain(Field(q), 2)
+    want_sum, want_id, want_size = reference_brute_force_chain(Field(q))
+    assert (rep.sum, rep.sum.hex(), rep.strategy_id, rep.search_size) == (
+        want_sum, want_sum.hex(), want_id, want_size)
+
+
+def test_chain_oracle_q3_pinned():
+    rep = adv.brute_force_chain(F3, 2)
+    assert rep.sum == 1.5555555555555556 == pytest.approx(14 / 9)
+    assert rep.sum.hex() == "0x1.8e38e38e38e39p+0"
+    assert rep.strategy_id == "y1=(0, 0, 0), y2=(0, 0, 0)"
+    assert rep.search_size == 729
+
+
 def test_chain_late_decision_achieves_oracle_value():
     strat = adv.late_decision_chain(F2)
     s0, s1 = adv.eval_chain_strategy(strat, F2)

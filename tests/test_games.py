@@ -143,3 +143,20 @@ def test_integer_search_matches_fraction_reference():
         spec = GameSpec(Field(q), support, tuple(Fraction(w, total) for w in weights))
         got, want = chsh_value(spec), reference_chsh_value(spec)
         assert (got.value, got.f, got.g) == (want.value, want.f, want.g), spec
+
+
+def _half_half(q):
+    # the single-round binding game: d uniform on {0, 1}
+    return GameSpec(Field(q), tuple(range(q)), (Fraction(1, 2),) * 2 + (Fraction(0),) * (q - 2))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GameSpec.uniform(Field(q)) for q in (2, 3, 5)] + [_half_half(q) for q in (2, 3, 5)],
+    ids=["uniform-q2", "uniform-q3", "uniform-q5", "half-q2", "half-q3", "half-q5"],
+)
+def test_full_support_games_match_fraction_reference(spec):
+    # the random draws above stop at 4 support entries; these are the
+    # full-support games the single-round oracle and the benchmark solve
+    got, want = chsh_value(spec), reference_chsh_value(spec)
+    assert (got.value, got.f, got.g) == (want.value, want.f, want.g)
