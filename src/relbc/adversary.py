@@ -255,7 +255,9 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
     uniform on {0, 1}: the sum of both opens is twice the game's value,
     and the first player's optimal table is the cheater's answer table.
     The budget counts the game's work, 2*q**(q+1), and is checked before
-    a spec is built.
+    a spec is built; ``search_size`` is all q**q answer tables, although
+    the game solver scores only the q**(q-1) with y(0) = 0, one per shift
+    class y + c.
     """
     q = field.q
     games.check_budget(q, q, 2, budget)
@@ -285,6 +287,12 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     functions of the round's own challenge only.  The revealing agent sits
     at the round-1 station and legitimately knows b_1, hence the claim per
     bit is a function of b_1.
+
+    Two shifts leave the score unchanged: (y1 + c, y2 + c*b) keeps every
+    chain value, and (y1, y2 + c) only relabels the claim counts.  So
+    the first strictly best pair in product order has y1[0] = y2[0] = 0,
+    and only those q**(2q-2) pairs are scored, in the same order; the
+    guard and ``search_size`` still count all q**(2q).
     """
     if k == 1:
         return brute_force_single(field, budget)
@@ -298,8 +306,9 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     t0 = time.perf_counter()
     best_sum, best_id = -1.0, ""
     n_hist = q * q
-    for y1 in product(range(q), repeat=q):
-        for y2 in product(range(q), repeat=q):
+    tables = _zero_first_tables(q)
+    for y1 in tables:
+        for y2 in tables:
             # best claim per observed b_1: majority of the chain value
             s = (_chain_agreement(q, y1, y2, 0) + _chain_agreement(q, y1, y2, 1)) / n_hist
             if s > best_sum:
@@ -315,6 +324,12 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
         seconds=time.perf_counter() - t0,
         strategy_id=best_id,
     )
+
+
+def _zero_first_tables(q: int) -> list[tuple]:
+    """One answer table per shift class y + c: those with y[0] = 0, in
+    product order."""
+    return [(0,) + y for y in product(range(q), repeat=q - 1)]
 
 
 def _tree2_optimal_open(
@@ -411,6 +426,11 @@ def brute_force_tree(
     (1/q**3 may be inexact) depends only on the pair (A_0, A_1); so each
     left is scored against the first right of each such pair, or against
     the first right of all when Z is empty.
+
+    (root + c, left + c*b, right + c*b) scores like (root, left, right),
+    a None staying None, so the first best triple has root[0] = 0 and
+    only those q**(q-1) roots are searched; the guard and
+    ``search_size`` still count every root.
     """
     if k != 2:
         raise ResourceGuardError("tree-protocol search supports k=2 only")
@@ -428,7 +448,7 @@ def brute_force_tree(
     n_hist = q**3
     t0 = time.perf_counter()
     best_sum, best = -1.0, None
-    for y_root in product(range(q), repeat=q):
+    for y_root in _zero_first_tables(q):
         scores = [
             (_chain_agreement(q, y_root, y_right, 0), _chain_agreement(q, y_root, y_right, 1))
             for y_right in opts_right

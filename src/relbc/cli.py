@@ -225,7 +225,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_search_budget(budget: int) -> None:
+    # a budget below 1 admits no search at all: bad input, not a refusal
+    if budget < 1:
+        raise ConfigError(f"budget: must be >= 1, got {budget}")
+
+
 def cmd_bind_oracle(args: argparse.Namespace) -> int:
+    _check_search_budget(args.budget)
     field = Field(args.q)
     report = adversary.brute_force_binding(
         args.protocol, args.k, field, reduced=not args.unreduced, budget=args.budget
@@ -248,9 +255,10 @@ def _parse_y_dist(text: str, q: int) -> tuple[Fraction, ...]:
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
+    _check_search_budget(args.budget)
     field = Field(args.q)
-    support = tuple(int(t) for t in args.support.split(",")) if args.support else None
-    y_dist = _parse_y_dist(args.y_dist, args.q) if args.y_dist else None
+    support = None if args.support is None else tuple(_int_list(args.support, "support"))
+    y_dist = None if args.y_dist is None else _parse_y_dist(args.y_dist, args.q)
     # The search budget is checked on the sizes alone, before a default
     # support or a uniform distribution of q entries is built.
     games.check_budget(

@@ -118,13 +118,23 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     """Exact classical value by exhausting the first player's tables.
 
     For a fixed f the second player's optimum decouples per input y:
-    g(y) = argmax_c sum over x of [c = x*y - f(x)], so only the q**|S|
+    g(y) = argmax_c sum over x of [c = x*y - f(x)], so only the
     f-tables are enumerated.  Ties break lexicographically for
     reproducible optimal strategies.
+
+    f + c with g - c wins on exactly the inputs that f with g does, so
+    every shift of f has the same best score, and the first strictly
+    best table in product order has f(x_0) = 0 (subtracting f(x_0) from
+    a best table gives an equal one that comes earlier).  Only those
+    q**(|S|-1) tables are scored, in the same order; the budget still
+    counts all q**|S|.
 
     The search counts in integers: each positive y_dist entry is an
     integer weight over one common denominator, a table scores the sum
     of weight x best count, and only the winner's value is a Fraction.
+    The last entry varies innermost: each y's counts over the rest of
+    the table are taken once, with their largest, top_y, and each last
+    answer a then scores sum_y w_y * max(top_y, counts_y[r_y(a)] + 1).
     """
     q = spec.field.q
     support = spec.support
@@ -134,16 +144,25 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     weights = [int(spec.y_dist[y] * den) for y in supp_y]
     # rows[j][i][a]: the answer c that wins on (x_i, supp_y[j]) when f(x_i) = a
     rows = [[[(x * y - a) % q for a in range(q)] for x in support] for y in supp_y]
+    if len(support) > 1:
+        prefixes, n_last = product((0,), *repeat(range(q), len(support) - 2)), q
+    else:  # the one entry is x_0's, fixed at 0
+        prefixes, n_last = [()], 1
+    scored = [(w, row, row[-1][:n_last]) for w, row in zip(weights, rows)]
     best_total, best_tab = -1, ()
-    for f_tab in product(range(q), repeat=len(support)):
-        total = 0
-        for w, row in zip(weights, rows):
+    for prefix in prefixes:
+        totals = [0] * n_last
+        for w, row, last_row in scored:
             counts = [0] * q
-            for r, a in zip(row, f_tab):
+            for r, a in zip(row, prefix):
                 counts[r[a]] += 1
-            total += w * max(counts)
-        if total > best_total:
-            best_total, best_tab = total, f_tab
+            top = max(counts)
+            for a, r in enumerate(last_row):
+                c = counts[r] + 1
+                totals[a] += w * (c if c > top else top)
+        for a, total in enumerate(totals):
+            if total > best_total:
+                best_total, best_tab = total, prefix + (a,)
     f = dict(zip(support, best_tab))
     g: dict[int, int] = {}
     # recounted for the winner only; index() takes the lowest best answer

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -76,6 +77,25 @@ def test_chain_oracle_q3_pinned():
     assert rep.sum.hex() == "0x1.8e38e38e38e39p+0"
     assert rep.strategy_id == "y1=(0, 0, 0), y2=(0, 0, 0)"
     assert rep.search_size == 729
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chain_agreement_is_invariant_under_the_answer_shifts(q):
+    # (y1 + c, y2 + c*b) keeps every chain value and (y1, y2 + c) only
+    # relabels the counts; a silent (None) answer stays silent.  These let
+    # the chained and tree oracles score one table per shift class.
+    rng = random.Random(q)
+    for _ in range(40):
+        y1 = tuple(rng.randrange(q) for _ in range(q))
+        y2 = tuple(rng.randrange(q) if rng.random() < 0.8 else None for _ in range(q))
+        for c in range(1, q):
+            root_shift = tuple((y + c) % q for y in y1)
+            chained = tuple(None if y is None else (y + c * b) % q for b, y in enumerate(y2))
+            relabeled = tuple(None if y is None else (y + c) % q for y in y2)
+            for d in (0, 1):
+                base = adv._chain_agreement(q, y1, y2, d)
+                assert adv._chain_agreement(q, root_shift, chained, d) == base
+                assert adv._chain_agreement(q, y1, relabeled, d) == base
 
 
 def test_chain_late_decision_achieves_oracle_value():

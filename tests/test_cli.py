@@ -229,6 +229,19 @@ def test_chsh_bad_distribution(capsys):
     assert "y-dist" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["chsh", "--q", "2", "--budget", "0"], "budget:"),
+    (["bind-oracle", "--protocol", "single", "--q", "2", "--budget", "-1"], "budget:"),
+    (["chsh", "--q", "5", "--support", ","], "support:"),
+    (["chsh", "--q", "5", "--support="], "support:"),
+    (["chsh", "--q", "3", "--y-dist="], "y-dist:"),
+])
+def test_oracle_bad_value_exit_1_naming_the_field(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + field)
+
+
 def test_bounds_table_and_inversion(capsys):
     code, out, _ = run(
         capsys, "bounds", "--k", "1,2", "--q", "2,97", "--invert-epsilon", "0.5"

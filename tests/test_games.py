@@ -160,3 +160,22 @@ def test_full_support_games_match_fraction_reference(spec):
     # full-support games the single-round oracle and the benchmark solve
     got, want = chsh_value(spec), reference_chsh_value(spec)
     assert (got.value, got.f, got.g) == (want.value, want.f, want.g)
+
+
+def test_shifting_f_by_c_and_g_by_minus_c_keeps_the_win_probability():
+    # f(x) + g(y) = x*y is unchanged by f + c, g - c: the lemma that lets
+    # chsh_value score only the tables with f(x_0) = 0
+    rng = random.Random(29)
+    for _ in range(60):
+        q = rng.choice((2, 3, 5, 7))
+        support = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
+        weights = [rng.randint(0, 4) for _ in range(q)]
+        weights[rng.randrange(q)] += 1
+        spec = GameSpec(Field(q), support, tuple(Fraction(w, sum(weights)) for w in weights))
+        f = {x: rng.randrange(q) for x in support}
+        g = {y: rng.randrange(q) for y in range(q)}
+        base = win_probability(spec, f, g)
+        for c in range(1, q):
+            shifted_f = {x: (a + c) % q for x, a in f.items()}
+            shifted_g = {y: (b - c) % q for y, b in g.items()}
+            assert win_probability(spec, shifted_f, shifted_g) == base
