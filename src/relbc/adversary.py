@@ -280,7 +280,8 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
 
 
 def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> BindingReport:
-    """Exact optimum for the chained protocol at k=2.
+    """Exact optimum for the chained protocol at k=2; k=1 is the single
+    round, and any other k is bad input (ValueError naming k).
 
     Round-2 answers cannot depend on the round-1 challenge (the signal
     arrives exactly at the deadline, too late), so both answers are
@@ -297,7 +298,7 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     if k == 1:
         return brute_force_single(field, budget)
     if k != 2:
-        raise ResourceGuardError("chained-protocol search supports k <= 2 only")
+        raise ValueError(f"k: the chained-protocol search supports k <= 2 only, got {k}")
     q = field.q
     if capped_product(chain((q, q), repeat(q, 2 * q)), budget) > budget:
         raise ResourceGuardError(
@@ -404,7 +405,8 @@ def _chain_agreement(q: int, y_root: tuple, y_node: tuple, d: int) -> int:
 def brute_force_tree(
     field: Field, k: int = 2, reduced: bool = True, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
-    """Exact optimum for the depth-2 tree protocol.
+    """Exact optimum for the depth-2 tree protocol; any other k is bad
+    input (ValueError naming k).
 
     Commit strategies: the root always answers (silence there is an
     immediate abort); depth-1 nodes answer or refuse per challenge value.
@@ -433,7 +435,7 @@ def brute_force_tree(
     ``search_size`` still count every root.
     """
     if k != 2:
-        raise ResourceGuardError("tree-protocol search supports k=2 only")
+        raise ValueError(f"k: the tree-protocol search supports k = 2 only, got {k}")
     q = field.q
     n_right = q if reduced else q + 1
     factors = chain((2, q, q, q), repeat(q, q), repeat(q + 1, q), repeat(n_right, q))
@@ -514,8 +516,8 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
 def brute_force_binding(
     kind: str, k: int, field: Field, reduced: bool = True, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
-    """Dispatch to the exact search for one protocol kind; a depth k < 1
-    raises ValueError."""
+    """Dispatch to the exact search for one protocol kind; a depth k the
+    search does not support raises ValueError."""
     if k < 1:
         raise ValueError(f"k: depth must be >= 1, got {k}")
     if kind == KIND_SINGLE:

@@ -2,9 +2,13 @@
 
 The closed forms (survival probability, half-life, communication cost,
 binding ceilings) accept exact rationals where that makes consistency
-checks exact.  The Monte Carlo side has two engines: a vectorized
-station-level walk for large sweeps, and the full event-driven simulator
-for cross-validation at small sizes.
+checks exact; they are plain Python.  The Monte Carlo side has two
+engines: a vectorized station-level walk for large sweeps, and the full
+event-driven simulator for cross-validation at small sizes.
+
+numpy is imported only inside the functions of the station walk, and
+scipy only inside ``clopper_pearson``, so a caller of the closed forms
+alone (``relbc bounds``) loads neither.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
@@ -146,6 +151,8 @@ def invert_binding_bound(k: int, epsilon: float) -> float:
     5k/sqrt(2Q) reaches the target binding parameter."""
     if not epsilon > 0:
         raise ValueError(f"epsilon: target binding parameter must be positive, got {epsilon}")
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon: target binding parameter must be finite, got {epsilon}")
     k = _real(k, "k")
     denom = 2.0 * epsilon * epsilon
     q_min = 25.0 * k * k / denom if denom else math.inf
@@ -260,6 +267,8 @@ def check_budget(
 
 
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
+    import numpy as np
+
     tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag_key])))
 
@@ -267,6 +276,8 @@ def _station_rng(seed: int, tag: str) -> np.random.Generator:
 def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Abort round per trial (0 = survived) for the chained protocol:
     one Bernoulli(p) failure chance of the active agent per round."""
+    import numpy as np
+
     rng = _station_rng(seed, "chain")
     abort = np.zeros(trials, dtype=np.int32)
     active = np.ones(trials, dtype=bool)
@@ -301,6 +312,8 @@ def tree_abort_rounds(
     rounds stays dead to the end, so m is capped there; that keeps every
     revive round inside int32 for any walk under WALK_BUDGET.
     """
+    import numpy as np
+
     rng = _station_rng(seed, "tree")
     n = n_stations
     m = min(m, k + 1)
@@ -453,6 +466,8 @@ def monte_carlo_reliability(
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
         else:
             raise ValueError(f"unknown protocol kind {kind!r}")
+        import numpy as np
+
         counts = np.bincount(aborts).tolist()
         n_ok = counts[0]
         freq = {r: c / trials for r, c in enumerate(counts) if r and c}
@@ -524,6 +539,8 @@ def abort_rate_slope(
     stations, so the fitted slope is the sharp check of the loss-tolerance
     claim (the constant in front is only approximate).
     """
+    import numpy as np
+
     reports = []
     xs, ys = [], []
     for i, mp in enumerate(mps):

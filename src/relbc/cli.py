@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import adversary, games, tree as tt
+from . import tree as tt
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Transcript, verify_fq, verify_tree
 from .sim import ResourceGuardError
@@ -177,7 +177,7 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import analysis  # numpy: loaded only by the commands that use it
+    from . import analysis  # loaded only by the commands that use it
 
     cfg = ExperimentConfig.from_args(args)
     if args.comm_samples < 1:
@@ -225,17 +225,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_search_budget(budget: int) -> None:
+def _search_budget(budget: Optional[int], default: int) -> int:
+    """``--budget``, or the search's own default when it is not given."""
+    if budget is None:
+        return default
     # a budget below 1 admits no search at all: bad input, not a refusal
     if budget < 1:
         raise ConfigError(f"budget: must be >= 1, got {budget}")
+    return budget
 
 
 def cmd_bind_oracle(args: argparse.Namespace) -> int:
-    _check_search_budget(args.budget)
+    # the exact oracles load only for the two commands that search
+    from . import adversary
+
+    budget = _search_budget(args.budget, adversary.DEFAULT_BUDGET)
     field = Field(args.q)
     report = adversary.brute_force_binding(
-        args.protocol, args.k, field, reduced=not args.unreduced, budget=args.budget
+        args.protocol, args.k, field, reduced=not args.unreduced, budget=budget
     )
     if args.pretty:
         _emit(_pretty_table([json.loads(report.to_json())]), None)
@@ -255,7 +262,9 @@ def _parse_y_dist(text: str, q: int) -> tuple[Fraction, ...]:
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
-    _check_search_budget(args.budget)
+    from . import games
+
+    budget = _search_budget(args.budget, games.DEFAULT_BUDGET)
     field = Field(args.q)
     support = None if args.support is None else tuple(_int_list(args.support, "support"))
     y_dist = None if args.y_dist is None else _parse_y_dist(args.y_dist, args.q)
@@ -265,7 +274,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
         args.q,
         args.q if support is None else len(support),
         args.q if y_dist is None else sum(1 for p in y_dist if p > 0),
-        args.budget,
+        budget,
     )
     if support is None:
         support = tuple(range(args.q))
@@ -273,7 +282,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
         spec = games.GameSpec(field, support, y_dist)
     else:
         spec = games.GameSpec.uniform(field, support)
-    value = games.chsh_value(spec, budget=args.budget)
+    value = games.chsh_value(spec, budget=budget)
     out = value.to_json(spec)
     if args.pretty:
         doc = json.loads(out)
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--q", type=int, required=True)
     bo.add_argument("--unreduced", action="store_true",
                     help="tree search without the fallback-branch reduction")
-    bo.add_argument("--budget", type=int, default=adversary.DEFAULT_BUDGET)
+    bo.add_argument("--budget", type=int)
     bo.add_argument("--out")
     bo.add_argument("--pretty", action="store_true")
     bo.set_defaults(func=cmd_bind_oracle)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform second-input distribution (the default)")
     ch.add_argument("--y-dist", dest="y_dist",
                     help="comma-separated rationals, one per residue")
-    ch.add_argument("--budget", type=int, default=games.DEFAULT_BUDGET)
+    ch.add_argument("--budget", type=int)
     ch.add_argument("--out")
     ch.add_argument("--pretty", action="store_true")
     ch.set_defaults(func=cmd_chsh)

@@ -156,9 +156,19 @@ def test_budget_guard_trips():
     with pytest.raises(ResourceGuardError):
         adv.brute_force_tree(Field(7), 2)
     with pytest.raises(ResourceGuardError):
-        adv.brute_force_chain(F2, 3)
+        adv.brute_force_chain(F3, 2, budget=1)
     with pytest.raises(ResourceGuardError):
         adv.strategy_eval(adv.honest_strategy_table(F2), budget=1)
+
+
+def test_unsupported_depth_is_bad_input_before_any_budget():
+    # a depth the search cannot do is bad input, not a refusal over a
+    # budget; it is named even where the budget would refuse the modulus
+    big = Field(10000019)
+    for search in (adv.brute_force_chain, adv.brute_force_tree):
+        for field in (F2, big):
+            with pytest.raises(ValueError, match="^k: .* got 3$"):
+                search(field, 3)
 
 
 def test_dispatcher_routes_all_kinds():

@@ -81,6 +81,12 @@ def test_invert_binding_bound():
     assert 5 * k / math.sqrt(2 * q_min) == pytest.approx(eps)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_invert_binding_bound_refuses_a_target_that_is_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="^epsilon: "):
+        an.invert_binding_bound(1, eps)
+
+
 def test_bound_table_grid():
     rows = an.bound_table([1, 2], [2, 97], [3])
     assert len(rows) == 4

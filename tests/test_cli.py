@@ -281,6 +281,26 @@ def test_bind_oracle_depth_below_1_exit_1(capsys, protocol):
     assert err.startswith("error: k:")
 
 
+@pytest.mark.parametrize("protocol", ["fq", "tree"])
+def test_bind_oracle_unsupported_depth_exit_1(capsys, protocol):
+    # exit 2 is for an input over a budget; a depth the search cannot do
+    # is bad input
+    code, out, err = run(capsys, "bind-oracle", "--protocol", protocol, "--k", "3", "--q", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: k:") and "got 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["inf", "1e400"])
+def test_bounds_non_finite_target_epsilon_exit_1(capsys, eps):
+    # 1e400 parses to inf; the row it gave was "target_epsilon": Infinity,
+    # which strict JSON cannot hold
+    code, out, err = run(capsys, "bounds", "--k", "1,10", "--invert-epsilon", eps)
+    assert code == 1 and out == ""
+    assert err.startswith("error: epsilon:") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_pretty_rendering(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "1", "--q", "2", "--pretty")
     assert code == 0
@@ -398,6 +418,17 @@ def test_config_file_wrong_type_exit_1(capsys, tmp_path, doc, field):
     assert "Traceback" not in err
 
 
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports relbc from
+    the tree under test."""
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_import_and_light_commands_load_no_scipy():
     # scipy is imported only where a command computes an interval, so
     # start-up stays cheap for every command
@@ -412,17 +443,13 @@ def test_import_and_light_commands_load_no_scipy():
         "    assert relbc.cli.dispatch(argv) == 0\n"
         "    assert not scipy_loaded(), (argv, scipy_loaded()[:5])\n"
     )
-    src = str(Path(relbc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_import_and_numpy_free_commands_load_no_numpy(tmp_path):
-    # only simulate and bounds use relbc.analysis, and with it numpy
+    # only simulate runs the station walk, the one user of numpy; bounds
+    # uses relbc.analysis for closed forms in plain Python
     transcript = tmp_path / "run.json"
     transcript.write_text(run_protocol("tree", 4, Field(97), d=1, seed=3, trial=0).transcript.to_json())
     script = (
@@ -433,16 +460,36 @@ def test_import_and_numpy_free_commands_load_no_numpy(tmp_path):
         "assert not numpy_loaded(), numpy_loaded()[:5]\n"
         "for argv in (['bind-oracle', '--protocol', 'single', '--q', '2'],\n"
         "             ['chsh', '--q', '2', '--uniform'],\n"
-        f"             ['verify-transcript', {str(transcript)!r}]):\n"
+        f"             ['verify-transcript', {str(transcript)!r}],\n"
+        "             ['bounds', '--k', '1,10', '--q', '97', '--invert-epsilon', '0.5']):\n"
         "    assert relbc.cli.dispatch(argv) == 0\n"
         "    assert not numpy_loaded(), (argv, numpy_loaded()[:5])\n"
     )
-    src = str(Path(relbc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert '"accept"' in proc.stdout
+
+
+def test_only_the_searching_commands_load_the_oracles(tmp_path):
+    # adversary and games load only for bind-oracle and chsh; chsh needs
+    # games alone
+    transcript = tmp_path / "run.json"
+    script = (
+        "import sys\n"
+        "import relbc.cli\n"
+        "def oracles():\n"
+        "    return sorted(m for m in ('relbc.adversary', 'relbc.games') if m in sys.modules)\n"
+        "assert oracles() == [], oracles()\n"
+        "for argv in (['simulate', '--protocol', 'tree', '--k', '3', '--seed', '1',\n"
+        f"              '--trials', '5', '--transcript-out', {str(transcript)!r}],\n"
+        "             ['bounds', '--k', '1,10', '--q', '97', '--invert-epsilon', '0.5'],\n"
+        f"             ['verify-transcript', {str(transcript)!r}]):\n"
+        "    assert relbc.cli.dispatch(argv) == 0\n"
+        "    assert oracles() == [], (argv, oracles())\n"
+        "assert relbc.cli.dispatch(['chsh', '--q', '2', '--uniform']) == 0\n"
+        "assert oracles() == ['relbc.games'], oracles()\n"
     )
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert '"accept"' in proc.stdout
 
