@@ -31,6 +31,8 @@ from .protocol import (
     Record,
     Reveal,
     Transcript,
+    honest_response,
+    resolve,
     tree_shares,
     verify_tree,
 )
@@ -514,20 +516,17 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
 
 
 def brute_force_binding(
-    kind: str, k: int, field: Field, reduced: bool = True, budget: int = DEFAULT_BUDGET
+    kind: str, k: int, field: Field, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
-    """Dispatch to the exact search for one protocol kind; a depth k the
-    search does not support raises ValueError."""
+    """Dispatch to the exact search for the protocol ``protocol.resolve``
+    gives; a depth k the search does not support raises ValueError."""
     if k < 1:
         raise ValueError(f"k: depth must be >= 1, got {k}")
-    if kind == KIND_SINGLE:
-        return brute_force_single(field, budget)
-    if kind == KIND_FQ:
-        return brute_force_chain(field, k, budget)
+    kind, k, _ = resolve(kind, k)
     if kind == KIND_TREE:
-        report, _ = brute_force_tree(field, k, reduced, budget)
+        report, _ = brute_force_tree(field, k, budget=budget)
         return report
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    return brute_force_chain(field, k, budget)
 
 
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int = 0) -> StrategyTable:
@@ -536,9 +535,7 @@ def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int
     a = tree_shares(k, field, derived_rng(seed, "heuristic-shares"))
 
     def respond_fn(v, b, view):
-        if v == tt.ROOT:
-            return field.add(a[tt.ROOT], field.mul(d_commit, b))
-        return field.add(a[v], field.mul(b, a[tt.parent(v)]))
+        return honest_response(v, b, a, d_commit, field)
 
     def reveal_fn(leaf, view, d):
         return a[tt.parent(leaf)]

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .field import Field
-from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE
+from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
 from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, RunResult, comm_cost, run_protocol
 
 # ---------------------------------------------------------------------------
@@ -454,18 +454,18 @@ def monte_carlo_reliability(
 
     ``engine='fast'`` runs the station-level walk (validated against the
     event engine in the test suite); ``engine='events'`` drives full
-    protocol runs and is only practical for small k*trials.
+    protocol runs and is only practical for small k*trials.  Both run,
+    and the report names, the protocol ``protocol.resolve`` gives.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    kind, k, n_stations = resolve(kind, k, n_stations)
     if engine == "fast":
         check_budget(kind, k, walk_trials=trials, n_stations=n_stations)
-        if kind in (KIND_SINGLE, KIND_FQ):
-            aborts = chain_abort_rounds(k, p, trials, seed)
-        elif kind == KIND_TREE:
+        if kind == KIND_TREE:
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
         else:
-            raise ValueError(f"unknown protocol kind {kind!r}")
+            aborts = chain_abort_rounds(k, p, trials, seed)
         import numpy as np
 
         counts = np.bincount(aborts).tolist()
@@ -502,7 +502,7 @@ def monte_carlo_reliability(
             "half-lives are null: the formula expects no abort, so they are "
             "infinite, which JSON cannot write"
         )
-    if kind in (KIND_SINGLE, KIND_FQ) and m > 1:
+    if kind != KIND_TREE and m > 1:
         # the published half-life 1/(mp) disagrees with the survival
         # formula's 1/p when m > 1; surface both
         meta["half_life_from_survival_formula"] = 1.0 / p if p else None

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import tree as tt
 from .field import Field
-from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Transcript, verify_fq, verify_tree
+from .protocol import KIND_TREE, KINDS, Transcript, resolve, verify_fq, verify_tree
 from .sim import ResourceGuardError
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
@@ -132,6 +132,7 @@ class ExperimentConfig:
             out_json=pick("out_json", None),
         )
         cfg.validate()
+        cfg.protocol, cfg.k, cfg.n_stations = resolve(cfg.protocol, cfg.k, cfg.n_stations)
         return cfg
 
 
@@ -241,9 +242,7 @@ def cmd_bind_oracle(args: argparse.Namespace) -> int:
 
     budget = _search_budget(args.budget, adversary.DEFAULT_BUDGET)
     field = Field(args.q)
-    report = adversary.brute_force_binding(
-        args.protocol, args.k, field, reduced=not args.unreduced, budget=budget
-    )
+    report = adversary.brute_force_binding(args.protocol, args.k, field, budget=budget)
     if args.pretty:
         _emit(_pretty_table([json.loads(report.to_json())]), None)
     else:
@@ -335,13 +334,11 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
     if tr.kind == KIND_TREE:
         coloring = tt.make_coloring(tr.k, tr.n_stations)
         verdict = verify_tree(tr, tr.liveness(), coloring, field)
-    elif tr.kind in (KIND_SINGLE, KIND_FQ):
+    else:
         reveal = tr.reveals.get(str(tr.k))
         if reveal is None:
             raise ConfigError("transcript: no reveal message present")
         verdict = verify_fq(tr, reveal.d, reveal.claim, field)
-    else:
-        raise ConfigError(f"transcript: unknown protocol kind {tr.kind!r}")
     _emit(
         json.dumps(
             {
@@ -360,8 +357,17 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown flag, a bad
+    value, a missing required flag) raise ConfigError, so they exit 1
+    like any other bad input instead of argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relbc",
         description="Relativistic bit-commitment laboratory: simulators, "
         "exact cheating oracles and bound tables.",
@@ -393,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     bo.add_argument("--protocol", choices=KINDS, required=True)
     bo.add_argument("--k", type=int, default=2)
     bo.add_argument("--q", type=int, required=True)
-    bo.add_argument("--unreduced", action="store_true",
-                    help="tree search without the fallback-branch reduction")
     bo.add_argument("--budget", type=int)
     bo.add_argument("--out")
     bo.add_argument("--pretty", action="store_true")
@@ -432,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
         return args.func(args)
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)

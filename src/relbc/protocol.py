@@ -2,10 +2,13 @@
 
 Three protocol kinds share one transcript format:
 
-* ``single`` — one challenge/response round, reveal at the far station.
 * ``fq``     — the k-round chained protocol on two stations.
+* ``single`` — the chained protocol at k = 1: one challenge/response
+               round, reveal at the far station.
 * ``tree``   — the loss-tolerant protocol on the colored binary (or n-ary)
                tree, one challenge/response round per node.
+
+``resolve`` is the one place that says which of these a request runs.
 
 Responses are integers in [0, q); ``None`` encodes a missing response
 (a node whose answer did not arrive in time).
@@ -24,6 +27,24 @@ KIND_SINGLE = "single"
 KIND_FQ = "fq"
 KIND_TREE = "tree"
 KINDS = (KIND_SINGLE, KIND_FQ, KIND_TREE)
+
+
+def resolve(kind: str, k: int, n_stations: int = 3) -> tuple[str, int, int]:
+    """The (kind, k, n_stations) of the protocol a request runs.
+
+    A tree runs as asked.  Any other kind is the chained protocol on two
+    stations, named ``single`` exactly when k = 1; a request for
+    ``single`` always means k = 1.  An unknown kind raises ValueError;
+    the depth is left for the caller to check.
+    """
+    if kind == KIND_TREE:
+        return kind, k, n_stations
+    if kind not in KINDS:
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    if kind == KIND_SINGLE:
+        k = 1
+    return (KIND_SINGLE if k == 1 else KIND_FQ), k, 2
+
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -132,15 +153,18 @@ class Transcript:
         """Parse a transcript document, checking its schema first.
 
         Raises ValueError naming the first field that is missing, has the
-        wrong type or is out of range: an unknown kind, k < 1, integers
-        outside their range (challenges, responses and claims in [0, q)),
-        or node labels that are not nodes of the protocol.
+        wrong type or is out of range: an unknown kind, k < 1 (k != 1 for
+        ``single``), integers outside their range (challenges, responses
+        and claims in [0, q)), or node labels that are not nodes of the
+        protocol.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
         if kind not in KINDS:
             raise ValueError(f"protocol: must be one of {KINDS}, got {kind!r}")
         k = _int_in(doc.get("k"), "k", 1, None)
+        if kind == KIND_SINGLE and k != 1:
+            raise ValueError(f"k: a single transcript is the chain at k = 1, got {k}")
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
         n_stations = doc.get("n_stations", 3)
         if kind == KIND_TREE:

@@ -24,12 +24,12 @@ from .field import Field, derived_rng
 from . import tree as tt
 from .protocol import (
     KIND_FQ,
-    KIND_SINGLE,
     KIND_TREE,
     Record,
     Reveal,
     Transcript,
     Verdict,
+    resolve,
     verify_fq,
     verify_tree,
 )
@@ -327,8 +327,8 @@ def run_chain(
         raise ResourceGuardError(
             f"chain run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
         )
-    kind = KIND_SINGLE if k == 1 else KIND_FQ
-    transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=2)
+    kind, _, n_stations = resolve(KIND_FQ, k)
+    transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
     draw_b = field.hash_stream(seed, trial, "b")
@@ -368,18 +368,15 @@ def run_protocol(
     prune_lag: int = 2,
     collect_events: bool = False,
 ) -> RunResult:
-    """Drive one protocol run with an honest receiver and an honest
-    committer of bit ``d``; preparation randomness comes from the
-    per-trial streams."""
+    """Drive one run of the protocol ``protocol.resolve`` names, with an
+    honest receiver and an honest committer of bit ``d``; preparation
+    randomness comes from the per-trial streams."""
     if d not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    if kind == KIND_SINGLE:
-        k = 1
-    if kind in (KIND_SINGLE, KIND_FQ):
-        return run_chain(k, field, d, loss, seed, trial, collect_events)
+    kind, k, n_stations = resolve(kind, k, n_stations)
     if kind == KIND_TREE:
         return run_tree(k, field, n_stations, d, loss, seed, trial, prune_lag, collect_events)
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    return run_chain(k, field, d, loss, seed, trial, collect_events)
 
 
 def comm_cost(transcript: Transcript, field: Field) -> float:

@@ -1,10 +1,13 @@
+import ast
 import random
+import re
 from itertools import product
 
 import pytest
 
 from relbc import adversary as adv
 from relbc.field import Field
+from relbc.protocol import KIND_FQ, Record, Transcript, verify_fq
 from relbc.sim import ResourceGuardError
 
 F2 = Field(2)
@@ -77,6 +80,31 @@ def test_chain_oracle_q3_pinned():
     assert rep.sum.hex() == "0x1.8e38e38e38e39p+0"
     assert rep.strategy_id == "y1=(0, 0, 0), y2=(0, 0, 0)"
     assert rep.search_size == 729
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_chain_oracle_optimum_replays_through_verify_fq(q):
+    # Rebuild the winning answer tables from the strategy string, claim the
+    # majority chain value for each (d, b_1), and let the real verifier
+    # judge the transcript of every (d, b_1, b_2).
+    field = Field(q)
+    rep = adv.brute_force_chain(field, 2)
+    tables = re.fullmatch(r"y1=(\(.*\)), y2=(\(.*\))", rep.strategy_id)
+    y1, y2 = (ast.literal_eval(t) for t in tables.groups())
+    accepts = 0
+    for d in (0, 1):
+        for b1 in range(q):
+            a1 = field.sub(y1[b1], field.mul(b1, d))
+            values = [field.sub(y2[b2], field.mul(b2, a1)) for b2 in range(q)]
+            claim = max(range(q), key=values.count)
+            for b2 in range(q):
+                tr = Transcript(kind=KIND_FQ, k=2, q=q, n_stations=2, records={
+                    "1": Record(b=b1, y=y1[b1], round=1, color=1),
+                    "2": Record(b=b2, y=y2[b2], round=2, color=2),
+                })
+                verdict = verify_fq(tr, d, claim, field)
+                accepts += verdict.outcome == "accept" and verdict.revealed == d
+    assert accepts / q**2 == rep.sum
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

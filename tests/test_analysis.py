@@ -152,6 +152,16 @@ def test_mc_engines_agree():
     assert slow.ci_lo - 0.01 <= fast.p_ok_mc <= slow.ci_hi + 0.01
 
 
+@pytest.mark.parametrize("engine", ["fast", "events"])
+def test_mc_single_request_is_the_k1_report(engine):
+    # single always means the two-station chain at k = 1, whatever the
+    # depth and station count asked for
+    kw = dict(p=0.1, m=2, trials=500, seed=3, engine=engine)
+    asked = an.monte_carlo_reliability("single", 10, n_stations=7, **kw)
+    assert asked.to_json() == an.monte_carlo_reliability("single", 1, **kw).to_json()
+    assert (asked.kind, asked.k, asked.n_stations) == ("single", 1, 2)
+
+
 def test_mc_tree_beats_chain_at_same_loss():
     kw = dict(p=0.005, m=2, trials=100_000, seed=7)
     tree = an.monte_carlo_reliability("tree", 69, **kw)

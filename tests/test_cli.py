@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -65,6 +66,27 @@ def test_simulate_without_loss_prints_strict_json(capsys, argv):
     assert doc["half_life_formula"] is None
     assert meta.get("half_life_from_survival_formula") is None
     assert "null" in meta["half_life_note"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["simulate", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+    (["chsh"], "arguments are required: --q"),
+    (["bind-oracle", "--protocol", "tree", "--q", "2", "--unreduced"],
+     "unrecognized arguments: --unreduced"),
+], ids=["unknown_flag", "bad_value", "missing_flag", "unreduced"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 is for a budget refusal; a bad command line is bad input
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["bounds", "--help"])
+    assert exc.value.code == 0
+    assert "--invert-epsilon" in capsys.readouterr().out
 
 
 def test_simulate_requires_seed(capsys):
@@ -140,6 +162,54 @@ def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "sub" / "row.csv").exists()
+
+
+@pytest.mark.parametrize("engine", ["fast", "events"])
+def test_simulate_single_is_one_round_whatever_k(capsys, engine):
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "single", "--k", "10", "--p", "0.1",
+        "--seed", "1", "--trials", "2000", "--engine", engine,
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["protocol"], doc["k"], doc["n_stations"]) == ("single", 1, 2)
+    assert list(doc["abort_round_freq"]) == ["1"]
+
+
+def test_simulate_single_at_a_huge_k_is_one_round(capsys):
+    # the walk budget is for the one round run, not for the k asked
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "single", "--k", "100000",
+        "--seed", "1", "--trials", "100000",
+    )
+    assert code == 0, err
+    assert json.loads(out)["k"] == 1
+
+
+def test_simulate_chain_reports_two_stations(capsys, tmp_path):
+    csv_path = tmp_path / "row.csv"
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "fq", "--n-stations", "42",
+        "--seed", "1", "--trials", "50", "--out-csv", str(csv_path),
+    )
+    assert code == 0, err
+    assert json.loads(out)["n_stations"] == 2
+    with csv_path.open() as f:
+        assert [row["n"] for row in csv.DictReader(f)] == ["2"]
+
+
+def test_simulate_chain_at_k1_is_single_as_transcript_and_oracle_say(capsys, tmp_path):
+    tr_path = tmp_path / "run.json"
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "fq", "--k", "1", "--seed", "1",
+        "--trials", "50", "--transcript-out", str(tr_path),
+    )
+    assert code == 0, err
+    assert json.loads(out)["protocol"] == "single"
+    assert json.loads(tr_path.read_text())["protocol"] == "single"
+    code, out, err = run(capsys, "bind-oracle", "--protocol", "fq", "--k", "1", "--q", "2")
+    assert code == 0, err
+    assert json.loads(out)["kind"] == "single"
 
 
 def test_bind_oracle_single(capsys):
@@ -340,6 +410,16 @@ def test_verify_transcript_detects_tampering(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-transcript", str(tr_path))
     assert code == 0
     assert json.loads(out)["outcome"] == "reject"
+
+
+def test_verify_transcript_single_past_k1_exit_1(capsys, tmp_path):
+    doc = json.loads(run_protocol("single", 1, Field(5), d=1, seed=3).transcript.to_json())
+    doc["k"] = 2
+    path = tmp_path / "single_k2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: transcript: k:")
 
 
 @pytest.mark.parametrize("field, value", [("records", 5), ("y", "x")])

@@ -15,6 +15,7 @@ from relbc.protocol import (
     Transcript,
     alpha_chain,
     honest_response,
+    resolve,
     tree_shares,
     verify_fq,
     verify_tree,
@@ -258,6 +259,25 @@ def test_transcript_from_json_checks_schema(edit, name):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(name)):
         Transcript.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("asked, runs", [
+    ((KIND_TREE, 5, 4), (KIND_TREE, 5, 4)),
+    ((KIND_FQ, 5, 4), (KIND_FQ, 5, 2)),
+    ((KIND_FQ, 1, 3), (KIND_SINGLE, 1, 2)),
+    ((KIND_SINGLE, 10, 42), (KIND_SINGLE, 1, 2)),
+    ((KIND_SINGLE, 1, 3), (KIND_SINGLE, 1, 2)),
+])
+def test_resolve_names_the_protocol_a_request_runs(asked, runs):
+    # a tree runs as asked; anything else is the two-station chain, named
+    # single exactly at k = 1, and single always means k = 1
+    assert resolve(*asked) == runs
+    assert resolve(*runs) == runs
+
+
+def test_resolve_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown protocol kind 'ring'"):
+        resolve("ring", 3)
 
 
 def test_exhaustive_hiding_small():
