@@ -52,18 +52,18 @@ def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
 
     Exact Fractions in give an exact Fraction out.  The tree formula is an
     approximation valid for mp << 1 and m << k; callers report that
-    caveat, not this function.
+    caveat, not this function.  The formula is that of the protocol
+    ``protocol.resolve`` gives, so ``single`` is one round.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"death probability must be in [0,1], got {p}")
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    if kind in (KIND_SINGLE, KIND_FQ):
-        return (1 - p) ** k
+    kind, k, n_stations = resolve(kind, k, n_stations)
     if kind == KIND_TREE:
         q = per_round_loss_prob(n_stations, m * p)
         return (1 - q) ** k
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    return (1 - p) ** k
 
 
 def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
@@ -175,13 +175,13 @@ def _real(value: int, name: str) -> float:
 
 def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
     """Published communication cost: 2k*log2(Q) for the chained protocol,
-    k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N."""
+    k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N,
+    for the protocol ``protocol.resolve`` gives."""
+    kind, k, _ = resolve(kind, k)
     log2q = math.log2(q_modulus)
-    if kind in (KIND_SINGLE, KIND_FQ):
-        return 2 * k * log2q
     if kind == KIND_TREE:
         return k * 2 ** (prune_lag + 2) * log2q
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    return 2 * k * log2q
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -238,8 +238,10 @@ def check_budget(
     The walk keeps every trial's state at once: an int32 revive round per
     station, the int32 abort round and the current color in the smallest
     integer type that holds n_stations, which ``4 * n_stations + 16``
-    bytes per trial covers.
+    bytes per trial covers.  The sizes are those of the protocol
+    ``protocol.resolve`` gives.
     """
+    kind, k, n_stations = resolve(kind, k, n_stations)
     rounds = k + 1 if kind == KIND_TREE else k
     if rounds * walk_trials > WALK_BUDGET:
         raise ResourceGuardError(

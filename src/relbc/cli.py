@@ -263,6 +263,10 @@ def _parse_y_dist(text: str, q: int) -> tuple[Fraction, ...]:
 def cmd_chsh(args: argparse.Namespace) -> int:
     from . import games
 
+    if args.uniform and args.y_dist is not None:
+        raise ConfigError(
+            "y-dist: --uniform and --y-dist each set the second input's distribution; give one"
+        )
     budget = _search_budget(args.budget, games.DEFAULT_BUDGET)
     field = Field(args.q)
     support = None if args.support is None else tuple(_int_list(args.support, "support"))
@@ -408,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--q", type=int, required=True)
     ch.add_argument("--support", help="comma-separated residues for the first input")
     ch.add_argument("--uniform", action="store_true",
-                    help="uniform second-input distribution (the default)")
+                    help="uniform second-input distribution (the default; "
+                         "not with --y-dist)")
     ch.add_argument("--y-dist", dest="y_dist",
                     help="comma-separated rationals, one per residue")
     ch.add_argument("--budget", type=int)

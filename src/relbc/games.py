@@ -125,9 +125,16 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     f + c with g - c wins on exactly the inputs that f with g does, so
     every shift of f has the same best score, and the first strictly
     best table in product order has f(x_0) = 0 (subtracting f(x_0) from
-    a best table gives an equal one that comes earlier).  Only those
-    q**(|S|-1) tables are scored, in the same order; the budget still
-    counts all q**|S|.
+    a best table gives an equal one that comes earlier).  When y is
+    uniform on F_q, f + t*x with g(. - t) wins at (x, y) exactly when f
+    with g wins at (x, y - t), and y - t is uniform too, so every
+    translation of f also has the same best score.  As x_1 != x_0, some
+    t and c take any best table to one with f(x_0) = f(x_1) = 0; f(x_1)
+    is the most significant free digit, so the block f(x_1) = 0 comes
+    first, holds a best table, and so holds the first one.  Only the
+    q**(|S|-1) tables with f(x_0) = 0, or under a uniform y the
+    q**(|S|-2) with f(x_0) = f(x_1) = 0, are scored, in the same order;
+    the budget still counts all q**|S|.
 
     The search counts in integers: each positive y_dist entry is an
     integer weight over one common denominator, a table scores the sum
@@ -144,10 +151,10 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     weights = [int(spec.y_dist[y] * den) for y in supp_y]
     # rows[j][i][a]: the answer c that wins on (x_i, supp_y[j]) when f(x_i) = a
     rows = [[[(x * y - a) % q for a in range(q)] for x in support] for y in supp_y]
-    if len(support) > 1:
-        prefixes, n_last = product((0,), *repeat(range(q), len(support) - 2)), q
-    else:  # the one entry is x_0's, fixed at 0
-        prefixes, n_last = [()], 1
+    # the leading entries fixed at 0 (see above); the last one is innermost
+    n_fixed = min(len(support), 2 if len(set(spec.y_dist)) == 1 else 1)
+    digits = [(0,)] * n_fixed + [range(q)] * (len(support) - n_fixed)
+    prefixes, n_last = product(*digits[:-1]), len(digits[-1])
     scored = [(w, row, row[-1][:n_last]) for w, row in zip(weights, rows)]
     best_total, best_tab = -1, ()
     for prefix in prefixes:

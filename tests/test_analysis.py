@@ -14,6 +14,13 @@ def test_p_ok_chain_formula():
     assert exact == Fraction(99, 100) ** 2
 
 
+def test_closed_forms_and_budget_treat_single_as_one_round():
+    # protocol.resolve: a single request is the chain at k = 1, whatever k
+    assert an.p_ok_formula("single", 0.1, 1, 10) == pytest.approx(0.9)
+    assert an.comm_bits_formula("single", 10, 97) == pytest.approx(2 * math.log2(97))
+    an.check_budget("single", 100_000, walk_trials=100_000)
+
+
 def test_tree_q_formula_examples():
     q = an.per_round_loss_prob(3, Fraction(1, 100))
     assert q == Fraction(3, 10**4) + Fraction(1, 10**6)  # 3.01e-4

@@ -293,6 +293,16 @@ def test_chsh_custom_distribution(capsys):
     assert json.loads(out)["value_float"] == 1.0
 
 
+def test_chsh_uniform_with_a_y_dist_exit_1_naming_both_flags(capsys):
+    code, out, err = run(capsys, "chsh", "--q", "3", "--uniform", "--y-dist", "1,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: y-dist:") and "--uniform" in err and "--y-dist" in err
+
+
+def test_chsh_uniform_flag_is_the_default(capsys):
+    assert run(capsys, "chsh", "--q", "3", "--uniform") == run(capsys, "chsh", "--q", "3")
+
+
 def test_chsh_bad_distribution(capsys):
     code, _, err = run(capsys, "chsh", "--q", "3", "--y-dist", "1,1")
     assert code == 1

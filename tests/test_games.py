@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -179,3 +179,33 @@ def test_shifting_f_by_c_and_g_by_minus_c_keeps_the_win_probability():
             shifted_f = {x: (a + c) % q for x, a in f.items()}
             shifted_g = {y: (b - c) % q for y, b in g.items()}
             assert win_probability(spec, shifted_f, shifted_g) == base
+
+
+def test_translating_f_by_t_x_and_g_by_t_keeps_the_win_probability_under_uniform_y():
+    # f(x) + t*x + g(y - t) = x*y exactly when f(x) + g(y - t) = x*(y - t),
+    # and y - t is uniform when y is: the lemma that lets chsh_value fix
+    # f(x_1) = 0 as well under a uniform y
+    rng = random.Random(31)
+    for _ in range(60):
+        q = rng.choice((2, 3, 5, 7))
+        support = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
+        spec = GameSpec.uniform(Field(q), support)
+        f = {x: rng.randrange(q) for x in support}
+        g = {y: rng.randrange(q) for y in range(q)}
+        base = win_probability(spec, f, g)
+        for t in range(1, q):
+            moved_f = {x: (a + t * x) % q for x, a in f.items()}
+            moved_g = {y: g[(y - t) % q] for y in range(q)}
+            assert win_probability(spec, moved_f, moved_g) == base
+
+
+@pytest.mark.parametrize("q, max_size", [(2, 2), (3, 3), (5, 4), (7, 3)])
+def test_every_small_uniform_game_matches_fraction_reference(q, max_size):
+    # every support of up to max_size entries: pins the tie-break of the
+    # search that fixes f(x_0) = f(x_1) = 0 under a uniform y
+    field = Field(q)
+    for size in range(1, max_size + 1):
+        for support in combinations(range(q), size):
+            spec = GameSpec.uniform(field, support)
+            got, want = chsh_value(spec), reference_chsh_value(spec)
+            assert (got.value, got.f, got.g) == (want.value, want.f, want.g), support
