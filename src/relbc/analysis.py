@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -26,7 +27,15 @@ if TYPE_CHECKING:
 
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
-from .sim import EVENT_MAX_K, LossModel, ResourceGuardError, RunResult, comm_cost, run_protocol
+from .sim import (
+    EVENT_MAX_K,
+    LossModel,
+    ResourceGuardError,
+    RunResult,
+    capped_product,
+    comm_cost,
+    run_protocol,
+)
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -176,12 +185,27 @@ def _real(value: int, name: str) -> float:
 def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
     """Published communication cost: 2k*log2(Q) for the chained protocol,
     k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N,
-    for the protocol ``protocol.resolve`` gives."""
+    for the protocol ``protocol.resolve`` gives.  ValueError, naming N
+    (k for the chain), when the cost is too large for a float.
+
+    The tree's 2^(N+2) scales the float exponent: the same bits as the
+    integer product, without building 2^(N+2) for a huge N."""
     kind, k, _ = resolve(kind, k)
     log2q = math.log2(q_modulus)
-    if kind == KIND_TREE:
-        return k * 2 ** (prune_lag + 2) * log2q
-    return 2 * k * log2q
+    try:
+        bits = math.ldexp(k * log2q, prune_lag + 2) if kind == KIND_TREE else 2 * k * log2q
+    except OverflowError:
+        bits = math.inf
+    if not math.isfinite(bits):
+        if kind == KIND_TREE:
+            raise ValueError(
+                f"N: the tree cost k*2^(N+2)*log2(Q) is too large for a float "
+                f"at k={k}, N={prune_lag}, Q={q_modulus}"
+            )
+        raise ValueError(
+            f"k: the chain cost 2k*log2(Q) is too large for a float at k={k}, Q={q_modulus}"
+        )
+    return bits
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -260,11 +284,19 @@ def check_budget(
         raise ResourceGuardError(
             f"event-engine run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K}"
         )
-    per_run = rounds * (n_stations - 1) ** min(prune_lag, k) if kind == KIND_TREE else k
-    if event_runs * per_run > EVENT_BUDGET:
+    # A tree run schedules up to (n-1)^min(N, k) nodes a round.  The total
+    # is multiplied out one factor at a time, so a deep lag is refused
+    # without computing (n-1)^N, and the message gives the factors.
+    if kind == KIND_TREE:
+        lag = min(prune_lag, k)
+        factors = chain((event_runs, rounds), repeat(n_stations - 1, lag))
+        per_run = f"{rounds} x {n_stations - 1}**{lag}"
+    else:
+        factors, per_run = (event_runs, k), f"{k}"
+    if capped_product(factors, EVENT_BUDGET) > EVENT_BUDGET:
         raise ResourceGuardError(
-            f"{event_runs} event-engine runs of up to {per_run} nodes = "
-            f"{event_runs * per_run} scheduled nodes exceed the budget of {EVENT_BUDGET}"
+            f"{event_runs} event-engine runs x {per_run} scheduled nodes exceed "
+            f"the budget EVENT_BUDGET = {EVENT_BUDGET}"
         )
 
 
@@ -579,6 +611,10 @@ CSV_COLUMNS = [
     "comm_bits_formula",
     "half_life_formula",
 ]
+
+
+# Event-engine runs behind a report's comm_bits_mean, at most one per trial.
+COMM_SAMPLES = 16
 
 
 def measure_comm_bits(

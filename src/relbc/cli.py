@@ -6,6 +6,12 @@ Subcommands: ``simulate`` (Monte Carlo reliability runs), ``bind-oracle``
 exported transcript).  Machine-readable JSON/CSV is the primary output;
 ``--pretty`` renders the same data as text tables.
 
+``simulate`` runs the event engine only for output it prints: the
+``analysis.COMM_SAMPLES`` cost samples only for a table (``--out-csv`` or
+``--pretty``, whose rows have the cost columns), one run for
+``--transcript-out``, and every trial under ``--engine events``.  Its one
+work-budget check counts exactly those runs.
+
 Exit codes: 0 success, 1 validation error, 2 enumeration-budget refusal.
 All randomness flows from the ``--seed`` argument through named substreams
 (per trial, per station, per node), so repeated runs are byte-identical.
@@ -181,10 +187,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import analysis  # loaded only by the commands that use it
 
     cfg = ExperimentConfig.from_args(args)
-    if args.comm_samples < 1:
-        raise ConfigError(f"comm-samples: must be >= 1, got {args.comm_samples}")
-    comm_samples = min(cfg.trials, args.comm_samples)
-    # Every work budget is checked here, before the walk or any run starts.
+    # Only a printed table (CSV or --pretty) has the cost columns, so only
+    # then do the cost samples run.
+    table = bool(cfg.out_csv or args.pretty)
+    comm_samples = min(cfg.trials, analysis.COMM_SAMPLES) if table else 0
+    # Every work budget is checked here, before the walk or any run starts,
+    # on exactly the event-engine runs that follow.
     events = cfg.engine == "events"
     analysis.check_budget(
         cfg.protocol, cfg.k,
@@ -192,6 +200,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         event_runs=comm_samples + bool(args.transcript_out) + (cfg.trials if events else 0),
         n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
     )
+    if table:
+        # a cost formula too large for a float is bad input, refused before the walk
+        analysis.comm_bits_formula(cfg.protocol, cfg.k, cfg.q, cfg.prune_lag)
     rep = analysis.monte_carlo_reliability(
         cfg.protocol,
         cfg.k,
@@ -204,11 +215,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         q_modulus=cfg.q,
         prune_lag=cfg.prune_lag,
     )
-    comm_mean = analysis.measure_comm_bits(
-        cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
-        n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
-    )
-    row = analysis.report_row(rep, cfg.q, cfg.prune_lag, comm_mean)
     if args.transcript_out:
         from .sim import LossModel, run_protocol
         res = run_protocol(
@@ -217,11 +223,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
         )
         _emit(res.transcript.to_json() + "\n", args.transcript_out)
-    if cfg.out_csv:
-        _emit(analysis.rows_to_csv([row]), cfg.out_csv)
-    if args.pretty:
-        _emit(_pretty_table([row]), None)
-    else:
+    if table:
+        comm_mean = analysis.measure_comm_bits(
+            cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
+            n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
+        )
+        row = analysis.report_row(rep, cfg.q, cfg.prune_lag, comm_mean)
+        if cfg.out_csv:
+            _emit(analysis.rows_to_csv([row]), cfg.out_csv)
+        if args.pretty:
+            _emit(_pretty_table([row]), None)
+    # --pretty replaces stdout only: --out-json is written whenever given
+    if cfg.out_json or not args.pretty:
         _emit(rep.to_json() + "\n", cfg.out_json)
     return 0
 
@@ -390,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--trials", type=int)
     sim.add_argument("--engine", choices=("fast", "events"))
-    sim.add_argument("--out-csv", dest="out_csv")
-    sim.add_argument("--out-json", dest="out_json")
+    sim.add_argument("--out-csv", dest="out_csv",
+                     help="also write the report row, cost columns included, as CSV")
+    sim.add_argument("--out-json", dest="out_json", help="write the JSON report here, not to stdout")
     sim.add_argument("--transcript-out", help="also export one replayable transcript")
     sim.add_argument("--commit-bit", type=int, default=0, choices=(0, 1))
-    sim.add_argument("--comm-samples", type=int, default=16,
-                     help="event-driven runs used for the measured cost column")
-    sim.add_argument("--pretty", action="store_true")
+    sim.add_argument("--pretty", action="store_true",
+                     help="print the report row, cost columns included, as a table")
     sim.set_defaults(func=cmd_simulate)
 
     bo = sub.add_parser("bind-oracle", help="exact sum-binding search")

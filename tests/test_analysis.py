@@ -116,6 +116,31 @@ def test_comm_bits_formula():
     )
 
 
+@pytest.mark.parametrize("k, q", [(1, 2), (3, 97), (200, 101), (5000, 2**61 - 1)])
+def test_comm_bits_formula_is_the_integer_product_up_to_a_float_overflow(k, q):
+    def published(n):
+        try:
+            return k * 2 ** (n + 2) * math.log2(q)
+        except OverflowError:  # the integer product is past any float
+            return math.inf
+
+    # 3*2^(N+2)*log2(97) is finite up to N = 1017 and overflows from 1018
+    last = max(n for n in range(1, 1030) if published(n) < math.inf)
+    for n in (1, 2, 10, last - 1, last):
+        assert an.comm_bits_formula("tree", k, q, prune_lag=n) == published(n)
+    for n in (last + 1, last + 4, 10**30):
+        with pytest.raises(ValueError, match=r"^N: .*too large for a float"):
+            an.comm_bits_formula("tree", k, q, prune_lag=n)
+    if (k, q) == (3, 97):
+        assert last == 1017
+
+
+def test_comm_bits_formula_refuses_a_chain_too_long_for_a_float():
+    assert an.comm_bits_formula("fq", 10**300, 2) == 2e300
+    with pytest.raises(ValueError, match=r"^k: .*too large for a float"):
+        an.comm_bits_formula("fq", 10**400, 2)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 1e-6])
 @pytest.mark.parametrize("trials", [1, 64, 10**4, 10**6])
 def test_clopper_pearson_matches_beta_ppf(trials, alpha):
@@ -287,7 +312,8 @@ def test_tree_walk_caps_the_dead_time_at_the_walk_length():
 
 
 def test_work_budgets_admit_the_readme_and_benchmark_sizes():
-    # README: k=200 x 100k-trial walk plus 16 cost runs and a transcript
+    # README: k=200 x 100k-trial walk, printed as a table (16 cost runs),
+    # with a transcript
     an.check_budget("tree", 200, walk_trials=100_000, event_runs=17)
     # criterion-6 sweep, chain point and the engine cross-check
     an.check_budget("tree", 200, walk_trials=100_000)
@@ -306,6 +332,9 @@ def test_work_budgets_refuse_before_any_work():
         an.measure_comm_bits("tree", an.EVENT_MAX_K + 1, 101, 0.0, 1, seed=1, samples=1)
     with pytest.raises(an.ResourceGuardError, match="scheduled nodes exceed"):
         an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
+    # (n-1)^N past 4300 digits is refused by its factors, never formatted
+    with pytest.raises(an.ResourceGuardError, match=r"5001 x 10\*\*4400 scheduled nodes .*EVENT_BUDGET"):
+        an.check_budget("tree", an.EVENT_MAX_K, event_runs=5, n_stations=11, prune_lag=4400)
     # the exact boundary is admitted
     an.check_budget("fq", 1000, walk_trials=huge // 1000)
     # one round, but more trials than the walk can hold in memory at once;

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,7 +75,9 @@ def test_simulate_without_loss_prints_strict_json(capsys, argv):
     (["chsh"], "arguments are required: --q"),
     (["bind-oracle", "--protocol", "tree", "--q", "2", "--unreduced"],
      "unrecognized arguments: --unreduced"),
-], ids=["unknown_flag", "bad_value", "missing_flag", "unreduced"])
+    (["simulate", "--seed", "1", "--comm-samples", "16"],
+     "unrecognized arguments: --comm-samples 16"),
+], ids=["unknown_flag", "bad_value", "missing_flag", "unreduced", "comm_samples"])
 def test_usage_errors_exit_1(capsys, argv, message):
     # exit 2 is for a budget refusal; a bad command line is bad input
     code, out, err = run(capsys, *argv)
@@ -227,9 +230,13 @@ def test_bind_oracle_budget_refusal_exit_2(capsys):
 def test_simulate_over_a_work_budget_exit_2_at_once(capsys):
     cases = [
         (["--k", "1000000000", "--p", "0.001", "--trials", "1"], "1000000001 trial-rounds"),
-        (["--k", "5001", "--trials", "1"], "per-run cap of 5000"),
+        (["--k", "5001", "--trials", "1", "--pretty"], "per-run cap of 5000"),
         (["--k", "100", "--trials", "100000", "--engine", "events"], "scheduled nodes"),
-        (["--k", "100", "--trials", "100000", "--comm-samples", "100000"], "scheduled nodes"),
+        # 16 cost samples x 5001 x 2**5 = 2560512 nodes
+        (["--k", "5000", "--N", "5", "--trials", "16", "--pretty"], "scheduled nodes"),
+        # 10**4400 nodes a run is refused by its factors, not formatted
+        (["--k", "5000", "--n-stations", "11", "--N", "4400", "--trials", "5", "--pretty"],
+         "EVENT_BUDGET"),
     ]
     for flags, size in cases:
         t0 = time.process_time()
@@ -257,19 +264,92 @@ def test_oracle_over_budget_exit_2_at_once(capsys):
         assert err.startswith("refused:") and budget in err, argv
 
 
-def test_simulate_comm_samples_below_one_exit_1(capsys):
+@pytest.mark.parametrize("flags, runs", [
+    (("--trials", "100"), 0),
+    (("--trials", "100", "--pretty"), 16),
+    (("--trials", "100", "--out-csv", "row.csv"), 16),
+    (("--trials", "5", "--pretty", "--out-csv", "row.csv"), 5),
+    (("--trials", "100", "--transcript-out", "run.json"), 1),
+    (("--trials", "100", "--pretty", "--transcript-out", "run.json"), 17),
+    (("--trials", "30", "--engine", "events"), 30),
+    (("--trials", "30", "--engine", "events", "--pretty"), 46),
+], ids=["json", "pretty", "csv", "few_trials", "transcript", "pretty_transcript",
+        "events", "events_pretty"])
+def test_simulate_runs_the_event_engine_only_for_output_it_prints(
+    capsys, monkeypatch, tmp_path, flags, runs
+):
+    # the cost samples run only for a printed table, at most one per trial
+    import relbc.analysis
+    import relbc.sim
+
+    real, calls = relbc.sim.run_protocol, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relbc.sim, "run_protocol", counted)
+    monkeypatch.setattr(relbc.analysis, "run_protocol", counted)
+    monkeypatch.setenv("RELBC_OUT_DIR", str(tmp_path))
     code, _, err = run(
-        capsys, "simulate", "--protocol", "fq", "--k", "3", "--seed", "1",
-        "--trials", "5", "--comm-samples", "0",
+        capsys, "simulate", "--protocol", "tree", "--k", "8", "--p", "0.05",
+        "--seed", "1", *flags,
     )
-    assert code == 1
-    assert "comm-samples" in err
+    assert code == 0, err
+    assert len(calls) == runs
+
+
+def test_simulate_past_the_event_cap_prints_its_walk(capsys):
+    # the JSON report runs no event engine, so the per-run cap is not asked
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "tree", "--k", "5001", "--trials", "1", "--seed", "1",
+    )
+    assert code == 0, err
+    assert json.loads(out)["k"] == 5001
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_simulate_writes_out_json_whenever_given(capsys, tmp_path, pretty):
+    argv = ["simulate", "--protocol", "tree", "--k", "6", "--p", "0.05", "--seed", "2",
+            "--trials", "50"]
+    code, report, err = run(capsys, *argv)
+    assert code == 0, err
+    path = tmp_path / "o.json"
+    code, out, err = run(capsys, *argv, "--out-json", str(path), *(["--pretty"] if pretty else []))
+    assert code == 0, err
+    assert path.read_text() == report
+    # --pretty replaces stdout; without it the report goes to the file alone
+    assert out.startswith("protocol  ") if pretty else out == ""
+
+
+def test_simulate_tree_cost_past_a_float_exit_1_before_the_walk(capsys, tmp_path):
+    argv = ("simulate", "--protocol", "tree", "--k", "3", "--p", "0.1", "--seed", "1")
+    # at k=3, q=97 the cost 3*2^(N+2)*log2(97) is a finite float up to N = 1017
+    csv_path = tmp_path / "row.csv"
+    code, _, err = run(capsys, *argv, "--N", "1017", "--trials", "5", "--out-csv", str(csv_path))
+    assert code == 0, err
+    with csv_path.open() as f:
+        assert math.isfinite(float(next(csv.DictReader(f))["comm_bits_formula"]))
+    # 1.2e8 trial-rounds of walk would take seconds; the check comes first
+    for lag, pretty in (("1018", False), ("1021", True)):
+        t0 = time.process_time()
+        code, out, err = run(
+            capsys, *argv, "--N", lag, "--trials", "30000000",
+            *(["--pretty"] if pretty else ["--out-csv", str(tmp_path / "bad.csv")]),
+        )
+        assert time.process_time() - t0 < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: N:") and "Traceback" not in err
+    assert not (tmp_path / "bad.csv").exists()
+    # the JSON report has no cost column, so the lag does not matter to it
+    code, _, err = run(capsys, *argv, "--N", "1021", "--trials", "5")
+    assert code == 0, err
 
 
 def test_simulate_tree_over_eleven_stations_exit_1(capsys):
     # a node label spends one digit per level, so a node has at most ten
-    # children; the fast engine would build no labels, but the cost
-    # samples run the event engine
+    # children; the cap holds for every tree request, so that a report's
+    # labels and transcripts are always possible
     code, out, err = run(
         capsys, "simulate", "--protocol", "tree", "--k", "4", "--seed", "1",
         "--trials", "5", "--n-stations", "12",
@@ -650,3 +730,40 @@ def test_verify_transcript_fuzz_exits_cleanly(tmp_path_factory, doc):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+def _small_or_wild(small, wild):
+    """A small value, or one time in eight a wild one, as a flag value."""
+    return st.integers(0, 7).flatmap(lambda i: small if i else st.sampled_from(wild)).map(str)
+
+
+# Small values keep an accepted run under about 10^4 trial-rounds and 10^4
+# scheduled nodes: a tree run schedules at most (k+1)*(n-1)^min(N, k) =
+# 5*3^4 nodes, over at most 8 trials and 8 cost samples, and a walk is at
+# most 5*8 trial-rounds.  A wild value is out of range, or so large that
+# the walk or the event budget refuses it; a huge lag or dead time is
+# accepted, and then bounded by k.
+SIMULATE_FLAGS = st.fixed_dictionaries({
+    "--protocol": st.sampled_from(["tree", "fq", "single"]),
+    "--k": _small_or_wild(st.integers(1, 4), [0, -1, 10**10, 10**30]),
+    "--N": _small_or_wild(st.integers(1, 3), [0, -2, 1018, 10**4, 10**30]),
+    "--n-stations": _small_or_wild(st.integers(3, 4), [0, 2, 12, 10**9]),
+    "--m": _small_or_wild(st.integers(1, 5), [0, -1, 3_000_000_000, 10**30]),
+    "--trials": _small_or_wild(st.integers(1, 8), [0, -1, 10**12]),
+    "--p": _small_or_wild(st.floats(0, 1), [math.nan, math.inf, -math.inf, -0.5, 1.5]),
+    "--engine": st.sampled_from(["fast", "events"]),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=SIMULATE_FLAGS, pretty=st.booleans())
+def test_simulate_fuzz_exits_cleanly(flags, pretty):
+    argv = ["simulate", "--seed", "1", *(x for kv in flags.items() for x in kv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv + ["--pretty"] * pretty)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: " if code == 1 else "refused: ")

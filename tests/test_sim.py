@@ -7,6 +7,7 @@ from relbc.field import Field
 from relbc.protocol import Transcript, honest_response, verify_tree
 from relbc.sim import (
     EVENT_MAX_K,
+    Event,
     Geometry,
     LossModel,
     ResourceGuardError,
@@ -81,6 +82,29 @@ def test_event_log_causality_clean():
     )
     assert validate_causality(res.events, Geometry(n_stations=3)) == []
     assert any(ev.kind == "challenge" for ev in res.events)
+
+
+def _log(*deps_at):
+    """A hand-built log: a challenge at station 1, time 0, then one event
+    per (time, station) pair that depends on it."""
+    events = [Event(0, 1, "challenge", "", 0, ())]
+    events += [Event(t, loc, "response", "0", 0, (0,)) for t, loc in deps_at]
+    return events
+
+
+def test_causality_checker_flags_acausal_logs():
+    geometry = Geometry(n_stations=3)
+    # another station learns of the challenge strictly after one unit of time
+    assert validate_causality(_log((2, 2), (5, 3)), geometry) == []
+    # ... and not at the instant light arrives (src.time + 1 >= ev.time)
+    assert len(validate_causality(_log((1, 2), (2, 3)), geometry)) == 1
+    assert len(validate_causality(_log((0, 2), (1, 3)), geometry)) == 2
+    # the same station knows it at once, but never before it happens
+    assert validate_causality(_log((0, 1), (3, 1)), geometry) == []
+    violations = validate_causality(
+        [Event(3, 1, "challenge", "", 0, ()), Event(2, 1, "response", "", 0, (0,))], geometry
+    )
+    assert violations == ["event #1 (response@'', t=2, L1) depends on #0 (challenge@'', t=3, L1)"]
 
 
 def test_pruning_lag1_message_counts():
