@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .field import Field, derived_rng
 from . import games, tree as tt
@@ -256,10 +256,16 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
     That is CHSH_q with x = b uniform on F_q and the second input d
     uniform on {0, 1}: the sum of both opens is twice the game's value,
     and the first player's optimal table is the cheater's answer table.
-    The budget counts the game's work, 2*q**(q+1), and is checked before
-    a spec is built; ``search_size`` is all q**q answer tables, although
-    the game solver scores only the q**(q-1) with y(0) = 0, one per shift
-    class y + c.
+
+    At q > 2 the second input has fewer values than the first, so the
+    game solver enumerates the claim pairs (alpha_0, alpha_1) with
+    alpha_0 = 0, q of them, and takes y(b) per b as the best reply; the
+    reported table is the first best answer table in product order, as
+    an enumeration of every y would give (see
+    ``games._second_player_search``).  The budget counts the game's work
+    on the side it searches (q**2 claim pairs x q x 2 at q > 2) and is
+    checked before a spec is built; ``search_size`` is all q**q answer
+    tables.
     """
     q = field.q
     games.check_budget(q, q, 2, budget)
@@ -293,29 +299,42 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
 
     Two shifts leave the score unchanged: (y1 + c, y2 + c*b) keeps every
     chain value, and (y1, y2 + c) only relabels the claim counts.  So
-    the first strictly best pair in product order has y1[0] = y2[0] = 0,
-    and only those q**(2q-2) pairs are scored, in the same order; the
-    guard and ``search_size`` still count all q**(2q).
+    the first strictly best pair in product order (y1 outer, y2 inner)
+    has y1[0] = y2[0] = 0, and only tables with a zero first entry are
+    searched.
+
+    Only y2 is enumerated: with h(a) = ``_best_count(q, y2, a)`` a pair
+    scores sum over b_1 of h(y1[b_1]) + h(y1[b_1] - b_1), so y1 is the
+    best reply to y2 per b_1.  The best y1 for one y2 are a product of
+    per-b_1 argmax sets, whose least member takes the lowest best answer
+    at each b_1; the first best pair is the least such y1 over the best
+    y2, with the first y2 that gives it.  The guard counts the q**q
+    y2-tables x q**2 searched; ``search_size`` counts all q**(2q) pairs.
     """
     if k == 1:
         return brute_force_single(field, budget)
     if k != 2:
         raise ValueError(f"k: the chained-protocol search supports k <= 2 only, got {k}")
     q = field.q
-    if capped_product(chain((q, q), repeat(q, 2 * q)), budget) > budget:
+    if capped_product(repeat(q, q + 2), budget) > budget:
         raise ResourceGuardError(
-            f"chained search of {q}**{2 * q} answer tables x {q}**2 exceeds the budget of {budget}"
+            f"chained search of {q}**{q} y2 tables x {q}**2 exceeds the budget of {budget}"
         )
     t0 = time.perf_counter()
-    best_sum, best_id = -1.0, ""
-    n_hist = q * q
-    tables = _zero_first_tables(q)
-    for y1 in tables:
-        for y2 in tables:
-            # best claim per observed b_1: majority of the chain value
-            s = (_chain_agreement(q, y1, y2, 0) + _chain_agreement(q, y1, y2, 1)) / n_hist
-            if s > best_sum:
-                best_sum, best_id = s, f"y1={y1}, y2={y2}"
+    best_wins, best = -1, None
+    for y2 in _zero_first_tables(q):
+        h = [_best_count(q, y2, a) for a in range(q)]
+        wins, y1 = 2 * h[0], [0]
+        for b1 in range(1, q):
+            scores = [h[a] + h[(a - b1) % q] for a in range(q)]
+            top = max(scores)
+            wins += top
+            y1.append(scores.index(top))
+        y1 = tuple(y1)
+        if wins > best_wins or (wins == best_wins and y1 < best[0]):
+            best_wins, best = wins, (y1, y2)
+    best_sum = best_wins / (q * q)
+    y1, y2 = best
     return BindingReport(
         kind=KIND_FQ,
         k=2,
@@ -325,14 +344,14 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
         bound=reference_bound(KIND_FQ, 2, q),
         search_size=q ** (2 * q),
         seconds=time.perf_counter() - t0,
-        strategy_id=best_id,
+        strategy_id=f"y1={y1}, y2={y2}",
     )
 
 
-def _zero_first_tables(q: int) -> list[tuple]:
+def _zero_first_tables(q: int) -> Iterator[tuple]:
     """One answer table per shift class y + c: those with y[0] = 0, in
     product order."""
-    return [(0,) + y for y in product(range(q), repeat=q - 1)]
+    return ((0,) + y for y in product(range(q), repeat=q - 1))
 
 
 def _tree2_optimal_open(

@@ -267,16 +267,18 @@ def check_budget(
     """
     kind, k, n_stations = resolve(kind, k, n_stations)
     rounds = k + 1 if kind == KIND_TREE else k
-    if rounds * walk_trials > WALK_BUDGET:
+    # The walk sizes are named by their factors, never multiplied out: the
+    # product may have more digits than Python converts to a string.
+    if capped_product((walk_trials, rounds), WALK_BUDGET) > WALK_BUDGET:
         raise ResourceGuardError(
-            f"station walk of {rounds} rounds x {walk_trials} trials = "
-            f"{rounds * walk_trials} trial-rounds exceeds the budget of {WALK_BUDGET}"
+            f"station walk of trials x rounds = {walk_trials} x {rounds} trial-rounds "
+            f"exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
         )
     per_trial = 4 * n_stations + 16
-    if walk_trials * per_trial > WALK_STATE_BYTES:
+    if capped_product((walk_trials, per_trial), WALK_STATE_BYTES) > WALK_STATE_BYTES:
         raise ResourceGuardError(
-            f"station walk of {walk_trials} trials x {per_trial} bytes = "
-            f"{walk_trials * per_trial} bytes of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
+            f"station walk of trials x bytes per trial = {walk_trials} x {per_trial} bytes "
+            f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
     if not event_runs:
         return

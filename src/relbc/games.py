@@ -97,25 +97,40 @@ def win_probability(spec: GameSpec, f: dict[int, int], g: dict[int, int]) -> Fra
     return total
 
 
+def searches_second_player(support_size: int, y_support_size: int) -> bool:
+    """Whether ``chsh_value`` enumerates the second player's tables rather
+    than the first's: when y's support is smaller than S.  The shift
+    f + c, g - c fixes one entry on either side, so the side with fewer
+    entries has fewer tables to score.  A uniform y has q entries, never
+    fewer than S, so its search, which fixes a second entry of f, stays
+    on the first player's side."""
+    return y_support_size < support_size
+
+
 def check_budget(
     q: int, support_size: int, y_support_size: int, budget: int = DEFAULT_BUDGET
 ) -> None:
     """Raise ResourceGuardError, naming the budget, if the exhaustive
-    search over q**support_size first-player tables, each scored on
-    support_size inputs for y_support_size values of y, exceeds it.  Needs
-    only the sizes, so a caller can check before building a spec."""
+    search exceeds it: every table of the side ``searches_second_player``
+    picks (q**support_size first-player or q**y_support_size
+    second-player tables), each scored on support_size inputs for
+    y_support_size values of y.  Needs only the sizes, so a caller can
+    check before building a spec."""
+    second = searches_second_player(support_size, y_support_size)
+    n_entries = y_support_size if second else support_size
     cost = capped_product(
-        chain((y_support_size, support_size), repeat(q, support_size)), budget
+        chain((y_support_size, support_size), repeat(q, n_entries)), budget
     )
     if cost > budget:
+        player = "second-player" if second else "first-player"
         raise ResourceGuardError(
-            f"game enumeration of {q}**{support_size} tables x {support_size} x "
+            f"game enumeration of {q}**{n_entries} {player} tables x {support_size} x "
             f"{y_support_size} exceeds the budget of {budget}"
         )
 
 
 def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
-    """Exact classical value by exhausting the first player's tables.
+    """Exact classical value by exhausting one player's tables.
 
     For a fixed f the second player's optimum decouples per input y:
     g(y) = argmax_c sum over x of [c = x*y - f(x)], so only the
@@ -134,7 +149,7 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     first, holds a best table, and so holds the first one.  Only the
     q**(|S|-1) tables with f(x_0) = 0, or under a uniform y the
     q**(|S|-2) with f(x_0) = f(x_1) = 0, are scored, in the same order;
-    the budget still counts all q**|S|.
+    the budget counts all q**|S|.
 
     The search counts in integers: each positive y_dist entry is an
     integer weight over one common denominator, a table scores the sum
@@ -142,6 +157,12 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     The last entry varies innermost: each y's counts over the rest of
     the table are taken once, with their largest, top_y, and each last
     answer a then scores sum_y w_y * max(top_y, counts_y[r_y(a)] + 1).
+
+    When y's support is smaller than S (``searches_second_player``), the
+    search runs the other way, through ``_second_player_search``: it
+    enumerates g with g(y_0) = 0 and takes f as the best reply, with the
+    same first best f (see there).  The budget counts every table of the
+    side searched.
     """
     q = spec.field.q
     support = spec.support
@@ -151,9 +172,33 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     weights = [int(spec.y_dist[y] * den) for y in supp_y]
     # rows[j][i][a]: the answer c that wins on (x_i, supp_y[j]) when f(x_i) = a
     rows = [[[(x * y - a) % q for a in range(q)] for x in support] for y in supp_y]
-    # the leading entries fixed at 0 (see above); the last one is innermost
-    n_fixed = min(len(support), 2 if len(set(spec.y_dist)) == 1 else 1)
-    digits = [(0,)] * n_fixed + [range(q)] * (len(support) - n_fixed)
+    if searches_second_player(len(support), len(supp_y)):
+        best_total, best_tab = _second_player_search(q, support, supp_y, weights)
+    else:
+        best_total, best_tab = _first_player_search(
+            q, len(support), len(set(spec.y_dist)) == 1, rows, weights
+        )
+    f = dict(zip(support, best_tab))
+    g: dict[int, int] = {}
+    # recounted for the winner only; index() takes the lowest best answer
+    for y, row in zip(supp_y, rows):
+        counts = [0] * q
+        for r, a in zip(row, best_tab):
+            counts[r[a]] += 1
+        g[y] = counts.index(max(counts))
+    best = GameValue(Fraction(best_total, den * len(support)), f, g)
+    assert win_probability(spec, best.f, best.g) == best.value
+    return best
+
+
+def _first_player_search(
+    q: int, n_support: int, uniform: bool, rows: list, weights: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The best integer score and the first best f-table in product
+    order, scoring the f-tables with the leading entries fixed at 0 (see
+    ``chsh_value``); the last entry is innermost."""
+    n_fixed = min(n_support, 2 if uniform else 1)
+    digits = [(0,)] * n_fixed + [range(q)] * (n_support - n_fixed)
     prefixes, n_last = product(*digits[:-1]), len(digits[-1])
     scored = [(w, row, row[-1][:n_last]) for w, row in zip(weights, rows)]
     best_total, best_tab = -1, ()
@@ -170,17 +215,48 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
         for a, total in enumerate(totals):
             if total > best_total:
                 best_total, best_tab = total, prefix + (a,)
-    f = dict(zip(support, best_tab))
-    g: dict[int, int] = {}
-    # recounted for the winner only; index() takes the lowest best answer
-    for y, row in zip(supp_y, rows):
-        counts = [0] * q
-        for r, a in zip(row, best_tab):
-            counts[r[a]] += 1
-        g[y] = counts.index(max(counts))
-    best = GameValue(Fraction(best_total, den * len(support)), f, g)
-    assert win_probability(spec, best.f, best.g) == best.value
-    return best
+    return best_total, best_tab
+
+
+def _second_player_search(
+    q: int, support: Sequence[int], supp_y: list[int], weights: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The best integer score and the first best f-table in product
+    order, found by enumerating the second player's tables.
+
+    For a fixed g the first player's best reply decouples per input x:
+    f(x) takes a best answer of A_x(g)[a] = sum_y w_y [a = x*y - g(y)],
+    and g scores sum_x max_a A_x(g).  g + c replies with f - c, so the
+    best g-tables are the shifts of the best ones with g(y_0) = 0, and
+    only those q**(|supp y|-1) are scored.  The best f-tables are then
+    the products over x of {a - c : a best for A_x(g)}, over each such
+    g and each c.  The first one in product order has f(x_0) = 0, so c
+    is among x_0's best answers, and within one product it is the table
+    of the lowest best answer of A_x(g) - c at each x; the result is the
+    least of these tables over the best g and those c.
+    """
+    xy_rows = [[x * y for y in supp_y] for x in support]
+    best_total, best_tab = -1, ()
+    for g_tab in product((0,), *repeat(range(q), len(supp_y) - 1)):
+        replies, total = [], 0
+        for xys in xy_rows:
+            scores = [0] * q
+            for xy, b, w in zip(xys, g_tab, weights):
+                scores[(xy - b) % q] += w
+            top = max(scores)
+            replies.append((scores, top))
+            total += top
+        if total < best_total:
+            continue
+        scores0, top0 = replies[0]
+        tab = min(
+            tuple((scores[c:] + scores[:c]).index(top) for scores, top in replies)
+            for c in range(q)
+            if scores0[c] == top0
+        )
+        if total > best_total or tab < best_tab:
+            best_total, best_tab = total, tab
+    return best_total, best_tab
 
 
 def chsh_bound(p: float, s_size: int) -> float:

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -31,6 +32,15 @@ def test_single_round_oracle(q, sum_hex):
     assert rep.search_size == q**q
     dispatched = adv.brute_force_binding("fq", 1, Field(q))
     assert {**vars(dispatched), "seconds": 0} == {**vars(rep), "seconds": 0}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_single_round_optimum_is_q_plus_1_over_q(q):
+    # the game solver searches the claim pairs from q=3 on, so q=11 and
+    # q=13 fit the default budget; the best reply keeps the constant table
+    rep = adv.brute_force_single(Field(q))
+    assert rep.sum == float(Fraction(q + 1, q))
+    assert rep.strategy_id == f"y={(0,) * q}"
 
 
 def test_single_round_oracle_decreases_with_q():
@@ -82,7 +92,22 @@ def test_chain_oracle_q3_pinned():
     assert rep.search_size == 729
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chain_oracle_k2_optimum_is_the_chain_attack_value(q):
+    # 2 - (1 - 1/q)**2: the all-zero answers with the claim 0 open bit 1
+    # unless b_1 and b_2 are both nonzero, and no pair does better.  At
+    # q=5 the strategy is that of the enumeration of every zero-first
+    # (y1, y2) pair, which takes about 8 s and so is not run here.
+    rep = adv.brute_force_chain(Field(q), 2)
+    optimum = 2 - (1 - Fraction(1, q)) ** 2
+    assert optimum == {2: Fraction(7, 4), 3: Fraction(14, 9), 5: Fraction(34, 25)}[q]
+    assert Fraction(round(rep.sum * q**2), q**2) == optimum
+    assert rep.sum == float(optimum)
+    assert rep.strategy_id == f"y1={(0,) * q}, y2={(0,) * q}"
+    assert rep.search_size == q ** (2 * q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_chain_oracle_optimum_replays_through_verify_fq(q):
     # Rebuild the winning answer tables from the strategy string, claim the
     # majority chain value for each (d, b_1), and let the real verifier

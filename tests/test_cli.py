@@ -264,6 +264,37 @@ def test_oracle_over_budget_exit_2_at_once(capsys):
         assert err.startswith("refused:") and budget in err, argv
 
 
+def test_huge_walk_is_refused_by_its_factors_at_once(capsys):
+    # rounds x trials has 4401 digits, past what Python converts to a
+    # string: the refusal names the factors instead
+    huge = str(10**2200)
+    t0 = time.process_time()
+    code, out, err = run(capsys, "simulate", "--protocol", "fq", "--k", huge,
+                         "--trials", huge, "--seed", "1")
+    assert time.process_time() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("refused:") and "WALK_BUDGET" in err
+
+
+def test_oracle_budgets_count_the_tables_searched(capsys):
+    # the single-round game searches 101**2 claim pairs, not 101**101
+    # answer tables; search_size still counts every answer table
+    code, out, err = run(capsys, "bind-oracle", "--protocol", "single", "--q", "101")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["sum"] == 1.00990099009901 and doc["search_size"] == 101**101
+    cases = [
+        (["--protocol", "fq", "--q", "7"], "7**7 y2 tables x 7**2"),
+        (["--protocol", "single", "--q", "10000019"], "10000019**2 second-player tables"),
+    ]
+    for flags, size in cases:
+        t0 = time.process_time()
+        code, out, err = run(capsys, "bind-oracle", *flags)
+        assert time.process_time() - t0 < 0.5, flags
+        assert code == 2 and out == "", flags
+        assert err.startswith("refused:") and size in err, flags
+
+
 @pytest.mark.parametrize("flags, runs", [
     (("--trials", "100"), 0),
     (("--trials", "100", "--pretty"), 16),

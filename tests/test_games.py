@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -9,8 +9,10 @@ from relbc.games import (
     DEFAULT_BUDGET,
     GameSpec,
     GameValue,
+    check_budget,
     chsh_bound,
     chsh_value,
+    searches_second_player,
     win_probability,
 )
 from relbc.sim import ResourceGuardError
@@ -209,3 +211,57 @@ def test_every_small_uniform_game_matches_fraction_reference(q, max_size):
             spec = GameSpec.uniform(field, support)
             got, want = chsh_value(spec), reference_chsh_value(spec)
             assert (got.value, got.f, got.g) == (want.value, want.f, want.g), support
+
+
+def _games_with_small_y_support(q, pair_weights):
+    # y on one value, or on two with each of pair_weights, against every
+    # larger support: the games chsh_value solves by enumerating g
+    field = Field(q)
+    for y_support, weights in chain(
+        ((ys, (1,)) for ys in combinations(range(q), 1)),
+        ((ys, w) for ys in combinations(range(q), 2) for w in pair_weights),
+    ):
+        y_dist = [Fraction(0)] * q
+        for y, w in zip(y_support, weights):
+            y_dist[y] = Fraction(w, sum(weights))
+        for size in range(len(y_support) + 1, q + 1):
+            for support in combinations(range(q), size):
+                yield GameSpec(field, support, tuple(y_dist))
+
+
+# unequal pair weights only below q=5, where the reference is quick
+@pytest.mark.parametrize("q, pair_weights", [
+    (2, ((1, 1), (1, 2))), (3, ((1, 1), (1, 2))), (5, ((1, 1),)),
+])
+def test_second_player_search_matches_fraction_reference(q, pair_weights):
+    # pins the tie-break of the g-side search: the least table over the
+    # best g and each shift c among x_0's best answers, with the lowest
+    # best answer at each x
+    for spec in _games_with_small_y_support(q, pair_weights):
+        assert searches_second_player(len(spec.support), sum(p > 0 for p in spec.y_dist))
+        got, want = chsh_value(spec), reference_chsh_value(spec)
+        assert (got.value, got.f, got.g) == (want.value, want.f, want.g), spec
+
+
+def test_second_player_search_matches_fraction_reference_at_q7():
+    # random supports of up to 5 entries and y on fewer values, weighted
+    rng = random.Random(37)
+    for _ in range(6):
+        size = rng.randint(2, 5)
+        support = tuple(sorted(rng.sample(range(7), size)))
+        weights = [0] * 7
+        for y in rng.sample(range(7), rng.randint(1, size - 1)):
+            weights[y] = rng.randint(1, 4)
+        spec = GameSpec(Field(7), support, tuple(Fraction(w, sum(weights)) for w in weights))
+        got, want = chsh_value(spec), reference_chsh_value(spec)
+        assert (got.value, got.f, got.g) == (want.value, want.f, want.g), spec
+
+
+def test_budget_counts_the_side_searched():
+    # the half-half game at q=101: 101**2 g-tables x 101 x 2 fit the budget
+    # that 101**101 f-tables would not
+    check_budget(101, 101, 2, 101**2 * 101 * 2)
+    with pytest.raises(ResourceGuardError, match=r"101\*\*2 second-player tables"):
+        check_budget(101, 101, 2, 101**2 * 101 * 2 - 1)
+    with pytest.raises(ResourceGuardError, match=r"5\*\*5 first-player tables"):
+        check_budget(5, 5, 5, 5**5 * 25 - 1)
