@@ -168,16 +168,19 @@ def strategy_eval(
 
     Enumerates every receiver challenge assignment (uniform product
     measure over the internal nodes, no pruning) and runs the real
-    verifier on the induced transcript, once per target bit.
+    verifier on the induced transcript, once per target bit.  The
+    q**internals histories x 2q verifier calls are multiplied out factor by
+    factor and refused over ``budget`` before any history is built.
     """
     field, k, coloring = strat.field, strat.k, strat.coloring
     q = field.q
     internals = _internal_nodes(k, coloring.arity)
-    n_hist = q ** len(internals)
-    if n_hist * (2 * q) > budget:
+    if capped_product(chain((2 * q,), repeat(q, len(internals))), budget) > budget:
         raise ResourceGuardError(
-            f"{n_hist} histories at q={q}, k={k} exceed the evaluation budget"
+            f"{q}**{len(internals)} histories x {2 * q} at q={q}, k={k} exceed "
+            f"the evaluation budget of {budget}"
         )
+    n_hist = q ** len(internals)
     leaves = list(tt.nodes_at_depth(k, coloring.arity))
     acc = strat.acc
     wins = [0, 0]

@@ -19,7 +19,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -28,11 +27,12 @@ if TYPE_CHECKING:
 from .field import Field
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
 from .sim import (
-    EVENT_MAX_K,
+    EVENT_MAX_K,  # re-exported: callers read analysis.EVENT_MAX_K
     LossModel,
     ResourceGuardError,
     RunResult,
     capped_product,
+    check_event_runs,
     comm_cost,
     run_protocol,
 )
@@ -235,16 +235,12 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 RNG_STREAM = 2
 
 
-# Work budgets, checked before any work starts.  On a 2-core host the
-# three-station tree walk steps 5e7 to 8e7 trial-rounds/s and the chain
-# walk about 2e8, so a full walk budget is 15 to 20 s of tree walk.  The
-# event engine schedules 1.3e5 to 2.2e5 nodes/s at k <= 200 (one k=200
-# run schedules 795 nodes in 3.6 to 6.1 ms), so a full event budget is
-# 9 to 15 s; its per-run cap EVENT_MAX_K lives in sim, next to run_tree,
-# which checks it too.
+# Station-walk budgets, checked before any work starts.  On a 2-core host
+# the three-station tree walk steps 5e7 to 8e7 trial-rounds/s and the
+# chain walk about 2e8, so a full walk budget is 15 to 20 s of tree walk.
+# The event engine's caps are sim.check_event_runs, which every run calls.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
-EVENT_BUDGET = 2 * 10**6   # nodes scheduled over all event-engine runs
 
 
 def check_budget(
@@ -256,8 +252,9 @@ def check_budget(
     prune_lag: int = 2,
 ) -> None:
     """Raise ResourceGuardError, naming the budget and the size asked for,
-    if a station walk over ``walk_trials`` trials or ``event_runs``
-    event-engine runs of depth k exceed a work budget.
+    if a station walk over ``walk_trials`` trials exceeds a work budget,
+    or ``event_runs`` event-engine runs of depth k do not pass
+    ``sim.check_event_runs``, the check every run makes itself.
 
     The walk keeps every trial's state at once: an int32 revive round per
     station, the int32 abort round and the current color in the smallest
@@ -280,26 +277,8 @@ def check_budget(
             f"station walk of trials x bytes per trial = {walk_trials} x {per_trial} bytes "
             f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
-    if not event_runs:
-        return
-    if k > EVENT_MAX_K:
-        raise ResourceGuardError(
-            f"event-engine run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K}"
-        )
-    # A tree run schedules up to (n-1)^min(N, k) nodes a round.  The total
-    # is multiplied out one factor at a time, so a deep lag is refused
-    # without computing (n-1)^N, and the message gives the factors.
-    if kind == KIND_TREE:
-        lag = min(prune_lag, k)
-        factors = chain((event_runs, rounds), repeat(n_stations - 1, lag))
-        per_run = f"{rounds} x {n_stations - 1}**{lag}"
-    else:
-        factors, per_run = (event_runs, k), f"{k}"
-    if capped_product(factors, EVENT_BUDGET) > EVENT_BUDGET:
-        raise ResourceGuardError(
-            f"{event_runs} event-engine runs x {per_run} scheduled nodes exceed "
-            f"the budget EVENT_BUDGET = {EVENT_BUDGET}"
-        )
+    if event_runs:
+        check_event_runs(kind, k, event_runs, n_stations, prune_lag)
 
 
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
@@ -451,15 +430,8 @@ class ReliabilityReport:
 
 
 def _event_runs(
-    kind: str,
-    k: int,
-    q_modulus: int,
-    p: float,
-    m: int,
-    seed: int,
-    runs: int,
-    n_stations: int = 3,
-    prune_lag: int = 2,
+    kind: str, k: int, q_modulus: int, p: float, m: int, seed: int, runs: int,
+    n_stations: int = 3, prune_lag: int = 2,
 ) -> Iterator[RunResult]:
     """The event-engine runs a report samples, in trial order: trial t
     commits bit t % 2.  The work budget is checked before the first run."""
@@ -620,15 +592,8 @@ COMM_SAMPLES = 16
 
 
 def measure_comm_bits(
-    kind: str,
-    k: int,
-    q_modulus: int,
-    p: float,
-    m: int,
-    seed: int,
-    samples: int,
-    n_stations: int = 3,
-    prune_lag: int = 2,
+    kind: str, k: int, q_modulus: int, p: float, m: int, seed: int, samples: int,
+    n_stations: int = 3, prune_lag: int = 2,
 ) -> float:
     """Mean measured challenge/response cost over event-driven sample runs."""
     field = Field(q_modulus)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 from .field import Field, derived_rng
@@ -53,12 +54,58 @@ def capped_product(factors: Iterable[int], cap: int) -> int:
     return size
 
 
-# Rounds in one event-engine run, tree or chain.  Tree node labels are up
-# to k characters long, so a tree run's time and memory grow faster than
-# k: one run at k = 5000 (about 20k scheduled nodes) takes about 0.4 s on
-# a 2-core host and peaks at about 97 MB of RSS, of which about 16 MB is
-# the interpreter with relbc loaded.
+# Rounds in one event-engine run, and nodes scheduled over all runs of a
+# request.  A tree run holds every scheduled node's label, so its memory
+# grows with about arity**N * k**2 / 2 characters: a three-station, lag-2
+# run of k = 5000 (5.0e7 characters in about 20k nodes) takes about 0.4 s
+# on a 2-core host and peaks at about 97 MB of RSS, 16 MB of it the
+# interpreter with relbc loaded.  At k <= 200 the engine schedules 1.3e5 to
+# 2.2e5 nodes/s, so a full EVENT_BUDGET is 9 to 15 s.
 EVENT_MAX_K = 5000
+EVENT_BUDGET = 2 * 10**6
+
+
+def _label_chars(k: int, arity: int, lag: int) -> int:
+    """Label characters of a tree run at lag <= k: arity**min(D, lag) of length D at depth D."""
+    return sum(d * arity**d for d in range(lag)) + arity**lag * (k * (k + 1) - lag * (lag - 1)) // 2
+
+
+def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prune_lag: int = 2) -> None:
+    """Raise ResourceGuardError, naming the cap and the size asked for,
+    unless ``runs`` runs of the protocol ``protocol.resolve`` gives fit:
+    EVENT_MAX_K rounds a run, EVENT_BUDGET nodes in all (multiplied out by
+    factors, so a deep lag is refused without its power), and for a tree
+    2**14 nodes a round and the label characters of a three-station, lag-2
+    run of EVENT_MAX_K rounds.  Every run is counted as if it never aborts.
+    """
+    kind, k, n_stations = resolve(kind, k, n_stations)
+    if k > EVENT_MAX_K:
+        raise ResourceGuardError(
+            f"{kind} run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K} rounds, "
+            f"EVENT_MAX_K = {EVENT_MAX_K}"
+        )
+    tree, arity, lag = kind == KIND_TREE, n_stations - 1, min(prune_lag, k)
+    factors = chain((runs, k + 1), repeat(arity, lag)) if tree else (runs, k)
+    if capped_product(factors, EVENT_BUDGET) > EVENT_BUDGET:
+        per_run = f"{k + 1} x {arity}**{lag}" if tree else k
+        raise ResourceGuardError(
+            f"event-engine runs x nodes per run = {runs} x {per_run} scheduled nodes "
+            f"exceed the budget EVENT_BUDGET = {EVENT_BUDGET}"
+        )
+    if not tree:
+        return
+    if arity**lag > 2**14:  # within the node budget, the power is small
+        raise ResourceGuardError(
+            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
+            "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
+        )
+    chars, cap = _label_chars(k, arity, lag), _label_chars(EVENT_MAX_K, 2, 2)
+    if chars > cap:
+        raise ResourceGuardError(
+            f"tree run of k={k} rounds on {n_stations} stations at prune_lag={prune_lag} holds "
+            f"{chars} label characters, over the cap of {cap}, those of a three-station, "
+            "lag-2 run of EVENT_MAX_K rounds"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +173,9 @@ def validate_causality(events: list[Event], geometry: Geometry) -> list[str]:
 class StationTracker:
     """Death/revival chain for every station, one PRNG stream each.
 
-    Draws happen every round for every station regardless of scheduling,
-    so pruning or instrumentation never shifts the randomness.
+    A station draws once in each round it starts alive (not still dead
+    from an earlier death), and only when p > 0; no draw depends on the
+    scheduling, so pruning or instrumentation never shifts the randomness.
     """
 
     def __init__(self, n_stations: int, loss: LossModel, seed: int, trial: int):
@@ -192,26 +240,15 @@ def run_tree(
     little more than its hash draws and ``verify_tree``: on a 2-core host
     0.34 to 0.39 ms at k=18 (63 scheduled nodes, 125 draws) and 3.6 to
     6.1 ms at k=200 (795 nodes).  A station count outside 3 to
-    ``tree.MAX_STATIONS`` raises ValueError; a run over ``EVENT_MAX_K``
-    rounds, or one whose lag schedules over 2**14 nodes a round, raises
-    ResourceGuardError; both before round 1.
+    ``tree.MAX_STATIONS`` raises ValueError, and a run that
+    ``check_event_runs`` refuses raises ResourceGuardError, both before
+    round 1: the one rule ``analysis.check_budget`` applies up front.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
-    if k > EVENT_MAX_K:
-        raise ResourceGuardError(
-            f"tree run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
-        )
-    # Without effective pruning a round schedules a whole tree level,
-    # arity**lag nodes; arity <= 10 and lag <= EVENT_MAX_K keep the power cheap.
-    lag = min(prune_lag, k)
-    if arity**lag > 2**14:
-        raise ResourceGuardError(
-            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
-            "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
-        )
+    check_event_runs(KIND_TREE, k, 1, n_stations, prune_lag)
 
     transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=n_stations)
     records = transcript.records
@@ -318,15 +355,13 @@ def run_chain(
     Loss model: the protocol dies at the first failure of the active
     agent, so only one Bernoulli(p) draw per round matters and the dead
     duration m never comes into play.  A depth k < 1 raises ValueError,
-    as the tree run does; a run over ``EVENT_MAX_K`` rounds raises
-    ResourceGuardError before round 1.
+    as the tree run does, and a run that ``check_event_runs`` refuses
+    (one over ``EVENT_MAX_K`` rounds) raises ResourceGuardError, both
+    before round 1.
     """
     if k < 1:
         raise ValueError("depth k must be >= 1")
-    if k > EVENT_MAX_K:
-        raise ResourceGuardError(
-            f"chain run of k={k} rounds exceeds the per-run cap of EVENT_MAX_K = {EVENT_MAX_K}"
-        )
+    check_event_runs(KIND_FQ, k)
     kind, _, n_stations = resolve(KIND_FQ, k)
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     events: list[Event] = []

@@ -214,6 +214,13 @@ def test_budget_guard_trips():
         adv.strategy_eval(adv.honest_strategy_table(F2), budget=1)
 
 
+def test_strategy_eval_names_its_budget_before_any_power():
+    # 7 internal nodes at k=3 on three stations: 2**7 histories x 4 = 512
+    with pytest.raises(ResourceGuardError, match=r"2\*\*7 histories x 4 .*evaluation budget of 511"):
+        adv.strategy_eval(adv.honest_strategy_table(F2, k=3), budget=511)
+    assert adv.strategy_eval(adv.honest_strategy_table(F2, k=3), budget=512)[0] == 1.0
+
+
 def test_unsupported_depth_is_bad_input_before_any_budget():
     # a depth the search cannot do is bad input, not a refusal over a
     # budget; it is named even where the budget would refuse the modulus

@@ -1,10 +1,13 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from relbc import analysis as an
+from relbc.field import Field
+from relbc.sim import run_protocol
 
 
 def test_p_ok_chain_formula():
@@ -343,3 +346,49 @@ def test_work_budgets_refuse_before_any_work():
     with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
         an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
     an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
+
+
+def test_label_characters_admit_sixteen_three_station_runs_of_the_cap():
+    an.check_budget("tree", an.EVENT_MAX_K, event_runs=16)
+    for n, lag in ((11, 2), (4, 2), (3, 3)):
+        with pytest.raises(an.ResourceGuardError, match="label characters"):
+            an.check_budget("tree", an.EVENT_MAX_K, event_runs=1, n_stations=n, prune_lag=lag)
+    # four stations, lag 2: 3 + 9 * (k * (k + 1) - 2) / 2 characters, so
+    # k = 3333 fits and k = 3334 does not
+    an.check_budget("tree", 3333, event_runs=1, n_stations=4)
+    with pytest.raises(an.ResourceGuardError, match="label characters"):
+        an.check_budget("tree", 3334, event_runs=1, n_stations=4)
+
+
+def _refused(call):
+    try:
+        call()
+    except an.ResourceGuardError:
+        return True
+    return False
+
+
+# (kind, k, n_stations, N): small cases and each cap's boundary
+EVENT_GRID = [
+    (kind, k, n, lag)
+    for kind in ("tree", "fq", "single")
+    for k in (1, 2, 5, 14, 15, 199, 200, 3333, 3334, an.EVENT_MAX_K, an.EVENT_MAX_K + 1)
+    for n in (3, 4, 11)
+    for lag in (1, 2, 4, 14, 15)
+    if kind == "tree" or (n, lag) == (3, 2)
+]
+
+
+def test_check_budget_refuses_exactly_the_runs_the_engine_refuses():
+    field = Field(5)
+    ran = 0
+    for kind, k, n, lag in EVENT_GRID:
+        t0 = time.process_time()
+        refused = _refused(lambda: an.check_budget(kind, k, event_runs=1, n_stations=n, prune_lag=lag))
+        nodes = (k + 1) * (n - 1) ** min(lag, k) if kind == "tree" else k
+        if refused or nodes <= 2000:
+            engine = _refused(lambda: run_protocol(kind, k, field, 0, seed=1, n_stations=n, prune_lag=lag))
+            assert engine == refused, (kind, k, n, lag)
+            ran += not refused
+        assert time.process_time() - t0 < 0.5, (kind, k, n, lag)
+    assert ran >= 20

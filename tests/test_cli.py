@@ -330,6 +330,27 @@ def test_simulate_runs_the_event_engine_only_for_output_it_prints(
     assert len(calls) == runs
 
 
+@pytest.mark.parametrize("flags, size", [
+    # 21 rounds x 2**15 nodes fit the node budget; the per-round cap refuses
+    # them before the 20M-trial walk starts
+    (("--k", "20", "--N", "15", "--trials", "20000000"), "2**15 nodes per round"),
+    # 5001 x 10**2 nodes, but 1.25e9 label characters
+    (("--k", "5000", "--n-stations", "11", "--trials", "1"), "label characters"),
+    (("--k", "5000", "--n-stations", "4", "--trials", "1"), "label characters"),
+    (("--k", "5000", "--N", "3", "--trials", "1"), "label characters"),
+], ids=["lag15", "n11", "n4", "N3"])
+def test_simulate_refuses_a_transcript_run_before_the_walk(capsys, tmp_path, flags, size):
+    target = tmp_path / "t.json"
+    t0 = time.process_time()
+    code, out, err = run(
+        capsys, "simulate", "--protocol", "tree", "--seed", "1", *flags,
+        "--transcript-out", str(target),
+    )
+    assert time.process_time() - t0 < 0.5
+    assert code == 2 and out == "" and not target.exists()
+    assert err.startswith("refused:") and size in err
+
+
 def test_simulate_past_the_event_cap_prints_its_walk(capsys):
     # the JSON report runs no event engine, so the per-run cap is not asked
     code, out, err = run(

@@ -15,6 +15,7 @@ from relbc.sim import (
     comm_cost,
     message_counts,
     run_protocol,
+    _label_chars,
     validate_causality,
 )
 
@@ -281,3 +282,31 @@ def test_run_chain_refuses_a_depth_below_1(k):
         run_protocol("fq", k, Field(5), d=0, seed=1)
     with pytest.raises(ValueError, match="depth k must be >= 1"):
         run_protocol("tree", k, Field(5), d=0, seed=1)
+
+
+def test_run_tree_obeys_the_node_budget_before_round_1():
+    # 301 rounds x 10**4 nodes a round: about 3e6 nodes in one run
+    t0 = time.process_time()
+    with pytest.raises(ResourceGuardError, match="301 x 10\\*\\*4 scheduled nodes .*EVENT_BUDGET"):
+        run_protocol("tree", 300, Field(101), d=0, seed=1, n_stations=11, prune_lag=4)
+    assert time.process_time() - t0 < 0.5
+
+
+@pytest.mark.parametrize("n, lag, k", [(3, 1, 9), (3, 2, 12), (3, 5, 4), (4, 2, 7), (5, 3, 6), (11, 1, 3)])
+def test_label_characters_count_a_loss_free_run(n, lag, k):
+    # with no loss nothing aborts, so the run holds exactly the labels the
+    # guard counts: the answered nodes and the revealing leaves
+    res = run_protocol("tree", k, Field(5), d=1, seed=3, n_stations=n, prune_lag=lag)
+    tr = res.transcript
+    held = sum(map(len, tr.records)) + sum(map(len, tr.reveals))
+    assert held == _label_chars(k, n - 1, min(lag, k))
+
+
+@pytest.mark.parametrize("n, lag", [(11, 2), (4, 2), (3, 3)])
+def test_run_tree_refuses_more_label_characters_than_a_three_station_run_holds(n, lag):
+    # the cap is a three-station, lag-2 run of EVENT_MAX_K rounds:
+    # 2 + 4 * (5000 * 5001 / 2 - 1) characters
+    t0 = time.process_time()
+    with pytest.raises(ResourceGuardError, match="label characters, over the cap of 50009998,"):
+        run_protocol("tree", EVENT_MAX_K, Field(5), d=0, seed=1, n_stations=n, prune_lag=lag)
+    assert time.process_time() - t0 < 0.5
