@@ -306,8 +306,8 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     has y1[0] = y2[0] = 0, and only tables with a zero first entry are
     searched.
 
-    Only y2 is enumerated: with h(a) = ``_best_count(q, y2, a)`` a pair
-    scores sum over b_1 of h(y1[b_1]) + h(y1[b_1] - b_1), so y1 is the
+    Only y2 is enumerated: with h(a) = max(``_chain_counts(q, y2, a)``) a
+    pair scores sum over b_1 of h(y1[b_1]) + h(y1[b_1] - b_1), so y1 is the
     best reply to y2 per b_1.  The best y1 for one y2 are a product of
     per-b_1 argmax sets, whose least member takes the lowest best answer
     at each b_1; the first best pair is the least such y1 over the best
@@ -326,7 +326,7 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
     t0 = time.perf_counter()
     best_wins, best = -1, None
     for y2 in _zero_first_tables(q):
-        h = [_best_count(q, y2, a) for a in range(q)]
+        h = [max(_chain_counts(q, y2, a)) for a in range(q)]
         wins, y1 = 2 * h[0], [0]
         for b1 in range(1, q):
             scores = [h[a] + h[(a - b1) % q] for a in range(q)]
@@ -357,73 +357,49 @@ def _zero_first_tables(q: int) -> Iterator[tuple]:
     return ((0,) + y for y in product(range(q), repeat=q - 1))
 
 
-def _tree2_optimal_open(
-    field: Field,
-    y_root: tuple,
-    y_left: tuple,
-    y_right: tuple,
-    d: int,
-) -> tuple[float, dict]:
-    """Best reveal-phase success for a fixed depth-2 commit strategy and
-    target bit, maximizing over claim tables and over which sibling leaf
-    stays silent (a silent brother frees the survivor from the consistency
-    check)."""
-    q = field.q
-    coloring = tt.make_coloring(2, 3)
-    # histories grouped by which depth-1 node carries the leftmost path
-    per_path: dict[str, list[tuple[dict[str, int], int]]] = {"0": [], "1": []}
-    for b0 in range(q):
-        for bl in range(q):
-            for br in range(q):
-                a0 = field.sub(y_root[b0], field.mul(b0, d))
-                h = {tt.ROOT: b0, "0": bl, "1": br}
-                if y_left[bl] is not None:
-                    alpha = field.sub(y_left[bl], field.mul(bl, a0))
-                    per_path["0"].append((h, alpha))
-                elif y_right[br] is not None:
-                    alpha = field.sub(y_right[br], field.mul(br, a0))
-                    per_path["1"].append((h, alpha))
-                # else: both depth-1 nodes silent, the run aborts
-    total = 0
-    chosen: dict = {}
-    for path, hists in per_path.items():
-        best_leaf, best_score, best_tab = None, -1, None
-        for leaf in (path + "0", path + "1"):
-            # a leaf's claim table is keyed by its accessible challenges,
-            # in the order ``argmax_strategy_table`` reads them
-            acc = sorted(tt.accessible_set(leaf, coloring))
-            groups: dict[tuple, dict[int, int]] = {}
-            for h, alpha in hists:
-                key = tuple(h[w] for w in acc)
-                groups.setdefault(key, {}).setdefault(alpha, 0)
-                groups[key][alpha] += 1
-            score = 0
-            tab = {}
-            for key, alpha_counts in groups.items():
-                alpha_best = max(sorted(alpha_counts), key=lambda a: alpha_counts[a])
-                tab[key] = alpha_best
-                score += alpha_counts[alpha_best]
-            if score > best_score:
-                best_leaf, best_score, best_tab = leaf, score, tab
-        total += best_score
-        chosen[path] = (best_leaf, best_tab)
-    return total / q**3, chosen
-
-
-def _best_count(q: int, y_node: tuple, a: int) -> int:
-    """The largest number of challenges b at which the node answers with
-    one common chain value y_node[b] - b*a; a None answer is silence."""
+def _chain_counts(q: int, y_node: tuple, a: int) -> list[int]:
+    """How many challenges b give each chain value y_node[b] - b*a; a None
+    answer is silence and counts nowhere."""
     counts = [0] * q
     for b, y in enumerate(y_node):
         if y is not None:
             counts[(y - b * a) % q] += 1
-    return max(counts)
+    return counts
 
 
 def _chain_agreement(q: int, y_root: tuple, y_node: tuple, d: int) -> int:
-    """Sum over b_root of ``_best_count`` of the depth-1 node's answers
-    against a_root = y_root[b_root] - b_root*d."""
-    return sum(_best_count(q, y_node, (y_root[b0] - b0 * d) % q) for b0 in range(q))
+    """A_d: over b_root, the sum of the top ``_chain_counts`` of the
+    depth-1 node's answers against a_root = y_root[b_root] - b_root*d, the
+    histories its best claims win for bit d, per value of the challenge
+    the chain does not read."""
+    return sum(max(_chain_counts(q, y_node, (y_root[b0] - b0 * d) % q)) for b0 in range(q))
+
+
+def _tree2_open(
+    field: Field, y_root: tuple, y_left: tuple, y_right: tuple, d: int
+) -> tuple[int, dict]:
+    """Wins, out of the q**3 histories, of the best open of bit d for a
+    fixed depth-2 commit triple, and the claim tables that reach them.
+
+    The path runs through the left node where it answers, else through
+    the right one (Z: the left's silent challenges).  Each path reveals at
+    ``path + "0"``, keyed by b_root alone, claiming the lowest top chain
+    value: q histories back each left answer, |Z| each right one.  Its
+    brother also reads a challenge the chain does not, so scores the same
+    and stays silent.  A path no history takes has an empty table.
+    """
+    q = field.q
+    wins, chosen = 0, {}
+    for path, y_node, weight in (("0", y_left, q), ("1", y_right, y_left.count(None))):
+        tab = {}
+        if weight and any(y is not None for y in y_node):
+            for b0 in range(q):
+                counts = _chain_counts(q, y_node, (y_root[b0] - b0 * d) % q)
+                top = max(counts)
+                wins += weight * top
+                tab[(b0,)] = counts.index(top)
+        chosen[path] = (path + "0", tab)
+    return wins, chosen
 
 
 def brute_force_tree(
@@ -439,69 +415,48 @@ def brute_force_tree(
     only lose; the unreduced search keeps the refusal option to verify the
     reduction is lossless.
 
-    The result, tie-break included, is that of scoring every (root, left,
-    right) triple with ``_tree2_optimal_open`` in that order and keeping
-    the first strictly larger sum; the scores are counted, not built.  The
-    two leaves under a depth-1 node score alike (their keys differ by a
-    challenge the chain value does not depend on), so the best open of
-    bit d wins on
+    The best open of bit d (``_tree2_open``) wins on
         T_d = q * A_d(root, left) + |Z| * A_d(root, right)
     of the q**3 histories, with A = ``_chain_agreement`` and Z the
-    challenges the left node is silent on.  For each root only the rights
-    with the largest A_0 + A_1 can be best, and among them the float sum
-    (1/q**3 may be inexact) depends only on the pair (A_0, A_1); so each
-    left is scored against the first right of each such pair, or against
-    the first right of all when Z is empty.
+    challenges the left node is silent on.  So each depth-1 table is
+    scored once per root as H = A_0 + A_1.  The right counts only where
+    the left is silent, so the first right with the top H is best for
+    every left with Z non-empty (with Z empty all rights tie and the
+    first is kept); then the first left with the top q*H + |Z|*H_top is
+    kept, and a later root only with a strictly larger total.  ``sum`` is
+    w_0/q**3 + w_1/q**3; at q = 2 and 3 it, the strategy and its detail
+    are those of the exhaustive float search in tests/test_adversary.py.
 
     (root + c, left + c*b, right + c*b) scores like (root, left, right),
     a None staying None, so the first best triple has root[0] = 0 and
-    only those q**(q-1) roots are searched; the guard and
-    ``search_size`` still count every root.
+    only those q**(q-1) roots are searched.  The guard counts them x the
+    (q+1)**q depth-1 tables (each right is one) x 2*q**2 per table;
+    ``search_size`` counts every triple.
     """
     if k != 2:
         raise ValueError(f"k: the tree-protocol search supports k = 2 only, got {k}")
     q = field.q
-    n_right = q if reduced else q + 1
-    factors = chain((2, q, q, q), repeat(q, q), repeat(q + 1, q), repeat(n_right, q))
-    if capped_product(factors, budget) > budget:
+    if capped_product(chain(repeat(q, q - 1), repeat(q + 1, q), (2, q, q)), budget) > budget:
         raise ResourceGuardError(
-            f"tree search of {q}**{q} x {q + 1}**{q} x {n_right}**{q} strategies "
-            f"x 2*{q}**3 histories exceeds the budget of {budget}"
+            f"tree search of {q}**{q - 1} roots x {q + 1}**{q} depth-1 tables "
+            f"x 2*{q}**2 exceeds the budget of {budget}"
         )
-    opts_left = list(product(list(range(q)) + [None], repeat=q))
-    opts_right = list(product(range(q), repeat=q)) if reduced else opts_left
-    search_size = q**q * len(opts_left) * len(opts_right)
-    n_hist = q**3
     t0 = time.perf_counter()
-    best_sum, best = -1.0, None
+    tables = list(product(list(range(q)) + [None], repeat=q))
+    rights = [t for t in tables if None not in t] if reduced else tables
+    best_total, best = -1, None
     for y_root in _zero_first_tables(q):
-        scores = [
-            (_chain_agreement(q, y_root, y_right, 0), _chain_agreement(q, y_root, y_right, 1))
-            for y_right in opts_right
-        ]
-        top = max(a0 + a1 for a0, a1 in scores)
-        first_right: dict[tuple[int, int], tuple] = {}
-        for y_right, pair in zip(opts_right, scores):
-            if sum(pair) == top:
-                first_right.setdefault(pair, y_right)
-        for y_left in opts_left:
-            p0 = q * _chain_agreement(q, y_root, y_left, 0)
-            p1 = q * _chain_agreement(q, y_root, y_left, 1)
-            z = y_left.count(None)
-            rights = first_right.items() if z else [((0, 0), opts_right[0])]
-            for (a0, a1), y_right in rights:
-                s = 0.0
-                s += (p0 + z * a0) / n_hist
-                s += (p1 + z * a1) / n_hist
-                if s > best_sum:
-                    best_sum, best = s, (y_root, y_left, y_right)
+        h = {t: _chain_agreement(q, y_root, t, 0) + _chain_agreement(q, y_root, t, 1)
+             for t in tables}
+        top = max(h[t] for t in rights)
+        y_left = max(tables, key=lambda t: q * h[t] + t.count(None) * top)
+        total = q * h[y_left] + y_left.count(None) * top
+        if total > best_total:
+            y_right = next(t for t in rights if h[t] == top) if None in y_left else rights[0]
+            best_total, best = total, (y_root, y_left, y_right)
     y_root, y_left, y_right = best
-    s, detail = 0.0, []
-    for d in (0, 1):
-        win, chosen = _tree2_optimal_open(field, y_root, y_left, y_right, d)
-        s += win
-        detail.append(chosen)
-    assert s == best_sum
+    (w0, open0), (w1, open1) = (_tree2_open(field, *best, d) for d in (0, 1))
+    best_sum = w0 / q**3 + w1 / q**3
     return BindingReport(
         kind=KIND_TREE,
         k=2,
@@ -509,15 +464,17 @@ def brute_force_tree(
         sum=best_sum,
         epsilon=best_sum - 1,
         bound=reference_bound(KIND_TREE, 2, q),
-        search_size=search_size,
+        search_size=q**q * len(tables) * len(rights),
         seconds=time.perf_counter() - t0,
         strategy_id=f"root={y_root}, left={y_left}, right={y_right}",
-    ), (y_root, y_left, y_right, detail)
+    ), (y_root, y_left, y_right, [open0, open1])
 
 
 def argmax_strategy_table(field: Field, detail) -> StrategyTable:
     """Materialize the oracle's winning depth-2 strategy as an explicit
-    lookup-table strategy, for replay through the real verifier."""
+    lookup-table strategy, for replay through the real verifier.  Per bit
+    d, ``detail`` names each depth-1 path's revealing leaf and its claims
+    keyed by b_root (``_tree2_open``); every other leaf stays silent."""
     y_root, y_left, y_right, per_d = detail
 
     def respond_fn(v, b, view):

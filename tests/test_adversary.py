@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from relbc import adversary as adv
+from relbc import adversary as adv, tree as tt
 from relbc.field import Field
 from relbc.protocol import KIND_FQ, Record, Transcript, verify_fq
 from relbc.sim import ResourceGuardError
@@ -249,6 +249,53 @@ def test_binding_report_json_fields():
     assert doc["kind"] == "single"
 
 
+def _tree2_optimal_open(field, y_root, y_left, y_right, d):
+    """Best reveal-phase success for a fixed depth-2 commit strategy and
+    target bit, maximizing over claim tables and over which sibling leaf
+    stays silent (a silent brother frees the survivor from the consistency
+    check)."""
+    q = field.q
+    coloring = tt.make_coloring(2, 3)
+    # histories grouped by which depth-1 node carries the leftmost path
+    per_path = {"0": [], "1": []}
+    for b0 in range(q):
+        for bl in range(q):
+            for br in range(q):
+                a0 = field.sub(y_root[b0], field.mul(b0, d))
+                h = {tt.ROOT: b0, "0": bl, "1": br}
+                if y_left[bl] is not None:
+                    alpha = field.sub(y_left[bl], field.mul(bl, a0))
+                    per_path["0"].append((h, alpha))
+                elif y_right[br] is not None:
+                    alpha = field.sub(y_right[br], field.mul(br, a0))
+                    per_path["1"].append((h, alpha))
+                # else: both depth-1 nodes silent, the run aborts
+    total = 0
+    chosen = {}
+    for path, hists in per_path.items():
+        best_leaf, best_score, best_tab = None, -1, None
+        for leaf in (path + "0", path + "1"):
+            # a leaf's claim table is keyed by its accessible challenges,
+            # in the order ``argmax_strategy_table`` reads them
+            acc = sorted(tt.accessible_set(leaf, coloring))
+            groups = {}
+            for h, alpha in hists:
+                key = tuple(h[w] for w in acc)
+                groups.setdefault(key, {}).setdefault(alpha, 0)
+                groups[key][alpha] += 1
+            score = 0
+            tab = {}
+            for key, alpha_counts in groups.items():
+                alpha_best = max(sorted(alpha_counts), key=lambda a: alpha_counts[a])
+                tab[key] = alpha_best
+                score += alpha_counts[alpha_best]
+            if score > best_score:
+                best_leaf, best_score, best_tab = leaf, score, tab
+        total += best_score
+        chosen[path] = (best_leaf, best_tab)
+    return total / q**3, chosen
+
+
 def reference_brute_force_tree(field, reduced):
     """Score every (root, left, right) commit triple with the reveal-phase
     optimum, keeping the first strictly larger sum."""
@@ -262,7 +309,7 @@ def reference_brute_force_tree(field, reduced):
                 s = 0.0
                 detail = []
                 for d in (0, 1):
-                    win, chosen = adv._tree2_optimal_open(field, y_root, y_left, y_right, d)
+                    win, chosen = _tree2_optimal_open(field, y_root, y_left, y_right, d)
                     s += win
                     detail.append(chosen)
                 if s > best_sum:
@@ -289,3 +336,25 @@ def test_tree_oracle_q3_pinned_and_replayed(reduced, search_size):
     adv.audit_information_constraint(strat)
     s0, s1 = adv.strategy_eval(strat)
     assert s0 + s1 == pytest.approx(rep.sum)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_tree_open_counts_match_the_history_enumeration(q):
+    # The counted open must give the wins and claim tables of enumerating
+    # all q**3 histories, on triples the full search cannot reach: left
+    # tables with some, all or no silent entries, rights with and without.
+    field = Field(q)
+    rng = random.Random(q)
+
+    def table(p_silent):
+        return tuple(None if rng.random() < p_silent else rng.randrange(q) for _ in range(q))
+
+    lefts = [(None,) * q, table(0.0)] + [table(0.4) for _ in range(20)]
+    assert any(0 < left.count(None) < q for left in lefts)
+    for y_left in lefts:
+        for y_right in (table(0.0), table(0.4), (None,) * q):
+            y_root = table(0.0)
+            for d in (0, 1):
+                wins, chosen = adv._tree2_open(field, y_root, y_left, y_right, d)
+                assert (wins / q**3, chosen) == _tree2_optimal_open(
+                    field, y_root, y_left, y_right, d)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -219,6 +220,32 @@ def test_bind_oracle_single(capsys):
     code, out, _ = run(capsys, "bind-oracle", "--protocol", "single", "--q", "2")
     assert code == 0
     assert json.loads(out)["sum"] == 1.5
+
+
+@pytest.mark.parametrize("q, want_sum, search_size, strategy", [
+    ("2", 1.875, 144, "root=(0, 0), left=(0, None), right=(0, 0)"),
+    ("3", 1.7037037037037037, 27 * 64 * 27,
+     "root=(0, 0, 0), left=(0, None, None), right=(0, 0, 0)"),
+])
+def test_bind_oracle_tree_pinned(capsys, q, want_sum, search_size, strategy):
+    code, out, err = run(capsys, "bind-oracle", "--protocol", "tree", "--q", q)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["sum"], doc["search_size"], doc["strategy"]) == (want_sum, search_size, strategy)
+
+
+def test_bind_oracle_tree_guard_counts_the_tables_scored(capsys):
+    # the refusal names the work, q**(q-1) roots x (q+1)**q depth-1 tables
+    # x 2*q**2: 2.43e8 at q=5, over the default 2e7
+    t0 = time.process_time()
+    code, out, err = run(capsys, "bind-oracle", "--protocol", "tree", "--q", "5")
+    assert time.process_time() - t0 < 0.5
+    assert code == 2 and out == "" and err.startswith("refused:")
+    factors = re.search(
+        r"(\d+)\*\*(\d+) roots x (\d+)\*\*(\d+) depth-1 tables x 2\*(\d+)\*\*2 "
+        r"exceeds the budget of 20000000", err)
+    roots, root_exp, tables, table_exp, per_table = map(int, factors.groups())
+    assert roots**root_exp * tables**table_exp * 2 * per_table**2 == 243_000_000
 
 
 def test_bind_oracle_budget_refusal_exit_2(capsys):
