@@ -24,7 +24,9 @@ from typing import Callable, Iterator, Optional
 
 from .field import Field, derived_rng
 from . import games, tree as tt
+from .analysis import binding_ceiling, x_sequence
 from .protocol import (
+    ACCEPT,
     KIND_FQ,
     KIND_SINGLE,
     KIND_TREE,
@@ -207,7 +209,7 @@ def strategy_eval(
                 if claim is not None:
                     tr.reveals[leaf] = Reveal(d=d, claim=claim)
             verdict = verify_tree(tr, tr.liveness(), coloring, field)
-            if verdict.outcome == "accept" and verdict.revealed == d:
+            if verdict.outcome == ACCEPT and verdict.revealed == d:
                 wins[d] += 1
     return wins[0] / n_hist, wins[1] / n_hist
 
@@ -218,11 +220,18 @@ class BindingReport:
     k: int
     q: int
     sum: float
-    epsilon: float
-    bound: float
     search_size: int
     seconds: float
     strategy_id: str
+
+    @property
+    def epsilon(self) -> float:
+        return self.sum - 1
+
+    @property
+    def bound(self) -> float:
+        """1 + ``binding_ceiling``, the chain at n = 2, the tree at n = 3; vacuous above 2."""
+        return 1 + binding_ceiling(self.k, self.q, x_sequence(3 if self.kind == KIND_TREE else 2))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -239,15 +248,6 @@ class BindingReport:
             },
             indent=2,
         )
-
-
-def reference_bound(kind: str, k: int, q: int) -> float:
-    """Published sum upper bounds (1 + binding parameter); may exceed 2,
-    in which case they are vacuous."""
-    if kind == KIND_TREE:
-        return 1 + 5 * k / (2 * q) ** 0.5
-    # Chained protocols: binding parameter 2*sqrt(2)*k/sqrt(q).
-    return 1 + 2 * (2**0.5) * k / q**0.5
 
 
 def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingReport:
@@ -282,8 +282,6 @@ def brute_force_single(field: Field, budget: int = DEFAULT_BUDGET) -> BindingRep
         k=1,
         q=q,
         sum=best_sum,
-        epsilon=best_sum - 1,
-        bound=reference_bound(KIND_SINGLE, 1, q),
         search_size=q**q,
         seconds=time.perf_counter() - t0,
         strategy_id=f"y={tuple(game.f[b] for b in range(q))}",
@@ -343,8 +341,6 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
         k=2,
         q=q,
         sum=best_sum,
-        epsilon=best_sum - 1,
-        bound=reference_bound(KIND_FQ, 2, q),
         search_size=q ** (2 * q),
         seconds=time.perf_counter() - t0,
         strategy_id=f"y1={y1}, y2={y2}",
@@ -462,8 +458,6 @@ def brute_force_tree(
         k=2,
         q=q,
         sum=best_sum,
-        epsilon=best_sum - 1,
-        bound=reference_bound(KIND_TREE, 2, q),
         search_size=q**q * len(tables) * len(rights),
         seconds=time.perf_counter() - t0,
         strategy_id=f"root={y_root}, left={y_left}, right={y_right}",

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .field import Field
-from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
+from .protocol import ACCEPT, KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
 from .sim import (
     EVENT_MAX_K,  # re-exported: callers read analysis.EVENT_MAX_K
     LossModel,
@@ -114,6 +114,13 @@ def x_sequence(n: int) -> float:
     return x
 
 
+def binding_ceiling(k: int, q: int, x_n: float) -> float:
+    """The binding-parameter ceiling 2*k*x_n*sqrt(2/Q) of k rounds of n agents,
+    x_n = ``x_sequence(n)``: the chain's 2*sqrt(2)*k/sqrt(Q) at n = 2, the
+    tree's 5k/sqrt(2Q) at n = 3.  A k or q too large for a float: ValueError."""
+    return 2.0 * _real(k, "k") * x_n * math.sqrt(2.0 / _real(q, "q"))
+
+
 def binding_bound(k: int, q_modulus: int, n_stations: int = 3) -> dict:
     """Binding-parameter ceiling for the k-round tree protocol.
 
@@ -142,7 +149,7 @@ def bound_table(
                     raise ValueError(f"q: modulus must be >= 2, got {q}")
                 if x is None:
                     x = x_sequence(n)
-                raw = 2.0 * _real(k, "k") * x * math.sqrt(2.0 / _real(q, "q"))
+                raw = binding_ceiling(k, q, x)
                 rows.append({
                     "k": k,
                     "q": q,
@@ -483,7 +490,7 @@ def monte_carlo_reliability(
         n_ok = 0
         fcount: dict[int, int] = {}
         for res in _event_runs(kind, k, q_modulus, p, m, seed, trials, n_stations, prune_lag):
-            if res.verdict.outcome == "accept":
+            if res.verdict.outcome == ACCEPT:
                 n_ok += 1
             elif res.transcript.abort_round is not None:
                 fcount[res.transcript.abort_round] = fcount.get(res.transcript.abort_round, 0) + 1

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import tree as tt
 from .field import Field
-from .protocol import KIND_TREE, KINDS, Transcript, resolve, verify_fq, verify_tree
+from .protocol import KIND_TREE, KINDS, Transcript, Verdict, resolve, verify_fq, verify_tree
 from .sim import ResourceGuardError
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
@@ -348,7 +348,9 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"transcript: {exc}") from exc
     field = Field(tr.q)
-    if tr.kind == KIND_TREE:
+    if tr.abort_reason is not None:  # either kind, before any reveal is read
+        verdict = Verdict.abort(tr.abort_reason)
+    elif tr.kind == KIND_TREE:
         coloring = tt.make_coloring(tr.k, tr.n_stations)
         verdict = verify_tree(tr, tr.liveness(), coloring, field)
     else:

@@ -299,7 +299,9 @@ def verify_fq(
     transcript: Transcript, revealed_d: int, revealed_share: int, field: Field
 ) -> Verdict:
     """Check the chained protocol: the recursion from d must land on the
-    revealed final share."""
+    revealed final share.  A recorded abort is an abort, as in ``verify_tree``."""
+    if transcript.abort_reason is not None:
+        return Verdict.abort(transcript.abort_reason)
     k = transcript.k
     alpha = revealed_d
     for j in range(1, k + 1):

@@ -130,12 +130,9 @@ class LossModel:
 @dataclass(frozen=True)
 class Geometry:
     """Station layout: every pair of distinct stations sits at the honest
-    separation D, the unit of distance."""
+    separation D, the unit of distance (``tree.in_light_cone``)."""
 
     n_stations: int = 3
-
-    def dist(self, i: int, j: int) -> float:
-        return 0.0 if i == j else 1.0
 
 
 @dataclass
@@ -152,17 +149,12 @@ class Event:
 
 def validate_causality(events: list[Event], geometry: Geometry) -> list[str]:
     """Post-hoc light-cone check: every dependency of an event must lie in
-    its strict past cone (same location: not later; other location: early
-    enough that the signal arrived strictly before)."""
+    its strict past cone, ``tree.in_light_cone``."""
     violations = []
     for idx, ev in enumerate(events):
         for dep in ev.deps:
             src = events[dep]
-            if src.loc == ev.loc:
-                ok = src.time <= ev.time
-            else:
-                ok = src.time + geometry.dist(src.loc, ev.loc) < ev.time
-            if not ok:
+            if not tt.in_light_cone(src.time, src.loc, ev.time, ev.loc):
                 violations.append(
                     f"event #{idx} ({ev.kind}@{ev.node!r}, t={ev.time}, L{ev.loc}) "
                     f"depends on #{dep} ({src.kind}@{src.node!r}, t={src.time}, L{src.loc})"

@@ -96,24 +96,26 @@ def make_coloring(k: int, n_stations: int = 3) -> Coloring:
     return Coloring(k, n_stations)
 
 
-# The challenge at depth j is sent at time j and reaches every other
-# station at time j + 1; the strict light cone lets only later events use
-# it, so the agent at depth dv knows every challenge at depth dv - 2 or less.
-ACC_DELAY = 2
+def in_light_cone(src_time: int, src_station: int, time: int, station: int) -> bool:
+    """The strict light cone: whether an event at (src_time, src_station)
+    can be used at (time, station).  At its own station it can from the
+    same moment on; at another only strictly after its signal has crossed
+    the distance, one light-round between distinct stations."""
+    return src_time <= time if src_station == station else src_time + 1 < time
 
 
 def is_accessible(w: str, v: str, coloring: Coloring) -> bool:
     """Whether the challenge at w is available to the agent answering v.
 
-    Everything at least ``ACC_DELAY`` rounds old is globally known (the
-    signal had time to reach every station); same-color history is local
-    and always known.  The committed bit is tracked separately and is not
-    part of this rule.  Only internal nodes (depth < k) carry challenges.
+    The challenge at depth j is sent at time j from its node's station and
+    v is answered at time depth(v), so the agent knows the challenges of
+    earlier rounds ``in_light_cone``.  The committed bit is tracked
+    separately.  Only internal nodes (depth < k) carry challenges.
     """
     dw, dv = len(w), len(v)
     if dw >= dv or dw >= coloring.k:
         return False
-    return dw <= dv - ACC_DELAY or coloring.color(w) == coloring.color(v)
+    return in_light_cone(dw, coloring.color(w), dv, coloring.color(v))
 
 
 def accessible_set(v: str, coloring: Coloring) -> set[str]:

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import product
 import pytest
 
 from relbc import adversary as adv, tree as tt
+from relbc.analysis import binding_bound
 from relbc.field import Field
 from relbc.protocol import KIND_FQ, Record, Transcript, verify_fq
 from relbc.sim import ResourceGuardError
@@ -46,6 +48,19 @@ def test_single_round_optimum_is_q_plus_1_over_q(q):
 def test_single_round_oracle_decreases_with_q():
     sums = [adv.brute_force_single(Field(q)).sum for q in (2, 3, 5)]
     assert sums[0] > sums[1] > sums[2]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tree_report_bound_is_the_ceiling_table(q):
+    rep = adv.brute_force_tree(Field(q))[0]
+    assert rep.bound == 1 + binding_bound(2, q)["epsilon_bound"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("kind, k", [("single", 1), ("fq", 2)])
+def test_chain_report_bound_is_the_published_ceiling(kind, k, q):
+    rep = adv.brute_force_binding(kind, k, Field(q))
+    assert rep.bound == pytest.approx(1 + 2 * math.sqrt(2) * k / math.sqrt(q), rel=0, abs=1e-12)
 
 
 def test_chain_oracle_k2_q2():

@@ -581,6 +581,38 @@ def test_verify_transcript_detects_tampering(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "reject"
 
 
+def test_verify_transcript_exported_chain_abort(capsys, tmp_path):
+    tr_path = tmp_path / "run.json"
+    code, _, _ = run(
+        capsys, "simulate", "--protocol", "fq", "--k", "3", "--q", "97",
+        "--p", "0.9", "--seed", "3", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    assert code == 0
+    assert json.loads(tr_path.read_text())["abort"] is not None
+    code, out, _ = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 0
+    assert json.loads(out) == {
+        "outcome": "abort", "revealed": None, "reason": "active station dead at round 1",
+    }
+
+
+@pytest.mark.parametrize("protocol", ["fq", "tree"])
+def test_verify_transcript_recorded_abort_beats_a_valid_reveal(capsys, tmp_path, protocol):
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", protocol, "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    code, out, _ = run(capsys, "verify-transcript", str(tr_path))
+    assert json.loads(out)["outcome"] == "accept"
+    doc = json.loads(tr_path.read_text())
+    doc["abort"] = {"round": 2, "reason": "cut"}
+    tr_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 0
+    assert json.loads(out) == {"outcome": "abort", "revealed": None, "reason": "cut"}
+
+
 def test_verify_transcript_single_past_k1_exit_1(capsys, tmp_path):
     doc = json.loads(run_protocol("single", 1, Field(5), d=1, seed=3).transcript.to_json())
     doc["k"] = 2

@@ -13,6 +13,7 @@ from relbc.protocol import (
     Record,
     Reveal,
     Transcript,
+    Verdict,
     alpha_chain,
     honest_response,
     resolve,
@@ -161,6 +162,13 @@ def test_verify_fq_aborts_on_missing_round():
     tr, shares = _honest_chain_transcript(3, field, 0, seed=9)
     del tr.records["2"]
     assert verify_fq(tr, 0, shares["3"], field).outcome == "abort"
+
+
+def test_verify_fq_honours_a_recorded_abort():
+    field = Field(5)
+    tr, shares = _honest_chain_transcript(3, field, 0, seed=9)
+    tr.abort_reason = "active station dead at round 3"
+    assert verify_fq(tr, 0, shares["3"], field) == Verdict.abort(tr.abort_reason)
 
 
 def test_transcript_json_roundtrip_and_stability():

@@ -1,4 +1,5 @@
 import time
+from itertools import product
 
 import pytest
 
@@ -106,6 +107,22 @@ def test_causality_checker_flags_acausal_logs():
         [Event(3, 1, "challenge", "", 0, ()), Event(2, 1, "response", "", 0, (0,))], geometry
     )
     assert violations == ["event #1 (response@'', t=2, L1) depends on #0 (challenge@'', t=3, L1)"]
+
+
+def test_causality_checker_flags_what_the_distance_rule_flagged():
+    # the comparison validate_causality made before it read the light cone:
+    # the same station knows an event at once, another one unit later
+    def dist(i, j):
+        return 0.0 if i == j else 1.0
+
+    geometry = Geometry(n_stations=3)
+    for src_t, src_loc, t, loc in product(range(5), range(1, 4), range(5), range(1, 4)):
+        if src_loc == loc:
+            ok = src_t <= t
+        else:
+            ok = src_t + dist(src_loc, loc) < t
+        log = [Event(src_t, src_loc, "challenge", "", 0, ()), Event(t, loc, "response", "", 0, (0,))]
+        assert (validate_causality(log, geometry) == []) == ok, (src_t, src_loc, t, loc)
 
 
 def test_pruning_lag1_message_counts():

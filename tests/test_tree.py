@@ -118,3 +118,17 @@ def test_is_accessible_agrees_with_accessible_set(n_stations):
             ref = _levelwise_accessible_set(v, col)
             assert tt.accessible_set(v, col) == ref
             assert {w for w in nodes if tt.is_accessible(w, v, col)} == ref
+
+
+@pytest.mark.parametrize("n_stations", [3, 4, 5])
+def test_is_accessible_keeps_the_two_round_rule(n_stations):
+    # the rule is_accessible had before it read the light cone: a challenge
+    # two rounds old is known everywhere, a newer one at its own station
+    for k in range(1, 5):
+        col = tt.make_coloring(k, n_stations)
+        nodes = [v for j in range(k + 1) for v in tt.nodes_at_depth(j, col.arity)]
+        for v in nodes:
+            for w in nodes:
+                dw, dv = len(w), len(v)
+                old = dw < dv and dw < k and (dw <= dv - 2 or col.color(w) == col.color(v))
+                assert tt.is_accessible(w, v, col) == old, (w, v, k)
