@@ -59,14 +59,12 @@ class StrategyTable:
         coloring: tt.Coloring,
         responses: dict[str, dict[tuple, Optional[int]]],
         reveals: dict[tuple[str, int], dict[tuple, Optional[int]]],
-        name: str = "",
     ):
         self.k = k
         self.field = field
         self.coloring = coloring
         self.responses = responses
         self.reveals = reveals
-        self.name = name
         self._acc: dict[str, list[str]] = {}
 
     def acc(self, v: str) -> list[str]:
@@ -95,12 +93,11 @@ class StrategyTable:
         reveal_fn: Callable[[str, dict[str, int], int], Optional[int]],
         n_stations: int = 3,
         budget: int = DEFAULT_BUDGET,
-        name: str = "",
     ) -> "StrategyTable":
         """Tabulate arbitrary functions over every accessible-history tuple."""
         coloring = tt.make_coloring(k, n_stations)
         q = field.q
-        strat = cls(k, field, coloring, {}, {}, name)
+        strat = cls(k, field, coloring, {}, {})
         responses, reveals = strat.responses, strat.reveals
         cost = 0
         for j in range(k):
@@ -485,7 +482,7 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
         # the view holds exactly the leaf's accessible challenges
         return tab.get(tuple(view[w] for w in sorted(view)))
 
-    return StrategyTable.from_functions(2, field, respond_fn, reveal_fn, name="oracle-argmax")
+    return StrategyTable.from_functions(2, field, respond_fn, reveal_fn)
 
 
 def brute_force_binding(
@@ -513,7 +510,7 @@ def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int
     def reveal_fn(leaf, view, d):
         return a[tt.parent(leaf)]
 
-    return StrategyTable.from_functions(k, field, respond_fn, reveal_fn, name="honest")
+    return StrategyTable.from_functions(k, field, respond_fn, reveal_fn)
 
 
 @dataclass(frozen=True)
@@ -525,7 +522,6 @@ class ChainStrategy:
     y1: tuple
     y2: tuple
     claims: dict  # d -> {b1: claim}
-    name: str = ""
 
 
 def late_decision_chain(field: Field, seed: int = 0) -> ChainStrategy:
@@ -536,7 +532,7 @@ def late_decision_chain(field: Field, seed: int = 0) -> ChainStrategy:
     y1 = tuple(field.add(a1, 0) for _ in range(field.q))
     y2 = tuple(field.add(a2, field.mul(b2, a1)) for b2 in range(field.q))
     claims = {d: {b1: a2 for b1 in range(field.q)} for d in (0, 1)}
-    return ChainStrategy(y1, y2, claims, name="late_decision")
+    return ChainStrategy(y1, y2, claims)
 
 
 def eval_chain_strategy(strat: ChainStrategy, field: Field) -> tuple[float, float]:

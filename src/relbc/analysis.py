@@ -13,8 +13,6 @@ alone (``relbc bounds``) loads neither.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 import math
@@ -131,53 +129,47 @@ def binding_bound(k: int, q_modulus: int, n_stations: int = 3) -> dict:
 
 
 def bound_table(
-    ks: Sequence[int], qs: Sequence[int], n_stations: Sequence[int] = (3,)
+    ks: Sequence[int], qs: Sequence[int], n_stations: Sequence[int] = (3,),
+    target_epsilon: Optional[float] = None,
 ) -> list[dict]:
-    """Binding-ceiling rows (see ``binding_bound``) over a (k, Q, n) grid.
-
-    x_n takes n-2 steps, so it is stepped once per station count, at that
-    count's first row, after the row's own checks.
+    """Every row of ``relbc bounds``: the ceilings (see ``binding_bound``)
+    over a (k, Q, n) grid, n outermost; then, given a target epsilon, per
+    (n, k) the ``min_q`` at which the ceiling, falling as sqrt(2/Q), reaches
+    it: 2*(binding_ceiling(k, 2, x_n)/epsilon)^2.  Every input is checked
+    first, each error naming its flag; x_n is stepped once per station count.
     """
-    rows = []
+    for name, values, least in (("k", ks, 1), ("q", qs, 2), ("n", n_stations, 3)):
+        for v in values:
+            if v < least:
+                raise ValueError(f"{name}: must be >= {least}, got {v}")
+    if target_epsilon is not None and not 0 < target_epsilon < math.inf:
+        raise ValueError(f"epsilon: target must be positive and finite, got {target_epsilon}")
+    grid, inverse = [], []
     for n in n_stations:
-        x = None
+        x = x_sequence(n)
+        status = "proven" if n == 3 else "conjectured"
         for k in ks:
             for q in qs:
-                if k < 1 or n < 3:
-                    raise ValueError("need k >= 1 and n_stations >= 3")
-                if q < 2:
-                    raise ValueError(f"q: modulus must be >= 2, got {q}")
-                if x is None:
-                    x = x_sequence(n)
                 raw = binding_ceiling(k, q, x)
-                rows.append({
+                grid.append({
                     "k": k,
                     "q": q,
                     "n_stations": n,
                     "epsilon_bound": raw,
                     "epsilon_capped": min(raw, 1.0),
                     "x_n": x,
-                    "status": "proven" if n == 3 else "conjectured",
+                    "status": status,
                 })
-    return rows
-
-
-def invert_binding_bound(k: int, epsilon: float) -> float:
-    """Smallest modulus (as a real) for which the three-station ceiling
-    5k/sqrt(2Q) reaches the target binding parameter."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon: target binding parameter must be positive, got {epsilon}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon: target binding parameter must be finite, got {epsilon}")
-    k = _real(k, "k")
-    denom = 2.0 * epsilon * epsilon
-    q_min = 25.0 * k * k / denom if denom else math.inf
-    if q_min == math.inf:
-        raise ValueError(
-            f"epsilon: the minimal modulus 25k^2/(2 epsilon^2) overflows a float "
-            f"at k={k:g}, epsilon={epsilon}"
-        )
-    return q_min
+            if target_epsilon is None:
+                continue
+            r = binding_ceiling(k, 2, x) / target_epsilon
+            min_q = 2.0 * r * r
+            if not math.isfinite(min_q):
+                raise ValueError(f"epsilon: min_q is too large for a float at k={k}, n={n}, "
+                                 f"epsilon={target_epsilon}")
+            inverse.append({"k": k, "n_stations": n, "target_epsilon": target_epsilon,
+                            "status": status, "min_q": min_q})
+    return grid + inverse
 
 
 def _real(value: int, name: str) -> float:
@@ -289,6 +281,8 @@ def check_budget(
 
 
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
+    import hashlib
+
     import numpy as np
 
     tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
@@ -631,6 +625,8 @@ def report_row(
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -40,6 +40,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the bad field."""
 
 
+# Every key a config file may hold, with its default; a flag of the same
+# name overrides it.  N is the pruning lag.
+CONFIG_DEFAULTS = {
+    "protocol": KIND_TREE, "k": 10, "q": 97, "p": 0.0, "m": 1, "n_stations": 3, "N": 2,
+    "seed": None, "trials": 1000, "engine": "fast", "out_csv": None, "out_json": None,
+}
+
+
 @dataclass
 class ExperimentConfig:
     protocol: str
@@ -118,25 +126,15 @@ class ExperimentConfig:
                 raise ConfigError(f"config: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError("config: top level must be a JSON object")
+            unknown = [key for key in doc if key not in CONFIG_DEFAULTS]
+            if unknown:
+                raise ConfigError("; ".join(f"config: unknown key {key!r:.40}" for key in unknown))
         def pick(name, default):
-            cli_val = getattr(args, name.replace("-", "_"), None)
-            if cli_val is not None:
-                return cli_val
-            return doc.get(name, default)
-        cfg = cls(
-            protocol=pick("protocol", KIND_TREE),
-            k=pick("k", 10),
-            q=pick("q", 97),
-            p=pick("p", 0.0),
-            m=pick("m", 1),
-            n_stations=pick("n_stations", 3),
-            prune_lag=pick("N", 2),
-            seed=pick("seed", None),
-            trials=pick("trials", 1000),
-            engine=pick("engine", "fast"),
-            out_csv=pick("out_csv", None),
-            out_json=pick("out_json", None),
-        )
+            cli_val = getattr(args, name, None)
+            return doc.get(name, default) if cli_val is None else cli_val
+        fields = {name: pick(name, default) for name, default in CONFIG_DEFAULTS.items()}
+        fields["prune_lag"] = fields.pop("N")
+        cfg = cls(**fields)
         cfg.validate()
         cfg.protocol, cfg.k, cfg.n_stations = resolve(cfg.protocol, cfg.k, cfg.n_stations)
         return cfg
@@ -162,10 +160,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _pretty_table(rows: list[dict]) -> str:
     if not rows:
         return "(empty)\n"
-    cols = list(rows[0])
-    widths = {
-        c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in cols
-    }
+    cols = list(dict.fromkeys(c for r in rows for c in r))  # every row's, first seen first
+    widths = {c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in cols}
     lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
     lines.append("  ".join("-" * widths[c] for c in cols))
     for r in rows:
@@ -323,17 +319,9 @@ def _int_list(text: str, name: str) -> list[int]:
 def cmd_bounds(args: argparse.Namespace) -> int:
     from . import analysis
 
-    ks, qs, ns = _int_list(args.k, "k"), _int_list(args.q, "q"), _int_list(args.n, "n")
-    rows = analysis.bound_table(ks, qs, ns)
-    if args.invert_epsilon is not None:
-        for k in ks:
-            rows.append(
-                {
-                    "k": k,
-                    "target_epsilon": args.invert_epsilon,
-                    "min_q": analysis.invert_binding_bound(k, args.invert_epsilon),
-                }
-            )
+    rows = analysis.bound_table(
+        _int_list(args.k, "k"), _int_list(args.q, "q"), _int_list(args.n, "n"), args.invert_epsilon
+    )
     if args.pretty:
         _emit(_pretty_table(rows), None)
     else:
@@ -441,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--q", default="97", help="comma-separated list")
     bd.add_argument("--n", default="3", help="comma-separated station counts")
     bd.add_argument("--invert-epsilon", type=float,
-                    help="also report the minimal modulus hitting this target")
+                    help="also report the minimal modulus hitting this target, per (n, k)")
     bd.add_argument("--out")
     bd.add_argument("--pretty", action="store_true")
     bd.set_defaults(func=cmd_bounds)

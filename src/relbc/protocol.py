@@ -155,8 +155,10 @@ class Transcript:
         Raises ValueError naming the first field that is missing, has the
         wrong type or is out of range: an unknown kind, k < 1 (k != 1 for
         ``single``), integers outside their range (challenges, responses
-        and claims in [0, q)), or node labels that are not nodes of the
-        protocol.
+        and claims in [0, q)), node labels that are not nodes of the
+        protocol, or a record whose round or color is not its node's.  A
+        tree node at depth j runs in round j + 1 at its canonical color;
+        chain round j runs on station 1 when j is odd, 2 when it is even.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -177,6 +179,17 @@ class Transcript:
                     and (len(v) == k if leaf else len(v) < k)
                     and all(ch in digits for ch in v)
                 )
+
+            coloring = tt.make_coloring(k, n_stations)
+            child_colors = [None] + [coloring.child_colors(c) for c in range(1, n_stations + 1)]
+            colors: dict[str, int] = {}
+
+            def timing(v: str) -> tuple[int, int]:
+                # records come in depth order, so a node's color is mostly
+                # read off its parent's; otherwise it is folded over the digits
+                up = colors.get(v[:-1]) if v else None
+                c = colors[v] = coloring.color(v) if up is None else child_colors[up][int(v[-1])]
+                return len(v) + 1, c
         else:
             n_stations = _int_in(n_stations, "n_stations", 2, None)
 
@@ -187,6 +200,9 @@ class Transcript:
                     and v == str(int(v)) and 1 <= int(v) <= k
                 )
 
+            def timing(v: str) -> tuple[int, int]:
+                return int(v), 2 - int(v) % 2
+
         tr = cls(kind=kind, k=k, q=q, n_stations=n_stations)
         for i, rec in enumerate(_list(doc, "records")):
             where = f"records[{i}]"
@@ -195,12 +211,14 @@ class Transcript:
             if not node(v, leaf=False):
                 raise ValueError(f"{where}.node: {v!r:.40} is not an internal node of the protocol")
             y = rec.get("y")
-            tr.records[v] = Record(
-                b=_int_in(rec.get("b"), f"{where}.b", 0, q - 1),
-                y=None if y == "bot" else _int_in(y, f"{where}.y", 0, q - 1),
-                round=_int_in(rec.get("round"), f"{where}.round", 1, k),
-                color=_int_in(rec.get("color"), f"{where}.color", 1, n_stations),
-            )
+            b = _int_in(rec.get("b"), f"{where}.b", 0, q - 1)
+            y = None if y == "bot" else _int_in(y, f"{where}.y", 0, q - 1)
+            round_, color = timing(v)
+            for key, want in (("round", round_), ("color", color)):
+                got = rec.get(key)
+                if type(got) is not int or got != want:
+                    raise ValueError(f"{where}.{key}: node {v!r} has {key} {want}, got {got!r:.40}")
+            tr.records[v] = Record(b, y, round_, color)
         for i, rv in enumerate(_list(doc, "reveals")):
             where = f"reveals[{i}]"
             rv = _object(rv, where)

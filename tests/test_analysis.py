@@ -83,18 +83,40 @@ def test_binding_bound_conjectured_for_more_stations():
     assert row["x_n"] == pytest.approx(an.x_sequence(5))
 
 
-def test_invert_binding_bound():
+def test_bound_table_min_q_puts_the_target_back_into_the_ceiling():
     k, eps = 5 * 10**9, 1e-6
-    q_min = an.invert_binding_bound(k, eps)
-    assert q_min == pytest.approx(25 * k * k / (2 * eps * eps))
-    # plugging the minimal modulus back in hits the target
-    assert 5 * k / math.sqrt(2 * q_min) == pytest.approx(eps)
+    rows = an.bound_table([k], [97], [3, 4, 5], target_epsilon=eps)
+    inverse = [r for r in rows if "min_q" in r]
+    assert [(r["k"], r["n_stations"], r["target_epsilon"]) for r in inverse] == [
+        (k, 3, eps), (k, 4, eps), (k, 5, eps)
+    ]
+    assert [r["status"] for r in inverse] == ["proven", "conjectured", "conjectured"]
+    assert inverse[0]["min_q"] == pytest.approx(25 * k * k / (2 * eps * eps))
+    for r in inverse:
+        # plugging the minimal modulus back in hits the target
+        x = an.x_sequence(r["n_stations"])
+        assert an.binding_ceiling(k, r["min_q"], x) == pytest.approx(eps, rel=1e-12)
+    # more stations, a larger ceiling, so a larger modulus
+    assert inverse[0]["min_q"] < inverse[1]["min_q"] < inverse[2]["min_q"]
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
-def test_invert_binding_bound_refuses_a_target_that_is_not_positive_and_finite(eps):
+def test_bound_table_refuses_a_target_that_is_not_positive_and_finite(eps):
     with pytest.raises(ValueError, match="^epsilon: "):
-        an.invert_binding_bound(1, eps)
+        an.bound_table([1], [97], target_epsilon=eps)
+
+
+@pytest.mark.parametrize("ks, qs, ns, field", [
+    ([1, 0], [97], [3], "k"),
+    ([1], [97, 1], [3], "q"),
+    ([1], [97], [3, 2], "n"),
+])
+def test_bound_table_checks_every_input_before_stepping_x_n(monkeypatch, ks, qs, ns, field):
+    calls = []
+    monkeypatch.setattr(an, "x_sequence", calls.append)
+    with pytest.raises(ValueError, match=f"^{field}: must be >= "):
+        an.bound_table(ks, qs, ns, target_epsilon=0.5)
+    assert calls == []
 
 
 def test_bound_table_grid():
@@ -110,6 +132,14 @@ def test_bound_table_steps_x_n_once_per_station_count(monkeypatch):
     rows = an.bound_table([1, 2, 3], [2, 97], [3, 5])
     assert calls == [3, 5]
     assert rows == [an.binding_bound(k, q, n) for n in (3, 5) for k in (1, 2, 3) for q in (2, 97)]
+    # a target adds one row per (n, k) after the same grid, on the same x_n
+    calls.clear()
+    with_target = an.bound_table([1, 2, 3], [2, 97], [3, 5], target_epsilon=0.5)
+    assert calls == [3, 5]
+    assert with_target[:len(rows)] == rows
+    assert [(r["n_stations"], r["k"]) for r in with_target[len(rows):]] == [
+        (n, k) for n in (3, 5) for k in (1, 2, 3)
+    ]
 
 
 def test_comm_bits_formula():

@@ -491,6 +491,32 @@ def test_bounds_table_and_inversion(capsys):
     inv = [r for r in rows if "min_q" in r]
     assert len(grid) == 4 and len(inv) == 2
     assert inv[0]["min_q"] == pytest.approx(25 * 1 / (2 * 0.25))
+    assert [(r["k"], r["n_stations"], r["status"]) for r in inv] == [(1, 3, "proven"), (2, 3, "proven")]
+
+
+def test_bounds_inversion_per_station_count(capsys):
+    code, out, _ = run(capsys, "bounds", "--k", "2", "--q", "97", "--n", "3,5", "--invert-epsilon", "0.1")
+    assert code == 0
+    inv = [r for r in json.loads(out) if "min_q" in r]
+    assert [(r["n_stations"], r["min_q"]) for r in inv] == [(3, 5000.0), (5, 8423.124851367418)]
+    assert [r["status"] for r in inv] == ["proven", "conjectured"]
+
+
+def test_bounds_pretty_prints_every_column_of_every_row(capsys):
+    code, out, _ = run(
+        capsys, "bounds", "--k", "1,10,100", "--q", "97,1009", "--invert-epsilon", "1e-6", "--pretty"
+    )
+    assert code == 0
+    header, rule, *data = out.splitlines()
+    assert header.split() == [
+        "k", "q", "n_stations", "epsilon_bound", "epsilon_capped", "x_n", "status",
+        "target_epsilon", "min_q",
+    ]
+    assert len(data) == 9
+    assert [line.split() for line in data[6:]] == [
+        [k, "3", "proven", "1e-06", min_q]
+        for k, min_q in (("1", "1.25e+13"), ("10", "1.25e+15"), ("100", "1.25e+17"))
+    ]
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -498,6 +524,8 @@ def test_bounds_table_and_inversion(capsys):
     (["--q", "-5"], "q:"),
     (["--k", "1" + "0" * 400], "k:"),
     (["--invert-epsilon", "1e-300"], "epsilon:"),
+    (["--k", "0"], "k:"),
+    (["--n", "2"], "n:"),
 ])
 def test_bounds_bad_value_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run(capsys, "bounds", *argv)
@@ -643,6 +671,22 @@ def test_verify_transcript_bad_types_exit_1(capsys, tmp_path, field, value):
     assert err.startswith("error: transcript: ") and field in err
 
 
+def test_verify_transcript_refuses_records_off_their_node_timing(capsys, tmp_path):
+    # every node claiming round 1 on station 1 was accepted
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", "tree", "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    doc = json.loads(tr_path.read_text())
+    for rec in doc["records"]:
+        rec.update(round=1, color=1)
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: transcript: records[1].round: node '0' has round 2, got 1")
+
+
 def test_verify_transcript_deep_tree_accepts(capsys, tmp_path):
     tr_path = tmp_path / "run.json"
     code, _, _ = run(
@@ -697,6 +741,18 @@ def test_config_file_wrong_type_exit_1(capsys, tmp_path, doc, field):
     assert out == ""
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+def test_config_file_unknown_key_exit_1_before_any_work(capsys, tmp_path, monkeypatch):
+    # a misspelt key would otherwise run the default 1000 trials
+    import relbc.analysis
+
+    monkeypatch.setattr(relbc.analysis, "monte_carlo_reliability", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trails": 5, "seed": 1, "N": 2, "bogus": 0}))
+    code, out, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "error: config: unknown key 'trails'; config: unknown key 'bogus'\n"
 
 
 def _run_script(script: str) -> subprocess.CompletedProcess:
@@ -773,6 +829,19 @@ def test_only_the_searching_commands_load_the_oracles(tmp_path):
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert '"accept"' in proc.stdout
+
+
+def test_the_oracles_load_neither_csv_nor_hashlib():
+    # analysis imports csv for the table writer and hashlib for the walk's
+    # stream key only where they run, so bind-oracle and bounds load neither
+    script = (
+        "import sys\n"
+        "import relbc.adversary\n"
+        "loaded = sorted(m for m in ('csv', 'hashlib') if m in sys.modules)\n"
+        "assert loaded == [], loaded\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simulate_accepts_a_dead_time_past_int32(capsys):

@@ -256,6 +256,10 @@ def test_transcript_to_json_equals_json_dumps_of_the_document(tr):
     (lambda doc: doc["records"][2].update(b=97), "records[2].b"),
     (lambda doc: doc["records"][0].update(y=1.5), "records[0].y"),
     (lambda doc: doc["records"][0].update(color=4), "records[0].color"),
+    # in range, but not the node's: "0" runs in round 2 at color 2
+    (lambda doc: doc["records"][1].update(round=1), "records[1].round"),
+    (lambda doc: doc["records"][1].update(color=1), "records[1].color"),
+    (lambda doc: doc["records"][0].update(round=True), "records[0].round"),
     (lambda doc: doc["reveals"][0].update(leaf="0"), "reveals[0].leaf"),
     (lambda doc: doc["reveals"][0].update(d=2), "reveals[0].d"),
     (lambda doc: doc.update(abort={"round": 1}), "abort.reason"),
@@ -267,6 +271,25 @@ def test_transcript_from_json_checks_schema(edit, name):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(name)):
         Transcript.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("j, key, value", [(1, "round", 2), (2, "color", 1), (3, "color", 2)])
+def test_chain_transcript_from_json_checks_the_round_and_station(j, key, value):
+    # chain round j runs on station 1 when j is odd and on station 2 when it is even
+    tr, _ = _honest_chain_transcript(4, Field(97), 0, seed=2)
+    assert Transcript.from_json(tr.to_json()).to_json() == tr.to_json()
+    doc = json.loads(tr.to_json())
+    doc["records"][j - 1][key] = value
+    with pytest.raises(ValueError, match=re.escape(f"records[{j - 1}].{key}: node '{j}' has {key}")):
+        Transcript.from_json(json.dumps(doc))
+
+
+def test_transcript_from_json_colors_records_in_any_order():
+    tr, _, _ = _honest_tree_transcript(3, Field(97), 1, seed=6)
+    doc = json.loads(tr.to_json())
+    doc["records"].reverse()  # children before their parents
+    back = Transcript.from_json(json.dumps(doc))
+    assert back.records == tr.records
 
 
 @pytest.mark.parametrize("asked, runs", [
