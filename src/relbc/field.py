@@ -104,18 +104,45 @@ class Field:
         SHA-256 object that every draw copies, so a run draws many
         values for the cost of hashing only their own labels.
         """
-        import hashlib
+        residue, copy_base = self._residue_rule(), _prefix_copier(seed, labels)
 
-        copy_base = hashlib.sha256("".join(f"{x}:" for x in (seed, *labels)).encode()).copy
+        def draw(label) -> int:
+            return residue(copy_base, label, f"{label}:0".encode())
+
+        return draw
+
+    def hash_pair_stream(self, seed: int, trial: int, first: str, second: str):
+        """Draw function for two hash streams that share their labels.
+
+        ``draw(x)`` is ``(hash_stream(seed, trial, first)(x),
+        hash_stream(seed, trial, second)(x))``, drawn by the same rule from
+        one encoding of ``x``: a run's challenge and share at one node.
+        """
+        residue = self._residue_rule()
+        copy_first = _prefix_copier(seed, (trial, first))
+        copy_second = _prefix_copier(seed, (trial, second))
+
+        def draw(label) -> tuple[int, int]:
+            head = f"{label}:0".encode()
+            return residue(copy_first, label, head), residue(copy_second, label, head)
+
+        return draw
+
+    def _residue_rule(self):
+        """The draw rule of the hash streams: ``residue(copy_base, label,
+        head)`` hashes ``head``, the bytes of ``f"{label}:0"``, after a
+        copy of the stream's prefix hash, and returns the first chunk of
+        the digest below q; when a digest runs out of chunks, ctr goes up
+        by one and ``f"{label}:{ctr}"`` is hashed instead."""
         from_bytes = int.from_bytes
         q = self.q
         bits = q.bit_length()
         mask = (1 << bits) - 1
         chunks = 256 // bits
 
-        def draw(label) -> int:
+        def residue(copy_base, label, head: bytes) -> int:
             h = copy_base()
-            h.update(f"{label}:0".encode())
+            h.update(head)
             val = from_bytes(h.digest(), "big")
             v = val & mask
             if v < q:  # the common case: the first chunk is kept
@@ -132,7 +159,15 @@ class Field:
                 h.update(f"{label}:{ctr}".encode())
                 val = from_bytes(h.digest(), "big")
 
-        return draw
+        return residue
+
+
+def _prefix_copier(seed: int, labels: tuple):
+    """The ``copy`` method of a SHA-256 object that has hashed the
+    stream prefix ``"seed:l1:...:"``."""
+    import hashlib
+
+    return hashlib.sha256("".join(f"{x}:" for x in (seed, *labels)).encode()).copy
 
 
 def derived_rng(seed: int, *labels) -> random.Random:

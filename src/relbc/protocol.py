@@ -171,13 +171,13 @@ class Transcript:
         n_stations = doc.get("n_stations", 3)
         if kind == KIND_TREE:
             n_stations = _int_in(n_stations, "n_stations", 3, tt.MAX_STATIONS)
-            digits = "".join(str(t) for t in range(n_stations - 1))
+            digits = {str(t) for t in range(n_stations - 1)}
 
             def node(v, leaf: bool) -> bool:
                 return (
                     isinstance(v, str)
                     and (len(v) == k if leaf else len(v) < k)
-                    and all(ch in digits for ch in v)
+                    and set(v) <= digits
                 )
 
             coloring = tt.make_coloring(k, n_stations)
@@ -304,12 +304,13 @@ def alpha_chain(
     """
     if not path or path[0] != tt.ROOT:
         raise ValueError("path must start at the root")
+    records, q = transcript.records, field.q
     alpha = d
     for v in path:
-        rec = transcript.records[v]
+        rec = records[v]
         if rec.y is None:
             raise ValueError(f"missing response on path at node {v!r}")
-        alpha = field.sub(rec.y, field.mul(rec.b, alpha))
+        alpha = (rec.y - rec.b * alpha) % q
     return alpha
 
 
@@ -349,15 +350,17 @@ def verify_tree(
     """
     if transcript.abort_reason is not None:
         return Verdict.abort(transcript.abort_reason)
-    k, arity = transcript.k, coloring.arity
+    k = transcript.k
     if tt.ROOT not in live:
         return Verdict.abort("root did not respond")
+    digits = [str(t) for t in range(coloring.arity)]
     # Descend through alive children; prefix stability makes this walk the
     # leftmost alive node at every depth.
     path = [tt.ROOT]
     v = tt.ROOT
     for j in range(k - 1):
-        for w in tt.children(v, arity):
+        for t in digits:
+            w = v + t
             if w in live:
                 v = w
                 path.append(w)
@@ -366,13 +369,15 @@ def verify_tree(
             return Verdict.reject(f"no alive child below {v!r} (depth {j})")
     # Leaf level: leaf(v) is the leftmost revealing child; a revealing
     # sibling that contradicts it rejects.
+    reveals = transcript.reveals
     leaf = None
-    for w in tt.children(v, arity):
-        if w in transcript.reveals:
+    for t in digits:
+        w = v + t
+        if w in reveals:
             if leaf is None:
                 leaf = w
             else:
-                a, b = transcript.reveals[leaf], transcript.reveals[w]
+                a, b = reveals[leaf], reveals[w]
                 if (a.d, a.claim) != (b.d, b.claim):
                     return Verdict.reject("sibling leaves disagree at reveal")
     if leaf is None:

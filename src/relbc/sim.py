@@ -57,10 +57,10 @@ def capped_product(factors: Iterable[int], cap: int) -> int:
 # Rounds in one event-engine run, and nodes scheduled over all runs of a
 # request.  A tree run holds every scheduled node's label, so its memory
 # grows with about arity**N * k**2 / 2 characters: a three-station, lag-2
-# run of k = 5000 (5.0e7 characters in about 20k nodes) takes about 0.4 s
-# on a 2-core host and peaks at about 97 MB of RSS, 16 MB of it the
-# interpreter with relbc loaded.  At k <= 200 the engine schedules 1.3e5 to
-# 2.2e5 nodes/s, so a full EVENT_BUDGET is 9 to 15 s.
+# run of k = 5000 (5.0e7 characters in about 20k nodes) takes about 0.2 s
+# on a 2-core host and peaks at about 84 MB of RSS, 16 MB of it the
+# interpreter with relbc loaded.  At k <= 200 the engine schedules 2.6e5 to
+# 3.4e5 nodes/s, so a full EVENT_BUDGET is 6 to 8 s.
 EVENT_MAX_K = 5000
 EVENT_BUDGET = 2 * 10**6
 
@@ -223,15 +223,18 @@ def run_tree(
     the leftmost alive node they know of, learning node statuses with a
     lag of ``prune_lag`` rounds, and each station alive that round
     answers.  Rounds 1..k query depths 0..k-1, where the committer answers
-    as ``honest_response`` does with each node's share drawn from the
-    run's ``"share"`` hash stream; round k+1 is the reveal, where each
-    alive scheduled leaf sends (d, share of its parent).  After each round
-    the leftmost alive path grows by the first live child of its end, and
-    the run aborts if there is none.  The answered nodes and the revealing
-    leaves make up the live set handed to ``verify_tree``.  A run costs
-    little more than its hash draws and ``verify_tree``: on a 2-core host
-    0.34 to 0.39 ms at k=18 (63 scheduled nodes, 125 draws) and 3.6 to
-    6.1 ms at k=200 (795 nodes).  A station count outside 3 to
+    as ``honest_response`` does, with each node's challenge and share
+    drawn from one encoding of its label by the run's ``"b"`` and
+    ``"share"`` hash streams; round k+1 is the reveal, where each alive
+    scheduled leaf sends (d, share of its parent).  Each round's nodes are
+    the children of a block of the last round's, so a parent's share
+    travels with its children and no label is expanded twice.  After each
+    round the leftmost alive path grows by the first live child of its
+    end, and the run aborts if there is none.  The answered nodes and the
+    revealing leaves make up the live set handed to ``verify_tree``.  A
+    run costs little more than its hash draws and ``verify_tree``: on a
+    2-core host 0.22 to 0.30 ms at k=18 (63 scheduled nodes, 125 draws)
+    and 2.2 to 3.8 ms at k=200 (795 nodes).  A station count outside 3 to
     ``tree.MAX_STATIONS`` raises ValueError, and a run that
     ``check_event_runs`` refuses raises ResourceGuardError, both before
     round 1: the one rule ``analysis.check_budget`` applies up front.
@@ -243,38 +246,33 @@ def run_tree(
     check_event_runs(KIND_TREE, k, 1, n_stations, prune_lag)
 
     transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=n_stations)
-    records = transcript.records
+    records, reveals = transcript.records, transcript.reveals
     events: list[Event] = []
     stations = StationTracker(n_stations, loss, seed, trial)
     dead_for = stations.counters  # nonzero = station dead this round
-    draw_b = field.hash_stream(seed, trial, "b")
-    draw_share = field.hash_stream(seed, trial, "share")
-    # The share of every queried node.  A node's children are queried after
-    # it, so a lookup below finds its parent's share already drawn.
-    shares: dict[str, int] = {}
+    draw = field.hash_pair_stream(seed, trial, "b", "share")
     q = field.q
-    # rows[c]: (digit, child color) for each child of a color-c node
+    # rows[c]: (digit, child color) for each child of a color-c node; row 0
+    # is the one above the root, whose only child is the root itself
     digits = [str(t) for t in range(arity)]
-    rows = [None] + [
+    rows = [[(tt.ROOT, coloring.color(tt.ROOT))]] + [
         list(zip(digits, coloring.child_colors(c)))
         for c in range(1, n_stations + 1)
     ]
-    root = (tt.ROOT, coloring.color(tt.ROOT))
-    # (label, color) of the leftmost alive path, grown one node per round
-    lm_path: list[tuple[str, int]] = []
+    # (label, color, share) of every node queried last round, left to right,
+    # all below one node of the leftmost alive path; before round 1 it is
+    # the node above the root, whose share the committed bit stands in for
+    level = [(tt.ROOT, 0, d)]
+    # The end of the leftmost alive path, grown one node per round, and the
+    # child index of each of its nodes (the root's is 0).
+    v_star, c_star = tt.ROOT, 0
+    path_index: list[int] = []
     live: set[str] = set()  # answered nodes and revealing leaves
 
-    def scheduled(depth: int) -> list[tuple[str, int]]:
-        """(label, color) of every depth-``depth`` descendant of the
-        leftmost alive node the receiver's agents know, left to right."""
-        j0 = depth - prune_lag  # deepest depth known to all receiver agents
-        nodes = [lm_path[j0] if j0 >= 0 else root]
-        for _ in range(depth - max(j0, 0)):
-            nodes = [(w + t, ct) for w, c in nodes for t, ct in rows[c]]
-        return nodes
-
-    # Round r queries depth r-1; round k+1 is the same step at the leaves,
-    # where an alive leaf reveals (d, share of its parent) instead.
+    # Round r queries depth r-1, the children of last round's nodes below
+    # the deepest path node all receiver agents know; round k+1 is the same
+    # step at the leaves, where an alive leaf reveals (d, share of its
+    # parent) instead.
     for r in range(1, k + 2):
         t = r - 1
         changed = stations.step()
@@ -282,41 +280,48 @@ def run_tree(
             for c in changed:
                 kind = "death" if dead_for[c] else "revival"
                 events.append(Event(t, c, kind, "", None, ()))
-        reveal = r > k
-        for v, color in scheduled(r - 1):
-            alive = not dead_for[color]
-            if alive:
-                live.add(v)
-            # the parent's share; the committed bit stands in above the root
-            a_up = shares[v[:-1]] if v else d
-            if reveal:
-                if alive:
-                    transcript.reveals[v] = Reveal(d=d, claim=a_up)
-                    if collect_events:
-                        events.append(Event(t, color, "reveal", v, (d, a_up), ()))
-                continue
-            b = draw_b(v)
-            a = shares[v] = draw_share(v)
-            y = (a + b * a_up) % q if alive else None  # the honest answer
-            records[v] = Record(b, y, r, color)
-            if collect_events:
-                events.append(Event(t, color, "challenge", v, b, ()))
-                if alive:
-                    events.append(Event(t, color, "response", v, y, (len(events) - 1,)))
-        # Advance the leftmost alive path to the first live child of its
-        # end; in round 1 the root is the only candidate.
-        if lm_path:
-            vstar, c = lm_path[-1]
-            candidates = [(vstar + digit, ct) for digit, ct in rows[c]]
+        j0 = t - prune_lag  # deepest depth known to all receiver agents
+        if j0 > 0:
+            # keep last round's nodes below the path node at depth j0; level
+            # holds those below its parent, one equal block per child
+            size = len(level) // arity
+            start = path_index[j0] * size
+            level = level[start:start + size]
+        if r > k:
+            for w, c, a_up in level:
+                for digit, color in rows[c]:
+                    if not dead_for[color]:
+                        v = w + digit
+                        live.add(v)
+                        reveals[v] = Reveal(d=d, claim=a_up)
+                        if collect_events:
+                            events.append(Event(t, color, "reveal", v, (d, a_up), ()))
         else:
-            candidates = [root]
-        for node in candidates:
-            if node[0] in live:
-                lm_path.append(node)
+            below = []
+            for w, c, a_up in level:
+                for digit, color in rows[c]:
+                    v = w + digit
+                    b, a = draw(v)
+                    below.append((v, color, a))
+                    alive = not dead_for[color]
+                    if alive:
+                        live.add(v)
+                    y = (a + b * a_up) % q if alive else None  # the honest answer
+                    records[v] = Record(b, y, r, color)
+                    if collect_events:
+                        events.append(Event(t, color, "challenge", v, b, ()))
+                        if alive:
+                            events.append(Event(t, color, "response", v, y, (len(events) - 1,)))
+            level = below
+        # Advance the leftmost alive path to the first live child of its end.
+        for i, (digit, color) in enumerate(rows[c_star]):
+            if v_star + digit in live:
+                v_star, c_star = v_star + digit, color
+                path_index.append(i)
                 break
         else:
             transcript.abort_reason = (
-                f"no alive child below {vstar!r}" if lm_path else "root did not respond"
+                f"no alive child below {v_star!r}" if path_index else "root did not respond"
             )
             transcript.abort_round = r
             if collect_events:
@@ -358,8 +363,7 @@ def run_chain(
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
-    draw_b = field.hash_stream(seed, trial, "b")
-    draw_share = field.hash_stream(seed, trial, "share")
+    draw = field.hash_pair_stream(seed, trial, "b", "share")
     share = d  # a_{j-1}, with a_0 = d
     for j in range(1, k + 1):
         t = j - 1
@@ -370,8 +374,8 @@ def run_chain(
             if collect_events:
                 events.append(Event(t, color, "abort", str(j), None, ()))
             return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
-        b = draw_b(j)
-        prev, share = share, draw_share(str(j))
+        prev = share
+        b, share = draw(j)
         y = field.add(share, field.mul(b, prev))
         transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
         if collect_events:

@@ -14,6 +14,7 @@ after a numpy upgrade points at the stream before the code.
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -119,3 +120,82 @@ def test_walk_abort_rounds_match_golden_digest(walk, digest):
 def test_fast_report_matches_golden_digest():
     rep = an.monte_carlo_reliability("tree", 60, 0.004, 5, 5_000, 9)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def _draw_path(q: int, seed: int, trial: int, name: str, label) -> str:
+    """Which path a hashed draw takes: its first chunk kept, a later chunk
+    of the first digest ("rejection"), or a second digest."""
+    bits = q.bit_length()
+    val = int.from_bytes(hashlib.sha256(f"{seed}:{trial}:{name}:{label}:0".encode()).digest(), "big")
+    chunks = [(val >> (bits * i)) & ((1 << bits) - 1) for i in range(256 // bits)]
+    if chunks[0] < q:
+        return "first"
+    return "rejection" if any(c < q for c in chunks) else "second digest"
+
+
+Q_OVER_2_62 = 4611686018427388039  # the first prime above 2**62
+
+
+@pytest.mark.parametrize("q", [2, 101, Q_OVER_2_62])
+@pytest.mark.parametrize("n_stations, prune_lag, k", [
+    (3, 1, 12), (3, 2, 10), (3, 3, 8),
+    (5, 1, 8), (5, 2, 6), (5, 3, 5),
+    (11, 1, 5), (11, 2, 4), (11, 3, 3),
+])
+def test_tree_draws_come_from_their_streams_record_by_record(q, n_stations, prune_lag, k):
+    # each record's challenge is draw v of the run's "b" stream; each share
+    # behind an answer or a reveal claim is a draw of its "share" stream,
+    # with the committed bit above the root
+    field = Field(q)
+    seed = 29
+    answered = silent = revealed = 0
+    paths = Counter()
+    for trial in range(4):
+        d = trial % 2
+        loss = LossModel(p=0.1, m=2) if trial < 3 else LossModel()
+        for collect in (False, True):
+            res = run_protocol(
+                "tree", k, field, d=d, seed=seed, trial=trial, loss=loss,
+                n_stations=n_stations, prune_lag=prune_lag, collect_events=collect,
+            )
+            tr = res.transcript
+
+            def share(v):
+                return d if v is None else field.sample_hashed(seed, trial, "share", v)
+
+            for v, rec in tr.records.items():
+                assert rec.b == field.sample_hashed(seed, trial, "b", v), (trial, v)
+                paths.update(_draw_path(q, seed, trial, name, v) for name in ("b", "share"))
+                if rec.y is None:
+                    silent += 1
+                    continue
+                a_up = share(v[:-1] if v else None)
+                assert rec.y == (share(v) + rec.b * a_up) % q, (trial, v)
+                answered += 1
+            for leaf, rv in tr.reveals.items():
+                assert (rv.d, rv.claim) == (d, share(leaf[:-1])), (trial, leaf)
+                revealed += 1
+    assert answered > 0 and silent > 0 and revealed > 0
+    # q = 2 and 101 reject a first chunk now and then; the 63-bit chunks
+    # of the large modulus run out of a digest in about one draw of 16
+    assert paths["rejection" if q < 2**62 else "second digest"] > 0, paths
+
+
+@pytest.mark.parametrize("q", [2, 101, Q_OVER_2_62])
+@pytest.mark.parametrize("kind, k", [("single", 1), ("fq", 40)])
+def test_chain_draws_come_from_their_streams_record_by_record(q, kind, k):
+    field = Field(q)
+    seed = 31
+    for trial in range(6):
+        d = trial % 2
+        for collect in (False, True):
+            res = run_protocol(kind, k, field, d=d, seed=seed, trial=trial,
+                               loss=LossModel(p=0.02), collect_events=collect)
+            a = d
+            for j in range(1, len(res.transcript.records) + 1):
+                rec = res.transcript.records[str(j)]
+                assert rec.b == field.sample_hashed(seed, trial, "b", str(j)), (trial, j)
+                prev, a = a, field.sample_hashed(seed, trial, "share", str(j))
+                assert rec.y == (a + rec.b * prev) % q, (trial, j)
+            for rv in res.transcript.reveals.values():
+                assert (rv.d, rv.claim) == (d, a)
