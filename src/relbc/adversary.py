@@ -75,14 +75,20 @@ class StrategyTable:
             nodes = self._acc[v] = sorted(tt.accessible_set(v, self.coloring))
         return nodes
 
-    def _key(self, v: str, acc_view: dict[str, int]) -> tuple:
-        return tuple(acc_view[w] for w in self.acc(v))
-
-    def respond(self, v: str, b_v: int, acc_view: dict[str, int]) -> Optional[int]:
-        return self.responses[v][(b_v,) + self._key(v, acc_view)]
-
-    def reveal_claim(self, leaf: str, acc_view: dict[str, int], d: int) -> Optional[int]:
-        return self.reveals[(leaf, d)][self._key(leaf, acc_view)]
+    def tables(self) -> Iterator[tuple[dict, object, str, int]]:
+        """Every table, in one order, as ``(owner, key, node, width)``:
+        ``owner[key]`` is the table and its keys are ``width`` long.  The
+        internal nodes come level by level, keyed by ``(b_v, *acc(v))``,
+        then each leaf's reveals for d = 0 and d = 1, keyed by
+        ``acc(leaf)``."""
+        arity = self.coloring.arity
+        for j in range(self.k):
+            for v in tt.nodes_at_depth(j, arity):
+                yield self.responses, v, v, 1 + len(self.acc(v))
+        for leaf in tt.nodes_at_depth(self.k, arity):
+            width = len(self.acc(leaf))
+            for d in (0, 1):
+                yield self.reveals, (leaf, d), leaf, width
 
     @classmethod
     def from_functions(
@@ -92,40 +98,30 @@ class StrategyTable:
         respond_fn: Callable[[str, int, dict[str, int]], Optional[int]],
         reveal_fn: Callable[[str, dict[str, int], int], Optional[int]],
         n_stations: int = 3,
-        budget: int = DEFAULT_BUDGET,
     ) -> "StrategyTable":
-        """Tabulate arbitrary functions over every accessible-history tuple."""
+        """Tabulate arbitrary functions over every accessible-history tuple.
+
+        The q**width entries of every table are summed first, and a sum
+        over ``DEFAULT_BUDGET`` raises ResourceGuardError before either
+        function is called.
+        """
         coloring = tt.make_coloring(k, n_stations)
         q = field.q
         strat = cls(k, field, coloring, {}, {})
-        responses, reveals = strat.responses, strat.reveals
         cost = 0
-        for j in range(k):
-            for v in tt.nodes_at_depth(j, coloring.arity):
-                acc = strat.acc(v)
-                cost += q ** (1 + len(acc))
-                if cost > budget:
-                    raise ResourceGuardError(
-                        f"strategy tabulation needs more than {budget} entries"
-                    )
-                tab = {}
-                for combo in product(range(q), repeat=1 + len(acc)):
-                    view = dict(zip(acc, combo[1:]))
-                    tab[combo] = respond_fn(v, combo[0], view)
-                responses[v] = tab
-        for leaf in tt.nodes_at_depth(k, coloring.arity):
-            acc = strat.acc(leaf)
-            for d in (0, 1):
-                cost += q ** len(acc)
-                if cost > budget:
-                    raise ResourceGuardError(
-                        f"strategy tabulation needs more than {budget} entries"
-                    )
-                tab = {}
-                for combo in product(range(q), repeat=len(acc)):
-                    view = dict(zip(acc, combo))
-                    tab[combo] = reveal_fn(leaf, view, d)
-                reveals[(leaf, d)] = tab
+        for *_, width in strat.tables():
+            cost += q**width
+            if cost > DEFAULT_BUDGET:
+                raise ResourceGuardError(
+                    f"strategy tabulation needs more than {DEFAULT_BUDGET} entries"
+                )
+        for owner, key, v, width in strat.tables():
+            acc, combos = strat.acc(v), product(range(q), repeat=width)
+            owner[key] = (
+                {c: respond_fn(v, c[0], dict(zip(acc, c[1:]))) for c in combos}
+                if owner is strat.responses
+                else {c: reveal_fn(v, dict(zip(acc, c)), key[1]) for c in combos}
+            )
         return strat
 
 
@@ -136,28 +132,13 @@ def audit_information_constraint(strat: StrategyTable) -> None:
     can then never depend on anything outside the accessible set.
     """
     q = strat.field.q
-    for j in range(strat.k):
-        for v in tt.nodes_at_depth(j, strat.coloring.arity):
-            acc = strat.acc(v)
-            expected = set(product(range(q), repeat=1 + len(acc)))
-            got = set(strat.responses[v])
-            if got != expected:
-                raise AssertionError(f"response table at {v!r} keyed incorrectly")
-            if v == tt.ROOT and any(y is None for y in strat.responses[v].values()):
-                raise AssertionError("a silent root is an immediate abort; not allowed")
-    for leaf in tt.nodes_at_depth(strat.k, strat.coloring.arity):
-        acc = strat.acc(leaf)
-        expected = set(product(range(q), repeat=len(acc)))
-        for d in (0, 1):
-            if set(strat.reveals[(leaf, d)]) != expected:
-                raise AssertionError(f"reveal table at {leaf!r} (d={d}) keyed incorrectly")
-
-
-def _internal_nodes(k: int, arity: int) -> list[str]:
-    out = []
-    for j in range(k):
-        out.extend(tt.nodes_at_depth(j, arity))
-    return out
+    for owner, key, v, width in strat.tables():
+        table = owner[key]
+        if set(table) != set(product(range(q), repeat=width)):
+            where = f"response table at {v!r}" if key == v else f"reveal table at {v!r} (d={key[1]})"
+            raise AssertionError(f"{where} keyed incorrectly")
+        if v == tt.ROOT and any(y is None for y in table.values()):
+            raise AssertionError("a silent root is an immediate abort; not allowed")
 
 
 def strategy_eval(
@@ -169,45 +150,47 @@ def strategy_eval(
     measure over the internal nodes, no pruning) and runs the real
     verifier on the induced transcript, once per target bit.  The
     q**internals histories x 2q verifier calls are multiplied out factor by
-    factor and refused over ``budget`` before any history is built.
+    factor and refused over ``budget`` before any history is built.  Each
+    table is looked up once, before the histories: a history is a tuple
+    of challenges in the internal nodes' order, and a table's key is read
+    off it at fixed positions.
     """
     field, k, coloring = strat.field, strat.k, strat.coloring
     q = field.q
-    internals = _internal_nodes(k, coloring.arity)
-    if capped_product(chain((2 * q,), repeat(q, len(internals))), budget) > budget:
+    n_internal = sum(coloring.arity**j for j in range(k))
+    if capped_product(chain((2 * q,), repeat(q, n_internal)), budget) > budget:
         raise ResourceGuardError(
-            f"{q}**{len(internals)} histories x {2 * q} at q={q}, k={k} exceed "
+            f"{q}**{n_internal} histories x {2 * q} at q={q}, k={k} exceed "
             f"the evaluation budget of {budget}"
         )
-    n_hist = q ** len(internals)
-    leaves = list(tt.nodes_at_depth(k, coloring.arity))
-    acc = strat.acc
+    index: dict[str, int] = {}  # internal node -> its place in a history
+    answers = []  # (node, table, key positions, round, color)
+    opens = ([], [])  # per bit: (leaf, table, key positions)
+    for owner, key, v, _ in strat.tables():
+        positions = [index[w] for w in strat.acc(v)]
+        if owner is strat.responses:
+            index[v] = len(index)
+            answers.append((v, owner[key], [index[v]] + positions, len(v) + 1, coloring.color(v)))
+        else:
+            opens[key[1]].append((v, owner[key], positions))
     wins = [0, 0]
-    for combo in product(range(q), repeat=len(internals)):
-        bs = dict(zip(internals, combo))
-        base = Transcript(kind=KIND_TREE, k=k, q=q, n_stations=coloring.n_stations)
-        for v in internals:
-            acc_view = {w: bs[w] for w in acc(v)}
-            y = strat.respond(v, bs[v], acc_view)
-            base.records[v] = Record(
-                b=bs[v], y=y, round=len(v) + 1, color=coloring.color(v)
-            )
-        for d in (0, 1):
+    for bs in product(range(q), repeat=n_internal):
+        records = {
+            v: Record(b=bs[pos[0]], y=table[tuple(bs[i] for i in pos)], round=r, color=c)
+            for v, table, pos, r, c in answers
+        }
+        for d, leaves in enumerate(opens):
             tr = Transcript(
-                kind=KIND_TREE,
-                k=k,
-                q=q,
-                n_stations=coloring.n_stations,
-                records=base.records,
+                kind=KIND_TREE, k=k, q=q, n_stations=coloring.n_stations, records=records
             )
-            for leaf in leaves:
-                acc_view = {w: bs[w] for w in acc(leaf)}
-                claim = strat.reveal_claim(leaf, acc_view, d)
+            for leaf, table, pos in leaves:
+                claim = table[tuple(bs[i] for i in pos)]
                 if claim is not None:
                     tr.reveals[leaf] = Reveal(d=d, claim=claim)
             verdict = verify_tree(tr, tr.liveness(), coloring, field)
             if verdict.outcome == ACCEPT and verdict.revealed == d:
                 wins[d] += 1
+    n_hist = q**n_internal
     return wins[0] / n_hist, wins[1] / n_hist
 
 
@@ -499,10 +482,10 @@ def brute_force_binding(
     return brute_force_chain(field, k, budget)
 
 
-def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0, seed: int = 0) -> StrategyTable:
+def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0) -> StrategyTable:
     """The honest committer as a strategy table: fixed shares, committed
     bit baked into the root answer, honest claims for either open attempt."""
-    a = tree_shares(k, field, derived_rng(seed, "heuristic-shares"))
+    a = tree_shares(k, field, derived_rng(0, "heuristic-shares"))
 
     def respond_fn(v, b, view):
         return honest_response(v, b, a, d_commit, field)

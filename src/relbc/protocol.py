@@ -158,7 +158,8 @@ class Transcript:
         and claims in [0, q)), node labels that are not nodes of the
         protocol, or a record whose round or color is not its node's.  A
         tree node at depth j runs in round j + 1 at its canonical color;
-        chain round j runs on station 1 when j is odd, 2 when it is even.
+        chain round j runs on station 1 when j is odd, 2 when it is even,
+        and a chain reveals only at leaf ``str(k)``.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -194,6 +195,8 @@ class Transcript:
             n_stations = _int_in(n_stations, "n_stations", 2, None)
 
             def node(v, leaf: bool) -> bool:
+                if leaf:
+                    return v == str(k)
                 return (
                     isinstance(v, str) and len(v) <= len(str(k))
                     and v.isascii() and v.isdigit()
@@ -346,11 +349,20 @@ def verify_tree(
     revealing leaf's claimed share must equal the verification chain value
     at the deepest internal node.  ``live`` is the set of alive nodes
     (``Transcript.liveness``); nothing outside the path and its children's
-    membership in it is read.
+    membership in it is read.  A ``coloring`` of another depth or arity, or
+    a ``field`` of another q, than the transcript's raises ValueError
+    naming it.
     """
+    k = transcript.k
+    if (coloring.k, coloring.arity) != (k, transcript.n_stations - 1):
+        raise ValueError(
+            f"coloring: depth {coloring.k} and arity {coloring.arity} do not fit a "
+            f"depth-{k} transcript on {transcript.n_stations} stations"
+        )
+    if field.q != transcript.q:
+        raise ValueError(f"field: q = {field.q} does not fit a transcript at q = {transcript.q}")
     if transcript.abort_reason is not None:
         return Verdict.abort(transcript.abort_reason)
-    k = transcript.k
     if tt.ROOT not in live:
         return Verdict.abort("root did not respond")
     digits = [str(t) for t in range(coloring.arity)]

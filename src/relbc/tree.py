@@ -34,10 +34,6 @@ def parent(v: str) -> str:
     return v[:-1]
 
 
-def children(v: str, arity: int = 2) -> list[str]:
-    return [v + str(t) for t in range(arity)]
-
-
 def nodes_at_depth(j: int, arity: int = 2) -> Iterator[str]:
     """All depth-j nodes in left-to-right order."""
     if j == 0:

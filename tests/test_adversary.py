@@ -2,6 +2,7 @@ import ast
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -227,6 +228,29 @@ def test_budget_guard_trips():
         adv.brute_force_chain(F3, 2, budget=1)
     with pytest.raises(ResourceGuardError):
         adv.strategy_eval(adv.honest_strategy_table(F2), budget=1)
+
+
+@pytest.mark.parametrize("q, k", [(3, 5), (2, 6)])
+def test_tabulation_is_sized_before_any_function_is_called(q, k, monkeypatch):
+    # both tabulations hold more than DEFAULT_BUDGET entries; the refusal
+    # is read off the table sizes alone, in well under a second of CPU
+    calls = []
+
+    def respond_fn(v, b, view):
+        calls.append(v)
+
+    def reveal_fn(leaf, view, d):
+        calls.append(leaf)
+
+    monkeypatch.setattr(adv, "honest_response", respond_fn)
+    refusal = f"^strategy tabulation needs more than {adv.DEFAULT_BUDGET} entries$"
+    t0 = time.process_time()
+    with pytest.raises(ResourceGuardError, match=refusal):
+        adv.StrategyTable.from_functions(k, Field(q), respond_fn, reveal_fn)
+    with pytest.raises(ResourceGuardError, match=refusal):
+        adv.honest_strategy_table(Field(q), k=k)
+    assert time.process_time() - t0 < 1.0
+    assert calls == []
 
 
 def test_strategy_eval_names_its_budget_before_any_power():

@@ -651,6 +651,24 @@ def test_verify_transcript_single_past_k1_exit_1(capsys, tmp_path):
     assert err.startswith("error: transcript: k:")
 
 
+@pytest.mark.parametrize("leaf", ["1", "2"])
+def test_verify_transcript_refuses_a_chain_reveal_before_the_last_round(capsys, tmp_path, leaf):
+    # a chain reveals once, after round k; an earlier round label used to
+    # parse and then verify as "no reveal message present"
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", "fq", "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    doc = json.loads(tr_path.read_text())
+    assert [rv["leaf"] for rv in doc["reveals"]] == ["3"]
+    doc["reveals"][0]["leaf"] = leaf
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: transcript: reveals[0].leaf: '{leaf}' is not a leaf of the protocol")
+
+
 @pytest.mark.parametrize("field, value", [("records", 5), ("y", "x")])
 def test_verify_transcript_bad_types_exit_1(capsys, tmp_path, field, value):
     tr_path = tmp_path / "run.json"

@@ -110,6 +110,23 @@ def test_verify_tree_follows_leftmost_alive_branch():
     assert verdict.outcome == "accept" and verdict.revealed == 1
 
 
+def test_verify_tree_names_a_coloring_or_field_that_does_not_fit():
+    # an honest accepted 4-station run; a 3-station coloring read it as a
+    # binary tree and rejected, a field of another q gave a share mismatch
+    field = Field(101)
+    res = run_protocol(
+        "tree", 6, field, d=1, seed=1, trial=4, n_stations=4, loss=LossModel(p=0.2, m=2)
+    )
+    tr = res.transcript
+    assert res.verdict == Verdict.accept(1)
+    assert verify_tree(tr, tr.liveness(), tt.make_coloring(6, 4), field) == res.verdict
+    for coloring in (tt.make_coloring(6, 3), tt.make_coloring(5, 4), tt.make_coloring(7, 4)):
+        with pytest.raises(ValueError, match="^coloring: "):
+            verify_tree(tr, tr.liveness(), coloring, field)
+    with pytest.raises(ValueError, match="^field: q = 97 does not fit a transcript at q = 101$"):
+        verify_tree(tr, tr.liveness(), tt.make_coloring(6, 4), Field(97))
+
+
 def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
     field = Field(97)
     tr, col, _ = _honest_tree_transcript(2, field, 0, seed=8)
