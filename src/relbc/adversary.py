@@ -286,9 +286,12 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
 
     Only y2 is enumerated: with h(a) = max(``_chain_counts(q, y2, a)``) a
     pair scores sum over b_1 of h(y1[b_1]) + h(y1[b_1] - b_1), so y1 is the
-    best reply to y2 per b_1.  The best y1 for one y2 are a product of
-    per-b_1 argmax sets, whose least member takes the lowest best answer
-    at each b_1; the first best pair is the least such y1 over the best
+    best reply to y2 per b_1.  The last entry of y2 varies innermost:
+    each a's chain counts over the entries before it are taken once, and
+    the last entry raises h(a) by one exactly when it lands on a top
+    count.  The best y1 for one y2 are a product of per-b_1 argmax
+    sets, whose least member takes the lowest best answer at each b_1;
+    the first best pair is the least such y1 over the best
     y2, with the first y2 that gives it.  The guard counts the q**q
     y2-tables x q**2 searched; ``search_size`` counts all q**(2q) pairs.
     """
@@ -303,17 +306,20 @@ def brute_force_chain(field: Field, k: int, budget: int = DEFAULT_BUDGET) -> Bin
         )
     t0 = time.perf_counter()
     best_wins, best = -1, None
-    for y2 in _zero_first_tables(q):
-        h = [max(_chain_counts(q, y2, a)) for a in range(q)]
-        wins, y1 = 2 * h[0], [0]
-        for b1 in range(1, q):
-            scores = [h[a] + h[(a - b1) % q] for a in range(q)]
-            top = max(scores)
-            wins += top
-            y1.append(scores.index(top))
-        y1 = tuple(y1)
-        if wins > best_wins or (wins == best_wins and y1 < best[0]):
-            best_wins, best = wins, (y1, y2)
+    for head in product((0,), *repeat(range(q), q - 2)):
+        per_a = [(counts, max(counts)) for counts in (_chain_counts(q, head, a) for a in range(q))]
+        for last in range(q):
+            # the last answer, at b = q - 1, lands on chain value last + a
+            h = [top + (counts[(last + a) % q] == top) for a, (counts, top) in enumerate(per_a)]
+            wins, y1 = 2 * h[0], [0]
+            for b1 in range(1, q):
+                scores = [h[a] + h[(a - b1) % q] for a in range(q)]
+                top = max(scores)
+                wins += top
+                y1.append(scores.index(top))
+            y1 = tuple(y1)
+            if wins > best_wins or (wins == best_wins and y1 < best[0]):
+                best_wins, best = wins, (y1, head + (last,))
     best_sum = best_wins / (q * q)
     y1, y2 = best
     return BindingReport(
@@ -394,12 +400,15 @@ def brute_force_tree(
     The best open of bit d (``_tree2_open``) wins on
         T_d = q * A_d(root, left) + |Z| * A_d(root, right)
     of the q**3 histories, with A = ``_chain_agreement`` and Z the
-    challenges the left node is silent on.  So each depth-1 table is
-    scored once per root as H = A_0 + A_1.  The right counts only where
-    the left is silent, so the first right with the top H is best for
-    every left with Z non-empty (with Z empty all rights tie and the
-    first is kept); then the first left with the top q*H + |Z|*H_top is
-    kept, and a later root only with a strictly larger total.  ``sum`` is
+    challenges the left node is silent on.  A_d sums, over b_root, the
+    top ``_chain_counts`` of the depth-1 table against a = y_root[b_root]
+    - b_root*d; that top is tabulated once for every table and a, so a
+    root scores each depth-1 table as H = A_0 + A_1 with 2q lookups.
+    The right counts only where the left is silent, so the first right
+    with the top H is best for every left with Z non-empty (with Z empty
+    all rights tie and the first is kept); then the first left with the
+    top q*H + |Z|*H_top is kept, and a later root only with a strictly
+    larger total.  ``sum`` is
     w_0/q**3 + w_1/q**3; at q = 2 and 3 it, the strategy and its detail
     are those of the exhaustive float search in tests/test_adversary.py.
 
@@ -419,17 +428,21 @@ def brute_force_tree(
         )
     t0 = time.perf_counter()
     tables = list(product(list(range(q)) + [None], repeat=q))
-    rights = [t for t in tables if None not in t] if reduced else tables
+    # tops[i][a]: the top chain count of tables[i] against a_root = a
+    tops = [[max(_chain_counts(q, t, a)) for a in range(q)] for t in tables]
+    silent = [t.count(None) for t in tables]
+    rights = [i for i, n in enumerate(silent) if not n] if reduced else range(len(tables))
     best_total, best = -1, None
     for y_root in _zero_first_tables(q):
-        h = {t: _chain_agreement(q, y_root, t, 0) + _chain_agreement(q, y_root, t, 1)
-             for t in tables}
-        top = max(h[t] for t in rights)
-        y_left = max(tables, key=lambda t: q * h[t] + t.count(None) * top)
-        total = q * h[y_left] + y_left.count(None) * top
+        a_roots = [(y - b0 * d) % q for d in (0, 1) for b0, y in enumerate(y_root)]
+        h = [sum(map(top_t.__getitem__, a_roots)) for top_t in tops]
+        top = max(h[i] for i in rights)
+        scores = [q * h_t + n * top for h_t, n in zip(h, silent)]
+        total = max(scores)
         if total > best_total:
-            y_right = next(t for t in rights if h[t] == top) if None in y_left else rights[0]
-            best_total, best = total, (y_root, y_left, y_right)
+            left = scores.index(total)
+            right = next(i for i in rights if h[i] == top) if silent[left] else rights[0]
+            best_total, best = total, (y_root, tables[left], tables[right])
     y_root, y_left, y_right = best
     (w0, open0), (w1, open1) = (_tree2_open(field, *best, d) for d in (0, 1))
     best_sum = w0 / q**3 + w1 / q**3

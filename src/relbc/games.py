@@ -84,17 +84,18 @@ class GameValue:
 
 
 def win_probability(spec: GameSpec, f: dict[int, int], g: dict[int, int]) -> Fraction:
-    """Exact success probability of a fixed deterministic strategy pair."""
-    field = spec.field
-    total = Fraction(0)
-    px = Fraction(1, len(spec.support))
-    for x in spec.support:
-        for y, py in enumerate(spec.y_dist):
-            if py == 0:
-                continue
-            if field.add(f[x], g[y]) == field.mul(x, y):
-                total += px * py
-    return total
+    """Exact success probability of a fixed deterministic strategy pair.
+
+    The wins at each y are counted in integers and weighted over one
+    common denominator, so the only Fraction is the result."""
+    q = spec.field.q
+    den = math.lcm(*(py.denominator for py in spec.y_dist))
+    total = 0
+    for y, py in enumerate(spec.y_dist):
+        if py:
+            wins = sum((f[x] + g[y] - x * y) % q == 0 for x in spec.support)
+            total += py.numerator * (den // py.denominator) * wins
+    return Fraction(total, den * len(spec.support))
 
 
 def searches_second_player(support_size: int, y_support_size: int) -> bool:
@@ -154,9 +155,9 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     The search counts in integers: each positive y_dist entry is an
     integer weight over one common denominator, a table scores the sum
     of weight x best count, and only the winner's value is a Fraction.
-    The last entry varies innermost: each y's counts over the rest of
-    the table are taken once, with their largest, top_y, and each last
-    answer a then scores sum_y w_y * max(top_y, counts_y[r_y(a)] + 1).
+    The last two entries vary innermost, and each y's counts over the
+    rest of the table are taken once (see ``_first_player_search``).
+    The winner is checked with ``win_probability``.
 
     When y's support is smaller than S (``searches_second_player``), the
     search runs the other way, through ``_second_player_search``: it
@@ -169,7 +170,7 @@ def chsh_value(spec: GameSpec, budget: int = DEFAULT_BUDGET) -> GameValue:
     supp_y = [y for y, py in enumerate(spec.y_dist) if py > 0]
     check_budget(q, len(support), len(supp_y), budget)
     den = math.lcm(*(spec.y_dist[y].denominator for y in supp_y))
-    weights = [int(spec.y_dist[y] * den) for y in supp_y]
+    weights = [spec.y_dist[y].numerator * (den // spec.y_dist[y].denominator) for y in supp_y]
     # rows[j][i][a]: the answer c that wins on (x_i, supp_y[j]) when f(x_i) = a
     rows = [[[(x * y - a) % q for a in range(q)] for x in support] for y in supp_y]
     if searches_second_player(len(support), len(supp_y)):
@@ -196,25 +197,54 @@ def _first_player_search(
 ) -> tuple[int, tuple[int, ...]]:
     """The best integer score and the first best f-table in product
     order, scoring the f-tables with the leading entries fixed at 0 (see
-    ``chsh_value``); the last entry is innermost."""
+    ``chsh_value``).
+
+    Each y's counts over the head (every entry but the last two) are
+    taken once per head, with their largest, top_y.  The second-to-last
+    entry adds one count: at top_y it becomes the only top, one below
+    top_y it joins the top, and lower it changes nothing.  As no count
+    exceeds the top, a last answer a then scores w_y times the top, plus
+    w_y when counts_y[r_y(a)] is at the top; r_y(a) = x*y - a is its own
+    inverse, so the answers that gain are the r_y(c) of the c at the top
+    (``marked`` for the head's top).  Heads, then the second-to-last and
+    last entries, run in product order, and only a strictly larger score
+    replaces the best, so the first best table is kept.
+    """
+    if n_support == 1:
+        # the one entry is 0 and every y's answer wins on it
+        return sum(weights), (0,)
     n_fixed = min(n_support, 2 if uniform else 1)
     digits = [(0,)] * n_fixed + [range(q)] * (n_support - n_fixed)
-    prefixes, n_last = product(*digits[:-1]), len(digits[-1])
-    scored = [(w, row, row[-1][:n_last]) for w, row in zip(weights, rows)]
+    *head_digits, seconds, lasts = digits
+    scored = [(w, row[:-2], row[-2], row[-1]) for w, row in zip(weights, rows)]
     best_total, best_tab = -1, ()
-    for prefix in prefixes:
-        totals = [0] * n_last
-        for w, row, last_row in scored:
+    for head in product(*head_digits):
+        per_y, head_base, head_bonus = [], 0, [0] * q
+        for w, head_rows, second_row, last_row in scored:
             counts = [0] * q
-            for r, a in zip(row, prefix):
+            for r, a in zip(head_rows, head):
                 counts[r[a]] += 1
             top = max(counts)
-            for a, r in enumerate(last_row):
-                c = counts[r] + 1
-                totals[a] += w * (c if c > top else top)
-        for a, total in enumerate(totals):
-            if total > best_total:
-                best_total, best_tab = total, prefix + (a,)
+            marked = [last_row[c] for c, n in enumerate(counts) if n == top]
+            head_base += w * top
+            for a in marked:
+                head_bonus[a] += w
+            per_y.append((w, counts, top, marked, second_row, last_row))
+        for s in seconds:
+            base, bonus = head_base, head_bonus[:]
+            for w, counts, top, marked, second_row, last_row in per_y:
+                c = second_row[s]
+                n = counts[c]
+                if n == top:
+                    base += w
+                    for a in marked:
+                        bonus[a] -= w
+                    bonus[last_row[c]] += w
+                elif n + 1 == top:
+                    bonus[last_row[c]] += w
+            for a in lasts:
+                if base + bonus[a] > best_total:
+                    best_total, best_tab = base + bonus[a], head + (s, a)
     return best_total, best_tab
 
 

@@ -91,11 +91,15 @@ class Transcript:
     kind: str
     k: int
     q: int
-    n_stations: int = 3
+    n_stations: Optional[int] = None  # left out: 3 for a tree, 2 for a chain
     records: dict[str, Record] = dc_field(default_factory=dict)
     reveals: dict[str, Reveal] = dc_field(default_factory=dict)
     abort_reason: Optional[str] = None
     abort_round: Optional[int] = None
+
+    def __post_init__(self):
+        if self.n_stations is None:
+            self.n_stations = 3 if self.kind == KIND_TREE else 2
 
     def liveness(self) -> set[str]:
         """The alive nodes: every record that was answered, plus every
@@ -157,9 +161,10 @@ class Transcript:
         ``single``), integers outside their range (challenges, responses
         and claims in [0, q)), node labels that are not nodes of the
         protocol, or a record whose round or color is not its node's.  A
-        tree node at depth j runs in round j + 1 at its canonical color;
-        chain round j runs on station 1 when j is odd, 2 when it is even,
-        and a chain reveals only at leaf ``str(k)``.
+        tree node at depth j runs in round j + 1 at its canonical color
+        (3 stations when ``n_stations`` is missing); a chain runs on
+        ``n_stations`` = 2 exactly, round j on station 1 when j is odd, 2
+        when it is even, and a chain reveals only at leaf ``str(k)``.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -169,7 +174,7 @@ class Transcript:
         if kind == KIND_SINGLE and k != 1:
             raise ValueError(f"k: a single transcript is the chain at k = 1, got {k}")
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
-        n_stations = doc.get("n_stations", 3)
+        n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
         if kind == KIND_TREE:
             n_stations = _int_in(n_stations, "n_stations", 3, tt.MAX_STATIONS)
             digits = {str(t) for t in range(n_stations - 1)}
@@ -192,7 +197,10 @@ class Transcript:
                 c = colors[v] = coloring.color(v) if up is None else child_colors[up][int(v[-1])]
                 return len(v) + 1, c
         else:
-            n_stations = _int_in(n_stations, "n_stations", 2, None)
+            if type(n_stations) is not int or n_stations != 2:
+                raise ValueError(
+                    f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"
+                )
 
             def node(v, leaf: bool) -> bool:
                 if leaf:

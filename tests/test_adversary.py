@@ -100,6 +100,31 @@ def test_chain_oracle_matches_exhaustive_reference(q):
         want_sum, want_sum.hex(), want_id, want_size)
 
 
+def reference_per_table_chain(field):
+    """The earlier chain search: each y2's chain counts taken afresh for
+    every a; the sum and strategy of the first best pair."""
+    q = field.q
+    best_wins, best = -1, None
+    for y2 in adv._zero_first_tables(q):
+        h = [max(adv._chain_counts(q, y2, a)) for a in range(q)]
+        wins, y1 = 2 * h[0], [0]
+        for b1 in range(1, q):
+            scores = [h[a] + h[(a - b1) % q] for a in range(q)]
+            top = max(scores)
+            wins += top
+            y1.append(scores.index(top))
+        y1 = tuple(y1)
+        if wins > best_wins or (wins == best_wins and y1 < best[0]):
+            best_wins, best = wins, (y1, y2)
+    return best_wins / (q * q), "y1={}, y2={}".format(*best)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chain_oracle_matches_the_per_table_loop(q):
+    rep = adv.brute_force_chain(Field(q), 2)
+    assert (rep.sum, rep.strategy_id) == reference_per_table_chain(Field(q))
+
+
 def test_chain_oracle_q3_pinned():
     rep = adv.brute_force_chain(F3, 2)
     assert rep.sum == 1.5555555555555556 == pytest.approx(14 / 9)
@@ -375,6 +400,43 @@ def test_tree_oracle_q3_pinned_and_replayed(reduced, search_size):
     adv.audit_information_constraint(strat)
     s0, s1 = adv.strategy_eval(strat)
     assert s0 + s1 == pytest.approx(rep.sum)
+
+
+def reference_per_root_tree(field, reduced):
+    """The earlier depth-2 search: each root scores every depth-1 table
+    afresh through ``_chain_agreement``; the report without its seconds,
+    and the detail."""
+    q = field.q
+    tables = list(product(list(range(q)) + [None], repeat=q))
+    rights = [t for t in tables if None not in t] if reduced else tables
+    best_total, best = -1, None
+    for y_root in adv._zero_first_tables(q):
+        h = {t: adv._chain_agreement(q, y_root, t, 0) + adv._chain_agreement(q, y_root, t, 1)
+             for t in tables}
+        top = max(h[t] for t in rights)
+        y_left = max(tables, key=lambda t: q * h[t] + t.count(None) * top)
+        total = q * h[y_left] + y_left.count(None) * top
+        if total > best_total:
+            y_right = next(t for t in rights if h[t] == top) if None in y_left else rights[0]
+            best_total, best = total, (y_root, y_left, y_right)
+    y_root, y_left, y_right = best
+    (w0, open0), (w1, open1) = (adv._tree2_open(field, *best, d) for d in (0, 1))
+    report = adv.BindingReport(
+        kind="tree", k=2, q=q, sum=w0 / q**3 + w1 / q**3,
+        search_size=q**q * len(tables) * len(rights), seconds=0.0,
+        strategy_id=f"root={y_root}, left={y_left}, right={y_right}",
+    )
+    return report, (y_root, y_left, y_right, [open0, open1])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_tree_oracle_matches_the_per_root_loop(q, reduced):
+    rep, detail = adv.brute_force_tree(Field(q), 2, reduced=reduced)
+    rep.seconds = 0.0
+    want_rep, want_detail = reference_per_root_tree(Field(q), reduced)
+    assert rep.to_json() == want_rep.to_json()
+    assert detail == want_detail
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

@@ -669,6 +669,23 @@ def test_verify_transcript_refuses_a_chain_reveal_before_the_last_round(capsys, 
     assert err.startswith(f"error: transcript: reveals[0].leaf: '{leaf}' is not a leaf of the protocol")
 
 
+@pytest.mark.parametrize("n_stations", [42, 3])
+def test_verify_transcript_refuses_a_chain_off_two_stations(capsys, tmp_path, n_stations):
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", "fq", "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    doc = json.loads(tr_path.read_text())
+    assert doc["n_stations"] == 2
+    doc["n_stations"] = n_stations
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 1 and out == ""
+    assert err.startswith(
+        f"error: transcript: n_stations: a chain transcript runs on 2 stations, got {n_stations}")
+
+
 @pytest.mark.parametrize("field, value", [("records", 5), ("y", "x")])
 def test_verify_transcript_bad_types_exit_1(capsys, tmp_path, field, value):
     tr_path = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -9,6 +10,7 @@ from relbc.games import (
     DEFAULT_BUDGET,
     GameSpec,
     GameValue,
+    _first_player_search,
     check_budget,
     chsh_bound,
     chsh_value,
@@ -255,6 +257,105 @@ def test_second_player_search_matches_fraction_reference_at_q7():
         spec = GameSpec(Field(7), support, tuple(Fraction(w, sum(weights)) for w in weights))
         got, want = chsh_value(spec), reference_chsh_value(spec)
         assert (got.value, got.f, got.g) == (want.value, want.f, want.g), spec
+
+
+def reference_first_player_search(q, n_support, uniform, rows, weights):
+    """The earlier first-player search: every y's counts over all but the
+    last entry taken afresh for each such prefix, the last entry innermost."""
+    n_fixed = min(n_support, 2 if uniform else 1)
+    digits = [(0,)] * n_fixed + [range(q)] * (n_support - n_fixed)
+    prefixes, n_last = product(*digits[:-1]), len(digits[-1])
+    scored = [(w, row, row[-1][:n_last]) for w, row in zip(weights, rows)]
+    best_total, best_tab = -1, ()
+    for prefix in prefixes:
+        totals = [0] * n_last
+        for w, row, last_row in scored:
+            counts = [0] * q
+            for r, a in zip(row, prefix):
+                counts[r[a]] += 1
+            top = max(counts)
+            for a, r in enumerate(last_row):
+                c = counts[r] + 1
+                totals[a] += w * (c if c > top else top)
+        for a, total in enumerate(totals):
+            if total > best_total:
+                best_total, best_tab = total, prefix + (a,)
+    return best_total, best_tab
+
+
+def _first_player_inputs(spec):
+    # the search's arguments, as chsh_value builds them
+    q = spec.field.q
+    supp_y = [y for y, py in enumerate(spec.y_dist) if py > 0]
+    assert not searches_second_player(len(spec.support), len(supp_y))
+    den = math.lcm(*(spec.y_dist[y].denominator for y in supp_y))
+    weights = [int(spec.y_dist[y] * den) for y in supp_y]
+    rows = [[[(x * y - a) % q for a in range(q)] for x in spec.support] for y in supp_y]
+    return q, len(spec.support), len(set(spec.y_dist)) == 1, rows, weights
+
+
+def _n_best_tables(q, n_support, uniform, rows, weights, best_total):
+    # how many of the searched tables score best_total, each scored whole
+    n_fixed = min(n_support, 2 if uniform else 1)
+    n_best = 0
+    for tab in product((0,), *[range(q)] * (n_support - 1)):
+        if tab[:n_fixed] != (0,) * n_fixed:
+            continue
+        total = 0
+        for w, row in zip(weights, rows):
+            counts = [0] * q
+            for r, a in zip(row, tab):
+                counts[r[a]] += 1
+            total += w * max(counts)
+        n_best += total == best_total
+    return n_best
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_first_player_search_matches_the_prefix_loop_on_uniform_games(q):
+    for size in range(1, q + 1):
+        for support in combinations(range(q), size):
+            args = _first_player_inputs(GameSpec.uniform(Field(q), support))
+            assert _first_player_search(*args) == reference_first_player_search(*args), support
+
+
+@pytest.mark.parametrize("q, max_size", [(3, 3), (5, 5), (7, 4)])
+def test_first_player_search_matches_the_prefix_loop_on_weighted_games(q, max_size):
+    # small weights, often equal, so that many games have several best
+    # tables and the first in product order must be the one kept
+    rng = random.Random(q)
+    n_tied = 0
+    for _ in range(60):
+        size = rng.randint(1, max_size)
+        support = tuple(sorted(rng.sample(range(q), size)))
+        weights = [0] * q
+        for y in rng.sample(range(q), rng.randint(size, q)):
+            weights[y] = rng.randint(1, 3)
+        spec = GameSpec(Field(q), support, tuple(Fraction(w, sum(weights)) for w in weights))
+        args = _first_player_inputs(spec)
+        want = reference_first_player_search(*args)
+        assert _first_player_search(*args) == want, spec
+        n_tied += _n_best_tables(*args, want[0]) > 1
+    assert n_tied >= 20
+
+
+def test_win_probability_matches_the_per_cell_sum():
+    rng = random.Random(41)
+    for _ in range(200):
+        q = rng.choice((2, 3, 5, 7))
+        support = tuple(sorted(rng.sample(range(q), rng.randint(1, q))))
+        weights = [rng.randint(0, 4) for _ in range(q)]
+        weights[rng.randrange(q)] += 1
+        spec = GameSpec(Field(q), support, tuple(Fraction(w, sum(weights)) for w in weights))
+        f = {x: rng.randrange(q) for x in support}
+        g = {y: rng.randrange(q) for y in range(q) if weights[y]}
+        want = sum(
+            (Fraction(1, len(support)) * py
+             for x in support for y, py in enumerate(spec.y_dist)
+             if py and (f[x] + g[y]) % q == x * y % q),
+            Fraction(0),
+        )
+        assert win_probability(spec, f, g) == want
 
 
 def test_budget_counts_the_side_searched():

@@ -301,6 +301,23 @@ def test_chain_transcript_from_json_checks_the_round_and_station(j, key, value):
         Transcript.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("kind, k", [(KIND_FQ, 3), (KIND_SINGLE, 1)])
+@pytest.mark.parametrize("n_stations", [42, 3, 1, True, "2", None, "missing"])
+def test_chain_transcript_from_json_runs_on_two_stations(kind, k, n_stations):
+    # a chain always runs on 2 stations: 42 used to parse and keep 42, and
+    # a missing key to parse as 3
+    tr = run_protocol(kind, k, Field(97), d=1, seed=3).transcript
+    assert tr.n_stations == 2
+    assert Transcript.from_json(tr.to_json()).n_stations == 2
+    doc = json.loads(tr.to_json())
+    if n_stations == "missing":
+        del doc["n_stations"]
+    else:
+        doc["n_stations"] = n_stations
+    with pytest.raises(ValueError, match=r"^n_stations: a chain transcript runs on 2 stations"):
+        Transcript.from_json(json.dumps(doc))
+
+
 def test_transcript_from_json_colors_records_in_any_order():
     tr, _, _ = _honest_tree_transcript(3, Field(97), 1, seed=6)
     doc = json.loads(tr.to_json())
