@@ -571,23 +571,6 @@ def abort_rate_slope(
 # ---------------------------------------------------------------------------
 # Report tables
 
-CSV_COLUMNS = [
-    "protocol",
-    "p",
-    "m",
-    "k",
-    "n",
-    "N",
-    "p_ok_formula",
-    "p_ok_mc",
-    "ci_lo",
-    "ci_hi",
-    "comm_bits_mean",
-    "comm_bits_formula",
-    "half_life_formula",
-]
-
-
 # Event-engine runs behind a report's comm_bits_mean, at most one per trial.
 COMM_SAMPLES = 16
 
@@ -625,12 +608,13 @@ def report_row(
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    """CSV of ``report_row`` rows; the header is the first row's keys, in
+    their order."""
     import csv
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c, "") for c in CSV_COLUMNS})
+    writer.writerows(rows)
     return buf.getvalue()
 

@@ -87,6 +87,8 @@ class ExperimentConfig:
             errs.append(f"N: pruning lag must be >= 1, got {self.prune_lag}")
         if self.seed is None:
             errs.append("seed: required for simulation (reproducibility contract)")
+        elif self.seed < 0:
+            errs.append(f"seed: must be >= 0, got {self.seed}")
         if self.trials < 1:
             errs.append(f"trials: must be >= 1, got {self.trials}")
         if self.engine not in ("fast", "events"):
@@ -148,11 +150,16 @@ def _out_path(path: str) -> Path:
     return p
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(text: str, path: Optional[str], flag: str = "out") -> None:
+    """Write ``text`` to ``path``, or print it when no path is given; a
+    path that cannot be written is bad input naming its ``flag``."""
     if path:
         target = _out_path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -218,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=cfg.seed, trial=0, loss=LossModel(p=cfg.p, m=cfg.m),
             n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
         )
-        _emit(res.transcript.to_json() + "\n", args.transcript_out)
+        _emit(res.transcript.to_json() + "\n", args.transcript_out, "transcript-out")
     if table:
         comm_mean = analysis.measure_comm_bits(
             cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
@@ -226,12 +233,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         row = analysis.report_row(rep, cfg.q, cfg.prune_lag, comm_mean)
         if cfg.out_csv:
-            _emit(analysis.rows_to_csv([row]), cfg.out_csv)
+            _emit(analysis.rows_to_csv([row]), cfg.out_csv, "out-csv")
         if args.pretty:
             _emit(_pretty_table([row]), None)
     # --pretty replaces stdout only: --out-json is written whenever given
     if cfg.out_json or not args.pretty:
-        _emit(rep.to_json() + "\n", cfg.out_json)
+        _emit(rep.to_json() + "\n", cfg.out_json, "out-json")
     return 0
 
 

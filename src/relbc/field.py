@@ -1,9 +1,10 @@
-"""Exact arithmetic in the prime field F_q.
+"""The prime field F_q: its modulus and its draws.
 
 Every challenge, response and share in the protocols is a residue mod a
-prime q, held as a plain int in [0, q).  A ``Field`` holds the modulus
-and does the arithmetic mod q; no wrapper type sits between the ints and
-the hot paths (simulation, brute-force search).
+prime q, held as a plain int in [0, q).  A ``Field`` holds the checked
+modulus and draws uniform residues from it; callers reduce their plain
+int arithmetic with ``% q`` themselves, so no wrapper type or method call
+sits between the ints and the hot paths (simulation, brute-force search).
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.q})"
 
-    # Arithmetic on plain ints: any int is accepted, and the result is
-    # reduced into [0, q).
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def sample(self, rng: random.Random) -> int:
         """Uniform residue via rejection sampling (no modulo bias)."""
         bits = self.q.bit_length()
@@ -89,34 +79,22 @@ class Field:
 
         Equivalent in distribution to ``sample(derived_rng(...))`` but
         without paying a full PRNG state initialization per stream.  The
-        last label names the draw, so at least one label is needed; equal
-        to ``hash_stream(seed, *labels[:-1])(labels[-1])``.
+        last label x names the draw, so at least one label is needed: the
+        residue is hashed from the bytes ``"seed:l1:...:x:ctr"`` by
+        ``_residue_rule``, the rule ``hash_pair_stream`` draws by.
         """
         *head, label = labels
-        return self.hash_stream(seed, *head)(label)
-
-    def hash_stream(self, seed: int, *labels):
-        """Draw function for the hash stream named by (seed, *labels).
-
-        ``draw(x)`` is the uniform residue hashed from the bytes
-        ``"seed:l1:...:x:ctr"``, rejecting chunks >= q and bumping ctr
-        when a digest runs out.  The common prefix is hashed once into a
-        SHA-256 object that every draw copies, so a run draws many
-        values for the cost of hashing only their own labels.
-        """
-        residue, copy_base = self._residue_rule(), _prefix_copier(seed, labels)
-
-        def draw(label) -> int:
-            return residue(copy_base, label, f"{label}:0".encode())
-
-        return draw
+        return self._residue_rule()(_prefix_copier(seed, head), label, f"{label}:0".encode())
 
     def hash_pair_stream(self, seed: int, trial: int, first: str, second: str):
         """Draw function for two hash streams that share their labels.
 
-        ``draw(x)`` is ``(hash_stream(seed, trial, first)(x),
-        hash_stream(seed, trial, second)(x))``, drawn by the same rule from
-        one encoding of ``x``: a run's challenge and share at one node.
+        ``draw(x)`` is ``(sample_hashed(seed, trial, first, x),
+        sample_hashed(seed, trial, second, x))``, drawn by the same rule
+        from one encoding of ``x``: a run's challenge and share at one
+        node.  Each stream's prefix ``"seed:trial:name:"`` is hashed once
+        into a SHA-256 object that every draw copies, so a run draws many
+        values for the cost of hashing only their own labels.
         """
         residue = self._residue_rule()
         copy_first = _prefix_copier(seed, (trial, first))

@@ -296,12 +296,11 @@ def honest_response(
 ) -> int:
     """The honest answer at internal node v, given each node's share.
 
-    Root: y = a_root + d*b.  Non-root vt: y = a_vt + b_vt * a_v where v is
-    the parent.
+    y = a_v + b_v * a_parent, where a_parent is d at the root: the rule
+    ``sim.run_tree`` answers by.
     """
-    if v == tt.ROOT:
-        return field.add(shares[tt.ROOT], field.mul(d, b_v))
-    return field.add(shares[v], field.mul(b_v, shares[tt.parent(v)]))
+    a_parent = d if v == tt.ROOT else shares[tt.parent(v)]
+    return (shares[v] + b_v * a_parent) % field.q
 
 
 def alpha_chain(
@@ -332,14 +331,14 @@ def verify_fq(
     revealed final share.  A recorded abort is an abort, as in ``verify_tree``."""
     if transcript.abort_reason is not None:
         return Verdict.abort(transcript.abort_reason)
-    k = transcript.k
+    k, q = transcript.k, field.q
     alpha = revealed_d
     for j in range(1, k + 1):
         rec = transcript.records.get(str(j))
         if rec is None or rec.y is None:
             return Verdict.abort(f"no response at round {j}")
-        alpha = field.sub(rec.y, field.mul(rec.b, alpha))
-    if alpha == revealed_share % field.q:
+        alpha = (rec.y - rec.b * alpha) % q
+    if alpha == revealed_share % q:
         return Verdict.accept(revealed_d)
     return Verdict.reject("final share mismatch")
 

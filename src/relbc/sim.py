@@ -376,7 +376,7 @@ def run_chain(
             return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
         prev = share
         b, share = draw(j)
-        y = field.add(share, field.mul(b, prev))
+        y = (share + b * prev) % field.q
         transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
         if collect_events:
             ci = len(events)

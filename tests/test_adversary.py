@@ -81,10 +81,10 @@ def reference_brute_force_chain(field):
             wins = 0
             for d in (0, 1):
                 for b1 in range(q):
-                    a1 = field.sub(y1[b1], field.mul(b1, d))
+                    a1 = (y1[b1] - b1 * d) % q
                     counts = [0] * q
                     for b2 in range(q):
-                        counts[field.sub(y2[b2], field.mul(b2, a1))] += 1
+                        counts[(y2[b2] - b2 * a1) % q] += 1
                     wins += max(counts)
             s = wins / q**2
             if s > best_sum:
@@ -160,8 +160,8 @@ def test_chain_oracle_optimum_replays_through_verify_fq(q):
     accepts = 0
     for d in (0, 1):
         for b1 in range(q):
-            a1 = field.sub(y1[b1], field.mul(b1, d))
-            values = [field.sub(y2[b2], field.mul(b2, a1)) for b2 in range(q)]
+            a1 = (y1[b1] - b1 * d) % q
+            values = [(y2[b2] - b2 * a1) % q for b2 in range(q)]
             claim = max(range(q), key=values.count)
             for b2 in range(q):
                 tr = Transcript(kind=KIND_FQ, k=2, q=q, n_stations=2, records={
@@ -255,6 +255,24 @@ def test_budget_guard_trips():
         adv.strategy_eval(adv.honest_strategy_table(F2), budget=1)
 
 
+def test_tree_oracle_at_q5_fits_a_budget_of_its_lookups(monkeypatch):
+    # 5**4 roots x 6**5 depth-1 tables x 2*5 lookups = 48,600,000: the
+    # conjecture's 2 - (4/5)**3 = 186/125 at that budget, refused one below
+    # it before any table is built
+    rep = adv.brute_force_tree(Field(5), budget=48_600_000)[0]
+    assert rep.sum == 1.488 == 186 / 125
+    assert rep.strategy_id == (
+        "root=(0, 0, 0, 0, 0), left=(0, None, None, None, None), right=(0, 0, 0, 0, 0)"
+    )
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(adv, "product", no_tables)
+    with pytest.raises(ResourceGuardError, match=r"x 2\*5 lookups exceeds the budget of 48599999$"):
+        adv.brute_force_tree(Field(5), budget=48_599_999)
+
+
 @pytest.mark.parametrize("q, k", [(3, 5), (2, 6)])
 def test_tabulation_is_sized_before_any_function_is_called(q, k, monkeypatch):
     # both tabulations hold more than DEFAULT_BUDGET entries; the refusal
@@ -325,13 +343,13 @@ def _tree2_optimal_open(field, y_root, y_left, y_right, d):
     for b0 in range(q):
         for bl in range(q):
             for br in range(q):
-                a0 = field.sub(y_root[b0], field.mul(b0, d))
+                a0 = (y_root[b0] - b0 * d) % q
                 h = {tt.ROOT: b0, "0": bl, "1": br}
                 if y_left[bl] is not None:
-                    alpha = field.sub(y_left[bl], field.mul(bl, a0))
+                    alpha = (y_left[bl] - bl * a0) % q
                     per_path["0"].append((h, alpha))
                 elif y_right[br] is not None:
-                    alpha = field.sub(y_right[br], field.mul(br, a0))
+                    alpha = (y_right[br] - br * a0) % q
                     per_path["1"].append((h, alpha))
                 # else: both depth-1 nodes silent, the run aborts
     total = 0

@@ -107,6 +107,40 @@ def test_simulate_validation_reports_field(capsys):
     assert "p:" in err
 
 
+def test_simulate_negative_seed_exit_1_naming_seed(capsys, tmp_path):
+    # from a flag or a config file, under either engine
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -1}')
+    for source in (["--seed", "-1"], ["--config", str(config)]):
+        for engine in ("fast", "events"):
+            code, out, err = run(
+                capsys, "simulate", "--k", "3", "--trials", "10", "--engine", engine, *source
+            )
+            assert (code, out, err) == (1, "", "error: seed: must be >= 0, got -1\n")
+
+
+SIMULATE = ["simulate", "--k", "3", "--seed", "1", "--trials", "10"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*SIMULATE, "--out-json"], "out-json"),
+    ([*SIMULATE, "--out-csv"], "out-csv"),
+    ([*SIMULATE, "--transcript-out"], "transcript-out"),
+    (["bind-oracle", "--protocol", "single", "--q", "2", "--out"], "out"),
+    (["chsh", "--q", "2", "--out"], "out"),
+    (["bounds", "--out"], "out"),
+    (["verify-transcript", "run.json", "--out"], "out"),
+])
+def test_unwritable_output_path_exit_1_naming_the_flag(capsys, tmp_path, monkeypatch, argv, flag):
+    # every output flag of every command, given a directory: bad input
+    # naming the flag and the path, never a traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *SIMULATE, "--transcript-out", "run.json")[0] == 0
+    code, _, err = run(capsys, *argv, str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: {flag}: ") and repr(str(tmp_path)) in err
+
+
 def test_simulate_csv_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -236,16 +270,16 @@ def test_bind_oracle_tree_pinned(capsys, q, want_sum, search_size, strategy):
 
 def test_bind_oracle_tree_guard_counts_the_tables_scored(capsys):
     # the refusal names the work, q**(q-1) roots x (q+1)**q depth-1 tables
-    # x 2*q**2: 2.43e8 at q=5, over the default 2e7
+    # x 2*q lookups: 4.86e7 at q=5, over the default 2e7
     t0 = time.process_time()
     code, out, err = run(capsys, "bind-oracle", "--protocol", "tree", "--q", "5")
     assert time.process_time() - t0 < 0.5
     assert code == 2 and out == "" and err.startswith("refused:")
     factors = re.search(
-        r"(\d+)\*\*(\d+) roots x (\d+)\*\*(\d+) depth-1 tables x 2\*(\d+)\*\*2 "
+        r"(\d+)\*\*(\d+) roots x (\d+)\*\*(\d+) depth-1 tables x 2\*(\d+) lookups "
         r"exceeds the budget of 20000000", err)
     roots, root_exp, tables, table_exp, per_table = map(int, factors.groups())
-    assert roots**root_exp * tables**table_exp * 2 * per_table**2 == 243_000_000
+    assert roots**root_exp * tables**table_exp * 2 * per_table == 48_600_000
 
 
 def test_bind_oracle_budget_refusal_exit_2(capsys):

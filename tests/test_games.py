@@ -125,7 +125,7 @@ def reference_chsh_value(spec: GameSpec) -> GameValue:
         for y in supp_y:
             scores = [Fraction(0)] * q
             for x in spec.support:
-                scores[field.sub(field.mul(x, y), f[x])] += px
+                scores[(x * y - f[x]) % q] += px
             c_best = max(range(q), key=lambda c: (scores[c], -c))
             g[y] = c_best
             value += spec.y_dist[y] * scores[c_best]

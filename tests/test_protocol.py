@@ -145,7 +145,7 @@ def _honest_chain_transcript(k, field, d, seed):
     prev = d
     for j in range(1, k + 1):
         b = field.sample(derived_rng(seed, "cb", j))
-        y = field.add(shares[str(j)], field.mul(b, prev))
+        y = (shares[str(j)] + b * prev) % field.q
         tr.records[str(j)] = Record(b=b, y=y, round=j, color=1 if j % 2 else 2)
         prev = shares[str(j)]
     return tr, shares

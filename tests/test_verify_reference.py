@@ -24,7 +24,7 @@ def _reference_alpha_chain(path, transcript, d, field):
         rec = transcript.records[v]
         if rec.y is None:
             raise ValueError(f"missing response on path at node {v!r}")
-        alpha = field.sub(rec.y, field.mul(rec.b, alpha))
+        alpha = (rec.y - rec.b * alpha) % field.q
     return alpha
 
 
