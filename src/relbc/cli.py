@@ -20,6 +20,7 @@ All randomness flows from the ``--seed`` argument through named substreams
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -164,6 +165,24 @@ def _emit(text: str, path: Optional[str], flag: str = "out") -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _check_out_path(path: str, flag: str) -> None:
+    """Refuse, before any work, an output path that ``_emit`` cannot write:
+    a directory, a path below a file, or one that may not be written."""
+    target = _out_path(path)
+    parent = target.parent
+    while not parent.exists() and parent != parent.parent:
+        parent = parent.parent  # _emit makes the missing directories
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(target if target.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"{flag}: {OSError(code, os.strerror(code), str(target))}")
+
+
 def _pretty_table(rows: list[dict]) -> str:
     if not rows:
         return "(empty)\n"
@@ -190,6 +209,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import analysis  # loaded only by the commands that use it
 
     cfg = ExperimentConfig.from_args(args)
+    # Every output path is tried before any work, and nothing is written
+    # until every output is built, so a refusal leaves no file behind.
+    for flag, path in (("transcript-out", args.transcript_out), ("out-csv", cfg.out_csv),
+                       ("out-json", cfg.out_json)):
+        if path:
+            _check_out_path(path, flag)
     # Only a printed table (CSV or --pretty) has the cost columns, so only
     # then do the cost samples run.
     table = bool(cfg.out_csv or args.pretty)
@@ -218,6 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         q_modulus=cfg.q,
         prune_lag=cfg.prune_lag,
     )
+    outputs: list[tuple[str, Optional[str], str]] = []  # (text, path, flag)
     if args.transcript_out:
         from .sim import LossModel, run_protocol
         res = run_protocol(
@@ -225,7 +251,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=cfg.seed, trial=0, loss=LossModel(p=cfg.p, m=cfg.m),
             n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
         )
-        _emit(res.transcript.to_json() + "\n", args.transcript_out, "transcript-out")
+        outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
     if table:
         comm_mean = analysis.measure_comm_bits(
             cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
@@ -233,12 +259,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         row = analysis.report_row(rep, cfg.q, cfg.prune_lag, comm_mean)
         if cfg.out_csv:
-            _emit(analysis.rows_to_csv([row]), cfg.out_csv, "out-csv")
+            outputs.append((analysis.rows_to_csv([row]), cfg.out_csv, "out-csv"))
         if args.pretty:
-            _emit(_pretty_table([row]), None)
+            outputs.append((_pretty_table([row]), None, "out"))
     # --pretty replaces stdout only: --out-json is written whenever given
     if cfg.out_json or not args.pretty:
-        _emit(rep.to_json() + "\n", cfg.out_json, "out-json")
+        outputs.append((rep.to_json() + "\n", cfg.out_json, "out-json"))
+    for text, path, flag in outputs:
+        _emit(text, path, flag)
     return 0
 
 

@@ -1,9 +1,11 @@
 import math
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an
 from relbc.field import Field
@@ -174,17 +176,97 @@ def test_comm_bits_formula_refuses_a_chain_too_long_for_a_float():
         an.comm_bits_formula("fq", 10**400, 2)
 
 
+def _root_within(x: float, tail, target, ulps: int = 64) -> bool:
+    """Whether the monotone ``tail`` crosses ``target`` within ``ulps`` ulp of x."""
+    step = ulps * math.ulp(x)
+    below = tail(max(x - step, 0.0)) - target
+    above = tail(min(x + step, 1.0)) - target
+    return below * above <= 0
+
+
+def _exact_binomial_cdf(n: int, s: int):
+    """v -> P(Bin(n, v) <= s), in exact rationals."""
+    def cdf(v: float) -> Fraction:
+        v = Fraction(v)
+        return sum(math.comb(n, j) * v**j * (1 - v) ** (n - j) for j in range(s + 1))
+    return cdf
+
+
+def _assert_bounds_solve_the_beta_equation(s: int, n: int, alpha: float) -> None:
+    """lo solves P(Bin(n, lo) >= s) = alpha/2 and hi P(Bin(n, hi) <= s) = alpha/2,
+    which are I_lo(s, n-s+1) and 1 - I_hi(s+1, n-s): each bound lies within
+    64 ulp of its root.  Checked exactly up to 64 trials, and above that with
+    scipy's incomplete beta on the smaller tail (scipy is a test oracle only)."""
+    lo, hi = an.clopper_pearson(s, n, alpha)
+    half = alpha / 2
+    if n <= 64:
+        below, at_most = _exact_binomial_cdf(n, s - 1), _exact_binomial_cdf(n, s)
+        lower_tail = lambda v: 1 - below(v)  # noqa: E731
+        half = Fraction(half)
+    else:
+        from scipy.special import betainc, betaincc
+
+        lower_tail = lambda v: betainc(s, n - s + 1, v)  # noqa: E731
+        at_most = lambda v: betaincc(s + 1, n - s, v)  # noqa: E731
+    if s == 0:
+        assert lo == 0.0
+    else:
+        assert _root_within(lo, lower_tail, half), (s, n, alpha, lo)
+    if s == n:
+        assert hi == 1.0
+    else:
+        assert _root_within(hi, at_most, half), (s, n, alpha, hi)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 1e-6])
 @pytest.mark.parametrize("trials", [1, 64, 10**4, 10**6])
-def test_clopper_pearson_matches_beta_ppf(trials, alpha):
-    from scipy import stats
-
+def test_clopper_pearson_solves_the_beta_equation(trials, alpha):
     for successes in sorted({0, 1, trials // 2, trials}):
-        lo = 0.0 if successes == 0 else float(
-            stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
-        hi = 1.0 if successes == trials else float(
-            stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
-        assert an.clopper_pearson(successes, trials, alpha) == (lo, hi)
+        _assert_bounds_solve_the_beta_equation(successes, trials, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6])
+@pytest.mark.parametrize("trials", [10**4, 10**6])
+def test_clopper_pearson_solves_the_beta_equation_on_a_seeded_sample(trials, alpha):
+    # the skewed corners, where a plain continued fraction for the upper
+    # tail cancels, and a seeded sample of the rest
+    sample = random.Random(trials).sample(range(trials + 1), 6)
+    for successes in sorted({1, 2, trials - 2, trials - 1, *sample}):
+        _assert_bounds_solve_the_beta_equation(successes, trials, alpha)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((5, 3), "successes"),
+    ((-1, 10), "successes"),
+    ((3, 10, 1.5), "alpha"),
+    ((3, 10, 0.0), "alpha"),
+    ((3, 10, 1.0), "alpha"),
+    ((3, 10, math.nan), "alpha"),
+    ((3, 10, 5e-324), "alpha"),
+])
+def test_clopper_pearson_refuses_what_has_no_interval(args, name):
+    # outside these ranges there is no interval to give
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        an.clopper_pearson(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10**6),
+    frac=st.floats(0, 1),
+    alpha=st.floats(1e-300, 0.999),
+)
+def test_clopper_pearson_interval_properties(n, frac, alpha):
+    s = round(frac * n)
+    lo, hi = an.clopper_pearson(s, n, alpha)
+    assert 0 <= lo <= s / n <= hi <= 1
+    if s < n:
+        # both bounds rise with the successes
+        lo1, hi1 = an.clopper_pearson(s + 1, n, alpha)
+        assert lo <= lo1 and hi <= hi1
+    # the lower bound at s is one minus the upper bound at n - s
+    mirror = an.clopper_pearson(n - s, n, alpha)[1]
+    assert abs(Fraction(lo) - (1 - Fraction(mirror))) <= 64 * math.ulp(max(lo, mirror))
 
 
 def test_clopper_pearson_edges():

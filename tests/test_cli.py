@@ -141,6 +141,28 @@ def test_unwritable_output_path_exit_1_naming_the_flag(capsys, tmp_path, monkeyp
     assert err.startswith(f"error: {flag}: ") and repr(str(tmp_path)) in err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--transcript-out", "tt.json", "--out-csv", "."],
+    ["--out-csv", "row.csv", "--out-json", "/dev/null/r.json"],
+    ["--transcript-out", ".", "--out-json", "r.json"],
+])
+def test_simulate_refused_output_path_leaves_no_file_and_runs_nothing(capsys, tmp_path, monkeypatch, bad):
+    # every output path is tried before the walk, and nothing is written
+    # until every output is built
+    import relbc.analysis
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(relbc.analysis, "monte_carlo_reliability", no_walk)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "simulate", "--protocol", "tree", "--k", "12", "--seed", "7",
+                         "--trials", "100", *bad)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: (out-csv|out-json|transcript-out): \[Errno \d+\] .*\n", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_csv_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -851,6 +873,35 @@ def test_import_and_light_commands_load_no_scipy():
     )
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # the interval is plain Python: with scipy made unimportable, every
+    # subcommand runs, simulate under both engines and with every output
+    out = str(tmp_path)
+    simulate = ["simulate", "--protocol", "tree", "--k", "12", "--q", "101", "--p", "0.02",
+                "--m", "5", "--seed", "7", "--trials", "200"]
+    argvs = [
+        simulate,
+        [*simulate, "--pretty", "--out-csv", f"{out}/fast.csv", "--transcript-out", f"{out}/t.json"],
+        [*simulate, "--engine", "events", "--pretty", "--out-csv", f"{out}/events.csv",
+         "--out-json", f"{out}/events.json"],
+        ["simulate", "--protocol", "fq", "--k", "9", "--p", "0.05", "--seed", "4", "--trials", "100"],
+        ["verify-transcript", f"{out}/t.json"],
+        ["bind-oracle", "--protocol", "tree", "--q", "2"],
+        ["chsh", "--q", "2", "--uniform"],
+        ["bounds", "--k", "1,10", "--q", "97", "--invert-epsilon", "0.5"],
+    ]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "import relbc.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert relbc.cli.dispatch(argv) == 0, argv\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f).stat().st_size for f in ("fast.csv", "t.json", "events.csv", "events.json"))
 
 
 def test_import_and_numpy_free_commands_load_no_numpy(tmp_path):
