@@ -17,8 +17,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -250,8 +251,9 @@ RNG_STREAM = 2
 
 
 # Station-walk budgets, checked before any work starts.  On a 2-core host
-# the three-station tree walk steps 5e7 to 8e7 trial-rounds/s and the
-# chain walk about 2e8, so a full walk budget is 15 to 20 s of tree walk.
+# the three-station tree walk steps about 1.2e8 trial-rounds/s on one block
+# of trials and 2.3e8 on many, whose blocks run on both cores; the chain
+# walk about 4e8 and 8e8.  So a full walk budget is 4 to 8 s of tree walk.
 # The event engine's caps are sim.check_event_runs, which every run calls.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
@@ -270,11 +272,12 @@ def check_budget(
     or ``event_runs`` event-engine runs of depth k do not pass
     ``sim.check_event_runs``, the check every run makes itself.
 
-    The walk keeps every trial's state at once: an int32 revive round per
-    station, the int32 abort round and the current color in the smallest
-    integer type that holds n_stations, which ``4 * n_stations + 16``
-    bytes per trial covers.  The sizes are those of the protocol
-    ``protocol.resolve`` gives.
+    The walk holds an int32 abort round per trial, plus one block's
+    buffers per worker: the draws, an int32 revive round per station,
+    masks and the current color of at most WALK_BLOCK trials.  The guard
+    still charges ``4 * n_stations + 16`` bytes per trial, the state of a
+    walk that held every trial's at once, which covers both.  The sizes
+    are those of the protocol ``protocol.resolve`` gives.
     """
     kind, k, n_stations = resolve(kind, k, n_stations)
     rounds = k + 1 if kind == KIND_TREE else k
@@ -295,35 +298,149 @@ def check_budget(
         check_event_runs(kind, k, event_runs, n_stations, prune_lag)
 
 
-def _station_rng(seed: int, tag: str) -> np.random.Generator:
+def _station_seed(seed: int, tag: str) -> np.random.SeedSequence:
+    """The seed of a walk's PCG64 stream: the seed and a SHA-256 digest of
+    the walk's tag, so the stream is the same in every process."""
     import hashlib
 
     import numpy as np
 
     tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag_key])))
+    return np.random.SeedSequence([seed, tag_key])
+
+
+def _station_rng(seed: int, tag: str) -> np.random.Generator:
+    """A walk's stream as one Generator read from its start, as the tests'
+    unblocked reference walks read it."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(_station_seed(seed, tag)))
+
+
+# Trials per block of a station walk: a worker walks one block through
+# every round before it takes the next, so its buffers stay this many
+# trials wide at any trial count.
+WALK_BLOCK = 16384
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _walk_blocks(
+    seq: np.random.SeedSequence, trials: int, n: int, rounds: int,
+    walker: Callable[[int], Callable],
+) -> np.ndarray:
+    """Abort round per trial (0 = survived) of a station walk of ``rounds``
+    rounds that draws n uniforms per trial and round, block by block.
+
+    The draws are those of one (trials, n) ``Generator.random`` draw per
+    round from ``seq``'s PCG64, each double taking one 64-bit output.  A
+    block of B trials from trial lo starts at ``advance(lo * n)`` and skips
+    the other trials' draws with ``advance((trials - B) * n)`` after each
+    round, so no block's draws depend on another's.
+
+    The blocks run on min(CPUs, blocks) workers: the calling thread and
+    plain threads that take blocks in turn; numpy releases the GIL for the
+    draws and the ufunc loops.  Every buffer is allocated here, before any
+    thread starts: ``walker(width)`` allocates one worker's buffers for
+    blocks of up to ``width`` trials and returns ``walk(abort, rounds)``,
+    which writes the abort rounds of one block into ``abort``, a view of
+    its trials, as ``rounds`` yields each round r with the block's draws,
+    a (B, n) array.  If any worker raises, the others stop at their next
+    round, and all are joined before the exception propagates.
+    """
+    import threading
+
+    import numpy as np
+
+    abort = np.empty(trials, dtype=np.int32)
+    width = min(trials, WALK_BLOCK)
+    blocks = range(0, trials, WALK_BLOCK)  # each block's first trial
+    workers = [
+        (np.empty((width, n)), walker(width)) for _ in range(max(1, min(_cpus(), len(blocks))))
+    ]
+    starts = iter(blocks)
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures: list[BaseException] = []
+
+    def draws(lo: int, draw: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        bits = np.random.PCG64(seq)
+        bits.advance(lo * n)
+        rng = np.random.Generator(bits)
+        skip = (trials - len(draw)) * n
+        for r in range(1, rounds + 1):
+            if stop.is_set():
+                return
+            rng.random(out=draw)
+            bits.advance(skip)
+            yield r, draw
+
+    def run(draw: np.ndarray, walk: Callable) -> None:
+        while not stop.is_set():
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            hi = min(lo + WALK_BLOCK, trials)
+            walk(abort[lo:hi], draws(lo, draw[: hi - lo]))
+
+    def run_in_thread(draw: np.ndarray, walk: Callable) -> None:
+        try:
+            run(draw, walk)
+        except BaseException as exc:  # re-raised in the caller
+            failures.append(exc)
+            stop.set()
+
+    started = []
+    try:
+        for worker in workers[1:]:
+            thread = threading.Thread(target=run_in_thread, args=worker)
+            thread.start()
+            started.append(thread)
+        run(*workers[0])
+        for thread in started:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in started:
+            thread.join()
+        raise
+    if failures:
+        raise failures[0]
+    return abort
 
 
 def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Abort round per trial (0 = survived) for the chained protocol:
-    one Bernoulli(p) failure chance of the active agent per round."""
+    one Bernoulli(p) failure chance of the active agent per round.  The
+    draw for (round r, trial t) sits at offset (r - 1) * trials + t of the
+    walk's PCG64 stream: the tree walk's layout at n = 1, walked by the
+    same blocks and workers."""
     import numpy as np
 
-    rng = _station_rng(seed, "chain")
-    abort = np.zeros(trials, dtype=np.int32)
-    active = np.ones(trials, dtype=bool)
-    for r in range(1, k + 1):
-        died = active & (rng.random(trials) < p)
-        abort[died] = r
-        active &= ~died
-    return abort
+    never = k + 1
 
+    def walker(width: int) -> Callable:
+        died = np.empty(width, dtype=bool)
 
-# Trials per block of the tree walk.  Each round walks the trials block by
-# block, so the numpy temporaries stay this many trials wide at any trial
-# count; drawing the blocks in order consumes the stream exactly as one
-# (trials, n) draw would.
-WALK_BLOCK = 16384
+        def walk(abort: np.ndarray, rounds: Iterator) -> None:
+            dies = died[: len(abort)]
+            abort.fill(never)
+            for r, u in rounds:
+                np.less(u[:, 0], p, out=dies)
+                np.minimum(abort, r, out=abort, where=dies)
+            np.equal(abort, never, out=dies)
+            np.copyto(abort, 0, where=dies)
+
+        return walk
+
+    return _walk_blocks(_station_seed(seed, "chain"), trials, 1, k, walker)
 
 
 def tree_abort_rounds(
@@ -342,47 +459,70 @@ def tree_abort_rounds(
     each station keeps the round it revives in.  A station dead for k + 1
     rounds stays dead to the end, so m is capped there; that keeps every
     revive round inside int32 for any walk under WALK_BUDGET.
+
+    The draw for (round r, trial t, station s) sits at offset
+    ((r - 1) * trials + t) * n + s of the walk's PCG64 stream.  Each block
+    of up to WALK_BLOCK trials walks all k + 1 rounds from its own offset
+    (``_walk_blocks``), on min(len(os.sched_getaffinity(0)), blocks)
+    workers, so the output is the same bytes at any worker count.  One
+    block runs in the caller, with no thread.
     """
     import numpy as np
 
-    rng = _station_rng(seed, "tree")
     n = n_stations
     m = min(m, k + 1)
-    # Station-major, so each station's column is one contiguous row and
-    # the per-station steps below are plain 1-D ops.
-    revive = np.zeros((n, trials), dtype=np.int32)
     # Aborts are kept with np.minimum, so the first abort round of a trial
     # stands; `never` marks a trial that has not aborted yet.  An aborted
     # trial keeps walking, which spares a survivors mask.
     never = k + 2
-    abort = np.full(trials, never, dtype=np.int32)
     ctype = np.min_scalar_type(n)
-    cur = np.zeros(trials, dtype=ctype)  # 0-based color of current node
     colors = np.arange(n, dtype=ctype)[:, None]
-    for r in range(1, k + 2):
-        for lo in range(0, trials, WALK_BLOCK):
-            hi = min(lo + WALK_BLOCK, trials)
-            rev = revive[:, lo:hi]
-            drawn = np.ascontiguousarray((rng.random((hi - lo, n)) < p).T)
-            dead = rev > r
-            np.greater(drawn, dead, out=drawn)  # a dead station cannot die again
-            np.copyto(rev, r + m, where=drawn)
-            dead |= drawn
-            if r == 1:
-                all_dead = dead[0]
-            else:
-                c = cur[lo:hi]
-                dead |= c == colors  # own color is not a child color
-                # prefix AND over the stations: the count of leading dead
-                # colors is the first alive child color, and the last row
-                # says whether every child color is dead
-                for j in range(1, n):
-                    np.logical_and(dead[j - 1], dead[j], out=dead[j])
-                all_dead = dead[n - 1]
-                np.add.reduce(dead, axis=0, dtype=ctype, out=c)
-            np.minimum(abort[lo:hi], r, out=abort[lo:hi], where=all_dead)
-    abort[abort == never] = 0
-    return abort
+
+    def walker(width: int) -> Callable:
+        # The draws are trial-major, as the stream lays them out; the rest
+        # is station-major, so each station's column is one contiguous row
+        # and the per-station steps below are plain 1-D ops.
+        below_buf = np.empty((width, n), dtype=bool)
+        drawn_buf = np.empty((n, width), dtype=bool)
+        dead_buf = np.empty((n, width), dtype=bool)
+        own_buf = np.empty((n, width), dtype=bool)
+        revive_buf = np.empty((n, width), dtype=np.int32)
+        cur_buf = np.empty(width, dtype=ctype)  # 0-based color of current node
+
+        def walk(abort: np.ndarray, rounds: Iterator) -> None:
+            b = len(abort)
+            below = below_buf[:b]
+            drawn, dead, own = drawn_buf[:, :b], dead_buf[:, :b], own_buf[:, :b]
+            rev, cur = revive_buf[:, :b], cur_buf[:b]
+            rev.fill(0)
+            cur.fill(0)
+            abort.fill(never)
+            for r, u in rounds:
+                np.less(u, p, out=below)
+                np.copyto(drawn, below.T)
+                np.greater(rev, r, out=dead)
+                np.greater(drawn, dead, out=drawn)  # a dead station cannot die again
+                np.copyto(rev, r + m, where=drawn)
+                np.logical_or(dead, drawn, out=dead)
+                if r == 1:
+                    all_dead = dead[0]
+                else:
+                    np.equal(cur, colors, out=own)
+                    np.logical_or(dead, own, out=dead)  # own color is not a child color
+                    # prefix AND over the stations: the count of leading
+                    # dead colors is the first alive child color, and the
+                    # last row says whether every child color is dead
+                    for j in range(1, n):
+                        np.logical_and(dead[j - 1], dead[j], out=dead[j])
+                    all_dead = dead[n - 1]
+                    np.add.reduce(dead, axis=0, dtype=ctype, out=cur)
+                np.minimum(abort, r, out=abort, where=all_dead)
+            np.equal(abort, never, out=own[0])
+            np.copyto(abort, 0, where=own[0])
+
+        return walk
+
+    return _walk_blocks(_station_seed(seed, "tree"), trials, n, k + 1, walker)
 
 
 def _steady_hazard(freq: dict[int, float], k: int, m: int) -> float:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -427,6 +430,101 @@ def test_tree_walk_caps_the_dead_time_at_the_walk_length():
     capped = an.tree_abort_rounds(k, p, k + 1, 3, 500, seed=2)
     assert np.array_equal(huge, capped)
     assert 0 < np.count_nonzero(capped) < 500
+
+
+def _unblocked_chain_walk(k, p, trials, seed):
+    """Reference: the chain walk over all trials at once, one draw of
+    ``trials`` uniforms per round."""
+    rng = an._station_rng(seed, "chain")
+    abort = np.zeros(trials, dtype=np.int32)
+    for r in range(1, k + 1):
+        died = (abort == 0) & (rng.random(trials) < p)
+        abort[died] = r
+    return abort
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Give the walk ``cpus`` CPUs and count the threads it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "trials", [3 * an.WALK_BLOCK + 17, 2 * an.WALK_BLOCK], ids=["ragged", "whole_blocks"]
+)
+def test_walks_give_the_same_bytes_on_any_cpu_count(monkeypatch, trials):
+    k, p = 12, 0.08
+    blocks = -(-trials // an.WALK_BLOCK)
+    # m = 10**9 is capped at k + 1 by the walk
+    shapes = [(3, 3), (4, k + 1), (5, 10**9)]  # (n_stations, m)
+    trees = {shape: _unblocked_tree_walk(k, p, shape[1], shape[0], trials, 7) for shape in shapes}
+    chain = _unblocked_chain_walk(k, p, trials, 7)
+    assert 0 < np.count_nonzero(chain) < trials
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: a block taken twice or never shows
+    try:
+        for cpus in (1, 2, 3, 4):
+            starts = _on_cpus(monkeypatch, cpus)
+            for (n, m), ref in trees.items():
+                got = an.tree_abort_rounds(k, p, m, n, trials, 7)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (cpus, n, m)
+            got = an.chain_abort_rounds(k, p, trials, 7)
+            assert got.dtype == chain.dtype and np.array_equal(got, chain), cpus
+            # the caller is one of the workers: one thread fewer than
+            # workers, four walks a CPU count
+            assert len(starts) == 4 * (min(cpus, blocks) - 1)
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("exc", [_Boom, KeyboardInterrupt])
+@pytest.mark.parametrize("where", ["caller", "worker"])
+@pytest.mark.parametrize("walk", ["tree", "chain"])
+def test_a_failing_block_stops_every_worker_and_reaches_the_caller(monkeypatch, exc, where, walk):
+    k, trials = 40, 8 * an.WALK_BLOCK
+    _on_cpus(monkeypatch, 4)
+    calls, failed = [], []
+    lock = threading.Lock()
+
+    class Failing(np.random.Generator):
+        def random(self, *args, **kwargs):
+            # a slow round, so every worker holds a block when one fails
+            time.sleep(0.001)
+            with lock:
+                calls.append(threading.current_thread())
+                fail = not failed and (calls[-1] is threading.main_thread()) == (where == "caller")
+                if fail:
+                    failed.append(calls[-1])
+            if fail:
+                raise exc("one block fails")
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    before = threading.active_count()
+    with pytest.raises(exc, match="one block fails"):
+        if walk == "tree":
+            an.tree_abort_rounds(k, 0.01, 5, 3, trials, 3)
+        else:
+            an.chain_abort_rounds(k, 0.01, trials, 3)
+    assert len(failed) == 1
+    assert threading.active_count() == before
+    # the other workers stopped at their next round: far fewer draws than
+    # the 8 blocks' k (+1 for the tree) rounds each
+    assert len(calls) < 2 * k
 
 
 def test_work_budgets_admit_the_readme_and_benchmark_sizes():
