@@ -13,7 +13,6 @@ from .protocol import (
     KIND_TREE,
     Transcript,
     Verdict,
-    verify_fq,
     verify_tree,
 )
 from .sim import Geometry, LossModel, ResourceGuardError, run_protocol
@@ -33,6 +32,5 @@ __all__ = [
     "derived_rng",
     "is_prime",
     "run_protocol",
-    "verify_fq",
     "verify_tree",
 ]

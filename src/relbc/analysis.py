@@ -256,7 +256,7 @@ RNG_STREAM = 2
 # walk about 4e8 and 8e8.  So a full walk budget is 4 to 8 s of tree walk.
 # The event engine's caps are sim.check_event_runs, which every run calls.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
-WALK_STATE_BYTES = 2**30   # per-trial state a station walk holds at once
+WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
 
 
 def check_budget(
@@ -272,12 +272,10 @@ def check_budget(
     or ``event_runs`` event-engine runs of depth k do not pass
     ``sim.check_event_runs``, the check every run makes itself.
 
-    The walk holds an int32 abort round per trial, plus one block's
-    buffers per worker: the draws, an int32 revive round per station,
-    masks and the current color of at most WALK_BLOCK trials.  The guard
-    still charges ``4 * n_stations + 16`` bytes per trial, the state of a
-    walk that held every trial's at once, which covers both.  The sizes
-    are those of the protocol ``protocol.resolve`` gives.
+    The walk holds an int32 abort round per trial, so the guard charges 4
+    bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
+    worker's buffers for one block of at most WALK_BLOCK trials come on
+    top.  The sizes are those of the protocol ``protocol.resolve`` gives.
     """
     kind, k, n_stations = resolve(kind, k, n_stations)
     rounds = k + 1 if kind == KIND_TREE else k
@@ -288,10 +286,9 @@ def check_budget(
             f"station walk of trials x rounds = {walk_trials} x {rounds} trial-rounds "
             f"exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
         )
-    per_trial = 4 * n_stations + 16
-    if capped_product((walk_trials, per_trial), WALK_STATE_BYTES) > WALK_STATE_BYTES:
+    if capped_product((walk_trials, 4), WALK_STATE_BYTES) > WALK_STATE_BYTES:
         raise ResourceGuardError(
-            f"station walk of trials x bytes per trial = {walk_trials} x {per_trial} bytes "
+            f"station walk of trials x bytes per trial = {walk_trials} x 4 bytes "
             f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
     if event_runs:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from . import tree as tt
 from .field import Field
-from .protocol import KIND_TREE, KINDS, Transcript, Verdict, resolve, verify_fq, verify_tree
+from .protocol import KIND_TREE, KINDS, Transcript, resolve, verify_tree
 from .sim import ResourceGuardError
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
@@ -184,8 +184,6 @@ def _check_out_path(path: str, flag: str) -> None:
 
 
 def _pretty_table(rows: list[dict]) -> str:
-    if not rows:
-        return "(empty)\n"
     cols = list(dict.fromkeys(c for r in rows for c in r))  # every row's, first seen first
     widths = {c: max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in cols}
     lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
@@ -370,17 +368,7 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
         tr = Transcript.from_json(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"transcript: {exc}") from exc
-    field = Field(tr.q)
-    if tr.abort_reason is not None:  # either kind, before any reveal is read
-        verdict = Verdict.abort(tr.abort_reason)
-    elif tr.kind == KIND_TREE:
-        coloring = tt.make_coloring(tr.k, tr.n_stations)
-        verdict = verify_tree(tr, tr.liveness(), coloring, field)
-    else:
-        reveal = tr.reveals.get(str(tr.k))
-        if reveal is None:
-            raise ConfigError("transcript: no reveal message present")
-        verdict = verify_fq(tr, reveal.d, reveal.claim, field)
+    verdict = verify_tree(tr, tr.liveness(), tt.make_coloring(tr.k, tr.n_stations), Field(tr.q))
     _emit(
         json.dumps(
             {

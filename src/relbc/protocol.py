@@ -1,8 +1,10 @@
 """Honest-agent state machines and verification for the commitment protocols.
 
-Three protocol kinds share one transcript format:
+Three protocol kinds share one transcript format and one verifier,
+``verify_tree``:
 
-* ``fq``     — the k-round chained protocol on two stations.
+* ``fq``     — the k-round chained protocol: the tree on two stations,
+               whose round j is node "0"·(j-1) and whose leaf is "0"·k.
 * ``single`` — the chained protocol at k = 1: one challenge/response
                round, reveal at the far station.
 * ``tree``   — the loss-tolerant protocol on the colored binary (or n-ary)
@@ -161,10 +163,9 @@ class Transcript:
         ``single``), integers outside their range (challenges, responses
         and claims in [0, q)), node labels that are not nodes of the
         protocol, or a record whose round or color is not its node's.  A
-        tree node at depth j runs in round j + 1 at its canonical color
-        (3 stations when ``n_stations`` is missing); a chain runs on
-        ``n_stations`` = 2 exactly, round j on station 1 when j is odd, 2
-        when it is even, and a chain reveals only at leaf ``str(k)``.
+        node at depth j runs in round j + 1 at its canonical color.  A
+        tree takes 3 to ``tree.MAX_STATIONS`` stations (3 when
+        ``n_stations`` is missing), and a chain exactly 2.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -177,64 +178,38 @@ class Transcript:
         n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
         if kind == KIND_TREE:
             n_stations = _int_in(n_stations, "n_stations", 3, tt.MAX_STATIONS)
-            digits = {str(t) for t in range(n_stations - 1)}
-
-            def node(v, leaf: bool) -> bool:
-                return (
-                    isinstance(v, str)
-                    and (len(v) == k if leaf else len(v) < k)
-                    and set(v) <= digits
-                )
-
-            coloring = tt.make_coloring(k, n_stations)
-            child_colors = [None] + [coloring.child_colors(c) for c in range(1, n_stations + 1)]
-            colors: dict[str, int] = {}
-
-            def timing(v: str) -> tuple[int, int]:
-                # records come in depth order, so a node's color is mostly
-                # read off its parent's; otherwise it is folded over the digits
-                up = colors.get(v[:-1]) if v else None
-                c = colors[v] = coloring.color(v) if up is None else child_colors[up][int(v[-1])]
-                return len(v) + 1, c
-        else:
-            if type(n_stations) is not int or n_stations != 2:
-                raise ValueError(
-                    f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"
-                )
-
-            def node(v, leaf: bool) -> bool:
-                if leaf:
-                    return v == str(k)
-                return (
-                    isinstance(v, str) and len(v) <= len(str(k))
-                    and v.isascii() and v.isdigit()
-                    and v == str(int(v)) and 1 <= int(v) <= k
-                )
-
-            def timing(v: str) -> tuple[int, int]:
-                return int(v), 2 - int(v) % 2
-
+        elif type(n_stations) is not int or n_stations != 2:
+            raise ValueError(
+                f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"
+            )
+        coloring = tt.make_coloring(k, n_stations)
+        digits = {str(t) for t in range(coloring.arity)}
+        child_colors = [None] + [coloring.child_colors(c) for c in range(1, n_stations + 1)]
+        colors: dict[str, int] = {}
         tr = cls(kind=kind, k=k, q=q, n_stations=n_stations)
         for i, rec in enumerate(_list(doc, "records")):
             where = f"records[{i}]"
             rec = _object(rec, where)
             v = rec.get("node")
-            if not node(v, leaf=False):
+            if not (isinstance(v, str) and len(v) < k and set(v) <= digits):
                 raise ValueError(f"{where}.node: {v!r:.40} is not an internal node of the protocol")
             y = rec.get("y")
             b = _int_in(rec.get("b"), f"{where}.b", 0, q - 1)
             y = None if y == "bot" else _int_in(y, f"{where}.y", 0, q - 1)
-            round_, color = timing(v)
-            for key, want in (("round", round_), ("color", color)):
+            # records come in depth order, so a node's color is mostly
+            # read off its parent's; otherwise it is folded over the digits
+            up = colors.get(v[:-1]) if v else None
+            color = colors[v] = coloring.color(v) if up is None else child_colors[up][int(v[-1])]
+            for key, want in (("round", len(v) + 1), ("color", color)):
                 got = rec.get(key)
                 if type(got) is not int or got != want:
                     raise ValueError(f"{where}.{key}: node {v!r} has {key} {want}, got {got!r:.40}")
-            tr.records[v] = Record(b, y, round_, color)
+            tr.records[v] = Record(b, y, len(v) + 1, color)
         for i, rv in enumerate(_list(doc, "reveals")):
             where = f"reveals[{i}]"
             rv = _object(rv, where)
             leaf = rv.get("leaf")
-            if not node(leaf, leaf=True):
+            if not (isinstance(leaf, str) and len(leaf) == k and set(leaf) <= digits):
                 raise ValueError(f"{where}.leaf: {leaf!r:.40} is not a leaf of the protocol")
             tr.reveals[leaf] = Reveal(
                 d=_int_in(rv.get("d"), f"{where}.d", 0, 1),
@@ -324,32 +299,14 @@ def alpha_chain(
     return alpha
 
 
-def verify_fq(
-    transcript: Transcript, revealed_d: int, revealed_share: int, field: Field
-) -> Verdict:
-    """Check the chained protocol: the recursion from d must land on the
-    revealed final share.  A recorded abort is an abort, as in ``verify_tree``."""
-    if transcript.abort_reason is not None:
-        return Verdict.abort(transcript.abort_reason)
-    k, q = transcript.k, field.q
-    alpha = revealed_d
-    for j in range(1, k + 1):
-        rec = transcript.records.get(str(j))
-        if rec is None or rec.y is None:
-            return Verdict.abort(f"no response at round {j}")
-        alpha = (rec.y - rec.b * alpha) % q
-    if alpha == revealed_share % q:
-        return Verdict.accept(revealed_d)
-    return Verdict.reject("final share mismatch")
-
-
 def verify_tree(
     transcript: Transcript,
     live: set[str],
     coloring: tt.Coloring,
     field: Field,
 ) -> Verdict:
-    """Receiver-side check of a tree-protocol transcript.
+    """Receiver-side check of a transcript of any kind, a chain being the
+    tree on two stations.
 
     Walks the leftmost alive path from the root: at every depth the current
     node must have an alive child (else reject), and at the bottom the

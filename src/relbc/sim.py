@@ -31,7 +31,6 @@ from .protocol import (
     Transcript,
     Verdict,
     resolve,
-    verify_fq,
     verify_tree,
 )
 
@@ -239,6 +238,10 @@ def run_tree(
     ``check_event_runs`` refuses raises ResourceGuardError, both before
     round 1: the one rule ``analysis.check_budget`` applies up front.
     """
+    if not 3 <= n_stations <= tt.MAX_STATIONS:
+        raise ValueError(
+            f"n_stations: a tree takes 3 to {tt.MAX_STATIONS} stations, got {n_stations}"
+        )
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
     if prune_lag < 1:
@@ -347,7 +350,8 @@ def run_chain(
 ) -> RunResult:
     """One run of the chained protocol (k=1 gives the single-round scheme)
     with an honest committer, who answers round j with a_j + b_j*a_{j-1}
-    (a_0 = d) and reveals (d, a_k).
+    (a_0 = d) and reveals (d, a_k): the tree on two stations, round j at
+    node "0"·(j-1) and the reveal at leaf "0"·k, judged by ``verify_tree``.
 
     Loss model: the protocol dies at the first failure of the active
     agent, so only one Bernoulli(p) draw per round matters and the dead
@@ -356,15 +360,14 @@ def run_chain(
     (one over ``EVENT_MAX_K`` rounds) raises ResourceGuardError, both
     before round 1.
     """
-    if k < 1:
-        raise ValueError("depth k must be >= 1")
-    check_event_runs(KIND_FQ, k)
     kind, _, n_stations = resolve(KIND_FQ, k)
+    coloring = tt.make_coloring(k, n_stations)
+    check_event_runs(kind, k)
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     events: list[Event] = []
     rng_loss = derived_rng(seed, trial, "loss", "active")
     draw = field.hash_pair_stream(seed, trial, "b", "share")
-    share = d  # a_{j-1}, with a_0 = d
+    v, share = tt.ROOT, d  # round j's node and a_{j-1}, with a_0 = d
     for j in range(1, k + 1):
         t = j - 1
         color = 1 if j % 2 == 1 else 2
@@ -372,18 +375,20 @@ def run_chain(
             transcript.abort_reason = f"active station dead at round {j}"
             transcript.abort_round = j
             if collect_events:
-                events.append(Event(t, color, "abort", str(j), None, ()))
-            return RunResult(transcript, Verdict.abort(transcript.abort_reason), events)
+                events.append(Event(t, color, "abort", v, None, ()))
+            break
         prev = share
-        b, share = draw(j)
+        b, share = draw(j)  # keyed by the round, not by the node's label
         y = (share + b * prev) % field.q
-        transcript.records[str(j)] = Record(b=b, y=y, round=j, color=color)
+        transcript.records[v] = Record(b=b, y=y, round=j, color=color)
         if collect_events:
             ci = len(events)
-            events.append(Event(t, color, "challenge", str(j), b, ()))
-            events.append(Event(t, color, "response", str(j), y, (ci,)))
-    transcript.reveals[str(k)] = Reveal(d=d, claim=share)
-    verdict = verify_fq(transcript, d, share, field)
+            events.append(Event(t, color, "challenge", v, b, ()))
+            events.append(Event(t, color, "response", v, y, (ci,)))
+        v += "0"
+    else:
+        transcript.reveals[v] = Reveal(d=d, claim=share)
+    verdict = verify_tree(transcript, transcript.liveness(), coloring, field)
     return RunResult(transcript, verdict, events)
 
 

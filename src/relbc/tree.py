@@ -10,7 +10,8 @@ has the t-th (0-based) of the colors 1..n other than c, in increasing
 order, which is ``t + 1 if t + 1 < c else t + 2``.  Every family
 {v} + children(v) thus uses each of the n station colors once.  A node's
 color is this rule folded over its digits, so no coloring is ever
-stored.
+stored.  At n = 2 the tree is a path, "", "0", "00", ..., whose colors
+alternate 1 and 2: the chained protocol's station schedule.
 """
 
 from __future__ import annotations
@@ -53,15 +54,16 @@ class Coloring:
     every internal node's family {v} + children(v) uses all station colors
     exactly once.  Colors are 1-based.  The coloring is the canonical
     rule, computed per node on demand (see the module docstring); nothing
-    is stored.
+    is stored.  Two stations give the chain's path; the protocol tree
+    itself takes 3 or more, which ``sim.run_tree`` checks.
     """
 
     def __init__(self, k: int, n_stations: int):
         if k < 1:
             raise ValueError("depth k must be >= 1")
-        if not 3 <= n_stations <= MAX_STATIONS:
+        if not 2 <= n_stations <= MAX_STATIONS:
             raise ValueError(
-                f"n_stations: a tree takes 3 to {MAX_STATIONS} stations, got {n_stations}"
+                f"n_stations: a coloring takes 2 to {MAX_STATIONS} stations, got {n_stations}"
             )
         self.k = k
         self.n_stations = n_stations

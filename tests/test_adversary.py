@@ -11,7 +11,7 @@ import pytest
 from relbc import adversary as adv, tree as tt
 from relbc.analysis import binding_bound
 from relbc.field import Field
-from relbc.protocol import KIND_FQ, Record, Transcript, verify_fq
+from relbc.protocol import KIND_FQ, Record, Reveal, Transcript, verify_tree
 from relbc.sim import ResourceGuardError
 
 F2 = Field(2)
@@ -148,29 +148,93 @@ def test_chain_oracle_k2_optimum_is_the_chain_attack_value(q):
     assert rep.search_size == q ** (2 * q)
 
 
+def _chain_tables(rep):
+    """The winning answer tables of a k=2 chain report, from its strategy string."""
+    tables = re.fullmatch(r"y1=(\(.*\)), y2=(\(.*\))", rep.strategy_id)
+    return tuple(ast.literal_eval(t) for t in tables.groups())
+
+
+def _majority_claim(q, y1, y2, d, b1):
+    """The most frequent round-2 chain value over b_2, for bit d and b_1."""
+    a1 = (y1[b1] - b1 * d) % q
+    values = [(y2[b2] - b2 * a1) % q for b2 in range(q)]
+    return max(range(q), key=values.count)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_chain_oracle_optimum_replays_through_verify_fq(q):
     # Rebuild the winning answer tables from the strategy string, claim the
-    # majority chain value for each (d, b_1), and let the real verifier
-    # judge the transcript of every (d, b_1, b_2).
+    # majority chain value for each (d, b_1), and let the one verifier,
+    # verify_tree on the two-station tree, judge the transcript of every
+    # (d, b_1, b_2): round 1 is node "", round 2 node "0", the leaf "00".
     field = Field(q)
     rep = adv.brute_force_chain(field, 2)
-    tables = re.fullmatch(r"y1=(\(.*\)), y2=(\(.*\))", rep.strategy_id)
-    y1, y2 = (ast.literal_eval(t) for t in tables.groups())
+    y1, y2 = _chain_tables(rep)
+    coloring = tt.make_coloring(2, 2)
     accepts = 0
     for d in (0, 1):
         for b1 in range(q):
-            a1 = (y1[b1] - b1 * d) % q
-            values = [(y2[b2] - b2 * a1) % q for b2 in range(q)]
-            claim = max(range(q), key=values.count)
+            claim = _majority_claim(q, y1, y2, d, b1)
             for b2 in range(q):
                 tr = Transcript(kind=KIND_FQ, k=2, q=q, n_stations=2, records={
-                    "1": Record(b=b1, y=y1[b1], round=1, color=1),
-                    "2": Record(b=b2, y=y2[b2], round=2, color=2),
-                })
-                verdict = verify_fq(tr, d, claim, field)
+                    "": Record(b=b1, y=y1[b1], round=1, color=1),
+                    "0": Record(b=b2, y=y2[b2], round=2, color=2),
+                }, reveals={"00": Reveal(d=d, claim=claim)})
+                verdict = verify_tree(tr, tr.liveness(), coloring, field)
                 accepts += verdict.outcome == "accept" and verdict.revealed == d
     assert accepts / q**2 == rep.sum
+
+
+def _chain_strategy_table(field, y1, y2, claim):
+    """A k=2 chain strategy as a two-station ``StrategyTable``: the root
+    answers y1[b], node "0" answers y2[b], and leaf "00" claims
+    ``claim(d, b_1)``, reading the root's challenge from its view."""
+    def respond_fn(v, b, view):
+        return y1[b] if v == tt.ROOT else y2[b]
+
+    def reveal_fn(leaf, view, d):
+        return claim(d, view[tt.ROOT])
+
+    return adv.StrategyTable.from_functions(2, field, respond_fn, reveal_fn, n_stations=2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chain_oracle_optimum_replays_through_strategy_eval(q):
+    # the chain is the tree on two stations: its oracle optimum, tabulated
+    # as a StrategyTable, passes the information audit and scores exactly
+    # the oracle's sum under strategy_eval
+    field = Field(q)
+    rep = adv.brute_force_chain(field, 2)
+    y1, y2 = _chain_tables(rep)
+    strat = _chain_strategy_table(field, y1, y2, lambda d, b1: _majority_claim(q, y1, y2, d, b1))
+    adv.audit_information_constraint(strat)
+    s0, s1 = adv.strategy_eval(strat)
+    wins = [round(s * q**2) for s in (s0, s1)]
+    assert (s0, s1) == (wins[0] / q**2, wins[1] / q**2)
+    optimum = {2: Fraction(7, 4), 3: Fraction(14, 9), 5: Fraction(34, 25)}[q]
+    assert Fraction(sum(wins), q**2) == optimum == Fraction(round(rep.sum * q**2), q**2)
+    assert float(optimum) == rep.sum
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_late_decision_chain_replays_through_strategy_eval(q):
+    field = Field(q)
+    late = adv.late_decision_chain(field)
+    strat = _chain_strategy_table(field, late.y1, late.y2, lambda d, b1: late.claims[d][b1])
+    adv.audit_information_constraint(strat)
+    assert adv.strategy_eval(strat) == adv.eval_chain_strategy(late, field)
+
+
+def test_two_station_accessible_sets_are_the_chain_light_cone():
+    # round 2's node reads no earlier challenge, and the leaf only the
+    # root's b_1; deeper, node "0"*j reads every challenge at least two
+    # rounds old, since the colors alternate 1 and 2
+    coloring = tt.make_coloring(2, 2)
+    assert tt.accessible_set("0", coloring) == set()
+    assert tt.accessible_set("00", coloring) == {tt.ROOT}
+    coloring = tt.make_coloring(7, 2)
+    for j in range(8):
+        assert tt.accessible_set("0" * j, coloring) == {"0" * i for i in range(j - 1)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -555,10 +555,19 @@ def test_work_budgets_refuse_before_any_work():
     an.check_budget("fq", 1000, walk_trials=huge // 1000)
     # one round, but more trials than the walk can hold in memory at once;
     # checked through check_budget alone, so nothing is allocated
-    per_trial = 4 * 3 + 16
+    per_trial = 4  # an int32 abort round
     with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
         an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
     an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
+
+
+def test_walk_state_charges_an_int32_abort_round_per_trial():
+    # 40,000,000 trials at k = 1 hold 160 MB of abort rounds, whatever the
+    # station count.  Only the guard runs, so nothing is allocated.
+    an.check_budget("tree", 1, walk_trials=40_000_000, n_stations=3)
+    an.check_budget("tree", 1, walk_trials=2**28, n_stations=11)
+    with pytest.raises(an.ResourceGuardError, match=r"= 268435457 x 4 bytes of state exceeds WALK_STATE_BYTES"):
+        an.check_budget("tree", 1, walk_trials=2**28 + 1, n_stations=3)
 
 
 def test_label_characters_admit_sixteen_three_station_runs_of_the_cap():

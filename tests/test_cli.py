@@ -707,22 +707,47 @@ def test_verify_transcript_single_past_k1_exit_1(capsys, tmp_path):
     assert err.startswith("error: transcript: k:")
 
 
-@pytest.mark.parametrize("leaf", ["1", "2"])
-def test_verify_transcript_refuses_a_chain_reveal_before_the_last_round(capsys, tmp_path, leaf):
-    # a chain reveals once, after round k; an earlier round label used to
-    # parse and then verify as "no reveal message present"
+@pytest.mark.parametrize("j", [1, 2])
+def test_verify_transcript_refuses_a_chain_reveal_before_the_last_round(capsys, tmp_path, j):
+    # a chain reveals once, at leaf "0"*k after round k; the node of an
+    # earlier round is not a leaf
     tr_path = tmp_path / "run.json"
     run(
         capsys, "simulate", "--protocol", "fq", "--k", "3", "--q", "11",
         "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
     )
     doc = json.loads(tr_path.read_text())
-    assert [rv["leaf"] for rv in doc["reveals"]] == ["3"]
-    doc["reveals"][0]["leaf"] = leaf
+    assert [rv["leaf"] for rv in doc["reveals"]] == ["000"]
+    doc["reveals"][0]["leaf"] = leaf = "0" * j
     tr_path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify-transcript", str(tr_path))
     assert code == 1 and out == ""
     assert err.startswith(f"error: transcript: reveals[0].leaf: '{leaf}' is not a leaf of the protocol")
+
+
+@pytest.mark.parametrize("edit, verdict", [
+    # a chain is verified as the tree on two stations: a missing response
+    # or reveal is a dead branch (reject), and only a silent root aborts
+    (lambda doc: doc["reveals"].clear(), ("reject", "no alive child below '00' (depth 2)")),
+    (lambda doc: doc["records"].pop(1), ("reject", "no alive child below '' (depth 0)")),
+    (lambda doc: doc["records"].pop(0), ("abort", "root did not respond")),
+    (lambda doc: doc["reveals"][0].update(claim=(doc["reveals"][0]["claim"] + 1) % 11),
+     ("reject", "claimed share mismatch")),
+], ids=["no_reveal", "no_round_2", "no_round_1", "wrong_claim"])
+def test_verify_transcript_judges_a_chain_as_a_two_station_tree(capsys, tmp_path, edit, verdict):
+    tr_path = tmp_path / "run.json"
+    run(
+        capsys, "simulate", "--protocol", "fq", "--k", "3", "--q", "11",
+        "--p", "0", "--seed", "5", "--trials", "1", "--transcript-out", str(tr_path),
+    )
+    doc = json.loads(tr_path.read_text())
+    assert [rec["node"] for rec in doc["records"]] == ["", "0", "00"]
+    edit(doc)
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert (code, err) == (0, "")
+    outcome, reason = verdict
+    assert json.loads(out) == {"outcome": outcome, "revealed": None, "reason": reason}
 
 
 @pytest.mark.parametrize("n_stations", [42, 3])
@@ -844,6 +869,34 @@ def test_config_file_unknown_key_exit_1_before_any_work(capsys, tmp_path, monkey
     code, out, err = run(capsys, "simulate", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err == "error: config: unknown key 'trails'; config: unknown key 'bogus'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nope", "error: config: Expecting value: line 1 column 1 (char 0)\n"),
+    ("[1]", "error: config: top level must be a JSON object\n"),
+    ('{"seed": 1, "engine": "exact"}', "error: engine: must be 'fast' or 'events', got 'exact'\n"),
+])
+def test_config_file_bad_document_exit_1(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(capsys, "simulate", "--config", str(cfg)) == (1, "", message)
+
+
+def test_bind_oracle_pretty_prints_the_report_as_a_table(capsys):
+    code, out, err = run(capsys, "bind-oracle", "--protocol", "single", "--q", "2", "--pretty")
+    assert code == 0 and err == ""
+    header, rule, row = out.splitlines()
+    assert header.split() == [
+        "kind", "k", "q", "sum", "epsilon", "bound", "search_size", "seconds", "strategy",
+    ]
+    assert row.split()[:7] == ["single", "1", "2", "1.5", "0.5", "3", "4"]
+    assert row.split()[8:] == ["y=(0,", "0)"]
+
+
+def test_chsh_pretty_prints_value_and_bound(capsys):
+    code, out, err = run(capsys, "chsh", "--q", "2", "--pretty")
+    assert (code, err) == (0, "")
+    assert out == "q=2  |S|=2  p=1/2\nvalue = 3/4 (0.75)\nbound = 1.5   gap = 0.75\n"
 
 
 def _run_script(script: str) -> subprocess.CompletedProcess:

@@ -18,7 +18,6 @@ from relbc.protocol import (
     honest_response,
     resolve,
     tree_shares,
-    verify_fq,
     verify_tree,
 )
 from relbc.sim import LossModel, run_protocol
@@ -139,6 +138,7 @@ def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
 
 
 def _honest_chain_transcript(k, field, d, seed):
+    # round j is node "0"*(j-1) of the two-station tree
     rng = derived_rng(seed, "cs")
     shares = {str(j): field.sample(rng) for j in range(1, k + 1)}
     tr = Transcript(kind=KIND_FQ, k=k, q=field.q, n_stations=2)
@@ -146,19 +146,25 @@ def _honest_chain_transcript(k, field, d, seed):
     for j in range(1, k + 1):
         b = field.sample(derived_rng(seed, "cb", j))
         y = (shares[str(j)] + b * prev) % field.q
-        tr.records[str(j)] = Record(b=b, y=y, round=j, color=1 if j % 2 else 2)
+        tr.records["0" * (j - 1)] = Record(b=b, y=y, round=j, color=1 if j % 2 else 2)
         prev = shares[str(j)]
     return tr, shares
+
+
+def _verify_chain(tr, d, claim, field):
+    """``verify_tree`` on the chain transcript revealing (d, claim) at its leaf."""
+    tr.reveals = {"0" * tr.k: Reveal(d=d, claim=claim)}
+    return verify_tree(tr, tr.liveness(), tt.make_coloring(tr.k, 2), field)
 
 
 def test_verify_fq_honest_and_flipped():
     field = Field(97)
     for d in (0, 1):
         tr, shares = _honest_chain_transcript(6, field, d, seed=8)
-        assert verify_fq(tr, d, shares["6"], field).outcome == "accept"
+        assert _verify_chain(tr, d, shares["6"], field) == Verdict.accept(d)
         # opening the other bit with the honest share must fail whenever
         # any challenge was nonzero (true for this seed)
-        assert verify_fq(tr, 1 - d, shares["6"], field).outcome == "reject"
+        assert _verify_chain(tr, 1 - d, shares["6"], field).outcome == "reject"
 
 
 def test_verify_fq_flip_fails_with_high_probability():
@@ -167,25 +173,31 @@ def test_verify_fq_flip_fails_with_high_probability():
     trials = 200
     for s in range(trials):
         tr, shares = _honest_chain_transcript(3, field, 0, seed=1000 + s)
-        if verify_fq(tr, 1, shares["3"], field).outcome == "reject":
+        if _verify_chain(tr, 1, shares["3"], field).outcome == "reject":
             fails += 1
     # opening the wrong bit succeeds only if the challenge product is 0:
     # probability 1 - (1 - 1/q)^k, tiny at q=101
     assert fails >= trials - 15
 
 
-def test_verify_fq_aborts_on_missing_round():
+def test_verify_fq_rejects_a_missing_round():
+    # a missing response is a dead branch, as in any tree; only a silent
+    # root is an abort
     field = Field(5)
     tr, shares = _honest_chain_transcript(3, field, 0, seed=9)
-    del tr.records["2"]
-    assert verify_fq(tr, 0, shares["3"], field).outcome == "abort"
+    del tr.records["0"]
+    assert _verify_chain(tr, 0, shares["3"], field) == Verdict.reject(
+        "no alive child below '' (depth 0)"
+    )
+    del tr.records[""]
+    assert _verify_chain(tr, 0, shares["3"], field) == Verdict.abort("root did not respond")
 
 
 def test_verify_fq_honours_a_recorded_abort():
     field = Field(5)
     tr, shares = _honest_chain_transcript(3, field, 0, seed=9)
     tr.abort_reason = "active station dead at round 3"
-    assert verify_fq(tr, 0, shares["3"], field) == Verdict.abort(tr.abort_reason)
+    assert _verify_chain(tr, 0, shares["3"], field) == Verdict.abort(tr.abort_reason)
 
 
 def test_transcript_json_roundtrip_and_stability():
@@ -297,7 +309,8 @@ def test_chain_transcript_from_json_checks_the_round_and_station(j, key, value):
     assert Transcript.from_json(tr.to_json()).to_json() == tr.to_json()
     doc = json.loads(tr.to_json())
     doc["records"][j - 1][key] = value
-    with pytest.raises(ValueError, match=re.escape(f"records[{j - 1}].{key}: node '{j}' has {key}")):
+    node = "0" * (j - 1)
+    with pytest.raises(ValueError, match=re.escape(f"records[{j - 1}].{key}: node '{node}' has {key}")):
         Transcript.from_json(json.dumps(doc))
 
 

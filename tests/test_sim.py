@@ -16,6 +16,7 @@ from relbc.sim import (
     comm_cost,
     message_counts,
     run_protocol,
+    run_tree,
     _label_chars,
     validate_causality,
 )
@@ -178,6 +179,18 @@ def test_resource_guard_counts_the_arity():
     assert time.process_time() - t0 < 0.5
 
 
+def test_run_tree_refuses_the_two_station_chain():
+    # two stations color the chain's path, which run_chain runs; a tree
+    # takes three or more
+    with pytest.raises(ValueError, match="^n_stations: a tree takes 3 to 11 stations, got 2$"):
+        run_tree(3, Field(5), 2, 0, LossModel(), seed=1)
+
+
+def test_run_tree_refuses_a_pruning_lag_below_1():
+    with pytest.raises(ValueError, match="^pruning lag must be >= 1$"):
+        run_tree(3, Field(5), 3, 0, LossModel(), seed=1, prune_lag=0)
+
+
 def test_root_death_aborts_round_one():
     field = Field(5)
     res = run_protocol("tree", 3, field, d=0, seed=2, loss=LossModel(p=1.0, m=1))
@@ -283,11 +296,11 @@ def test_run_chain_answers_and_reveals_from_the_share_stream(kind, k):
                 a = [d] + [field.sample_hashed(23, trial, "share", str(j)) for j in range(1, k + 1)]
                 tr = res.transcript
                 for v, rec in tr.records.items():
-                    j = int(v)
+                    j = len(v) + 1  # round j is node "0"*(j-1)
                     assert rec.y == (a[j] + rec.b * a[j - 1]) % field.q, (d, trial, j)
                 if tr.abort_round is None:
                     assert len(tr.records) == k
-                    assert [(v, rv.d, rv.claim) for v, rv in tr.reveals.items()] == [(str(k), d, a[k])]
+                    assert [(v, rv.d, rv.claim) for v, rv in tr.reveals.items()] == [("0" * k, d, a[k])]
                     assert res.verdict.outcome == "accept"
                 else:
                     assert not tr.reveals

@@ -4,7 +4,11 @@ The run digests below were computed before per-run hash streams replaced
 the per-draw ``sample_hashed`` calls on the run paths; the streams hash
 the same bytes, so every transcript and event log must stay identical.
 The wide run digest was computed before the tree run loop carried
-(label, color) pairs and answered from a per-run share dict.
+(label, color) pairs and answered from a per-run share dict.  The golden
+run digest was re-pinned once when chain nodes were renamed from "1".."k"
+to the two-station tree's "", "0", "00", ...: its tree parts kept their
+bytes, and its chain parts equal the earlier ones with the labels mapped
+back.
 
 The walk digests were computed before the tree walk moved from per-round
 dead counters to revive rounds.  They depend on numpy's PCG64
@@ -22,7 +26,7 @@ from relbc import analysis as an
 from relbc.field import Field
 from relbc.sim import LossModel, run_protocol
 
-GOLDEN_RUNS_SHA256 = "9eb76dea02e373b8d95e5d3c47150d1af7b65dca291dbbae43df84944cfe87a4"
+GOLDEN_RUNS_SHA256 = "ee3cc7f3db5a9cd4a920f903a67ab35f721711f35098d95bc4c4c3f6d77b02cc"
 
 
 def _events_json(events) -> str:
@@ -193,7 +197,8 @@ def test_chain_draws_come_from_their_streams_record_by_record(q, kind, k):
                                loss=LossModel(p=0.02), collect_events=collect)
             a = d
             for j in range(1, len(res.transcript.records) + 1):
-                rec = res.transcript.records[str(j)]
+                # round j is node "0"*(j-1); its draws are keyed by j
+                rec = res.transcript.records["0" * (j - 1)]
                 assert rec.b == field.sample_hashed(seed, trial, "b", str(j)), (trial, j)
                 prev, a = a, field.sample_hashed(seed, trial, "share", str(j))
                 assert rec.y == (a + rec.b * prev) % q, (trial, j)

@@ -20,6 +20,18 @@ def test_canonical_coloring_family_property():
             assert family == {1, 2, 3}
 
 
+def test_two_station_coloring_is_the_chain_path():
+    # arity 1: one child a node, colors alternating 1 and 2 down the path
+    col = tt.make_coloring(6, 2)
+    assert col.arity == 1 and col.child_colors(1) == [2] and col.child_colors(2) == [1]
+    assert [col.color("0" * j) for j in range(7)] == [1, 2, 1, 2, 1, 2, 1]
+    with pytest.raises(KeyError):
+        col.color("01")
+    for n_stations in (1, tt.MAX_STATIONS + 1):
+        with pytest.raises(ValueError, match=f"^n_stations: a coloring takes 2 to 11 stations, got {n_stations}$"):
+            tt.make_coloring(3, n_stations)
+
+
 def test_canonical_coloring_nary():
     col = tt.make_coloring(3, 4)
     assert col.arity == 3
