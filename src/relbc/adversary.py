@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional
 
 from .field import Field, derived_rng
 from . import games, tree as tt
-from .analysis import binding_ceiling, x_sequence
+from .formulas import binding_ceiling, x_sequence
 from .protocol import (
     ACCEPT,
     KIND_FQ,

@@ -1,31 +1,29 @@
-"""Closed-form performance formulas, Monte Carlo estimators and reports.
+"""Monte Carlo estimators of survival, and their reports.
 
-The closed forms (survival probability, half-life, communication cost,
-binding ceilings) accept exact rationals where that makes consistency
-checks exact; they are plain Python.  The Monte Carlo side has two
-engines: a vectorized station-level walk for large sweeps, and the full
-event-driven simulator for cross-validation at small sizes.
-
-numpy is imported only inside the functions of the station walk, and
-``relbc.binomial`` (the exact binomial interval, in plain Python) only
-inside ``clopper_pearson``, so a caller of the closed forms alone
-(``relbc bounds``) loads neither.
+Two engines: a vectorized station-level walk for large sweeps, and the
+full event-driven simulator for cross-validation at small sizes.  Each
+estimate carries an exact binomial confidence interval and sits next to
+the published closed form of ``relbc.formulas``; the reports are JSON
+and CSV.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
+from .binomial import beta_quantile
 from .field import Field
-from .protocol import ACCEPT, KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
+from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
+from .protocol import ACCEPT, KIND_TREE, resolve
 from .sim import (
     EVENT_MAX_K,  # re-exported: callers read analysis.EVENT_MAX_K
     LossModel,
@@ -38,175 +36,7 @@ from .sim import (
 )
 
 # ---------------------------------------------------------------------------
-# Closed forms
-
-
-def per_round_loss_prob(n_stations: int, mp):
-    """Approximate per-round failure probability of the tree protocol:
-    at least n-1 of the n stations non-responsive, each independently
-    non-responsive with probability mp.
-
-    The sum over-counts, so it is capped at 1; mp >= 1 gives 1 before any
-    power is taken, which keeps a huge mp from overflowing a float.
-    """
-    if mp >= 1:
-        return 1
-    n = n_stations
-    return min(n * mp ** (n - 1) + mp**n, 1)
-
-
-def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
-    """Published no-abort probability: (1-p)^k for the chained protocol,
-    (1-q)^k with q = n*(mp)^(n-1) + (mp)^n, capped at 1, for the tree.
-
-    Exact Fractions in give an exact Fraction out.  The tree formula is an
-    approximation valid for mp << 1 and m << k; callers report that
-    caveat, not this function.  The formula is that of the protocol
-    ``protocol.resolve`` gives, so ``single`` is one round.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"death probability must be in [0,1], got {p}")
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be >= 1")
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if kind == KIND_TREE:
-        q = per_round_loss_prob(n_stations, m * p)
-        return (1 - q) ** k
-    return (1 - p) ** k
-
-
-def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
-    """Rounds until the survival probability drops to about 1/e.
-
-    Chained protocol: returns the published 1/(m*p).  The displayed
-    survival formula implies 1/p instead, which disagrees for m > 1;
-    reports carry that value as ``metadata.half_life_from_survival_formula``.
-    Tree: 1/q with q from ``per_round_loss_prob``, so at least 1 round.
-    """
-    if p == 0:
-        return math.inf
-    if kind in (KIND_SINGLE, KIND_FQ):
-        return 1.0 / (m * p)
-    if kind == KIND_TREE:
-        q = per_round_loss_prob(n_stations, m * p)
-        return 1.0 / q if q > 0 else math.inf
-    raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-# Largest n for which x_sequence steps its recursion: about 0.04 s of
-# Python on a 2-core host.
-X_SEQUENCE_MAX_N = 10**6
-
-
-def x_sequence(n: int) -> float:
-    """The conjectured n-agent binding coefficient: x_2 = 1 and
-    x_n = x_{n-1} + 1/(4 x_{n-1}); asymptotically sqrt(n/2).  An n over
-    ``X_SEQUENCE_MAX_N`` raises ResourceGuardError before the n-2 steps."""
-    if n < 2:
-        raise ValueError("defined for n >= 2 agents")
-    if n > X_SEQUENCE_MAX_N:
-        raise ResourceGuardError(
-            f"x_n at n={n} takes n-2 steps, over the cap of X_SEQUENCE_MAX_N = {X_SEQUENCE_MAX_N}"
-        )
-    x = 1.0
-    for _ in range(n - 2):
-        x = x + 1.0 / (4.0 * x)
-    return x
-
-
-def binding_ceiling(k: int, q: int, x_n: float) -> float:
-    """The binding-parameter ceiling 2*k*x_n*sqrt(2/Q) of k rounds of n agents,
-    x_n = ``x_sequence(n)``: the chain's 2*sqrt(2)*k/sqrt(Q) at n = 2, the
-    tree's 5k/sqrt(2Q) at n = 3.  A k or q too large for a float: ValueError."""
-    return 2.0 * _real(k, "k") * x_n * math.sqrt(2.0 / _real(q, "q"))
-
-
-def binding_bound(k: int, q_modulus: int, n_stations: int = 3) -> dict:
-    """Binding-parameter ceiling for the k-round tree protocol.
-
-    Three stations: 5k/sqrt(2Q), proven.  More stations:
-    2*k*x_n*sqrt(2/Q), conjectured; the status is part of the output.
-    """
-    return bound_table([k], [q_modulus], [n_stations])[0]
-
-
-def bound_table(
-    ks: Sequence[int], qs: Sequence[int], n_stations: Sequence[int] = (3,),
-    target_epsilon: Optional[float] = None,
-) -> list[dict]:
-    """Every row of ``relbc bounds``: the ceilings (see ``binding_bound``)
-    over a (k, Q, n) grid, n outermost; then, given a target epsilon, per
-    (n, k) the ``min_q`` at which the ceiling, falling as sqrt(2/Q), reaches
-    it: 2*(binding_ceiling(k, 2, x_n)/epsilon)^2.  Every input is checked
-    first, each error naming its flag; x_n is stepped once per station count.
-    """
-    for name, values, least in (("k", ks, 1), ("q", qs, 2), ("n", n_stations, 3)):
-        for v in values:
-            if v < least:
-                raise ValueError(f"{name}: must be >= {least}, got {v}")
-    if target_epsilon is not None and not 0 < target_epsilon < math.inf:
-        raise ValueError(f"epsilon: target must be positive and finite, got {target_epsilon}")
-    grid, inverse = [], []
-    for n in n_stations:
-        x = x_sequence(n)
-        status = "proven" if n == 3 else "conjectured"
-        for k in ks:
-            for q in qs:
-                raw = binding_ceiling(k, q, x)
-                grid.append({
-                    "k": k,
-                    "q": q,
-                    "n_stations": n,
-                    "epsilon_bound": raw,
-                    "epsilon_capped": min(raw, 1.0),
-                    "x_n": x,
-                    "status": status,
-                })
-            if target_epsilon is None:
-                continue
-            r = binding_ceiling(k, 2, x) / target_epsilon
-            min_q = 2.0 * r * r
-            if not math.isfinite(min_q):
-                raise ValueError(f"epsilon: min_q is too large for a float at k={k}, n={n}, "
-                                 f"epsilon={target_epsilon}")
-            inverse.append({"k": k, "n_stations": n, "target_epsilon": target_epsilon,
-                            "status": status, "min_q": min_q})
-    return grid + inverse
-
-
-def _real(value: int, name: str) -> float:
-    """An integer parameter as a float; ValueError naming it when it is
-    too large for one."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: too large for a float, got {value!r:.40}") from None
-
-
-def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
-    """Published communication cost: 2k*log2(Q) for the chained protocol,
-    k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N,
-    for the protocol ``protocol.resolve`` gives.  ValueError, naming N
-    (k for the chain), when the cost is too large for a float.
-
-    The tree's 2^(N+2) scales the float exponent: the same bits as the
-    integer product, without building 2^(N+2) for a huge N."""
-    kind, k, _ = resolve(kind, k)
-    log2q = math.log2(q_modulus)
-    try:
-        bits = math.ldexp(k * log2q, prune_lag + 2) if kind == KIND_TREE else 2 * k * log2q
-    except OverflowError:
-        bits = math.inf
-    if not math.isfinite(bits):
-        if kind == KIND_TREE:
-            raise ValueError(
-                f"N: the tree cost k*2^(N+2)*log2(Q) is too large for a float "
-                f"at k={k}, N={prune_lag}, Q={q_modulus}"
-            )
-        raise ValueError(
-            f"k: the chain cost 2k*log2(Q) is too large for a float at k={k}, Q={q_modulus}"
-        )
-    return bits
+# Confidence interval
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -233,8 +63,6 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
     half = alpha / 2
     if not 0 < half < 0.5:  # alpha in (0, 1), and alpha/2 not rounded to 0
         raise ValueError(f"alpha: must be in (0, 1), got {alpha}")
-    from .binomial import beta_quantile
-
     lo = 0.0 if successes == 0 else beta_quantile(successes, trials - successes + 1, half)[0]
     hi = 1.0 if successes == trials else beta_quantile(trials - successes, successes + 1, half)[1]
     return lo, hi
@@ -298,10 +126,6 @@ def check_budget(
 def _station_seed(seed: int, tag: str) -> np.random.SeedSequence:
     """The seed of a walk's PCG64 stream: the seed and a SHA-256 digest of
     the walk's tag, so the stream is the same in every process."""
-    import hashlib
-
-    import numpy as np
-
     tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
     return np.random.SeedSequence([seed, tag_key])
 
@@ -309,8 +133,6 @@ def _station_seed(seed: int, tag: str) -> np.random.SeedSequence:
 def _station_rng(seed: int, tag: str) -> np.random.Generator:
     """A walk's stream as one Generator read from its start, as the tests'
     unblocked reference walks read it."""
-    import numpy as np
-
     return np.random.Generator(np.random.PCG64(_station_seed(seed, tag)))
 
 
@@ -351,10 +173,6 @@ def _walk_blocks(
     a (B, n) array.  If any worker raises, the others stop at their next
     round, and all are joined before the exception propagates.
     """
-    import threading
-
-    import numpy as np
-
     abort = np.empty(trials, dtype=np.int32)
     width = min(trials, WALK_BLOCK)
     blocks = range(0, trials, WALK_BLOCK)  # each block's first trial
@@ -419,8 +237,6 @@ def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     draw for (round r, trial t) sits at offset (r - 1) * trials + t of the
     walk's PCG64 stream: the tree walk's layout at n = 1, walked by the
     same blocks and workers."""
-    import numpy as np
-
     never = k + 1
 
     def walker(width: int) -> Callable:
@@ -464,8 +280,6 @@ def tree_abort_rounds(
     workers, so the output is the same bytes at any worker count.  One
     block runs in the caller, with no thread.
     """
-    import numpy as np
-
     n = n_stations
     m = min(m, k + 1)
     # Aborts are kept with np.minimum, so the first abort round of a trial
@@ -522,20 +336,21 @@ def tree_abort_rounds(
     return _walk_blocks(_station_seed(seed, "tree"), trials, n, k + 1, walker)
 
 
-def _steady_hazard(freq: dict[int, float], k: int, m: int) -> float:
+def _steady_hazard(freq: dict[int, float], k: int, m: int, rounds: int) -> float:
     """Per-round abort rate in the stationary regime.
 
     The aggregate rate 1 - P_ok^(1/k) is contaminated by the warm-up
     rounds (all stations start alive, and round 1 has a linear-in-p
     root-failure channel with no redundancy yet), so the rate is instead
-    estimated as total aborts / survivor exposure over rounds past a
-    burn-in of 2m+2.
+    estimated as total aborts / survivor exposure from a burn-in of 2m+2,
+    at most k, through the protocol's last round: ``rounds`` is k + 1 for
+    the tree, whose reveal round can abort, and k for a chain.
     """
     burn = min(2 * m + 2, k)
     events = 0.0
     survivors = 1.0 - sum(f for r, f in freq.items() if r < burn)
     exposure = 0.0
-    for r in range(burn, k + 2):
+    for r in range(burn, rounds + 1):
         f = freq.get(r, 0.0)
         exposure += survivors
         events += f
@@ -627,8 +442,6 @@ def monte_carlo_reliability(
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
         else:
             aborts = chain_abort_rounds(k, p, trials, seed)
-        import numpy as np
-
         counts = np.bincount(aborts).tolist()
         n_ok = counts[0]
         freq = {r: c / trials for r, c in enumerate(counts) if r and c}
@@ -646,7 +459,7 @@ def monte_carlo_reliability(
 
     p_ok_mc = n_ok / trials
     lo, hi = clopper_pearson(n_ok, trials)
-    rate = _steady_hazard(freq, k, m)
+    rate = _steady_hazard(freq, k, m, k + 1 if kind == KIND_TREE else k)
     mp = m * p
     meta = {
         "approx_station_loss": mp,
@@ -700,8 +513,6 @@ def abort_rate_slope(
     stations, so the fitted slope is the sharp check of the loss-tolerance
     claim (the constant in front is only approximate).
     """
-    import numpy as np
-
     reports = []
     xs, ys = [], []
     for i, mp in enumerate(mps):

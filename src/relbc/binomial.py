@@ -6,8 +6,7 @@ in plain Python.
 prefactor (Loader 2000, "Fast and accurate computation of binomial
 probabilities") times the even part of its continued fraction (DiDonato
 and Morris, ACM TOMS 18, 1992), on the smaller tail; the quantile is
-solved by Halley's method on the log-odds scale.  ``analysis`` imports this
-module on first use, so only a command that computes an interval loads it.
+solved by Halley's method on the log-odds scale.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ Subcommands: ``simulate`` (Monte Carlo reliability runs), ``bind-oracle``
 exported transcript).  Machine-readable JSON/CSV is the primary output;
 ``--pretty`` renders the same data as text tables.
 
+Each subcommand imports only the layers it runs: ``simulate`` the Monte
+Carlo layer (``relbc.analysis``, with numpy), ``bind-oracle`` and
+``chsh`` the exact oracles, and ``bounds`` the closed forms
+(``relbc.formulas``) alone.
+
 ``simulate`` runs the event engine only for output it prints: the
 ``analysis.COMM_SAMPLES`` cost samples only for a table (``--out-csv`` or
 ``--pretty``, whose rows have the cost columns), one run for
@@ -80,10 +85,11 @@ class ExperimentConfig:
             errs.append(f"p: must be in [0,1], got {self.p}")
         if self.m < 1:
             errs.append(f"m: must be >= 1, got {self.m}")
-        if self.protocol == KIND_TREE and not 3 <= self.n_stations <= tt.MAX_STATIONS:
-            errs.append(
-                f"n_stations: tree protocol takes 3 to {tt.MAX_STATIONS} stations, got {self.n_stations}"
-            )
+        if self.protocol == KIND_TREE:
+            try:
+                tt.check_tree_stations(self.n_stations)
+            except ValueError as exc:
+                errs.append(str(exc))
         if self.prune_lag < 1:
             errs.append(f"N: pruning lag must be >= 1, got {self.prune_lag}")
         if self.seed is None:
@@ -204,7 +210,7 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import analysis  # loaded only by the commands that use it
+    from . import analysis, formulas  # loaded only by the commands that use them
 
     cfg = ExperimentConfig.from_args(args)
     # Every output path is tried before any work, and nothing is written
@@ -228,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     if table:
         # a cost formula too large for a float is bad input, refused before the walk
-        analysis.comm_bits_formula(cfg.protocol, cfg.k, cfg.q, cfg.prune_lag)
+        formulas.comm_bits_formula(cfg.protocol, cfg.k, cfg.q, cfg.prune_lag)
     rep = analysis.monte_carlo_reliability(
         cfg.protocol,
         cfg.k,
@@ -350,9 +356,9 @@ def _int_list(text: str, name: str) -> list[int]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    from . import analysis
+    from . import formulas
 
-    rows = analysis.bound_table(
+    rows = formulas.bound_table(
         _int_list(args.k, "k"), _int_list(args.q, "q"), _int_list(args.n, "n"), args.invert_epsilon
     )
     if args.pretty:

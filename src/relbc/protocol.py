@@ -164,8 +164,8 @@ class Transcript:
         and claims in [0, q)), node labels that are not nodes of the
         protocol, or a record whose round or color is not its node's.  A
         node at depth j runs in round j + 1 at its canonical color.  A
-        tree takes 3 to ``tree.MAX_STATIONS`` stations (3 when
-        ``n_stations`` is missing), and a chain exactly 2.
+        tree takes the station counts ``tree.check_tree_stations`` allows
+        (3 when ``n_stations`` is missing), and a chain exactly 2.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -177,7 +177,9 @@ class Transcript:
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
         n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
         if kind == KIND_TREE:
-            n_stations = _int_in(n_stations, "n_stations", 3, tt.MAX_STATIONS)
+            if type(n_stations) is not int:
+                raise ValueError(f"n_stations: expected an integer, got {n_stations!r:.40}")
+            tt.check_tree_stations(n_stations)
         elif type(n_stations) is not int or n_stations != 2:
             raise ValueError(
                 f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"

@@ -233,15 +233,12 @@ def run_tree(
     revealing leaves make up the live set handed to ``verify_tree``.  A
     run costs little more than its hash draws and ``verify_tree``: on a
     2-core host 0.22 to 0.30 ms at k=18 (63 scheduled nodes, 125 draws)
-    and 2.2 to 3.8 ms at k=200 (795 nodes).  A station count outside 3 to
-    ``tree.MAX_STATIONS`` raises ValueError, and a run that
+    and 2.2 to 3.8 ms at k=200 (795 nodes).  A station count that
+    ``tree.check_tree_stations`` refuses raises ValueError, and a run that
     ``check_event_runs`` refuses raises ResourceGuardError, both before
     round 1: the one rule ``analysis.check_budget`` applies up front.
     """
-    if not 3 <= n_stations <= tt.MAX_STATIONS:
-        raise ValueError(
-            f"n_stations: a tree takes 3 to {tt.MAX_STATIONS} stations, got {n_stations}"
-        )
+    tt.check_tree_stations(n_stations)
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
     if prune_lag < 1:

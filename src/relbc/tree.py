@@ -25,6 +25,13 @@ ROOT = ""
 MAX_STATIONS = 11
 
 
+def check_tree_stations(n_stations: int) -> None:
+    """ValueError unless the tree protocol runs on ``n_stations`` stations:
+    3 to MAX_STATIONS, since two stations color the chain's path."""
+    if not 3 <= n_stations <= MAX_STATIONS:
+        raise ValueError(f"n_stations: a tree takes 3 to {MAX_STATIONS} stations, got {n_stations}")
+
+
 def depth(v: str) -> int:
     return len(v)
 

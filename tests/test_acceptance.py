@@ -13,6 +13,7 @@ import pytest
 
 from relbc import adversary as adv
 from relbc import analysis as an
+from relbc import formulas as fm
 from relbc import games
 from relbc import tree as tt
 from relbc.field import Field
@@ -141,12 +142,12 @@ def test_criterion_7_communication_cost():
 
 def test_criterion_8_bound_tables():
     t0 = time.process_time()
-    assert an.x_sequence(3) == 1.25
-    assert an.x_sequence(4) == pytest.approx(1.45)
-    assert 0.9 <= an.x_sequence(200) / math.sqrt(100) <= 1.1
+    assert fm.x_sequence(3) == 1.25
+    assert fm.x_sequence(4) == pytest.approx(1.45)
+    assert 0.9 <= fm.x_sequence(200) / math.sqrt(100) <= 1.1
     for k in (1, 5, 100):
         for q in (2, 97, 10**6 + 3):
-            assert an.binding_bound(k, q)["epsilon_bound"] == pytest.approx(
+            assert fm.bound_table([k], [q])[0]["epsilon_bound"] == pytest.approx(
                 5 * k / math.sqrt(2 * q)
             )
     _report(8, "bound tables", t0, 5)

@@ -9,8 +9,8 @@ from itertools import product
 import pytest
 
 from relbc import adversary as adv, tree as tt
-from relbc.analysis import binding_bound
 from relbc.field import Field
+from relbc.formulas import bound_table
 from relbc.protocol import KIND_FQ, Record, Reveal, Transcript, verify_tree
 from relbc.sim import ResourceGuardError
 
@@ -54,7 +54,7 @@ def test_single_round_oracle_decreases_with_q():
 @pytest.mark.parametrize("q", [2, 3])
 def test_tree_report_bound_is_the_ceiling_table(q):
     rep = adv.brute_force_tree(Field(q))[0]
-    assert rep.bound == 1 + binding_bound(2, q)["epsilon_bound"]
+    assert rep.bound == 1 + bound_table([2], [q])[0]["epsilon_bound"]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -11,86 +11,87 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an
+from relbc import formulas as fm
 from relbc.field import Field
 from relbc.sim import run_protocol
 
 
 def test_p_ok_chain_formula():
-    assert an.p_ok_formula("fq", 0.0, 1, 50) == 1
-    assert an.p_ok_formula("fq", 0.01, 1, 69) == pytest.approx(0.99**69)
-    exact = an.p_ok_formula("fq", Fraction(1, 100), 1, 2)
+    assert fm.p_ok_formula("fq", 0.0, 1, 50) == 1
+    assert fm.p_ok_formula("fq", 0.01, 1, 69) == pytest.approx(0.99**69)
+    exact = fm.p_ok_formula("fq", Fraction(1, 100), 1, 2)
     assert exact == Fraction(99, 100) ** 2
 
 
 def test_closed_forms_and_budget_treat_single_as_one_round():
     # protocol.resolve: a single request is the chain at k = 1, whatever k
-    assert an.p_ok_formula("single", 0.1, 1, 10) == pytest.approx(0.9)
-    assert an.comm_bits_formula("single", 10, 97) == pytest.approx(2 * math.log2(97))
+    assert fm.p_ok_formula("single", 0.1, 1, 10) == pytest.approx(0.9)
+    assert fm.comm_bits_formula("single", 10, 97) == pytest.approx(2 * math.log2(97))
     an.check_budget("single", 100_000, walk_trials=100_000)
 
 
 def test_tree_q_formula_examples():
-    q = an.per_round_loss_prob(3, Fraction(1, 100))
+    q = fm.per_round_loss_prob(3, Fraction(1, 100))
     assert q == Fraction(3, 10**4) + Fraction(1, 10**6)  # 3.01e-4
-    q4 = an.per_round_loss_prob(4, Fraction(1, 100))
+    q4 = fm.per_round_loss_prob(4, Fraction(1, 100))
     assert q4 == Fraction(4, 10**6) + Fraction(1, 10**8)
 
 
 def test_tree_formula_consistency_n3_exact():
     # the three-station formula and the general-n formula coincide exactly
     mp = Fraction(1, 50)
-    generic = an.per_round_loss_prob(3, mp)
+    generic = fm.per_round_loss_prob(3, mp)
     explicit = 3 * mp**2 + mp**3
     assert generic == explicit
-    assert an.p_ok_formula("tree", Fraction(1, 100), 2, 10, 3) == (1 - explicit) ** 10
+    assert fm.p_ok_formula("tree", Fraction(1, 100), 2, 10, 3) == (1 - explicit) ** 10
 
 
 def test_p_ok_domain_errors():
     with pytest.raises(ValueError):
-        an.p_ok_formula("fq", -0.1, 1, 5)
+        fm.p_ok_formula("fq", -0.1, 1, 5)
     with pytest.raises(ValueError):
-        an.p_ok_formula("fq", 0.1, 0, 5)
+        fm.p_ok_formula("fq", 0.1, 0, 5)
     with pytest.raises(ValueError):
-        an.p_ok_formula("what", 0.1, 1, 5)
+        fm.p_ok_formula("what", 0.1, 1, 5)
 
 
 def test_half_life_examples():
-    assert an.half_life("fq", 0.002, 5) == pytest.approx(100)
-    t_tree = an.half_life("tree", 0.002, 5)
+    assert fm.half_life("fq", 0.002, 5) == pytest.approx(100)
+    t_tree = fm.half_life("tree", 0.002, 5)
     assert t_tree == pytest.approx(1 / 3.01e-4, rel=1e-6)
     assert t_tree / 100 == pytest.approx(33.2, rel=0.01)
-    assert an.half_life("fq", 0.0, 3) == math.inf
+    assert fm.half_life("fq", 0.0, 3) == math.inf
 
 
 def test_x_sequence_values():
-    assert an.x_sequence(2) == 1.0
-    assert an.x_sequence(3) == 1.25
-    assert an.x_sequence(4) == pytest.approx(1.45)
-    ratio = an.x_sequence(200) / math.sqrt(100)
+    assert fm.x_sequence(2) == 1.0
+    assert fm.x_sequence(3) == 1.25
+    assert fm.x_sequence(4) == pytest.approx(1.45)
+    ratio = fm.x_sequence(200) / math.sqrt(100)
     assert 0.9 <= ratio <= 1.1
 
 
 def test_binding_bound_three_stations():
-    row = an.binding_bound(1, 2)
+    row = fm.bound_table([1], [2])[0]
     assert row["epsilon_bound"] == pytest.approx(2.5)
     assert row["epsilon_capped"] == 1.0
     assert row["status"] == "proven"
     # n=3 closed form matches the generic 2*k*x_3*sqrt(2/Q) identity
     for k, q in [(3, 97), (10, 1009)]:
-        assert an.binding_bound(k, q)["epsilon_bound"] == pytest.approx(
+        assert fm.bound_table([k], [q])[0]["epsilon_bound"] == pytest.approx(
             5 * k / math.sqrt(2 * q)
         )
 
 
 def test_binding_bound_conjectured_for_more_stations():
-    row = an.binding_bound(2, 97, n_stations=5)
+    row = fm.bound_table([2], [97], [5])[0]
     assert row["status"] == "conjectured"
-    assert row["x_n"] == pytest.approx(an.x_sequence(5))
+    assert row["x_n"] == pytest.approx(fm.x_sequence(5))
 
 
 def test_bound_table_min_q_puts_the_target_back_into_the_ceiling():
     k, eps = 5 * 10**9, 1e-6
-    rows = an.bound_table([k], [97], [3, 4, 5], target_epsilon=eps)
+    rows = fm.bound_table([k], [97], [3, 4, 5], target_epsilon=eps)
     inverse = [r for r in rows if "min_q" in r]
     assert [(r["k"], r["n_stations"], r["target_epsilon"]) for r in inverse] == [
         (k, 3, eps), (k, 4, eps), (k, 5, eps)
@@ -99,8 +100,8 @@ def test_bound_table_min_q_puts_the_target_back_into_the_ceiling():
     assert inverse[0]["min_q"] == pytest.approx(25 * k * k / (2 * eps * eps))
     for r in inverse:
         # plugging the minimal modulus back in hits the target
-        x = an.x_sequence(r["n_stations"])
-        assert an.binding_ceiling(k, r["min_q"], x) == pytest.approx(eps, rel=1e-12)
+        x = fm.x_sequence(r["n_stations"])
+        assert fm.binding_ceiling(k, r["min_q"], x) == pytest.approx(eps, rel=1e-12)
     # more stations, a larger ceiling, so a larger modulus
     assert inverse[0]["min_q"] < inverse[1]["min_q"] < inverse[2]["min_q"]
 
@@ -108,7 +109,7 @@ def test_bound_table_min_q_puts_the_target_back_into_the_ceiling():
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
 def test_bound_table_refuses_a_target_that_is_not_positive_and_finite(eps):
     with pytest.raises(ValueError, match="^epsilon: "):
-        an.bound_table([1], [97], target_epsilon=eps)
+        fm.bound_table([1], [97], target_epsilon=eps)
 
 
 @pytest.mark.parametrize("ks, qs, ns, field", [
@@ -118,28 +119,28 @@ def test_bound_table_refuses_a_target_that_is_not_positive_and_finite(eps):
 ])
 def test_bound_table_checks_every_input_before_stepping_x_n(monkeypatch, ks, qs, ns, field):
     calls = []
-    monkeypatch.setattr(an, "x_sequence", calls.append)
+    monkeypatch.setattr(fm, "x_sequence", calls.append)
     with pytest.raises(ValueError, match=f"^{field}: must be >= "):
-        an.bound_table(ks, qs, ns, target_epsilon=0.5)
+        fm.bound_table(ks, qs, ns, target_epsilon=0.5)
     assert calls == []
 
 
 def test_bound_table_grid():
-    rows = an.bound_table([1, 2], [2, 97], [3])
+    rows = fm.bound_table([1, 2], [2, 97], [3])
     assert len(rows) == 4
     assert all(r["epsilon_bound"] >= 0 and math.isfinite(r["epsilon_bound"]) for r in rows)
 
 
 def test_bound_table_steps_x_n_once_per_station_count(monkeypatch):
     calls = []
-    x_sequence = an.x_sequence
-    monkeypatch.setattr(an, "x_sequence", lambda n: calls.append(n) or x_sequence(n))
-    rows = an.bound_table([1, 2, 3], [2, 97], [3, 5])
+    x_sequence = fm.x_sequence
+    monkeypatch.setattr(fm, "x_sequence", lambda n: calls.append(n) or x_sequence(n))
+    rows = fm.bound_table([1, 2, 3], [2, 97], [3, 5])
     assert calls == [3, 5]
-    assert rows == [an.binding_bound(k, q, n) for n in (3, 5) for k in (1, 2, 3) for q in (2, 97)]
+    assert rows == [fm.bound_table([k], [q], [n])[0] for n in (3, 5) for k in (1, 2, 3) for q in (2, 97)]
     # a target adds one row per (n, k) after the same grid, on the same x_n
     calls.clear()
-    with_target = an.bound_table([1, 2, 3], [2, 97], [3, 5], target_epsilon=0.5)
+    with_target = fm.bound_table([1, 2, 3], [2, 97], [3, 5], target_epsilon=0.5)
     assert calls == [3, 5]
     assert with_target[:len(rows)] == rows
     assert [(r["n_stations"], r["k"]) for r in with_target[len(rows):]] == [
@@ -148,8 +149,8 @@ def test_bound_table_steps_x_n_once_per_station_count(monkeypatch):
 
 
 def test_comm_bits_formula():
-    assert an.comm_bits_formula("fq", 10, 97) == pytest.approx(20 * math.log2(97))
-    assert an.comm_bits_formula("tree", 10, 97, prune_lag=1) == pytest.approx(
+    assert fm.comm_bits_formula("fq", 10, 97) == pytest.approx(20 * math.log2(97))
+    assert fm.comm_bits_formula("tree", 10, 97, prune_lag=1) == pytest.approx(
         10 * 8 * math.log2(97)
     )
 
@@ -165,18 +166,18 @@ def test_comm_bits_formula_is_the_integer_product_up_to_a_float_overflow(k, q):
     # 3*2^(N+2)*log2(97) is finite up to N = 1017 and overflows from 1018
     last = max(n for n in range(1, 1030) if published(n) < math.inf)
     for n in (1, 2, 10, last - 1, last):
-        assert an.comm_bits_formula("tree", k, q, prune_lag=n) == published(n)
+        assert fm.comm_bits_formula("tree", k, q, prune_lag=n) == published(n)
     for n in (last + 1, last + 4, 10**30):
         with pytest.raises(ValueError, match=r"^N: .*too large for a float"):
-            an.comm_bits_formula("tree", k, q, prune_lag=n)
+            fm.comm_bits_formula("tree", k, q, prune_lag=n)
     if (k, q) == (3, 97):
         assert last == 1017
 
 
 def test_comm_bits_formula_refuses_a_chain_too_long_for_a_float():
-    assert an.comm_bits_formula("fq", 10**300, 2) == 2e300
+    assert fm.comm_bits_formula("fq", 10**300, 2) == 2e300
     with pytest.raises(ValueError, match=r"^k: .*too large for a float"):
-        an.comm_bits_formula("fq", 10**400, 2)
+        fm.comm_bits_formula("fq", 10**400, 2)
 
 
 def _root_within(x: float, tail, target, ulps: int = 64) -> bool:
@@ -312,6 +313,16 @@ def test_mc_single_request_is_the_k1_report(engine):
     assert (asked.kind, asked.k, asked.n_stations) == ("single", 1, 2)
 
 
+@pytest.mark.parametrize("k", [1, 5, 69])
+@pytest.mark.parametrize("m", [1, 3])
+def test_steady_hazard_of_a_geometric_abort_law_is_p(k, m):
+    # a chain aborts in round r with probability p(1-p)^(r-1), a hazard
+    # of p in each of its k rounds; there is no round k + 1 to count
+    p = 0.1
+    freq = {r: p * (1 - p) ** (r - 1) for r in range(1, k + 1)}
+    assert an._steady_hazard(freq, k, m, k) == pytest.approx(p, rel=1e-12)
+
+
 def test_mc_tree_beats_chain_at_same_loss():
     kw = dict(p=0.005, m=2, trials=100_000, seed=7)
     tree = an.monte_carlo_reliability("tree", 69, **kw)
@@ -348,7 +359,7 @@ def test_report_metadata_carries_all_loss_conventions():
 
 def test_csv_schema_and_determinism():
     rep = an.monte_carlo_reliability("fq", 10, 0.0, 1, 100, seed=1)
-    row = an.report_row(rep, 97, 2, comm_bits_mean=an.comm_bits_formula("fq", 10, 97))
+    row = an.report_row(rep, 97, 2, comm_bits_mean=fm.comm_bits_formula("fq", 10, 97))
     text = an.rows_to_csv([row])
     header = text.splitlines()[0].split(",")
     assert header == [

@@ -958,22 +958,27 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 def test_import_and_numpy_free_commands_load_no_numpy(tmp_path):
-    # only simulate runs the station walk, the one user of numpy; bounds
-    # uses relbc.analysis for closed forms in plain Python
+    # only simulate runs the station walk (relbc.analysis), the one user
+    # of numpy; the oracles and bounds read the closed forms of
+    # relbc.formulas, in plain Python
     transcript = tmp_path / "run.json"
     transcript.write_text(run_protocol("tree", 4, Field(97), d=1, seed=3, trial=0).transcript.to_json())
     script = (
         "import sys\n"
         "import relbc.cli\n"
-        "def numpy_loaded():\n"
-        "    return sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
-        "assert not numpy_loaded(), numpy_loaded()[:5]\n"
+        "def walk_loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m in ('numpy', 'relbc.analysis') or m.startswith('numpy.'))\n"
+        "assert not walk_loaded(), walk_loaded()[:5]\n"
+        "import relbc.adversary\n"
+        "assert not walk_loaded(), walk_loaded()[:5]\n"
         "for argv in (['bind-oracle', '--protocol', 'single', '--q', '2'],\n"
+        "             ['bind-oracle', '--protocol', 'tree', '--q', '2'],\n"
         "             ['chsh', '--q', '2', '--uniform'],\n"
         f"             ['verify-transcript', {str(transcript)!r}],\n"
         "             ['bounds', '--k', '1,10', '--q', '97', '--invert-epsilon', '0.5']):\n"
         "    assert relbc.cli.dispatch(argv) == 0\n"
-        "    assert not numpy_loaded(), (argv, numpy_loaded()[:5])\n"
+        "    assert not walk_loaded(), (argv, walk_loaded()[:5])\n"
     )
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
@@ -1005,8 +1010,8 @@ def test_only_the_searching_commands_load_the_oracles(tmp_path):
 
 
 def test_the_oracles_load_neither_csv_nor_hashlib():
-    # analysis imports csv for the table writer and hashlib for the walk's
-    # stream key only where they run, so bind-oracle and bounds load neither
+    # the oracles read their ceiling from relbc.formulas, which loads
+    # neither the walk (hashlib, for its stream key) nor the CSV writer
     script = (
         "import sys\n"
         "import relbc.adversary\n"
