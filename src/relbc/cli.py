@@ -159,7 +159,8 @@ def _out_path(path: str) -> Path:
 
 def _emit(text: str, path: Optional[str], flag: str = "out") -> None:
     """Write ``text`` to ``path``, or print it when no path is given; a
-    path that cannot be written is bad input naming its ``flag``."""
+    path that cannot be written is bad input naming its ``flag``, and so
+    is a stdout that cannot be written, named ``stdout``."""
     if path:
         target = _out_path(path)
         try:
@@ -168,7 +169,10 @@ def _emit(text: str, path: Optional[str], flag: str = "out") -> None:
         except OSError as exc:
             raise ConfigError(f"{flag}: {exc}") from exc
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        try:
+            print(text, end="" if text.endswith("\n") else "\n", flush=True)
+        except OSError as exc:
+            raise ConfigError(f"stdout: {exc}") from exc
 
 
 def _check_out_path(path: str, flag: str) -> None:

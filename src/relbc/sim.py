@@ -4,7 +4,10 @@ Time is discretized in units of the light travel time between stations:
 round j happens at time j-1 at every active location simultaneously,
 computations are instantaneous and signals move at light speed.  A station
 that is dead at a round answers nothing for every node it hosts that
-round.
+round.  Every protocol kind runs in ``run_tree``: a chain is the tree on
+two stations, whose one node a round is lost with probability p that
+round only (``ChainTracker``), while a tree's stations die and stay dead
+for m rounds (``StationTracker``).
 
 The receiver prunes: with an information lag of N rounds, his agents only
 challenge descendants of the node they currently know to be on the
@@ -73,9 +76,10 @@ def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prun
     """Raise ResourceGuardError, naming the cap and the size asked for,
     unless ``runs`` runs of the protocol ``protocol.resolve`` gives fit:
     EVENT_MAX_K rounds a run, EVENT_BUDGET nodes in all (multiplied out by
-    factors, so a deep lag is refused without its power), and for a tree
-    2**14 nodes a round and the label characters of a three-station, lag-2
-    run of EVENT_MAX_K rounds.  Every run is counted as if it never aborts.
+    factors, so a deep lag is refused without its power), 2**14 nodes a
+    round and the label characters of a three-station, lag-2 run of
+    EVENT_MAX_K rounds.  Every run is counted as if it never aborts, a
+    chain as the tree on two stations: k+1 nodes, one a round.
     """
     kind, k, n_stations = resolve(kind, k, n_stations)
     if k > EVENT_MAX_K:
@@ -83,16 +87,12 @@ def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prun
             f"{kind} run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K} rounds, "
             f"EVENT_MAX_K = {EVENT_MAX_K}"
         )
-    tree, arity, lag = kind == KIND_TREE, n_stations - 1, min(prune_lag, k)
-    factors = chain((runs, k + 1), repeat(arity, lag)) if tree else (runs, k)
-    if capped_product(factors, EVENT_BUDGET) > EVENT_BUDGET:
-        per_run = f"{k + 1} x {arity}**{lag}" if tree else k
+    arity, lag = n_stations - 1, min(prune_lag, k)
+    if capped_product(chain((runs, k + 1), repeat(arity, lag)), EVENT_BUDGET) > EVENT_BUDGET:
         raise ResourceGuardError(
-            f"event-engine runs x nodes per run = {runs} x {per_run} scheduled nodes "
+            f"event-engine runs x nodes per run = {runs} x {k + 1} x {arity}**{lag} scheduled nodes "
             f"exceed the budget EVENT_BUDGET = {EVENT_BUDGET}"
         )
-    if not tree:
-        return
     if arity**lag > 2**14:  # within the node budget, the power is small
         raise ResourceGuardError(
             f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
@@ -197,6 +197,35 @@ class StationTracker:
         return changed
 
 
+class ChainTracker:
+    """The chain's loss rule behind ``StationTracker``'s interface.
+
+    In each round j <= k one draw of the run's ``"active"`` loss stream
+    kills, with probability p, the station of round j's node (1 when j is
+    odd, 2 when even) for that round only; the reveal round draws nothing.
+    A chain ends at its first silent node, so the dead duration m never
+    matters, and the draws are those of ``analysis.chain_abort_rounds``.
+    """
+
+    def __init__(self, k: int, loss: LossModel, seed: int, trial: int):
+        self.k, self.p = k, loss.p
+        self.round = 0
+        self.counters = [0, 0, 0]  # 1-based colors
+        self.rng = derived_rng(seed, trial, "loss", "active")
+
+    def step(self) -> list[int]:
+        """Advance one round; returns the station it kills, if any (the
+        run ends in that round, so no revival is ever logged)."""
+        j = self.round = self.round + 1
+        counters = self.counters
+        counters[1] = counters[2] = 0
+        if j <= self.k and self.p > 0 and self.rng.random() < self.p:
+            c = 2 - j % 2
+            counters[c] = 1
+            return [c]
+        return []
+
+
 @dataclass
 class RunResult:
     transcript: Transcript
@@ -215,40 +244,47 @@ def run_tree(
     prune_lag: int = 2,
     collect_events: bool = False,
 ) -> RunResult:
-    """One full tree-protocol run with an honest committer and an honest
-    receiver on the canonical coloring of ``n_stations`` stations.
+    """One full protocol run with an honest committer and an honest
+    receiver on the canonical coloring of ``n_stations`` stations: the
+    tree, or at two stations the chain, whose path "", "0", "00", ...
+    schedules one node a round and whose transcript ``protocol.resolve``
+    names (``single`` at k = 1, else ``fq``).
 
     Every round is one step: the receiver's agents query the nodes below
     the leftmost alive node they know of, learning node statuses with a
     lag of ``prune_lag`` rounds, and each station alive that round
-    answers.  Rounds 1..k query depths 0..k-1, where the committer answers
-    as ``honest_response`` does, with each node's challenge and share
-    drawn from one encoding of its label by the run's ``"b"`` and
-    ``"share"`` hash streams; round k+1 is the reveal, where each alive
-    scheduled leaf sends (d, share of its parent).  Each round's nodes are
-    the children of a block of the last round's, so a parent's share
-    travels with its children and no label is expanded twice.  After each
-    round the leftmost alive path grows by the first live child of its
-    end, and the run aborts if there is none.  The answered nodes and the
+    answers; a tree's stations die as ``StationTracker`` draws, a chain's
+    as ``ChainTracker`` does.  Rounds 1..k query depths 0..k-1, where the
+    committer answers as ``honest_response`` does, with each node's
+    challenge and share drawn from one encoding of its label by the run's
+    ``"b"`` and ``"share"`` hash streams; round k+1 is the reveal, where
+    each alive scheduled leaf sends (d, share of its parent).  Each
+    round's nodes are the children of a block of the last round's, so a
+    parent's share travels with its children and no label is expanded
+    twice.  After each round the leftmost alive path grows by the first
+    live child of its end, and the run aborts if there is none.  The answered nodes and the
     revealing leaves make up the live set handed to ``verify_tree``.  A
     run costs little more than its hash draws and ``verify_tree``: on a
     2-core host 0.22 to 0.30 ms at k=18 (63 scheduled nodes, 125 draws)
-    and 2.2 to 3.8 ms at k=200 (795 nodes).  A station count that
-    ``tree.check_tree_stations`` refuses raises ValueError, and a run that
-    ``check_event_runs`` refuses raises ResourceGuardError, both before
-    round 1: the one rule ``analysis.check_budget`` applies up front.
+    and 2.2 to 3.8 ms at k=200 (795 nodes).  A depth k < 1 or a station
+    count outside 2 to ``tree.MAX_STATIONS`` raises ValueError, and a run
+    that ``check_event_runs`` refuses raises ResourceGuardError, both
+    before round 1: the one rule ``analysis.check_budget`` applies up front.
     """
-    tt.check_tree_stations(n_stations)
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
-    check_event_runs(KIND_TREE, k, 1, n_stations, prune_lag)
+    kind = KIND_TREE if arity > 1 else resolve(KIND_FQ, k)[0]
+    check_event_runs(kind, k, 1, n_stations, prune_lag)
 
-    transcript = Transcript(kind=KIND_TREE, k=k, q=field.q, n_stations=n_stations)
+    transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     records, reveals = transcript.records, transcript.reveals
     events: list[Event] = []
-    stations = StationTracker(n_stations, loss, seed, trial)
+    if arity > 1:
+        stations = StationTracker(n_stations, loss, seed, trial)
+    else:
+        stations = ChainTracker(k, loss, seed, trial)
     dead_for = stations.counters  # nonzero = station dead this round
     draw = field.hash_pair_stream(seed, trial, "b", "share")
     q = field.q
@@ -336,59 +372,6 @@ def run_tree(
     return RunResult(transcript, verdict, events)
 
 
-def run_chain(
-    k: int,
-    field: Field,
-    d: int,
-    loss: LossModel,
-    seed: int,
-    trial: int = 0,
-    collect_events: bool = False,
-) -> RunResult:
-    """One run of the chained protocol (k=1 gives the single-round scheme)
-    with an honest committer, who answers round j with a_j + b_j*a_{j-1}
-    (a_0 = d) and reveals (d, a_k): the tree on two stations, round j at
-    node "0"·(j-1) and the reveal at leaf "0"·k, judged by ``verify_tree``.
-
-    Loss model: the protocol dies at the first failure of the active
-    agent, so only one Bernoulli(p) draw per round matters and the dead
-    duration m never comes into play.  A depth k < 1 raises ValueError,
-    as the tree run does, and a run that ``check_event_runs`` refuses
-    (one over ``EVENT_MAX_K`` rounds) raises ResourceGuardError, both
-    before round 1.
-    """
-    kind, _, n_stations = resolve(KIND_FQ, k)
-    coloring = tt.make_coloring(k, n_stations)
-    check_event_runs(kind, k)
-    transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
-    events: list[Event] = []
-    rng_loss = derived_rng(seed, trial, "loss", "active")
-    draw = field.hash_pair_stream(seed, trial, "b", "share")
-    v, share = tt.ROOT, d  # round j's node and a_{j-1}, with a_0 = d
-    for j in range(1, k + 1):
-        t = j - 1
-        color = 1 if j % 2 == 1 else 2
-        if loss.p > 0 and rng_loss.random() < loss.p:
-            transcript.abort_reason = f"active station dead at round {j}"
-            transcript.abort_round = j
-            if collect_events:
-                events.append(Event(t, color, "abort", v, None, ()))
-            break
-        prev = share
-        b, share = draw(j)  # keyed by the round, not by the node's label
-        y = (share + b * prev) % field.q
-        transcript.records[v] = Record(b=b, y=y, round=j, color=color)
-        if collect_events:
-            ci = len(events)
-            events.append(Event(t, color, "challenge", v, b, ()))
-            events.append(Event(t, color, "response", v, y, (ci,)))
-        v += "0"
-    else:
-        transcript.reveals[v] = Reveal(d=d, claim=share)
-    verdict = verify_tree(transcript, transcript.liveness(), coloring, field)
-    return RunResult(transcript, verdict, events)
-
-
 def run_protocol(
     kind: str,
     k: int,
@@ -402,14 +385,17 @@ def run_protocol(
     collect_events: bool = False,
 ) -> RunResult:
     """Drive one run of the protocol ``protocol.resolve`` names, with an
-    honest receiver and an honest committer of bit ``d``; preparation
-    randomness comes from the per-trial streams."""
+    honest receiver and an honest committer of bit ``d``, through
+    ``run_tree``: a tree on the 3 to ``tree.MAX_STATIONS`` stations
+    ``tree.check_tree_stations`` allows (else ValueError), a chain on two,
+    where ``loss`` kills each round's node with probability p and m never
+    matters.  Preparation randomness comes from the per-trial streams."""
     if d not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
     kind, k, n_stations = resolve(kind, k, n_stations)
     if kind == KIND_TREE:
-        return run_tree(k, field, n_stations, d, loss, seed, trial, prune_lag, collect_events)
-    return run_chain(k, field, d, loss, seed, trial, collect_events)
+        tt.check_tree_stations(n_stations)
+    return run_tree(k, field, n_stations, d, loss, seed, trial, prune_lag, collect_events)
 
 
 def comm_cost(transcript: Transcript, field: Field) -> float:

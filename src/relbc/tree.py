@@ -62,7 +62,7 @@ class Coloring:
     exactly once.  Colors are 1-based.  The coloring is the canonical
     rule, computed per node on demand (see the module docstring); nothing
     is stored.  Two stations give the chain's path; the protocol tree
-    itself takes 3 or more, which ``sim.run_tree`` checks.
+    itself takes 3 or more, which ``sim.run_protocol`` checks.
     """
 
     def __init__(self, k: int, n_stations: int):

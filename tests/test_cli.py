@@ -142,6 +142,31 @@ def test_unwritable_output_path_exit_1_naming_the_flag(capsys, tmp_path, monkeyp
     assert err.startswith(f"error: {flag}: ") and repr(str(tmp_path)) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [
+    SIMULATE,
+    ["bind-oracle", "--protocol", "single", "--q", "2"],
+    ["chsh", "--q", "2"],
+    ["bounds", "--pretty"],
+    ["verify-transcript", "run.json"],
+], ids=lambda argv: argv[0])
+def test_unwritable_stdout_exit_1_naming_stdout(capsys, tmp_path, argv):
+    # a full stdout is bad output like an unwritable --out path: exit 1
+    # naming stdout, never a traceback, in a fresh interpreter whose stdout
+    # is /dev/full
+    assert run(capsys, *SIMULATE, "--transcript-out", str(tmp_path / "run.json"))[0] == 0
+    src = str(Path(relbc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relbc.cli", *argv], cwd=tmp_path, env=env,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert proc.returncode == 1, proc.stderr
+    assert re.fullmatch(r"error: stdout: \[Errno 28\] .*\n", proc.stderr), proc.stderr
+
+
 @pytest.mark.parametrize("bad", [
     ["--transcript-out", "tt.json", "--out-csv", "."],
     ["--out-csv", "row.csv", "--out-json", "/dev/null/r.json"],
@@ -694,7 +719,7 @@ def test_verify_transcript_exported_chain_abort(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-transcript", str(tr_path))
     assert code == 0
     assert json.loads(out) == {
-        "outcome": "abort", "revealed": None, "reason": "active station dead at round 1",
+        "outcome": "abort", "revealed": None, "reason": "root did not respond",
     }
 
 

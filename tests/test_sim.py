@@ -19,7 +19,6 @@ from relbc.sim import (
     StationTracker,
     comm_cost,
     message_counts,
-    run_chain,
     run_protocol,
     run_tree,
     _label_chars,
@@ -184,11 +183,23 @@ def test_resource_guard_counts_the_arity():
     assert time.process_time() - t0 < 0.5
 
 
-def test_run_tree_refuses_the_two_station_chain():
-    # two stations color the chain's path, which run_chain runs; a tree
-    # takes three or more
-    with pytest.raises(ValueError, match="^n_stations: a tree takes 3 to 11 stations, got 2$"):
-        run_tree(3, Field(5), 2, 0, LossModel(), seed=1)
+def test_run_tree_on_two_stations_is_the_chain():
+    # two stations color the chain's path: run_tree runs it as run_protocol
+    # does for fq, transcript, verdict and event log alike
+    field, loss = Field(101), LossModel(p=0.15, m=3)
+    for k in (1, 2, 7):
+        for trial in range(12):
+            got = run_tree(k, field, 2, trial % 2, loss, 7, trial, collect_events=True)
+            want = run_protocol("fq", k, field, trial % 2, 7, trial, loss, collect_events=True)
+            assert got.transcript == want.transcript and got.verdict == want.verdict, (k, trial)
+            assert got.events == want.events, (k, trial)
+            assert got.transcript.kind == ("single" if k == 1 else "fq")
+
+
+@pytest.mark.parametrize("n", [0, 1, 12])
+def test_run_tree_refuses_a_station_count_outside_2_to_11(n):
+    with pytest.raises(ValueError, match=f"^n_stations: a coloring takes 2 to 11 stations, got {n}$"):
+        run_tree(3, Field(5), n, 0, LossModel(), seed=1)
 
 
 def test_run_tree_refuses_a_pruning_lag_below_1():
@@ -282,7 +293,7 @@ def test_run_chain_aborts_in_the_walks_round_on_every_trial(k, p, m, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "derived_rng", active_station)
         rounds = [
-            run_chain(k, field, t % 2, loss, seed, t).transcript.abort_round or 0
+            run_protocol("fq", k, field, t % 2, seed, t, loss).transcript.abort_round or 0
             for t in range(ENGINE_TRIALS)
         ]
     assert rounds == an.chain_abort_rounds(k, p, ENGINE_TRIALS, seed).tolist()
@@ -354,17 +365,20 @@ def test_run_tree_verdict_equals_its_replayed_transcript(n_stations, prune_lag):
 
 @pytest.mark.parametrize("kind, k", [("single", 1), ("fq", 9)])
 def test_run_chain_answers_and_reveals_from_the_share_stream(kind, k):
-    # a_0 = d and a_j is draw j of the run's "share" hash stream; round j
-    # answers a_j + b_j*a_{j-1} and the reveal is (d, a_k)
+    # a_0 = d and a_j is the run's "share" hash draw at round j's node
+    # "0"*(j-1); round j answers a_j + b_j*a_{j-1} and the reveal is (d, a_k)
     field = Field(101)
     for loss in (LossModel(), LossModel(p=0.2)):
         for d in (0, 1):
             for trial in range(8):
                 res = run_protocol(kind, k, field, d=d, seed=23, trial=trial, loss=loss)
-                a = [d] + [field.sample_hashed(23, trial, "share", str(j)) for j in range(1, k + 1)]
+                a = [d] + [field.sample_hashed(23, trial, "share", "0" * (j - 1)) for j in range(1, k + 1)]
                 tr = res.transcript
                 for v, rec in tr.records.items():
                     j = len(v) + 1  # round j is node "0"*(j-1)
+                    if rec.y is None:  # the dead station of the abort round
+                        assert j == tr.abort_round, (d, trial, j)
+                        continue
                     assert rec.y == (a[j] + rec.b * a[j - 1]) % field.q, (d, trial, j)
                 if tr.abort_round is None:
                     assert len(tr.records) == k

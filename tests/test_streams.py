@@ -8,7 +8,10 @@ The wide run digest was computed before the tree run loop carried
 run digest was re-pinned once when chain nodes were renamed from "1".."k"
 to the two-station tree's "", "0", "00", ...: its tree parts kept their
 bytes, and its chain parts equal the earlier ones with the labels mapped
-back.
+back.  It was re-pinned again when the chain came to run through the
+tree's engine, which keys the chain's draws by node label, records the
+abort round's silent challenge and logs deaths: its k=18 tree part and
+its 4-station part kept their bytes, and no chain abort round moved.
 
 The walk digests were computed before the tree walk moved from per-round
 dead counters to revive rounds.  They depend on numpy's PCG64
@@ -26,7 +29,7 @@ from relbc import analysis as an
 from relbc.field import Field
 from relbc.sim import LossModel, run_protocol
 
-GOLDEN_RUNS_SHA256 = "ee3cc7f3db5a9cd4a920f903a67ab35f721711f35098d95bc4c4c3f6d77b02cc"
+GOLDEN_RUNS_SHA256 = "d50c4cb1518355545faed764e53bc6326f78bc5241499a26416e43e672590279"
 
 
 def _events_json(events) -> str:
@@ -197,10 +200,14 @@ def test_chain_draws_come_from_their_streams_record_by_record(q, kind, k):
                                loss=LossModel(p=0.02), collect_events=collect)
             a = d
             for j in range(1, len(res.transcript.records) + 1):
-                # round j is node "0"*(j-1); its draws are keyed by j
-                rec = res.transcript.records["0" * (j - 1)]
-                assert rec.b == field.sample_hashed(seed, trial, "b", str(j)), (trial, j)
-                prev, a = a, field.sample_hashed(seed, trial, "share", str(j))
+                # round j is node "0"*(j-1); its draws are keyed by that label
+                v = "0" * (j - 1)
+                rec = res.transcript.records[v]
+                assert rec.b == field.sample_hashed(seed, trial, "b", v), (trial, j)
+                prev, a = a, field.sample_hashed(seed, trial, "share", v)
+                if rec.y is None:  # the dead station of the abort round
+                    assert j == res.transcript.abort_round, (trial, j)
+                    continue
                 assert rec.y == (a + rec.b * prev) % q, (trial, j)
             for rv in res.transcript.reveals.values():
                 assert (rv.d, rv.claim) == (d, a)
