@@ -257,6 +257,35 @@ def test_events_engine_reports_match_golden_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, csv_digest, pretty_digest", [
+    (["--protocol", "tree", "--k", "12", "--q", "101", "--p", "0.02", "--m", "5", "--seed", "7",
+      "--trials", "5000"],
+     "796444b9ba011007f751c61b66beba1a062dc67f673c981a988df860d8afa985",
+     "fb3e004bb772e9725fc1d15aa7258042e9e526d32f861bc822ccc27002ca4d43"),
+    (["--protocol", "tree", "--k", "8", "--p", "0.05", "--seed", "1", "--trials", "30",
+      "--engine", "events"],
+     "f82b981245891a6709b61b3d1087997d27ed23a59e3d6ba5a7fb31244b35864d",
+     "88349d8249f6e68983046cfe1444c5e9f10e76bd8bedd7cec7140e5f6f2d67a6"),
+    (["--protocol", "tree", "--k", "8", "--p", "0.05", "--seed", "1", "--trials", "5",
+      "--engine", "events"],
+     "c1a1433a44b96e98b4c73dcee1ec4b3c72c30e8f2f2ca06bcb9512afabd43bb3",
+     "916292d4bfba893de8ad732bddd95f3dfc483cf126522b3ba5b8719f6445ccce"),
+    (["--protocol", "fq", "--k", "12", "--q", "101", "--p", "0.05", "--m", "3", "--seed", "7",
+      "--trials", "500", "--engine", "events"],
+     "8514d837055e61f5ad471a50686fd31a6bf125befd05f097862c9258f00e5ebe",
+     "cc9ec3d72a3c7417c6664679d94bbfed446e9a3b53f59c7e405147f18e37acf0"),
+], ids=["tree_fast", "tree_events", "tree_events_few_trials", "fq_events"])
+def test_simulate_tables_match_golden_digest(capsys, tmp_path, monkeypatch, argv, csv_digest,
+                                             pretty_digest):
+    # the CSV row and the --pretty table, cost column included: the cost
+    # samples are the first event-engine trials, under either engine
+    monkeypatch.setenv("RELBC_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, "simulate", *argv, "--out-csv", "row.csv", "--pretty")
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / "row.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == pretty_digest
+
+
 def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RELBC_OUT_DIR", str(tmp_path))
     code, _, _ = run(
