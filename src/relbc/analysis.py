@@ -28,7 +28,6 @@ from .sim import (
     EVENT_MAX_K,  # re-exported: callers read analysis.EVENT_MAX_K
     LossModel,
     ResourceGuardError,
-    RunResult,
     capped_product,
     check_event_runs,
     comm_cost,
@@ -374,6 +373,7 @@ class ReliabilityReport:
     per_round_abort_rate: float
     half_life_formula: float
     fitted_slope: Optional[float] = None  # set by abort_rate_slope sweeps
+    comm_bits_mean: Optional[float] = None  # set by comm_samples; not in the JSON
     metadata: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -397,22 +397,6 @@ class ReliabilityReport:
         return json.dumps(doc, indent=2)
 
 
-def _event_runs(
-    kind: str, k: int, q_modulus: int, p: float, m: int, seed: int, runs: int,
-    n_stations: int = 3, prune_lag: int = 2,
-) -> Iterator[RunResult]:
-    """The event-engine runs a report samples, in trial order: trial t
-    commits bit t % 2.  The work budget is checked before the first run."""
-    check_budget(kind, k, event_runs=runs, n_stations=n_stations, prune_lag=prune_lag)
-    field = Field(q_modulus)
-    loss = LossModel(p=p, m=m)
-    for trial in range(runs):
-        yield run_protocol(
-            kind, k, field, d=trial % 2, seed=seed, trial=trial,
-            loss=loss, n_stations=n_stations, prune_lag=prune_lag,
-        )
-
-
 def monte_carlo_reliability(
     kind: str,
     k: int,
@@ -424,6 +408,7 @@ def monte_carlo_reliability(
     engine: str = "fast",
     q_modulus: int = 2,
     prune_lag: int = 2,
+    comm_samples: int = 0,
 ) -> ReliabilityReport:
     """Estimate the no-abort probability with honest parties and compare
     it against the closed form.
@@ -432,12 +417,41 @@ def monte_carlo_reliability(
     event engine in the test suite); ``engine='events'`` drives full
     protocol runs and is only practical for small k*trials.  Both run,
     and the report names, the protocol ``protocol.resolve`` gives.
+
+    Every event-engine run is made in one loop, trial t committing bit
+    t % 2: each trial under ``'events'``, and only the first
+    min(comm_samples, trials) under ``'fast'``.  Those first runs' mean
+    ``sim.comm_cost`` is the report's ``comm_bits_mean``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if comm_samples < 0:
+        raise ValueError(f"comm_samples: must be >= 0, got {comm_samples}")
     kind, k, n_stations = resolve(kind, k, n_stations)
-    if engine == "fast":
-        check_budget(kind, k, walk_trials=trials, n_stations=n_stations)
+    if engine not in ("fast", "events"):
+        raise ValueError(f"unknown engine {engine!r}")
+    events = engine == "events"
+    comm_samples = min(comm_samples, trials)
+    runs = trials if events else comm_samples
+    check_budget(kind, k, walk_trials=0 if events else trials, event_runs=runs,
+                 n_stations=n_stations, prune_lag=prune_lag)
+    field = Field(q_modulus)
+    loss = LossModel(p=p, m=m)
+    n_ok, fcount, comm_total = 0, {}, 0.0
+    for trial in range(runs):
+        res = run_protocol(
+            kind, k, field, d=trial % 2, seed=seed, trial=trial,
+            loss=loss, n_stations=n_stations, prune_lag=prune_lag,
+        )
+        if trial < comm_samples:
+            comm_total += comm_cost(res.transcript, field)
+        if res.verdict.outcome == ACCEPT:
+            n_ok += 1
+        elif res.transcript.abort_round is not None:
+            fcount[res.transcript.abort_round] = fcount.get(res.transcript.abort_round, 0) + 1
+    if events:
+        freq = {r: c / trials for r, c in fcount.items()}
+    else:  # the walk gives the estimate; the runs gave only the cost
         if kind == KIND_TREE:
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
         else:
@@ -445,17 +459,6 @@ def monte_carlo_reliability(
         counts = np.bincount(aborts).tolist()
         n_ok = counts[0]
         freq = {r: c / trials for r, c in enumerate(counts) if r and c}
-    elif engine == "events":
-        n_ok = 0
-        fcount: dict[int, int] = {}
-        for res in _event_runs(kind, k, q_modulus, p, m, seed, trials, n_stations, prune_lag):
-            if res.verdict.outcome == ACCEPT:
-                n_ok += 1
-            elif res.transcript.abort_round is not None:
-                fcount[res.transcript.abort_round] = fcount.get(res.transcript.abort_round, 0) + 1
-        freq = {r: c / trials for r, c in fcount.items()}
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
 
     p_ok_mc = n_ok / trials
     lo, hi = clopper_pearson(n_ok, trials)
@@ -494,6 +497,7 @@ def monte_carlo_reliability(
         abort_round_freq=freq,
         per_round_abort_rate=rate,
         half_life_formula=hl,
+        comm_bits_mean=comm_total / comm_samples if comm_samples else None,
         metadata=meta,
     )
 
@@ -534,20 +538,8 @@ def abort_rate_slope(
 # ---------------------------------------------------------------------------
 # Report tables
 
-# Event-engine runs behind a report's comm_bits_mean, at most one per trial.
+# The comm_samples of a printed table: its cost is the first 16 trials' mean.
 COMM_SAMPLES = 16
-
-
-def measure_comm_bits(
-    kind: str, k: int, q_modulus: int, p: float, m: int, seed: int, samples: int,
-    n_stations: int = 3, prune_lag: int = 2,
-) -> float:
-    """Mean measured challenge/response cost over event-driven sample runs."""
-    field = Field(q_modulus)
-    total = 0.0
-    for res in _event_runs(kind, k, q_modulus, p, m, seed, samples, n_stations, prune_lag):
-        total += comm_cost(res.transcript, field)
-    return total / samples
 
 
 def report_row(

@@ -11,11 +11,12 @@ Carlo layer (``relbc.analysis``, with numpy), ``bind-oracle`` and
 ``chsh`` the exact oracles, and ``bounds`` the closed forms
 (``relbc.formulas``) alone.
 
-``simulate`` runs the event engine only for output it prints: the
-``analysis.COMM_SAMPLES`` cost samples only for a table (``--out-csv`` or
-``--pretty``, whose rows have the cost columns), one run for
-``--transcript-out``, and every trial under ``--engine events``.  Its one
-work-budget check counts exactly those runs.
+``simulate`` runs the event engine only for output it prints: every
+trial under ``--engine events``, whose first ``analysis.COMM_SAMPLES``
+runs are also the cost samples of a table (``--out-csv`` or ``--pretty``,
+whose rows have the cost columns); under the walk, those cost samples
+alone; and one run for ``--transcript-out``.  Its one work-budget check
+counts exactly those runs.
 
 Exit codes: 0 success, 1 validation error, 2 enumeration-budget refusal.
 All randomness flows from the ``--seed`` argument through named substreams
@@ -170,6 +171,8 @@ def _emit(text: str, path: Optional[str], flag: str = "out") -> None:
             raise ConfigError(f"{flag}: {exc}") from exc
     else:
         try:
+            if sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             print(text, end="" if text.endswith("\n") else "\n", flush=True)
         except OSError as exc:
             raise ConfigError(f"stdout: {exc}") from exc
@@ -233,7 +236,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     analysis.check_budget(
         cfg.protocol, cfg.k,
         walk_trials=0 if events else cfg.trials,
-        event_runs=comm_samples + bool(args.transcript_out) + (cfg.trials if events else 0),
+        event_runs=(cfg.trials if events else comm_samples) + bool(args.transcript_out),
         n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
     )
     if table:
@@ -250,6 +253,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         engine=cfg.engine,
         q_modulus=cfg.q,
         prune_lag=cfg.prune_lag,
+        comm_samples=comm_samples,
     )
     outputs: list[tuple[str, Optional[str], str]] = []  # (text, path, flag)
     if args.transcript_out:
@@ -261,11 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
     if table:
-        comm_mean = analysis.measure_comm_bits(
-            cfg.protocol, cfg.k, cfg.q, cfg.p, cfg.m, cfg.seed, comm_samples,
-            n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
-        )
-        row = analysis.report_row(rep, cfg.q, cfg.prune_lag, comm_mean)
+        row = analysis.report_row(rep, cfg.q, cfg.prune_lag, rep.comm_bits_mean)
         if cfg.out_csv:
             outputs.append((analysis.rows_to_csv([row]), cfg.out_csv, "out-csv"))
         if args.pretty:
@@ -273,7 +273,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # --pretty replaces stdout only: --out-json is written whenever given
     if cfg.out_json or not args.pretty:
         outputs.append((rep.to_json() + "\n", cfg.out_json, "out-json"))
-    for text, path, flag in outputs:
+    # stdout's text first, so a stdout that fails leaves no file behind
+    for text, path, flag in sorted(outputs, key=lambda out: out[1] is not None):
         _emit(text, path, flag)
     return 0
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from relbc import analysis as an
 from relbc import formulas as fm
 from relbc.field import Field
-from relbc.sim import run_protocol
+from relbc.sim import LossModel, comm_cost, run_protocol
 
 
 def test_p_ok_chain_formula():
@@ -313,6 +313,40 @@ def test_mc_single_request_is_the_k1_report(engine):
     assert (asked.kind, asked.k, asked.n_stations) == ("single", 1, 2)
 
 
+@pytest.mark.parametrize("engine", ["fast", "events"])
+@pytest.mark.parametrize("kind, n_stations", [("tree", 3), ("tree", 4), ("fq", 2)])
+@pytest.mark.parametrize("samples, trials", [(0, 5), (3, 5), (5, 5), (16, 5), (16, 40)])
+def test_mc_comm_bits_mean_is_the_first_trials_mean_cost(engine, kind, n_stations, samples, trials):
+    # the cost samples are trials 0.. of the report, at most one per trial,
+    # each committing bit t % 2 as the events estimate's trials do
+    k, q, p, m, seed = 6, 101, 0.1, 2, 4
+    rep = an.monte_carlo_reliability(kind, k, p, m, trials, seed, n_stations=n_stations,
+                                     engine=engine, q_modulus=q, comm_samples=samples)
+    used = min(samples, trials)
+    if not used:
+        assert rep.comm_bits_mean is None
+        return
+    field = Field(q)
+    costs = [
+        comm_cost(run_protocol(kind, k, field, d=t % 2, seed=seed, trial=t,
+                               loss=LossModel(p=p, m=m), n_stations=n_stations).transcript, field)
+        for t in range(used)
+    ]
+    assert rep.comm_bits_mean == sum(costs) / used
+    assert "comm_bits_mean" not in rep.to_json()
+
+
+def test_mc_comm_samples_leave_the_report_as_it_was():
+    # the cost runs give comm_bits_mean and nothing else of the report
+    kw = dict(kind="tree", k=6, p=0.1, m=2, trials=40, seed=4, q_modulus=101)
+    for engine in ("fast", "events"):
+        plain = an.monte_carlo_reliability(**kw, engine=engine)
+        costed = an.monte_carlo_reliability(**kw, engine=engine, comm_samples=16)
+        assert costed.to_json() == plain.to_json()
+    with pytest.raises(ValueError, match="comm_samples"):
+        an.monte_carlo_reliability(**kw, comm_samples=-1)
+
+
 @pytest.mark.parametrize("k", [1, 5, 69])
 @pytest.mark.parametrize("m", [1, 3])
 def test_steady_hazard_of_a_geometric_abort_law_is_p(k, m):
@@ -556,7 +590,7 @@ def test_work_budgets_refuse_before_any_work():
     with pytest.raises(an.ResourceGuardError, match="trial-rounds exceeds the budget"):
         an.monte_carlo_reliability("fq", 1000, 0.001, 1, huge // 1000 + 1, seed=1)
     with pytest.raises(an.ResourceGuardError, match="per-run cap"):
-        an.measure_comm_bits("tree", an.EVENT_MAX_K + 1, 101, 0.0, 1, seed=1, samples=1)
+        an.monte_carlo_reliability("tree", an.EVENT_MAX_K + 1, 0.0, 1, 1, seed=1, comm_samples=1)
     with pytest.raises(an.ResourceGuardError, match="scheduled nodes exceed"):
         an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
     # (n-1)^N past 4300 digits is refused by its factors, never formatted
