@@ -1,15 +1,16 @@
 """Monte Carlo estimators of survival, and their reports.
 
 Two engines: a vectorized station-level walk for large sweeps, and the
-full event-driven simulator for cross-validation at small sizes.  Each
-estimate carries an exact binomial confidence interval and sits next to
-the published closed form of ``relbc.formulas``; the reports are JSON
+full event-driven simulator for cross-validation at small sizes.  Both
+read their station losses from one stream, ``relbc.field``'s loss stream
+(``rng_stream`` 3), so they give the same abort round on every trial.
+Each estimate carries an exact binomial confidence interval and sits next
+to the published closed form of ``relbc.formulas``; the reports are JSON
 and CSV.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .binomial import beta_quantile
-from .field import Field
+from .field import WALK_BLOCK, Field, loss_stream_key
 from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
 from .protocol import ACCEPT, KIND_TREE, resolve
 from .sim import (
@@ -72,9 +73,11 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 
 
 # Version of the Monte Carlo stream derivation, reported in the metadata.
-# Stream 2 keys the walk by a SHA-256 digest of its tag; stream 1 used the
-# per-process salted hash(), so its estimates changed between processes.
-RNG_STREAM = 2
+# Stream 3 is relbc.field's loss stream: one stream per (seed, walk kind),
+# laid out block by block, that both engines read, so a trial's losses are
+# the same under either engine and at any trial count.  Streams 1 and 2
+# fed the walk alone.
+RNG_STREAM = 3
 
 
 # Station-walk budgets, checked before any work starts.  On a 2-core host
@@ -122,25 +125,6 @@ def check_budget(
         check_event_runs(kind, k, event_runs, n_stations, prune_lag)
 
 
-def _station_seed(seed: int, tag: str) -> np.random.SeedSequence:
-    """The seed of a walk's PCG64 stream: the seed and a SHA-256 digest of
-    the walk's tag, so the stream is the same in every process."""
-    tag_key = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big") & 0x7FFFFFFF
-    return np.random.SeedSequence([seed, tag_key])
-
-
-def _station_rng(seed: int, tag: str) -> np.random.Generator:
-    """A walk's stream as one Generator read from its start, as the tests'
-    unblocked reference walks read it."""
-    return np.random.Generator(np.random.PCG64(_station_seed(seed, tag)))
-
-
-# Trials per block of a station walk: a worker walks one block through
-# every round before it takes the next, so its buffers stay this many
-# trials wide at any trial count.
-WALK_BLOCK = 16384
-
-
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -150,63 +134,74 @@ def _cpus() -> int:
 
 
 def _walk_blocks(
-    seq: np.random.SeedSequence, trials: int, n: int, rounds: int,
+    seed: int, tag: str, trials: int, n: int, rounds: int,
     walker: Callable[[int], Callable],
 ) -> np.ndarray:
     """Abort round per trial (0 = survived) of a station walk of ``rounds``
     rounds that draws n uniforms per trial and round, block by block.
 
-    The draws are those of one (trials, n) ``Generator.random`` draw per
-    round from ``seq``'s PCG64, each double taking one 64-bit output.  A
-    block of B trials from trial lo starts at ``advance(lo * n)`` and skips
-    the other trials' draws with ``advance((trials - B) * n)`` after each
-    round, so no block's draws depend on another's.
+    The draws are the loss stream of ``seed`` and ``tag`` (``relbc.field``):
+    each block of WALK_BLOCK trials draws one (WALK_BLOCK, n)
+    ``Generator.random`` array a round from its own PCG64 stream, each
+    double taking one 64-bit output.  The last block, of B trials, draws
+    its (B, n) array and skips the rows it lacks with
+    ``advance((WALK_BLOCK - B) * n)``, so no trial's draws depend on the
+    trial count.
 
     The blocks run on min(CPUs, blocks) workers: the calling thread and
     plain threads that take blocks in turn; numpy releases the GIL for the
-    draws and the ufunc loops.  Every buffer is allocated here, before any
-    thread starts: ``walker(width)`` allocates one worker's buffers for
-    blocks of up to ``width`` trials and returns ``walk(abort, rounds)``,
-    which writes the abort rounds of one block into ``abort``, a view of
-    its trials, as ``rounds`` yields each round r with the block's draws,
-    a (B, n) array.  If any worker raises, the others stop at their next
-    round, and all are joined before the exception propagates.
+    draws and the ufunc loops.  Every buffer and generator is allocated
+    here, before any thread starts; a worker sets its generator to each
+    block's state in turn.  ``walker(width)`` allocates one worker's
+    buffers for blocks of up to ``width`` trials and returns
+    ``walk(abort, rounds)``, which writes the abort rounds of one block
+    into ``abort``, a view of its trials, as ``rounds`` yields each round
+    r with the block's draws, a (B, n) array.  If any worker raises, the
+    others stop at their next round, and all are joined before the
+    exception propagates.
     """
     abort = np.empty(trials, dtype=np.int32)
     width = min(trials, WALK_BLOCK)
     blocks = range(0, trials, WALK_BLOCK)  # each block's first trial
     workers = [
-        (np.empty((width, n)), walker(width)) for _ in range(max(1, min(_cpus(), len(blocks))))
+        (np.empty((width, n)), walker(width), np.random.Generator(np.random.PCG64(0)))
+        for _ in range(max(1, min(_cpus(), len(blocks))))
     ]
     starts = iter(blocks)
     lock = threading.Lock()
     stop = threading.Event()
     failures: list[BaseException] = []
 
-    def draws(lo: int, draw: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        bits = np.random.PCG64(seq)
-        bits.advance(lo * n)
-        rng = np.random.Generator(bits)
-        skip = (trials - len(draw)) * n
+    def draws(
+        lo: int, draw: np.ndarray, rng: np.random.Generator
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        state, inc = loss_stream_key(seed, tag, lo // WALK_BLOCK)
+        bits = rng.bit_generator
+        bits.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        pad = (WALK_BLOCK - len(draw)) * n
         for r in range(1, rounds + 1):
             if stop.is_set():
                 return
             rng.random(out=draw)
-            bits.advance(skip)
+            if pad:
+                bits.advance(pad)
             yield r, draw
 
-    def run(draw: np.ndarray, walk: Callable) -> None:
+    def run(draw: np.ndarray, walk: Callable, rng: np.random.Generator) -> None:
         while not stop.is_set():
             with lock:
                 lo = next(starts, None)
             if lo is None:
                 return
             hi = min(lo + WALK_BLOCK, trials)
-            walk(abort[lo:hi], draws(lo, draw[: hi - lo]))
+            walk(abort[lo:hi], draws(lo, draw[: hi - lo], rng))
 
-    def run_in_thread(draw: np.ndarray, walk: Callable) -> None:
+    def run_in_thread(draw: np.ndarray, walk: Callable, rng: np.random.Generator) -> None:
         try:
-            run(draw, walk)
+            run(draw, walk, rng)
         except BaseException as exc:  # re-raised in the caller
             failures.append(exc)
             stop.set()
@@ -233,9 +228,9 @@ def _walk_blocks(
 def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Abort round per trial (0 = survived) for the chained protocol:
     one Bernoulli(p) failure chance of the active agent per round.  The
-    draw for (round r, trial t) sits at offset (r - 1) * trials + t of the
-    walk's PCG64 stream: the tree walk's layout at n = 1, walked by the
-    same blocks and workers."""
+    draws are the "chain" loss stream: the tree walk's layout at n = 1,
+    walked by the same blocks and workers, and read by
+    ``sim.ChainTracker`` one trial at a time."""
     never = k + 1
 
     def walker(width: int) -> Callable:
@@ -252,7 +247,7 @@ def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
 
         return walk
 
-    return _walk_blocks(_station_seed(seed, "chain"), trials, 1, k, walker)
+    return _walk_blocks(seed, "chain", trials, 1, k, walker)
 
 
 def tree_abort_rounds(
@@ -272,9 +267,9 @@ def tree_abort_rounds(
     rounds stays dead to the end, so m is capped there; that keeps every
     revive round inside int32 for any walk under WALK_BUDGET.
 
-    The draw for (round r, trial t, station s) sits at offset
-    ((r - 1) * trials + t) * n + s of the walk's PCG64 stream.  Each block
-    of up to WALK_BLOCK trials walks all k + 1 rounds from its own offset
+    The draws are the "tree" loss stream of ``relbc.field``, which
+    ``sim.StationTracker`` reads one trial at a time.  Each block of up to
+    WALK_BLOCK trials walks all k + 1 rounds from its own PCG64 stream
     (``_walk_blocks``), on min(len(os.sched_getaffinity(0)), blocks)
     workers, so the output is the same bytes at any worker count.  One
     block runs in the caller, with no thread.
@@ -332,7 +327,7 @@ def tree_abort_rounds(
 
         return walk
 
-    return _walk_blocks(_station_seed(seed, "tree"), trials, n, k + 1, walker)
+    return _walk_blocks(seed, "tree", trials, n, k + 1, walker)
 
 
 def _steady_hazard(freq: dict[int, float], k: int, m: int, rounds: int) -> float:
@@ -413,10 +408,12 @@ def monte_carlo_reliability(
     """Estimate the no-abort probability with honest parties and compare
     it against the closed form.
 
-    ``engine='fast'`` runs the station-level walk (validated against the
-    event engine in the test suite); ``engine='events'`` drives full
-    protocol runs and is only practical for small k*trials.  Both run,
-    and the report names, the protocol ``protocol.resolve`` gives.
+    ``engine='fast'`` runs the station-level walk; ``engine='events'``
+    drives full protocol runs and is only practical for small k*trials.
+    Both read the one loss stream, so they abort in the same round on
+    every trial and give the same report but for ``metadata.engine``.
+    Both run, and the report names, the protocol ``protocol.resolve``
+    gives.
 
     Every event-engine run is made in one loop, trial t committing bit
     t % 2: each trial under ``'events'``, and only the first
@@ -450,7 +447,9 @@ def monte_carlo_reliability(
         elif res.transcript.abort_round is not None:
             fcount[res.transcript.abort_round] = fcount.get(res.transcript.abort_round, 0) + 1
     if events:
-        freq = {r: c / trials for r, c in fcount.items()}
+        # by round, as the walk's histogram gives them, so the hazard sums
+        # them in the same order
+        freq = {r: fcount[r] / trials for r in sorted(fcount)}
     else:  # the walk gives the estimate; the runs gave only the cost
         if kind == KIND_TREE:
             aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)

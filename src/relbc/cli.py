@@ -401,10 +401,19 @@ def cmd_verify_transcript(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors (an unknown flag, a bad
     value, a missing required flag) raise ConfigError, so they exit 1
-    like any other bad input instead of argparse's exit 2."""
+    like any other bad input instead of argparse's exit 2, and whose
+    help text goes to stdout as every other output does."""
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        """``--help`` prints through ``_emit``, so a stdout that cannot be
+        written exits 1 as it does for any other output."""
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
 
 
 def build_parser() -> argparse.ArgumentParser:

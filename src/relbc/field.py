@@ -1,14 +1,21 @@
-"""The prime field F_q: its modulus and its draws.
+"""The prime field F_q, its draws, and the loss stream.
 
 Every challenge, response and share in the protocols is a residue mod a
 prime q, held as a plain int in [0, q).  A ``Field`` holds the checked
 modulus and draws uniform residues from it; callers reduce their plain
 int arithmetic with ``% q`` themselves, so no wrapper type or method call
 sits between the ints and the hot paths (simulation, brute-force search).
+
+The loss stream (``loss_stream_key``, ``LossDraws``) is the one source of
+station losses for both Monte Carlo engines: the station walk of
+``relbc.analysis`` draws it block by block with numpy, and the event
+engine's trackers in ``relbc.sim`` read one trial of it here.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
 # Largest modulus we accept.  Python integers are unbounded, but keeping q
@@ -160,3 +167,107 @@ def derived_rng(seed: int, *labels) -> random.Random:
     payload = ":".join(str(x) for x in (seed, *labels)).encode()
     h = hashlib.sha256(payload).digest()
     return random.Random(int.from_bytes(h[:16], "big"))
+
+
+# ---------------------------------------------------------------------------
+# The loss stream (rng_stream 3)
+#
+# One stream per (seed, walk tag), the tag "tree" or "chain", read by both
+# Monte Carlo engines.  Trial t lies in block t // WALK_BLOCK, at row
+# t % WALK_BLOCK.  Each block reads its own PCG64 stream (numpy's XSL-RR
+# 128/64 generator), whose state is bytes 0-15 of
+# SHA-256(f"{seed}:{tag}:{block}") and whose increment is bytes 16-31 with
+# the low bit set, both big-endian.  The uniform of (round r, row i,
+# station s) of an n-station walk is output ((r - 1) * WALK_BLOCK + i) * n + s
+# of its block's stream, read as (raw >> 11) * 2**-53, which is numpy's
+# Generator.random; a chain is the walk at n = 1.  So no draw depends on
+# the trial count or on the engine that reads it.
+
+# Trials per block of the loss stream, and of a station walk's work: a
+# walk's worker draws one block through every round before it takes the
+# next, so its buffers stay this many trials wide at any trial count.
+WALK_BLOCK = 16384
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def loss_stream_key(seed: int, tag: str, block: int) -> tuple[int, int]:
+    """(state, increment) of block ``block``'s PCG64 stream of the walk
+    ``tag``."""
+    import hashlib
+
+    h = hashlib.sha256(f"{seed}:{tag}:{block}".encode()).digest()
+    return int.from_bytes(h[:16], "big"), int.from_bytes(h[16:], "big") | 1
+
+
+def _squarings() -> list[tuple[int, int]]:
+    """(a, g) of 2**j steps, for j < 32: a step takes s to M * s + inc, so
+    d steps take it to M**d * s + (1 + M + ... + M**(d-1)) * inc."""
+    a, g, maps = PCG64_MULT, 1, []
+    for _ in range(32):
+        maps.append((a, g))
+        a, g = a * a & _MASK128, (a + 1) * g & _MASK128
+    return maps
+
+
+_SQUARINGS = _squarings()
+
+
+def _jump(steps: int) -> tuple[int, int]:
+    """(a, g) of ``steps`` < 2**32 steps: they take state s to
+    (a * s + g * inc) mod 2**128."""
+    a, g = 1, 0
+    for aj, gj in _SQUARINGS:
+        if not steps:
+            break
+        if steps & 1:
+            a, g = a * aj & _MASK128, (g * aj + gj) & _MASK128
+        steps >>= 1
+    return a, g
+
+
+@functools.lru_cache(maxsize=None)
+def _other_rows(n: int) -> tuple[int, int]:
+    """The jump over a block's other rows of an n-station walk."""
+    return _jump((WALK_BLOCK - 1) * n)
+
+
+class LossDraws:
+    """One trial's row of an n-station walk's loss stream, read in pure
+    Python.  Each ``next_round()`` gives the trial's n raw 64-bit outputs
+    of the next round, from round 1 on; the uniform u of an output is
+    (raw >> 11) * 2**-53, so u < p exactly when
+    raw < ceil(p * 2**53) << 11 (``loss_cut``).
+
+    The reader jumps once to the trial's row, steps n outputs a round, and
+    then jumps over the block's other rows, WALK_BLOCK - 1 of them.
+    """
+
+    __slots__ = ("n", "state", "inc", "skip_mul", "skip_add")
+
+    def __init__(self, seed: int, tag: str, trial: int, n: int):
+        block, row = divmod(trial, WALK_BLOCK)
+        state, inc = loss_stream_key(seed, tag, block)
+        a, g = _jump(row * n)
+        self.state = (a * state + g * inc) & _MASK128
+        a, g = _other_rows(n)
+        self.skip_mul, self.skip_add = a, g * inc & _MASK128
+        self.n, self.inc = n, inc
+
+    def next_round(self) -> list[int]:
+        s, inc, out = self.state, self.inc, []
+        for _ in range(self.n):
+            s = (s * PCG64_MULT + inc) & _MASK128
+            x = ((s >> 64) ^ s) & _MASK64  # XSL-RR: fold, then rotate right by the top 6 bits
+            out.append((x | x << 64) >> (s >> 122) & _MASK64)
+        self.state = (self.skip_mul * s + self.skip_add) & _MASK128
+        return out
+
+
+def loss_cut(p: float) -> int:
+    """The raw outputs below which a draw is a loss at probability p: a
+    uniform (raw >> 11) * 2**-53 is below p exactly when its 53-bit
+    integer is below ceil(p * 2**53)."""
+    return math.ceil(p * 2.0**53) << 11

@@ -278,9 +278,12 @@ def _second_player_search(
             total += top
         if total < best_total:
             continue
+        # the lowest best answer of A_x(g) - c is the first best answer of
+        # A_x(g) from c on, cyclically: one index into A_x(g) written twice
+        doubled = [(scores + scores, top) for scores, top in replies]
         scores0, top0 = replies[0]
         tab = min(
-            tuple((scores[c:] + scores[:c]).index(top) for scores, top in replies)
+            tuple(twice.index(top, c) - c for twice, top in doubled)
             for c in range(q)
             if scores0[c] == top0
         )

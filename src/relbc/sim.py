@@ -7,7 +7,10 @@ that is dead at a round answers nothing for every node it hosts that
 round.  Every protocol kind runs in ``run_tree``: a chain is the tree on
 two stations, whose one node a round is lost with probability p that
 round only (``ChainTracker``), while a tree's stations die and stay dead
-for m rounds (``StationTracker``).
+for m rounds (``StationTracker``).  Both trackers read the run's trial of
+``relbc.field``'s loss stream, the draws the station walk of
+``relbc.analysis`` reads, so the two engines abort in the same round on
+every trial.
 
 The receiver prunes: with an information lag of N rounds, his agents only
 challenge descendants of the node they currently know to be on the
@@ -24,7 +27,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable
 
-from .field import Field, derived_rng
+# derived_rng draws no loss; perfbench's events workload traces the name
+# sim.derived_rng, so it stays importable here
+from .field import Field, LossDraws, derived_rng, loss_cut
 from . import tree as tt
 from .protocol import (
     KIND_FQ,
@@ -162,31 +167,33 @@ def validate_causality(events: list[Event], geometry: Geometry) -> list[str]:
 
 
 class StationTracker:
-    """Death/revival chain for every station, one PRNG stream each.
+    """Death/revival chain for every station, read from the run's trial of
+    the "tree" loss stream (``field.LossDraws``).
 
-    A station draws once in each round it starts alive (not still dead
-    from an earlier death), and only when p > 0; no draw depends on the
+    Each round reads one draw per station, station s + 1 taking draw s,
+    as ``analysis.tree_abort_rounds`` does; a station that starts the
+    round alive (not still dead from an earlier death) dies when its
+    draw is below p.  At p = 0 nothing is read.  No draw depends on the
     scheduling, so pruning or instrumentation never shifts the randomness.
     """
 
     def __init__(self, n_stations: int, loss: LossModel, seed: int, trial: int):
         self.loss = loss
         self.counters = [0] * (n_stations + 1)  # 1-based colors
-        self.rngs = [None] + [
-            derived_rng(seed, trial, "loss", c) for c in range(1, n_stations + 1)
-        ]
+        self.draws = LossDraws(seed, "tree", trial, n_stations) if loss.p > 0 else None
+        self.cut = loss_cut(loss.p)
 
     def step(self) -> list[int]:
         """Advance one round; returns colors that changed state (for the
         event log)."""
         changed = []
-        counters, rngs = self.counters, self.rngs
-        p, m = self.loss.p, self.loss.m
+        counters, cut, m = self.counters, self.cut, self.loss.m
+        raw = self.draws.next_round() if self.draws else None
         for c in range(1, len(counters)):
             left = counters[c]  # dead rounds left before this one
             if left > 1:  # still dead
                 counters[c] = left - 1
-            elif p > 0 and rngs[c].random() < p:  # alive now, and dies
+            elif raw and raw[c - 1] < cut:  # alive now, and dies
                 counters[c] = m
                 if not left:
                     changed.append(c)
@@ -200,18 +207,20 @@ class StationTracker:
 class ChainTracker:
     """The chain's loss rule behind ``StationTracker``'s interface.
 
-    In each round j <= k one draw of the run's ``"active"`` loss stream
-    kills, with probability p, the station of round j's node (1 when j is
-    odd, 2 when even) for that round only; the reveal round draws nothing.
-    A chain ends at its first silent node, so the dead duration m never
-    matters, and the draws are those of ``analysis.chain_abort_rounds``.
+    In each round j <= k the run's draw of the "chain" loss stream
+    (``field.LossDraws`` at n = 1) kills, with probability p, the station
+    of round j's node (1 when j is odd, 2 when even) for that round only;
+    the reveal round draws nothing, and at p = 0 nothing is read.  A chain
+    ends at its first silent node, so the dead duration m never matters,
+    and the draws are those of ``analysis.chain_abort_rounds``.
     """
 
     def __init__(self, k: int, loss: LossModel, seed: int, trial: int):
-        self.k, self.p = k, loss.p
+        self.k = k
         self.round = 0
         self.counters = [0, 0, 0]  # 1-based colors
-        self.rng = derived_rng(seed, trial, "loss", "active")
+        self.draws = LossDraws(seed, "chain", trial, 1) if loss.p > 0 else None
+        self.cut = loss_cut(loss.p)
 
     def step(self) -> list[int]:
         """Advance one round; returns the station it kills, if any (the
@@ -219,7 +228,7 @@ class ChainTracker:
         j = self.round = self.round + 1
         counters = self.counters
         counters[1] = counters[2] = 0
-        if j <= self.k and self.p > 0 and self.rng.random() < self.p:
+        if j <= self.k and self.draws and self.draws.next_round()[0] < self.cut:
             c = 2 - j % 2
             counters[c] = 1
             return [c]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import random
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an
 from relbc import formulas as fm
-from relbc.field import Field
+from relbc.field import Field, LossDraws
 from relbc.sim import LossModel, comm_cost, run_protocol
 
 
@@ -302,6 +304,22 @@ def test_mc_engines_agree():
     # inside its confidence band
     assert slow.ci_lo - 0.01 <= fast.p_ok_mc <= slow.ci_hi + 0.01
 
+    # both engines read the one loss stream, so over the same trials they
+    # write the same report, but for the engine's name
+    def unnamed(rep):
+        doc = json.loads(rep.to_json())
+        del doc["metadata"]["engine"]
+        return json.dumps(doc)
+
+    assert unnamed(an.monte_carlo_reliability("tree", trials=1500, seed=5, **kw)) == unnamed(slow)
+    for kind, k in (("fq", 12), ("single", 1)):
+        walked, run = (
+            an.monte_carlo_reliability(kind, k, 0.05, 3, 1000, seed=5, engine=engine)
+            for engine in ("fast", "events")
+        )
+        assert unnamed(walked) == unnamed(run), kind
+        assert 0 < walked.p_ok_mc < 1
+
 
 @pytest.mark.parametrize("engine", ["fast", "events"])
 def test_mc_single_request_is_the_k1_report(engine):
@@ -403,10 +421,46 @@ def test_csv_schema_and_determinism():
     assert an.rows_to_csv([row]) == text  # byte-stable
 
 
+def _block_rng(seed, tag, block):
+    """A Generator on block ``block``'s PCG64 stream of the loss stream:
+    state and increment are the two halves of SHA-256("seed:tag:block"),
+    the increment made odd."""
+    h = hashlib.sha256(f"{seed}:{tag}:{block}".encode()).digest()
+    bits = np.random.PCG64(0)
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(h[:16], "big"), "inc": int.from_bytes(h[16:], "big") | 1},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+def _stream_rounds(seed, tag, trials, n):
+    """The loss stream's (trials, n) draws of each round, in turn: every
+    block's generator draws a full (WALK_BLOCK, n) array a round, and the
+    blocks' arrays, stacked, are cut to ``trials`` rows."""
+    rngs = [_block_rng(seed, tag, b) for b in range(-(-trials // an.WALK_BLOCK))]
+    while True:
+        yield np.concatenate([rng.random((an.WALK_BLOCK, n)) for rng in rngs])[:trials]
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_loss_draws_read_the_blocks_generators_bit_for_bit(n):
+    # a trial's row of the block, round by round, as numpy's Generator.random
+    # draws it
+    seed, tag, rounds = 13, "tree" if n > 1 else "chain", 3
+    blocks = [_block_rng(seed, tag, b).random((rounds, an.WALK_BLOCK, n)) for b in (0, 1)]
+    for trial in (0, an.WALK_BLOCK - 1, an.WALK_BLOCK, an.WALK_BLOCK + 1):
+        block, row = divmod(trial, an.WALK_BLOCK)
+        draws = LossDraws(seed, tag, trial, n)
+        got = [[(raw >> 11) * 2.0**-53 for raw in draws.next_round()] for _ in range(rounds)]
+        assert got == blocks[block][:, row, :].tolist(), trial
+
+
 def _unblocked_tree_walk(k, p, m, n_stations, trials, seed):
     """Reference: the walk over all trials at once, one (trials, n) draw
-    per round."""
-    rng = an._station_rng(seed, "tree")
+    of the loss stream per round."""
+    draws = _stream_rounds(seed, "tree", trials, n_stations)
     n = n_stations
     counters = np.zeros((trials, n), dtype=np.int32)
     abort = np.zeros(trials, dtype=np.int32)
@@ -415,7 +469,7 @@ def _unblocked_tree_walk(k, p, m, n_stations, trials, seed):
     rows = np.arange(trials)
     for r in range(1, k + 2):
         np.subtract(counters, 1, out=counters, where=counters > 0)
-        deaths = (counters == 0) & (rng.random((trials, n)) < p)
+        deaths = (counters == 0) & (next(draws) < p)
         counters[deaths] = m
         dead = counters > 0
         if r == 1:
@@ -444,6 +498,20 @@ def test_blocked_tree_walk_matches_unblocked(seed, p):
         ref = _unblocked_tree_walk(40, p, m, n_stations, trials, seed)
         assert np.array_equal(got, ref)
         assert 0 < np.count_nonzero(got) < trials
+
+
+@pytest.mark.parametrize("walk", [
+    lambda trials: an.tree_abort_rounds(20, 0.03, 3, 3, trials, 8),
+    lambda trials: an.tree_abort_rounds(20, 0.05, 2, 5, trials, 8),
+    lambda trials: an.chain_abort_rounds(20, 0.03, trials, 8),
+], ids=["tree", "tree_n5", "chain"])
+def test_a_walk_is_a_prefix_of_a_longer_walk(walk):
+    # a trial's draws do not depend on the trial count: a ragged block of
+    # 5 trials walks as the first rows of a full one
+    trials = an.WALK_BLOCK + 5
+    short, long = walk(trials), walk(2 * trials)
+    assert np.array_equal(short, long[:trials])
+    assert 0 < np.count_nonzero(short) < trials
 
 
 @pytest.mark.parametrize(
@@ -479,11 +547,11 @@ def test_tree_walk_caps_the_dead_time_at_the_walk_length():
 
 def _unblocked_chain_walk(k, p, trials, seed):
     """Reference: the chain walk over all trials at once, one draw of
-    ``trials`` uniforms per round."""
-    rng = an._station_rng(seed, "chain")
+    ``trials`` uniforms of the loss stream per round."""
+    draws = _stream_rounds(seed, "chain", trials, 1)
     abort = np.zeros(trials, dtype=np.int32)
     for r in range(1, k + 1):
-        died = (abort == 0) & (rng.random(trials) < p)
+        died = (abort == 0) & (next(draws)[:, 0] < p)
         abort[died] = r
     return abort
 

@@ -199,7 +199,10 @@ def test_simulate_with_a_full_stdout_leaves_no_file(tmp_path):
     ["chsh", "--q", "2"],
     ["bounds", "--pretty"],
     ["verify-transcript", "run.json"],
-], ids=["simulate", "simulate_pretty", "bind-oracle", "chsh", "bounds", "verify-transcript"])
+    ["bounds", "--help"],
+    ["--help"],
+], ids=["simulate", "simulate_pretty", "bind-oracle", "chsh", "bounds", "verify-transcript",
+        "bounds_help", "help"])
 def test_closed_stdout_exit_1_naming_stdout(capsys, tmp_path, argv):
     # with fd 1 closed Python starts with sys.stdout None, where print
     # would drop the text and exit 0; it is a stdout that cannot be written
@@ -298,11 +301,11 @@ def test_events_engine_output_identical_across_hash_seeds(tmp_path):
 
 @pytest.mark.parametrize("argv, digest", [
     (["--protocol", "fq", "--k", "12", "--p", "0.05", "--m", "3", "--trials", "3000"],
-     "8e10487fc721bb746416a2af4090065163925b560fe28e6861e4bb4ac6b868b3"),
+     "47fb1c05a39f428fa44c2112eb18931f375b3df4de246c6b51d8858ab815cbd8"),
     (["--protocol", "single", "--p", "0.2", "--trials", "3000"],
-     "823ec200c11a8ed9362595591c30e49750948530e7a10c6b4972cee9b8d9eac0"),
+     "9cfc20ade00cf663e518fbc16a0e0c908ca15875d51da3f04236deba6c70a0b3"),
     (["--protocol", "fq", "--k", "40", "--p", "0.01", "--trials", "2000"],
-     "a54fd5ebec2266db47c4cae27134b06c29d0e1529d7be716101084b19d5019b2"),
+     "2610390a93081181c11e0409eff83157790197e1796613becd4cac2cfad42e09"),
 ], ids=["fq_k12_m3", "single", "fq_k40"])
 def test_events_engine_reports_match_golden_digest(capsys, argv, digest):
     # every trial's abort round comes from the event engine's loss draws,
@@ -316,20 +319,20 @@ def test_events_engine_reports_match_golden_digest(capsys, argv, digest):
 @pytest.mark.parametrize("argv, csv_digest, pretty_digest", [
     (["--protocol", "tree", "--k", "12", "--q", "101", "--p", "0.02", "--m", "5", "--seed", "7",
       "--trials", "5000"],
-     "796444b9ba011007f751c61b66beba1a062dc67f673c981a988df860d8afa985",
-     "fb3e004bb772e9725fc1d15aa7258042e9e526d32f861bc822ccc27002ca4d43"),
+     "8871abc6169a679be99ff57d2be94972b41b54275d93bcdd213f1fe92f55a4d7",
+     "c085d9ba26bc9106335108f4e370d7db815ebdf8a1fc31659b0c2d9b912dfd43"),
     (["--protocol", "tree", "--k", "8", "--p", "0.05", "--seed", "1", "--trials", "30",
       "--engine", "events"],
-     "f82b981245891a6709b61b3d1087997d27ed23a59e3d6ba5a7fb31244b35864d",
-     "88349d8249f6e68983046cfe1444c5e9f10e76bd8bedd7cec7140e5f6f2d67a6"),
+     "4113532e027bf24d6cf87c46c37d95ed34af79f27bae0b625c2017b064f3b7e4",
+     "69001fb2107f68fce1af7edf1a57a1ac6c8daeded09b5d5ebd1aa58fdf5ec4cf"),
     (["--protocol", "tree", "--k", "8", "--p", "0.05", "--seed", "1", "--trials", "5",
       "--engine", "events"],
-     "c1a1433a44b96e98b4c73dcee1ec4b3c72c30e8f2f2ca06bcb9512afabd43bb3",
-     "916292d4bfba893de8ad732bddd95f3dfc483cf126522b3ba5b8719f6445ccce"),
+     "5c4007dea8a121921f25b2d6cebd19c0e9ab264f8ba9d85f4a07481bfcc8ecac",
+     "6093322fd539386933ec85aa4d39461e22046e91c929e805c13bae9d8dd412af"),
     (["--protocol", "fq", "--k", "12", "--q", "101", "--p", "0.05", "--m", "3", "--seed", "7",
       "--trials", "500", "--engine", "events"],
-     "8514d837055e61f5ad471a50686fd31a6bf125befd05f097862c9258f00e5ebe",
-     "cc9ec3d72a3c7417c6664679d94bbfed446e9a3b53f59c7e405147f18e37acf0"),
+     "3c7bb93982ad30eeddfe584eb3a36494cca0e9bc6bc801afc7f59b62e039ea1c",
+     "c64539518414afae8d89b756109c66a0e777326692075821d69f82061cdbca3e"),
 ], ids=["tree_fast", "tree_events", "tree_events_few_trials", "fq_events"])
 def test_simulate_tables_match_golden_digest(capsys, tmp_path, monkeypatch, argv, csv_digest,
                                              pretty_digest):

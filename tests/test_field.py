@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relbc.field import MAX_MODULUS, Field, derived_rng, is_prime
+from relbc.field import MAX_MODULUS, Field, derived_rng, is_prime, loss_cut
 
 
 def test_is_prime_small_cases():
@@ -86,3 +86,15 @@ def test_hash_stream_matches_sample_hashed(q):
         # four 63-bit chunks per digest, each kept with probability about
         # 1/2: some draws must have needed a second digest
         assert retried > 0
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 3 * 2.0**-53, 1e-300, 0.02, 0.5, 1 - 2.0**-53, 1.0])
+def test_loss_cut_compares_the_raw_outputs_as_their_uniforms(p):
+    # a raw output is a loss exactly when numpy's uniform of it,
+    # (raw >> 11) * 2**-53, is below p; checked at the outputs next to the cut
+    cut = loss_cut(p)
+    raws = {0, 2**64 - 1, *range(max(cut - 4097, 0), min(cut + 4097, 2**64), 1021)}
+    rng = random.Random(7)
+    raws |= {rng.getrandbits(64) for _ in range(2000)}
+    for raw in raws:
+        assert (raw < cut) == ((raw >> 11) * 2.0**-53 < p), raw

@@ -1,13 +1,10 @@
 import time
-from functools import partial
 from itertools import product
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbc import analysis as an, sim, tree as tt
+from relbc import analysis as an, tree as tt
 from relbc.field import Field
 from relbc.protocol import Transcript, honest_response, verify_tree
 from relbc.sim import (
@@ -236,67 +233,37 @@ def test_tree_survives_single_station_outages():
     assert outcomes == {"accept", "abort"}
 
 
-class _WalkTracker(StationTracker):
-    """Station loss read from a station walk's uniforms u: in round r the
-    station of color c draws u[r - 1, trial, c - 1], the walk's entry."""
-
-    def __init__(self, u, n_stations, loss, seed, trial):
-        super().__init__(n_stations, loss, seed, trial)
-        self.round = 0
-        self.rngs = [None] + [
-            SimpleNamespace(random=lambda s=s: float(u[self.round - 1, trial, s]))
-            for s in range(n_stations)
-        ]
-
-    def step(self):
-        self.round += 1
-        return super().step()
-
-
-# Both engines run trial by trial on the walk's own uniforms, so they must
-# give the same abort round (0 = survived) on every trial, not only the
-# same rate.  The walk has no pruning lag: the lag changes what a run
-# costs, not whether it survives.
-ENGINE_TRIALS = 40
+# Both engines read the one loss stream, so they must give the same abort
+# round (0 = survived) on every trial, not only the same rate: here on
+# trials at both sides of the first block boundary.  The walk has no
+# pruning lag: the lag changes what a run costs, not whether it survives.
+ENGINE_TRIALS = [*range(20), *range(an.WALK_BLOCK - 10, an.WALK_BLOCK + 10)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 12), p=st.floats(0.0, 0.6), m=st.integers(1, 5),
        n=st.integers(3, 5), lag=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_run_tree_aborts_in_the_walks_round_on_every_trial(k, p, m, n, lag, seed):
-    rng = an._station_rng(seed, "tree")
-    u = np.stack([rng.random((ENGINE_TRIALS, n)) for _ in range(k + 1)])
     loss, field = LossModel(p, m), Field(101)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "StationTracker", partial(_WalkTracker, u))
-        rounds = [
-            run_tree(k, field, n, t % 2, loss, seed, t, lag).transcript.abort_round or 0
-            for t in range(ENGINE_TRIALS)
-        ]
-    assert rounds == an.tree_abort_rounds(k, p, m, n, ENGINE_TRIALS, seed).tolist()
+    rounds = [
+        run_protocol("tree", k, field, t % 2, seed, t, loss, n, lag).transcript.abort_round or 0
+        for t in ENGINE_TRIALS
+    ]
+    walk = an.tree_abort_rounds(k, p, m, n, ENGINE_TRIALS[-1] + 1, seed)
+    assert rounds == walk[ENGINE_TRIALS].tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 12), p=st.floats(0.0, 0.6), m=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_run_chain_aborts_in_the_walks_round_on_every_trial(k, p, m, seed):
-    rng = an._station_rng(seed, "chain")
-    u = np.stack([rng.random((ENGINE_TRIALS, 1)) for _ in range(k)])
-
-    def active_station(seed, trial, *names):
-        # round j's draw of the active station is u[j - 1, trial, 0]
-        assert names == ("loss", "active")
-        column = iter(u[:, trial, 0].tolist())
-        return SimpleNamespace(random=lambda: next(column))
-
     loss, field = LossModel(p, m), Field(101)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "derived_rng", active_station)
-        rounds = [
-            run_protocol("fq", k, field, t % 2, seed, t, loss).transcript.abort_round or 0
-            for t in range(ENGINE_TRIALS)
-        ]
-    assert rounds == an.chain_abort_rounds(k, p, ENGINE_TRIALS, seed).tolist()
+    rounds = [
+        run_protocol("fq", k, field, t % 2, seed, t, loss).transcript.abort_round or 0
+        for t in ENGINE_TRIALS
+    ]
+    walk = an.chain_abort_rounds(k, p, ENGINE_TRIALS[-1] + 1, seed)
+    assert rounds == walk[ENGINE_TRIALS].tolist()
 
 
 def test_run_tree_refuses_a_depth_over_its_cap():
