@@ -3,10 +3,10 @@
 Two engines: a vectorized station-level walk for large sweeps, and the
 full event-driven simulator for cross-validation at small sizes.  Both
 read their station losses from one stream, ``relbc.field``'s loss stream
-(``rng_stream`` 3), so they give the same abort round on every trial.
-Each estimate carries an exact binomial confidence interval and sits next
-to the published closed form of ``relbc.formulas``; the reports are JSON
-and CSV.
+(the one of ``rng_stream`` 3, kept by 4), so they give the same abort
+round on every trial.  Each estimate carries an exact binomial confidence
+interval and sits next to the published closed form of
+``relbc.formulas``; the reports are JSON and CSV.
 """
 
 from __future__ import annotations
@@ -72,12 +72,15 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 # Vectorized Monte Carlo (station-level walk; no tree materialized)
 
 
-# Version of the Monte Carlo stream derivation, reported in the metadata.
-# Stream 3 is relbc.field's loss stream: one stream per (seed, walk kind),
-# laid out block by block, that both engines read, so a trial's losses are
-# the same under either engine and at any trial count.  Streams 1 and 2
-# fed the walk alone.
-RNG_STREAM = 3
+# Version of the random stream derivation, reported in the metadata.
+# Stream 4 draws each event-engine node's challenge and share from one
+# SHA-256 key chained from its parent's (relbc.field's node_draws), where
+# stream 3 hashed the node's whole label once per draw; its losses are
+# stream 3's: relbc.field's loss stream, one per (seed, walk kind), laid
+# out block by block and read by both engines, so a trial's losses are the
+# same under either engine and at any trial count.  Streams 1 and 2 fed
+# the walk alone.
+RNG_STREAM = 4
 
 
 # Station-walk budgets, checked before any work starts.  On a 2-core host

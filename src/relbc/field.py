@@ -6,6 +6,11 @@ modulus and draws uniform residues from it; callers reduce their plain
 int arithmetic with ``% q`` themselves, so no wrapper type or method call
 sits between the ints and the hot paths (simulation, brute-force search).
 
+A run's nodes draw by ``Field.node_draws``: each node has a 32-byte key,
+the SHA-256 of its parent's key and its digit (the root's of the run's
+seed and trial), and its challenge and share are the key's first two
+accepted 64-bit words mod q.  A node costs one short digest at any depth.
+
 The loss stream (``loss_stream_key``, ``LossDraws``) is the one source of
 station losses for both Monte Carlo engines: the station walk of
 ``relbc.analysis`` draws it block by block with numpy, and the event
@@ -88,28 +93,51 @@ class Field:
         without paying a full PRNG state initialization per stream.  The
         last label x names the draw, so at least one label is needed: the
         residue is hashed from the bytes ``"seed:l1:...:x:ctr"`` by
-        ``_residue_rule``, the rule ``hash_pair_stream`` draws by.
+        ``_residue_rule``.  No run draws from it since ``rng_stream`` 4,
+        whose node draws are ``node_draws``.
         """
         *head, label = labels
         return self._residue_rule()(_prefix_copier(seed, head), label, f"{label}:0".encode())
 
-    def hash_pair_stream(self, seed: int, trial: int, first: str, second: str):
-        """Draw function for two hash streams that share their labels.
+    def node_draws(self):
+        """The draw rule of a run's nodes (``rng_stream`` 4).
 
-        ``draw(x)`` is ``(sample_hashed(seed, trial, first, x),
-        sample_hashed(seed, trial, second, x))``, drawn by the same rule
-        from one encoding of ``x``: a run's challenge and share at one
-        node.  Each stream's prefix ``"seed:trial:name:"`` is hashed once
-        into a SHA-256 object that every draw copies, so a run draws many
-        values for the cost of hashing only their own labels.
+        ``draw(data)`` returns ``(key, b, share)`` for the node whose key
+        input is ``data``: ``node_root(seed, trial)`` for the root, and a
+        node's key followed by ``node_child(t)`` for its child t.  The key
+        is the 32-byte SHA-256 digest of ``data``; ``b``, the node's
+        challenge, and ``share``, its share, are the first and second
+        accepted words of that digest, read as four big-endian 64-bit
+        words w, each accepted when w < 2**64 - 2**64 % q and reduced mod
+        q, so every residue is exactly uniform.  When the key holds fewer
+        than two accepted words, the draw goes on with the words of
+        SHA-256(key || "x" || ctr), ctr = 0, 1, ... as 4 big-endian bytes.
+        Each node costs one digest of about 34 bytes whatever its depth.
         """
-        residue = self._residue_rule()
-        copy_first = _prefix_copier(seed, (trial, first))
-        copy_second = _prefix_copier(seed, (trial, second))
+        import hashlib
+        import struct
 
-        def draw(label) -> tuple[int, int]:
-            head = f"{label}:0".encode()
-            return residue(copy_first, label, head), residue(copy_second, label, head)
+        sha256 = hashlib.sha256
+        first_two = struct.Struct(">2Q").unpack_from
+        words = struct.Struct(">4Q").unpack
+        q = self.q
+        limit = 2**64 - 2**64 % q
+
+        def extend(key: bytes) -> tuple[int, int]:
+            drawn = [w % q for w in words(key) if w < limit]
+            ctr = 0
+            while len(drawn) < 2:
+                ext = sha256(key + b"x" + ctr.to_bytes(4, "big")).digest()
+                drawn += [w % q for w in words(ext) if w < limit]
+                ctr += 1
+            return drawn[0], drawn[1]
+
+        def draw(data: bytes) -> tuple[bytes, int, int]:
+            key = sha256(data).digest()
+            b, a = first_two(key)
+            if b < limit and a < limit:  # the common case: the first two words
+                return key, b % q, a % q
+            return (key, *extend(key))
 
         return draw
 
@@ -153,6 +181,21 @@ def _prefix_copier(seed: int, labels: tuple):
     import hashlib
 
     return hashlib.sha256("".join(f"{x}:" for x in (seed, *labels)).encode()).copy
+
+
+# The inputs of the node keys (rng_stream 4): the root's key is the
+# SHA-256 of "seed:trial:node", and child t's key the SHA-256 of its
+# parent's key, the tag "c" and the byte t.  Draws past a key's own words
+# hash the key, the tag "x" and a counter (Field.node_draws), so no child
+# input is ever an extension input.
+def node_root(seed: int, trial: int) -> bytes:
+    """The key input of a run's root."""
+    return f"{seed}:{trial}:node".encode()
+
+
+def node_child(t: int) -> bytes:
+    """What follows a node's key in the key input of its child t."""
+    return b"c" + bytes((t,))
 
 
 def derived_rng(seed: int, *labels) -> random.Random:

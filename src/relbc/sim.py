@@ -12,6 +12,11 @@ for m rounds (``StationTracker``).  Both trackers read the run's trial of
 ``relbc.analysis`` reads, so the two engines abort in the same round on
 every trial.
 
+A node's challenge and share come from its own 32-byte key, the SHA-256
+of its parent's key and its digit (``Field.node_draws``, ``rng_stream``
+4), so a node draws the same values whatever else a run schedules, and
+no label is hashed.
+
 The receiver prunes: with an information lag of N rounds, his agents only
 challenge descendants of the node they currently know to be on the
 leftmost alive branch.
@@ -29,7 +34,7 @@ from typing import Iterable
 
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
-from .field import Field, LossDraws, derived_rng, loss_cut
+from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
 from . import tree as tt
 from .protocol import (
     KIND_FQ,
@@ -64,10 +69,10 @@ def capped_product(factors: Iterable[int], cap: int) -> int:
 # Rounds in one event-engine run, and nodes scheduled over all runs of a
 # request.  A tree run holds every scheduled node's label, so its memory
 # grows with about arity**N * k**2 / 2 characters: a three-station, lag-2
-# run of k = 5000 (5.0e7 characters in about 20k nodes) takes about 0.2 s
-# on a 2-core host and peaks at about 84 MB of RSS, 16 MB of it the
-# interpreter with relbc loaded.  At k <= 200 the engine schedules 2.6e5 to
-# 3.4e5 nodes/s, so a full EVENT_BUDGET is 6 to 8 s.
+# run of k = 5000 (5.0e7 characters in about 20k nodes) takes 0.12 to
+# 0.15 s on a 2-core host and peaks at about 84 MB of RSS, 16 MB of it the
+# interpreter with relbc loaded.  At k <= 200 the engine schedules 3.0e5 to
+# 5.0e5 nodes/s, so a full EVENT_BUDGET is 4 to 7 s.
 EVENT_MAX_K = 5000
 EVENT_BUDGET = 2 * 10**6
 
@@ -265,20 +270,21 @@ def run_tree(
     answers; a tree's stations die as ``StationTracker`` draws, a chain's
     as ``ChainTracker`` does.  Rounds 1..k query depths 0..k-1, where the
     committer answers as ``honest_response`` does, with each node's
-    challenge and share drawn from one encoding of its label by the run's
-    ``"b"`` and ``"share"`` hash streams; round k+1 is the reveal, where
-    each alive scheduled leaf sends (d, share of its parent).  Each
+    challenge and share drawn from its key by ``Field.node_draws``, one
+    digest of its parent's key and its digit; round k+1 is the reveal,
+    where each alive scheduled leaf sends (d, share of its parent).  Each
     round's nodes are the children of a block of the last round's, so a
-    parent's share travels with its children and no label is expanded
-    twice.  After each round the leftmost alive path grows by the first
-    live child of its end, and the run aborts if there is none.  The answered nodes and the
-    revealing leaves make up the live set handed to ``verify_tree``.  A
-    run costs little more than its hash draws and ``verify_tree``: on a
-    2-core host 0.22 to 0.30 ms at k=18 (63 scheduled nodes, 125 draws)
-    and 2.2 to 3.8 ms at k=200 (795 nodes).  A depth k < 1 or a station
-    count outside 2 to ``tree.MAX_STATIONS`` raises ValueError, and a run
-    that ``check_event_runs`` refuses raises ResourceGuardError, both
-    before round 1: the one rule ``analysis.check_budget`` applies up front.
+    parent's key and share travel with its children and no label is
+    hashed.  After each round the leftmost alive path grows by the first
+    live child of its end, and the run aborts if there is none.  The
+    answered nodes and the revealing leaves make up the live set handed
+    to ``verify_tree``.  A run costs little more than its key digests,
+    its loss draws and ``verify_tree``: on a 2-core host 0.15 to 0.23 ms
+    at k=18 (63 to 67 scheduled nodes, a digest each) and 1.5 to 1.7 ms
+    at k=200 (795 nodes).  A depth k < 1 or a station count outside 2 to
+    ``tree.MAX_STATIONS`` raises ValueError, and a run that
+    ``check_event_runs`` refuses raises ResourceGuardError, both before
+    round 1: the one rule ``analysis.check_budget`` applies up front.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
@@ -295,19 +301,22 @@ def run_tree(
     else:
         stations = ChainTracker(k, loss, seed, trial)
     dead_for = stations.counters  # nonzero = station dead this round
-    draw = field.hash_pair_stream(seed, trial, "b", "share")
+    draw = field.node_draws()
     q = field.q
-    # rows[c]: (digit, child color) for each child of a color-c node; row 0
-    # is the one above the root, whose only child is the root itself
+    # rows[c]: (digit, key input suffix, child color) for each child of a
+    # color-c node; row 0 is the one above the root, whose only child is the
+    # root itself, keyed by the run's root input alone
     digits = [str(t) for t in range(arity)]
-    rows = [[(tt.ROOT, coloring.color(tt.ROOT))]] + [
-        list(zip(digits, coloring.child_colors(c)))
+    suffixes = [node_child(t) for t in range(arity)]
+    rows = [[(tt.ROOT, node_root(seed, trial), coloring.color(tt.ROOT))]] + [
+        list(zip(digits, suffixes, coloring.child_colors(c)))
         for c in range(1, n_stations + 1)
     ]
-    # (label, color, share) of every node queried last round, left to right,
-    # all below one node of the leftmost alive path; before round 1 it is
-    # the node above the root, whose share the committed bit stands in for
-    level = [(tt.ROOT, 0, d)]
+    # (label, key, color, share) of every node queried last round, left to
+    # right, all below one node of the leftmost alive path; before round 1
+    # it is the node above the root, with an empty key, whose share the
+    # committed bit stands in for
+    level = [(tt.ROOT, b"", 0, d)]
     # The end of the leftmost alive path, grown one node per round, and the
     # child index of each of its nodes (the root's is 0).
     v_star, c_star = tt.ROOT, 0
@@ -323,8 +332,8 @@ def run_tree(
         changed = stations.step()
         if collect_events:
             for c in changed:
-                kind = "death" if dead_for[c] else "revival"
-                events.append(Event(t, c, kind, "", None, ()))
+                change = "death" if dead_for[c] else "revival"
+                events.append(Event(t, c, change, "", None, ()))
         j0 = t - prune_lag  # deepest depth known to all receiver agents
         if j0 > 0:
             # keep last round's nodes below the path node at depth j0; level
@@ -333,8 +342,8 @@ def run_tree(
             start = path_index[j0] * size
             level = level[start:start + size]
         if r > k:
-            for w, c, a_up in level:
-                for digit, color in rows[c]:
+            for w, _, c, a_up in level:
+                for digit, _, color in rows[c]:
                     if not dead_for[color]:
                         v = w + digit
                         live.add(v)
@@ -343,11 +352,11 @@ def run_tree(
                             events.append(Event(t, color, "reveal", v, (d, a_up), ()))
         else:
             below = []
-            for w, c, a_up in level:
-                for digit, color in rows[c]:
+            for w, key, c, a_up in level:
+                for digit, suffix, color in rows[c]:
                     v = w + digit
-                    b, a = draw(v)
-                    below.append((v, color, a))
+                    v_key, b, a = draw(key + suffix)
+                    below.append((v, v_key, color, a))
                     alive = not dead_for[color]
                     if alive:
                         live.add(v)
@@ -359,7 +368,7 @@ def run_tree(
                             events.append(Event(t, color, "response", v, y, (len(events) - 1,)))
             level = below
         # Advance the leftmost alive path to the first live child of its end.
-        for i, (digit, color) in enumerate(rows[c_star]):
+        for i, (digit, _, color) in enumerate(rows[c_star]):
             if v_star + digit in live:
                 v_star, c_star = v_star + digit, color
                 path_index.append(i)

@@ -301,11 +301,11 @@ def test_events_engine_output_identical_across_hash_seeds(tmp_path):
 
 @pytest.mark.parametrize("argv, digest", [
     (["--protocol", "fq", "--k", "12", "--p", "0.05", "--m", "3", "--trials", "3000"],
-     "47fb1c05a39f428fa44c2112eb18931f375b3df4de246c6b51d8858ab815cbd8"),
+     "e8e649b9e714225ad227b179884a86cd0dd54cb0a9d01f16fc6a21f0f358ed8c"),
     (["--protocol", "single", "--p", "0.2", "--trials", "3000"],
-     "9cfc20ade00cf663e518fbc16a0e0c908ca15875d51da3f04236deba6c70a0b3"),
+     "db7ce7a564a425f8627514ad91f1ebc44aa8b0d9265910431ed6bda53ae25b96"),
     (["--protocol", "fq", "--k", "40", "--p", "0.01", "--trials", "2000"],
-     "2610390a93081181c11e0409eff83157790197e1796613becd4cac2cfad42e09"),
+     "68a73e774a61c7602aa14e3fd00ea1c8bd1137a9775ee342d42afcb074351741"),
 ], ids=["fq_k12_m3", "single", "fq_k40"])
 def test_events_engine_reports_match_golden_digest(capsys, argv, digest):
     # every trial's abort round comes from the event engine's loss draws,

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from itertools import product
 
@@ -284,12 +285,29 @@ def test_single_round_is_k1():
     assert res.verdict.outcome == "accept"
 
 
+def _node_share(q: int, seed: int, trial: int, label: str) -> int:
+    """The share of node ``label`` under rng_stream 4: the second accepted
+    64-bit word of its key, the root's key folded over the label's digits
+    (extension digests past the key's own words, as ``Field.node_draws``)."""
+    key = hashlib.sha256(f"{seed}:{trial}:node".encode()).digest()
+    for digit in label:
+        key = hashlib.sha256(key + b"c" + bytes([int(digit)])).digest()
+    limit = 2**64 - 2**64 % q
+    words = [int.from_bytes(key[i:i + 8], "big") for i in range(0, 32, 8)]
+    ctr = 0
+    while sum(w < limit for w in words) < 2:
+        ext = hashlib.sha256(key + b"x" + ctr.to_bytes(4, "big")).digest()
+        words += [int.from_bytes(ext[i:i + 8], "big") for i in range(0, 32, 8)]
+        ctr += 1
+    return [w % q for w in words if w < limit][1]
+
+
 # 11 stations: ten children per node, the most one-digit level labels name
 @pytest.mark.parametrize("n_stations", [3, 4, 5, 11])
 def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
     # run_tree computes the honest answer inline from its own share draws;
-    # protocol.honest_response over the run's "share" hash draws is the
-    # reference
+    # protocol.honest_response over each node's share, folded from the
+    # run's root key here, is the reference
     field = Field(101)
     loss = LossModel(p=0.1, m=2)
     answered = silent = 0
@@ -299,7 +317,7 @@ def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
                 "tree", 8, field, d=d, seed=17, trial=trial, loss=loss, n_stations=n_stations
             )
             # every scheduled node's parent was scheduled the round before
-            shares = {v: field.sample_hashed(17, trial, "share", v) for v in res.transcript.records}
+            shares = {v: _node_share(field.q, 17, trial, v) for v in res.transcript.records}
             for v, rec in res.transcript.records.items():
                 if rec.y is None:
                     silent += 1
@@ -332,14 +350,14 @@ def test_run_tree_verdict_equals_its_replayed_transcript(n_stations, prune_lag):
 
 @pytest.mark.parametrize("kind, k", [("single", 1), ("fq", 9)])
 def test_run_chain_answers_and_reveals_from_the_share_stream(kind, k):
-    # a_0 = d and a_j is the run's "share" hash draw at round j's node
-    # "0"*(j-1); round j answers a_j + b_j*a_{j-1} and the reveal is (d, a_k)
+    # a_0 = d and a_j is the share of round j's node "0"*(j-1); round j
+    # answers a_j + b_j*a_{j-1} and the reveal is (d, a_k)
     field = Field(101)
     for loss in (LossModel(), LossModel(p=0.2)):
         for d in (0, 1):
             for trial in range(8):
                 res = run_protocol(kind, k, field, d=d, seed=23, trial=trial, loss=loss)
-                a = [d] + [field.sample_hashed(23, trial, "share", "0" * (j - 1)) for j in range(1, k + 1)]
+                a = [d] + [_node_share(field.q, 23, trial, "0" * (j - 1)) for j in range(1, k + 1)]
                 tr = res.transcript
                 for v, rec in tr.records.items():
                     j = len(v) + 1  # round j is node "0"*(j-1)

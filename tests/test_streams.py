@@ -1,9 +1,9 @@
-"""Byte-identity of the hashed draws and of the Monte Carlo walks.
+"""Byte-identity of the node draws and of the Monte Carlo walks.
 
-The run digests below were computed before per-run hash streams replaced
-the per-draw ``sample_hashed`` calls on the run paths; the streams hash
-the same bytes, so every transcript and event log must stay identical.
-The wide run digest was computed before the tree run loop carried
+The run digests below were first computed before per-run hash streams
+replaced the per-draw ``sample_hashed`` calls on the run paths; the
+streams hashed the same bytes, so every transcript and event log stayed
+identical.  The wide run digest was computed before the tree run loop carried
 (label, color) pairs and answered from a per-run share dict.  The golden
 run digest was re-pinned once when chain nodes were renamed from "1".."k"
 to the two-station tree's "", "0", "00", ...: its tree parts kept their
@@ -22,11 +22,21 @@ Every digest here was re-pinned once when both engines came to read one
 loss stream (``rng_stream`` 3, ``relbc.field``): the walks and the event
 engine's lossy runs draw their losses from it, and the loss-free runs
 (the single rounds above) kept their bytes.
+
+The run digests and the report digest were re-pinned again when each
+node came to draw its challenge and share from one SHA-256 key chained
+from its parent's (``rng_stream`` 4, ``Field.node_draws``): the loss
+stream did not change, so every walk digest kept its bytes, and the
+transcripts and event logs changed only in their challenges, answers
+and reveal claims (b, y and claim); the report changed only in its
+``rng_stream``.  The draw tests below rebuild each node's key by
+folding the root's key over the node's label, apart from the library.
 """
 
 import hashlib
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -34,7 +44,7 @@ from relbc import analysis as an
 from relbc.field import Field
 from relbc.sim import LossModel, run_protocol
 
-GOLDEN_RUNS_SHA256 = "9145634e341083e422f3a5c585ff262146fd670ff9b1c59725a92d88e1fe34af"
+GOLDEN_RUNS_SHA256 = "870e426ae1a2765b76565df9dd270600b454449b1603edbad0525699ea291d1c"
 
 
 def _events_json(events) -> str:
@@ -73,7 +83,7 @@ def test_run_outputs_match_golden_digest():
     assert hashlib.sha256(_golden_runs()).hexdigest() == GOLDEN_RUNS_SHA256
 
 
-GOLDEN_RUNS_WIDE_SHA256 = "93feef70c3c147f506f62f016b9f2b4f4155fed04b25a4f6e08edd16b3827f80"
+GOLDEN_RUNS_WIDE_SHA256 = "575ae7b6688546b301d79594329aeefdef21f153c50dd52d25cdbfdef6f851ad"
 
 
 def _golden_runs_wide() -> bytes:
@@ -104,7 +114,7 @@ def test_wide_run_outputs_match_golden_digest():
     assert hashlib.sha256(_golden_runs_wide()).hexdigest() == GOLDEN_RUNS_WIDE_SHA256
 
 
-GOLDEN_REPORT_SHA256 = "8dd153a3a82da3882247edf22f6307ef2598be316da96fd87bc03e9ded01a46a"
+GOLDEN_REPORT_SHA256 = "cbf628cc28c2049cf633b52c92f8efa146f1b0855dbc9d8a74182c6b696a939f"
 
 
 @pytest.mark.parametrize(
@@ -134,15 +144,24 @@ def test_fast_report_matches_golden_digest():
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN_REPORT_SHA256
 
 
-def _draw_path(q: int, seed: int, trial: int, name: str, label) -> str:
-    """Which path a hashed draw takes: its first chunk kept, a later chunk
-    of the first digest ("rejection"), or a second digest."""
-    bits = q.bit_length()
-    val = int.from_bytes(hashlib.sha256(f"{seed}:{trial}:{name}:{label}:0".encode()).digest(), "big")
-    chunks = [(val >> (bits * i)) & ((1 << bits) - 1) for i in range(256 // bits)]
-    if chunks[0] < q:
-        return "first"
-    return "rejection" if any(c < q for c in chunks) else "second digest"
+def _node_draws(q: int, seed: int, trial: int, label: str) -> tuple[int, int, str]:
+    """(b, share, path) of node ``label`` under rng_stream 4, folded from
+    the root's key over the label's digits.  The path says where the
+    draws came from: the key's first two words ("first"), later words of
+    the key ("later word"), or an extension digest ("extension")."""
+    key = hashlib.sha256(f"{seed}:{trial}:node".encode()).digest()
+    for digit in label:
+        key = hashlib.sha256(key + b"c" + bytes([int(digit)])).digest()
+    limit = 2**64 - 2**64 % q
+    words = [int.from_bytes(key[i:i + 8], "big") for i in range(0, 32, 8)]
+    ctr = 0
+    while sum(w < limit for w in words) < 2:
+        ext = hashlib.sha256(key + b"x" + ctr.to_bytes(4, "big")).digest()
+        words += [int.from_bytes(ext[i:i + 8], "big") for i in range(0, 32, 8)]
+        ctr += 1
+    b, share = [w % q for w in words if w < limit][:2]
+    path = "extension" if ctr else "first" if max(words[:2]) < limit else "later word"
+    return b, share, path
 
 
 Q_OVER_2_62 = 4611686018427388039  # the first prime above 2**62
@@ -155,9 +174,9 @@ Q_OVER_2_62 = 4611686018427388039  # the first prime above 2**62
     (11, 1, 5), (11, 2, 4), (11, 3, 3),
 ])
 def test_tree_draws_come_from_their_streams_record_by_record(q, n_stations, prune_lag, k):
-    # each record's challenge is draw v of the run's "b" stream; each share
-    # behind an answer or a reveal claim is a draw of its "share" stream,
-    # with the committed bit above the root
+    # each record's challenge is the b of its node's key; each share behind
+    # an answer or a reveal claim is the share of its node's key, with the
+    # committed bit above the root
     field = Field(q)
     seed = 29
     answered = silent = revealed = 0
@@ -173,11 +192,12 @@ def test_tree_draws_come_from_their_streams_record_by_record(q, n_stations, prun
             tr = res.transcript
 
             def share(v):
-                return d if v is None else field.sample_hashed(seed, trial, "share", v)
+                return d if v is None else _node_draws(q, seed, trial, v)[1]
 
             for v, rec in tr.records.items():
-                assert rec.b == field.sample_hashed(seed, trial, "b", v), (trial, v)
-                paths.update(_draw_path(q, seed, trial, name, v) for name in ("b", "share"))
+                b, _, path = _node_draws(q, seed, trial, v)
+                assert rec.b == b, (trial, v)
+                paths[path] += 1
                 if rec.y is None:
                     silent += 1
                     continue
@@ -188,9 +208,13 @@ def test_tree_draws_come_from_their_streams_record_by_record(q, n_stations, prun
                 assert (rv.d, rv.claim) == (d, share(leaf[:-1])), (trial, leaf)
                 revealed += 1
     assert answered > 0 and silent > 0 and revealed > 0
-    # q = 2 and 101 reject a first chunk now and then; the 63-bit chunks
-    # of the large modulus run out of a digest in about one draw of 16
-    assert paths["rejection" if q < 2**62 else "second digest"] > 0, paths
+    # a 64-bit word is rejected with probability (2**64 % q) / 2**64: never
+    # seen at q = 2 and 101, and about 1/4 at the large modulus, whose node
+    # keys run short of two accepted words in about one node of 20
+    if q > 2**62:
+        assert paths["extension"] > 0, paths
+    else:
+        assert set(paths) == {"first"}, paths
 
 
 @pytest.mark.parametrize("q", [2, 101, Q_OVER_2_62])
@@ -205,14 +229,45 @@ def test_chain_draws_come_from_their_streams_record_by_record(q, kind, k):
                                loss=LossModel(p=0.02), collect_events=collect)
             a = d
             for j in range(1, len(res.transcript.records) + 1):
-                # round j is node "0"*(j-1); its draws are keyed by that label
+                # round j is node "0"*(j-1); its draws come from that node's key
                 v = "0" * (j - 1)
                 rec = res.transcript.records[v]
-                assert rec.b == field.sample_hashed(seed, trial, "b", v), (trial, j)
-                prev, a = a, field.sample_hashed(seed, trial, "share", v)
+                b, share, _ = _node_draws(q, seed, trial, v)
+                assert rec.b == b, (trial, j)
+                prev, a = a, share
                 if rec.y is None:  # the dead station of the abort round
                     assert j == res.transcript.abort_round, (trial, j)
                     continue
                 assert rec.y == (a + rec.b * prev) % q, (trial, j)
             for rv in res.transcript.reveals.values():
                 assert (rv.d, rv.claim) == (d, a)
+
+
+@pytest.mark.parametrize("kind, n_stations, k", [("tree", 3, 10), ("tree", 5, 6), ("fq", 2, 24)])
+def test_node_draws_do_not_depend_on_scheduling(kind, n_stations, k):
+    # a node's key depends on its label alone, so runs of one (seed, trial)
+    # that prune at different lags, or log events or not, give every node
+    # they both schedule the same challenge, and the same answer where both
+    # answer it
+    field = Field(101)
+    loss = LossModel(p=0.08, m=2)
+    compared = answered = differ = 0
+    for trial in range(6):
+        runs = [
+            run_protocol(
+                kind, k, field, d=trial % 2, seed=37, trial=trial, loss=loss,
+                n_stations=n_stations, prune_lag=lag, collect_events=collect,
+            ).transcript.records
+            for lag in (1, 2, 3) for collect in (False, True)
+        ]
+        for one, two in combinations(runs, 2):
+            differ += one.keys() != two.keys()
+            for v in one.keys() & two.keys():
+                assert one[v].b == two[v].b, (trial, v)
+                compared += 1
+                if one[v].y is not None and two[v].y is not None:
+                    assert one[v].y == two[v].y, (trial, v)
+                    answered += 1
+    assert compared > answered > 0
+    if kind == "tree":  # the lags schedule different nodes
+        assert differ > 0
