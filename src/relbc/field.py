@@ -100,7 +100,8 @@ class Field:
         return self._residue_rule()(_prefix_copier(seed, head), label, f"{label}:0".encode())
 
     def node_draws(self):
-        """The draw rule of a run's nodes (``rng_stream`` 4).
+        """The draw rule of a run's nodes (``rng_stream`` 4), built once
+        per q.
 
         ``draw(data)`` returns ``(key, b, share)`` for the node whose key
         input is ``data``: ``node_root(seed, trial)`` for the root, and a
@@ -114,32 +115,7 @@ class Field:
         SHA-256(key || "x" || ctr), ctr = 0, 1, ... as 4 big-endian bytes.
         Each node costs one digest of about 34 bytes whatever its depth.
         """
-        import hashlib
-        import struct
-
-        sha256 = hashlib.sha256
-        first_two = struct.Struct(">2Q").unpack_from
-        words = struct.Struct(">4Q").unpack
-        q = self.q
-        limit = 2**64 - 2**64 % q
-
-        def extend(key: bytes) -> tuple[int, int]:
-            drawn = [w % q for w in words(key) if w < limit]
-            ctr = 0
-            while len(drawn) < 2:
-                ext = sha256(key + b"x" + ctr.to_bytes(4, "big")).digest()
-                drawn += [w % q for w in words(ext) if w < limit]
-                ctr += 1
-            return drawn[0], drawn[1]
-
-        def draw(data: bytes) -> tuple[bytes, int, int]:
-            key = sha256(data).digest()
-            b, a = first_two(key)
-            if b < limit and a < limit:  # the common case: the first two words
-                return key, b % q, a % q
-            return (key, *extend(key))
-
-        return draw
+        return _node_draws(self.q)
 
     def _residue_rule(self):
         """The draw rule of the hash streams: ``residue(copy_base, label,
@@ -173,6 +149,36 @@ class Field:
                 val = from_bytes(h.digest(), "big")
 
         return residue
+
+
+@functools.lru_cache(maxsize=64)
+def _node_draws(q: int):
+    """``Field(q).node_draws()``."""
+    import hashlib
+    import struct
+
+    sha256 = hashlib.sha256
+    first_two = struct.Struct(">2Q").unpack_from
+    words = struct.Struct(">4Q").unpack
+    limit = 2**64 - 2**64 % q
+
+    def extend(key: bytes) -> tuple[int, int]:
+        drawn = [w % q for w in words(key) if w < limit]
+        ctr = 0
+        while len(drawn) < 2:
+            ext = sha256(key + b"x" + ctr.to_bytes(4, "big")).digest()
+            drawn += [w % q for w in words(ext) if w < limit]
+            ctr += 1
+        return drawn[0], drawn[1]
+
+    def draw(data: bytes) -> tuple[bytes, int, int]:
+        key = sha256(data).digest()
+        b, a = first_two(key)
+        if b < limit and a < limit:  # the common case: the first two words
+            return key, b % q, a % q
+        return (key, *extend(key))
+
+    return draw
 
 
 def _prefix_copier(seed: int, labels: tuple):
@@ -236,9 +242,10 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+@functools.lru_cache(maxsize=16)
 def loss_stream_key(seed: int, tag: str, block: int) -> tuple[int, int]:
     """(state, increment) of block ``block``'s PCG64 stream of the walk
-    ``tag``."""
+    ``tag``; cached, since consecutive trials share their block."""
     import hashlib
 
     h = hashlib.sha256(f"{seed}:{tag}:{block}".encode()).digest()
@@ -271,10 +278,25 @@ def _jump(steps: int) -> tuple[int, int]:
     return a, g
 
 
+def _then(first: tuple[int, int], second: tuple[int, int]) -> tuple[int, int]:
+    """The jump ``first`` followed by the jump ``second``."""
+    (a1, g1), (a2, g2) = first, second
+    return a2 * a1 & _MASK128, (a2 * g1 + g2) & _MASK128
+
+
 @functools.lru_cache(maxsize=None)
-def _other_rows(n: int) -> tuple[int, int]:
-    """The jump over a block's other rows of an n-station walk."""
-    return _jump((WALK_BLOCK - 1) * n)
+def _row_jumps(n: int) -> tuple[list, list, tuple[int, int]]:
+    """The jumps of an n-station reader, (lo, hi, next_round): hi[row >> 7]
+    and then lo[row & 127] take a block's first state to the state of
+    row's first output, lo[i] being i * n + 1 steps and hi[j] j * 128 * n
+    steps (WALK_BLOCK = 128 * 128 rows); next_round takes a round's last
+    output to the next round's first, over the block's other rows."""
+    one_row, rows_128 = _jump(n), _jump(128 * n)
+    lo, hi = [(PCG64_MULT, 1)], [(1, 0)]
+    for _ in range(127):
+        lo.append(_then(lo[-1], one_row))
+        hi.append(_then(hi[-1], rows_128))
+    return lo, hi, _jump((WALK_BLOCK - 1) * n + 1)
 
 
 class LossDraws:
@@ -284,28 +306,32 @@ class LossDraws:
     (raw >> 11) * 2**-53, so u < p exactly when
     raw < ceil(p * 2**53) << 11 (``loss_cut``).
 
-    The reader jumps once to the trial's row, steps n outputs a round, and
-    then jumps over the block's other rows, WALK_BLOCK - 1 of them.
+    The reader holds the state of the round's first output.  It reaches
+    round 1's from the block's key in two table jumps, on the high and low
+    bits of the row; each round then takes n - 1 single steps, and one
+    affine map jumps over the block's other WALK_BLOCK - 1 rows and takes
+    the next round's first step, so a round costs n 128-bit multiplies.
     """
 
-    __slots__ = ("n", "state", "inc", "skip_mul", "skip_add")
+    __slots__ = ("state", "maps")
 
     def __init__(self, seed: int, tag: str, trial: int, n: int):
         block, row = divmod(trial, WALK_BLOCK)
         state, inc = loss_stream_key(seed, tag, block)
-        a, g = _jump(row * n)
-        self.state = (a * state + g * inc) & _MASK128
-        a, g = _other_rows(n)
-        self.skip_mul, self.skip_add = a, g * inc & _MASK128
-        self.n, self.inc = n, inc
+        lo, hi, (a, g) = _row_jumps(n)
+        for aj, gj in (hi[row >> 7], lo[row & 127]):
+            state = (aj * state + gj * inc) & _MASK128
+        self.state = state
+        # (multiplier, addend) of the map after each output of a round
+        self.maps = ((PCG64_MULT, inc),) * (n - 1) + ((a, g * inc & _MASK128),)
 
     def next_round(self) -> list[int]:
-        s, inc, out = self.state, self.inc, []
-        for _ in range(self.n):
-            s = (s * PCG64_MULT + inc) & _MASK128
+        s, out = self.state, []
+        for mul, add in self.maps:
             x = ((s >> 64) ^ s) & _MASK64  # XSL-RR: fold, then rotate right by the top 6 bits
             out.append((x | x << 64) >> (s >> 122) & _MASK64)
-        self.state = (self.skip_mul * s + self.skip_add) & _MASK128
+            s = (mul * s + add) & _MASK128
+        self.state = s
         return out
 
 

@@ -19,7 +19,9 @@ Responses are integers in [0, q); ``None`` encodes a missing response
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
 from .field import Field
@@ -115,12 +117,12 @@ class Transcript:
         identical runs give byte-identical files: the header fields, the
         records in (round, node) order, the reveals in leaf order and the
         abort, indented by 2.  The text equals ``json.dumps(doc, indent=2)``
-        of that document; strings go through ``json.dumps``, and the int
-        fields are written directly."""
-        dumps = json.dumps
+        of that document; strings are written as ``json.dumps`` writes a
+        str (``encode_basestring_ascii``), and the int fields directly."""
+        text = encode_basestring_ascii
         records = [
             "    {\n"
-            f'      "node": {dumps(v)},\n'
+            f'      "node": {text(v)},\n'
             f'      "b": {rec.b},\n'
             f'      "y": {_BOT if rec.y is None else rec.y},\n'
             f'      "round": {rec.round},\n'
@@ -130,7 +132,7 @@ class Transcript:
         ]
         reveals = [
             "    {\n"
-            f'      "leaf": {dumps(v)},\n'
+            f'      "leaf": {text(v)},\n'
             f'      "d": {r.d},\n'
             f'      "claim": {r.claim}\n'
             "    }"
@@ -138,13 +140,13 @@ class Transcript:
         ]
         abort = "null" if self.abort_reason is None else (
             "{\n"
-            f'    "round": {dumps(self.abort_round)},\n'
-            f'    "reason": {dumps(self.abort_reason)}\n'
+            f'    "round": {json.dumps(self.abort_round)},\n'
+            f'    "reason": {text(self.abort_reason)}\n'
             "  }"
         )
         return (
             "{\n"
-            f'  "protocol": {dumps(self.kind)},\n'
+            f'  "protocol": {text(self.kind)},\n'
             f'  "k": {self.k},\n'
             f'  "q": {self.q},\n'
             f'  "n_stations": {self.n_stations},\n'
@@ -162,10 +164,11 @@ class Transcript:
         wrong type or is out of range: an unknown kind, k < 1 (k != 1 for
         ``single``), integers outside their range (challenges, responses
         and claims in [0, q)), node labels that are not nodes of the
-        protocol, or a record whose round or color is not its node's.  A
-        node at depth j runs in round j + 1 at its canonical color.  A
-        tree takes the station counts ``tree.check_tree_stations`` allows
-        (3 when ``n_stations`` is missing), and a chain exactly 2.
+        protocol, a record whose round or color is not its node's, or a
+        second record of a node or reveal of a leaf.  A node at depth j
+        runs in round j + 1 at its canonical color.  A tree takes the
+        station counts ``tree.check_tree_stations`` allows (3 when
+        ``n_stations`` is missing), and a chain exactly 2.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -185,38 +188,53 @@ class Transcript:
                 f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"
             )
         coloring = tt.make_coloring(k, n_stations)
-        digits = {str(t) for t in range(coloring.arity)}
+        # a label is a string of ASCII digits below the arity: of length
+        # below k for a node, k for a leaf
+        digit = f"[0-{coloring.arity - 1}]"
+        is_node = re.compile(f"{digit}{{0,{k - 1}}}").fullmatch
+        is_leaf = re.compile(f"{digit}{{{k}}}").fullmatch
         child_colors = [None] + [coloring.child_colors(c) for c in range(1, n_stations + 1)]
         colors: dict[str, int] = {}
         tr = cls(kind=kind, k=k, q=q, n_stations=n_stations)
+        records, reveals = tr.records, tr.reveals
         for i, rec in enumerate(_list(doc, "records")):
-            where = f"records[{i}]"
-            rec = _object(rec, where)
+            if not isinstance(rec, dict):
+                raise _not_object(rec, f"records[{i}]")
             v = rec.get("node")
-            if not (isinstance(v, str) and len(v) < k and set(v) <= digits):
-                raise ValueError(f"{where}.node: {v!r:.40} is not an internal node of the protocol")
-            y = rec.get("y")
-            b = _int_in(rec.get("b"), f"{where}.b", 0, q - 1)
-            y = None if y == "bot" else _int_in(y, f"{where}.y", 0, q - 1)
+            if not (isinstance(v, str) and is_node(v)):
+                raise ValueError(f"records[{i}].node: {v!r:.40} is not an internal node of the protocol")
+            if v in records:
+                raise ValueError(f"records[{i}].node: {v!r:.40} has a second record")
+            b, y = rec.get("b"), rec.get("y")
+            if not (type(b) is int and 0 <= b < q):
+                raise _not_int(b, f"records[{i}].b", 0, q - 1)
+            if y == "bot":
+                y = None
+            elif not (type(y) is int and 0 <= y < q):
+                raise _not_int(y, f"records[{i}].y", 0, q - 1)
             # records come in depth order, so a node's color is mostly
             # read off its parent's; otherwise it is folded over the digits
             up = colors.get(v[:-1]) if v else None
             color = colors[v] = coloring.color(v) if up is None else child_colors[up][int(v[-1])]
-            for key, want in (("round", len(v) + 1), ("color", color)):
-                got = rec.get(key)
-                if type(got) is not int or got != want:
-                    raise ValueError(f"{where}.{key}: node {v!r} has {key} {want}, got {got!r:.40}")
-            tr.records[v] = Record(b, y, len(v) + 1, color)
+            r, got_round, got_color = len(v) + 1, rec.get("round"), rec.get("color")
+            if type(got_round) is not int or got_round != r:
+                raise ValueError(f"records[{i}].round: node {v!r} has round {r}, got {got_round!r:.40}")
+            if type(got_color) is not int or got_color != color:
+                raise ValueError(f"records[{i}].color: node {v!r} has color {color}, got {got_color!r:.40}")
+            records[v] = Record(b, y, r, color)
         for i, rv in enumerate(_list(doc, "reveals")):
-            where = f"reveals[{i}]"
-            rv = _object(rv, where)
-            leaf = rv.get("leaf")
-            if not (isinstance(leaf, str) and len(leaf) == k and set(leaf) <= digits):
-                raise ValueError(f"{where}.leaf: {leaf!r:.40} is not a leaf of the protocol")
-            tr.reveals[leaf] = Reveal(
-                d=_int_in(rv.get("d"), f"{where}.d", 0, 1),
-                claim=_int_in(rv.get("claim"), f"{where}.claim", 0, q - 1),
-            )
+            if not isinstance(rv, dict):
+                raise _not_object(rv, f"reveals[{i}]")
+            leaf, d, claim = rv.get("leaf"), rv.get("d"), rv.get("claim")
+            if not (isinstance(leaf, str) and is_leaf(leaf)):
+                raise ValueError(f"reveals[{i}].leaf: {leaf!r:.40} is not a leaf of the protocol")
+            if leaf in reveals:
+                raise ValueError(f"reveals[{i}].leaf: {leaf!r:.40} has a second reveal")
+            if not (type(d) is int and 0 <= d <= 1):
+                raise _not_int(d, f"reveals[{i}].d", 0, 1)
+            if not (type(claim) is int and 0 <= claim < q):
+                raise _not_int(claim, f"reveals[{i}].claim", 0, q - 1)
+            reveals[leaf] = Reveal(d, claim)
         if doc.get("abort") is not None:
             abort = _object(doc["abort"], "abort")
             tr.abort_round = _int_in(abort.get("round"), "abort.round", 1, k + 1)
@@ -236,9 +254,13 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _not_object(value, where: str) -> ValueError:
+    return ValueError(f"{where}: expected a JSON object, got {value!r:.40}")
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {value!r:.40}")
+        raise _not_object(value, where)
     return value
 
 
@@ -252,9 +274,14 @@ def _list(doc: dict, key: str) -> list:
 def _int_in(value, name: str, lo: int, hi: Optional[int]) -> int:
     """value as an integer in [lo, hi] (no upper end when hi is None)."""
     if type(value) is not int or value < lo or (hi is not None and value > hi):
-        span = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise ValueError(f"{name}: expected an integer {span}, got {value!r:.40}")
+        raise _not_int(value, name, lo, hi)
     return value
+
+
+def _not_int(value, name: str, lo: int, hi: Optional[int]) -> ValueError:
+    """The refusal of ``value`` as an integer in [lo, hi]."""
+    span = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
+    return ValueError(f"{name}: expected an integer {span}, got {value!r:.40}")
 
 
 def tree_shares(k: int, field: Field, rng, arity: int = 2) -> dict[str, int]:

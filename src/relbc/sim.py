@@ -27,6 +27,7 @@ computed exactly by ``relbc.adversary``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -69,10 +70,12 @@ def capped_product(factors: Iterable[int], cap: int) -> int:
 # Rounds in one event-engine run, and nodes scheduled over all runs of a
 # request.  A tree run holds every scheduled node's label, so its memory
 # grows with about arity**N * k**2 / 2 characters: a three-station, lag-2
-# run of k = 5000 (5.0e7 characters in about 20k nodes) takes 0.12 to
-# 0.15 s on a 2-core host and peaks at about 84 MB of RSS, 16 MB of it the
-# interpreter with relbc loaded.  At k <= 200 the engine schedules 3.0e5 to
-# 5.0e5 nodes/s, so a full EVENT_BUDGET is 4 to 7 s.
+# run of k = 5000 (5.0e7 characters in about 20k nodes) takes 0.11 to
+# 0.13 s on a 2-core host and peaks at about 84 MB of RSS, 16 MB of it the
+# interpreter with relbc loaded.  At 18 <= k <= 200 the engine schedules
+# 3.8e5 to 5.9e5 nodes/s, lossless or at p = 0.02, so a full EVENT_BUDGET
+# is 3.4 to 5.3 s; shallow runs pay more per node (2.7e5 to 4.3e5 nodes/s
+# at k = 5).
 EVENT_MAX_K = 5000
 EVENT_BUDGET = 2 * 10**6
 
@@ -191,21 +194,21 @@ class StationTracker:
     def step(self) -> list[int]:
         """Advance one round; returns colors that changed state (for the
         event log)."""
+        if not self.draws:  # p = 0: no station ever dies
+            return []
         changed = []
         counters, cut, m = self.counters, self.cut, self.loss.m
-        raw = self.draws.next_round() if self.draws else None
-        for c in range(1, len(counters)):
+        for c, x in enumerate(self.draws.next_round(), 1):
             left = counters[c]  # dead rounds left before this one
             if left > 1:  # still dead
                 counters[c] = left - 1
-            elif raw and raw[c - 1] < cut:  # alive now, and dies
+            elif x < cut:  # alive now, and dies
                 counters[c] = m
                 if not left:
                     changed.append(c)
-            else:  # alive now, and stays so
+            elif left:  # alive now after a death
                 counters[c] = 0
-                if left:
-                    changed.append(c)
+                changed.append(c)
         return changed
 
 
@@ -238,6 +241,23 @@ class ChainTracker:
             counters[c] = 1
             return [c]
         return []
+
+
+@functools.lru_cache(maxsize=256)
+def _check_one_run(kind: str, k: int, n_stations: int, prune_lag: int) -> None:
+    """``check_event_runs`` of one run; a refusal raises and is not cached."""
+    check_event_runs(kind, k, 1, n_stations, prune_lag)
+
+
+@functools.lru_cache(maxsize=None)
+def _child_rows(n_stations: int) -> tuple[tuple[tuple[str, bytes, int], ...], ...]:
+    """For each color c of 1..n_stations, the (digit, key input suffix,
+    child color) of each child of a color-c node."""
+    arity = n_stations - 1
+    digits = [str(t) for t in range(arity)]
+    suffixes = [node_child(t) for t in range(arity)]
+    child_colors = tt.Coloring(1, n_stations).child_colors
+    return tuple(tuple(zip(digits, suffixes, child_colors(c))) for c in range(1, n_stations + 1))
 
 
 @dataclass
@@ -279,19 +299,21 @@ def run_tree(
     live child of its end, and the run aborts if there is none.  The
     answered nodes and the revealing leaves make up the live set handed
     to ``verify_tree``.  A run costs little more than its key digests,
-    its loss draws and ``verify_tree``: on a 2-core host 0.15 to 0.23 ms
-    at k=18 (63 to 67 scheduled nodes, a digest each) and 1.5 to 1.7 ms
-    at k=200 (795 nodes).  A depth k < 1 or a station count outside 2 to
-    ``tree.MAX_STATIONS`` raises ValueError, and a run that
-    ``check_event_runs`` refuses raises ResourceGuardError, both before
-    round 1: the one rule ``analysis.check_budget`` applies up front.
+    its loss draws and ``verify_tree``; the child rows, the draw rule and
+    the guard are built once per layout.  On a 2-core host a run takes
+    0.12 to 0.16 ms at k=18 (62 to 67 scheduled nodes, a digest each,
+    lossless or at p = 0.02) and 1.35 to 1.45 ms at k=200 (795 nodes).
+    A depth k < 1 or a station count outside 2 to ``tree.MAX_STATIONS``
+    raises ValueError, and a run that ``check_event_runs`` refuses raises
+    ResourceGuardError, both before round 1: the one rule
+    ``analysis.check_budget`` applies up front.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
     if prune_lag < 1:
         raise ValueError("pruning lag must be >= 1")
     kind = KIND_TREE if arity > 1 else resolve(KIND_FQ, k)[0]
-    check_event_runs(kind, k, 1, n_stations, prune_lag)
+    _check_one_run(kind, k, n_stations, prune_lag)
 
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     records, reveals = transcript.records, transcript.reveals
@@ -305,13 +327,8 @@ def run_tree(
     q = field.q
     # rows[c]: (digit, key input suffix, child color) for each child of a
     # color-c node; row 0 is the one above the root, whose only child is the
-    # root itself, keyed by the run's root input alone
-    digits = [str(t) for t in range(arity)]
-    suffixes = [node_child(t) for t in range(arity)]
-    rows = [[(tt.ROOT, node_root(seed, trial), coloring.color(tt.ROOT))]] + [
-        list(zip(digits, suffixes, coloring.child_colors(c)))
-        for c in range(1, n_stations + 1)
-    ]
+    # root itself, of color 1, keyed by the run's root input alone
+    rows = (((tt.ROOT, node_root(seed, trial), 1),), *_child_rows(n_stations))
     # (label, key, color, share) of every node queried last round, left to
     # right, all below one node of the leftmost alive path; before round 1
     # it is the node above the root, with an empty key, whose share the
@@ -357,14 +374,15 @@ def run_tree(
                     v = w + digit
                     v_key, b, a = draw(key + suffix)
                     below.append((v, v_key, color, a))
-                    alive = not dead_for[color]
-                    if alive:
+                    if dead_for[color]:
+                        y = None
+                    else:
+                        y = (a + b * a_up) % q  # the honest answer
                         live.add(v)
-                    y = (a + b * a_up) % q if alive else None  # the honest answer
                     records[v] = Record(b, y, r, color)
                     if collect_events:
                         events.append(Event(t, color, "challenge", v, b, ()))
-                        if alive:
+                        if y is not None:
                             events.append(Event(t, color, "response", v, y, (len(events) - 1,)))
             level = below
         # Advance the leftmost alive path to the first live child of its end.

@@ -448,9 +448,10 @@ def _stream_rounds(seed, tag, trials, n):
 def test_loss_draws_read_the_blocks_generators_bit_for_bit(n):
     # a trial's row of the block, round by round, as numpy's Generator.random
     # draws it
-    seed, tag, rounds = 13, "tree" if n > 1 else "chain", 3
+    seed, tag, rounds = 13, "tree" if n > 1 else "chain", 6
     blocks = [_block_rng(seed, tag, b).random((rounds, an.WALK_BLOCK, n)) for b in (0, 1)]
-    for trial in (0, an.WALK_BLOCK - 1, an.WALK_BLOCK, an.WALK_BLOCK + 1):
+    # rows 127 and 128 sit on both sides of a step of the row's high bits
+    for trial in (0, 1, 127, 128, an.WALK_BLOCK - 1, an.WALK_BLOCK, an.WALK_BLOCK + 1):
         block, row = divmod(trial, an.WALK_BLOCK)
         draws = LossDraws(seed, tag, trial, n)
         got = [[(raw >> 11) * 2.0**-53 for raw in draws.next_round()] for _ in range(rounds)]

@@ -275,6 +275,14 @@ def test_transcript_to_json_equals_json_dumps_of_the_document(tr):
     assert Transcript.from_json(tr.to_json()).to_json() == tr.to_json()
 
 
+def _other_y(rec):
+    return dict(rec, y=(rec["y"] + 1) % 97)
+
+
+def _other_claim(rv):
+    return dict(rv, claim=(rv["claim"] + 1) % 97)
+
+
 @pytest.mark.parametrize("edit, name", [
     (lambda doc: doc.update(protocol="ring"), "protocol"),
     (lambda doc: doc.update(k=0), "k"),
@@ -292,6 +300,9 @@ def test_transcript_to_json_equals_json_dumps_of_the_document(tr):
     (lambda doc: doc["reveals"][0].update(leaf="0"), "reveals[0].leaf"),
     (lambda doc: doc["reveals"][0].update(d=2), "reveals[0].d"),
     (lambda doc: doc.update(abort={"round": 1}), "abort.reason"),
+    # a second record of a node, or reveal of a leaf, used to replace the first
+    (lambda doc: doc["records"].append(_other_y(doc["records"][3])), "records[7].node"),
+    (lambda doc: doc["reveals"].append(_other_claim(doc["reveals"][2])), "reveals[8].leaf"),
 ])
 def test_transcript_from_json_checks_schema(edit, name):
     field = Field(97)
@@ -300,6 +311,67 @@ def test_transcript_from_json_checks_schema(edit, name):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(name)):
         Transcript.from_json(json.dumps(doc))
+
+
+def _chain_doc(protocol, n_stations):
+    doc = json.loads(run_protocol(KIND_FQ, 3, Field(97), d=1, seed=3).transcript.to_json())
+    doc.update(protocol=protocol, n_stations=n_stations)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [], "transcript: expected a JSON object, got []"),
+    (lambda doc: doc.update(protocol="ring"), "protocol: must be one of ('single', 'fq', 'tree'), got 'ring'"),
+    (lambda doc: doc.update(k=0), "k: expected an integer >= 1, got 0"),
+    (lambda doc: _chain_doc(KIND_SINGLE, 2), "k: a single transcript is the chain at k = 1, got 3"),
+    (lambda doc: doc.update(q=True), "q: expected an integer [2, 9223372036854775807], got True"),
+    (lambda doc: doc.update(n_stations="3"), "n_stations: expected an integer, got '3'"),
+    (lambda doc: doc.update(n_stations=12), "n_stations: a tree takes 3 to 11 stations, got 12"),
+    (lambda doc: _chain_doc(KIND_FQ, 3), "n_stations: a chain transcript runs on 2 stations, got 3"),
+    (lambda doc: doc.update(records=None), "records: expected a JSON list, got None"),
+    (lambda doc: doc.update(reveals={}), "reveals: expected a JSON list, got {}"),
+    (lambda doc: doc["records"].append(7), "records[7]: expected a JSON object, got 7"),
+    (lambda doc: doc["records"][1].update(node="2"),
+     "records[1].node: '2' is not an internal node of the protocol"),
+    # int() reads the Arabic-Indic zero as 0, and a label may not end in a newline
+    (lambda doc: doc["records"][1].update(node="٠"),
+     "records[1].node: '٠' is not an internal node of the protocol"),
+    (lambda doc: doc["records"][1].update(node="0\n"),
+     "records[1].node: '0\\n' is not an internal node of the protocol"),
+    (lambda doc: doc["records"][1].update(node="000"),
+     "records[1].node: '000' is not an internal node of the protocol"),
+    (lambda doc: doc["records"][1].update(node=0), "records[1].node: 0 is not an internal node of the protocol"),
+    (lambda doc: doc["records"][1].update(node="0" * 50),
+     "records[1].node: '000000000000000000000000000000000000000 is not an internal node of the protocol"),
+    (lambda doc: doc["records"][2].update(b=97), "records[2].b: expected an integer [0, 96], got 97"),
+    (lambda doc: doc["records"][0].update(y=1.5), "records[0].y: expected an integer [0, 96], got 1.5"),
+    (lambda doc: doc["records"][0].update(y="BOT"), "records[0].y: expected an integer [0, 96], got 'BOT'"),
+    (lambda doc: doc["records"][0].update(color=4), "records[0].color: node '' has color 1, got 4"),
+    (lambda doc: doc["records"][1].update(round=1), "records[1].round: node '0' has round 2, got 1"),
+    (lambda doc: doc["records"][1].update(color=1), "records[1].color: node '0' has color 2, got 1"),
+    (lambda doc: doc["records"][0].update(round=True), "records[0].round: node '' has round 1, got True"),
+    (lambda doc: doc["reveals"][0].update(leaf="0"), "reveals[0].leaf: '0' is not a leaf of the protocol"),
+    (lambda doc: doc["reveals"][0].update(leaf="٠٠٠"), "reveals[0].leaf: '٠٠٠' is not a leaf of the protocol"),
+    (lambda doc: doc["reveals"][0].update(leaf="00\n"),
+     "reveals[0].leaf: '00\\n' is not a leaf of the protocol"),
+    (lambda doc: doc["reveals"].append("x"), "reveals[8]: expected a JSON object, got 'x'"),
+    (lambda doc: doc["reveals"][0].update(d=2), "reveals[0].d: expected an integer [0, 1], got 2"),
+    (lambda doc: doc["reveals"][0].update(claim=-1), "reveals[0].claim: expected an integer [0, 96], got -1"),
+    (lambda doc: doc.update(abort=[1]), "abort: expected a JSON object, got [1]"),
+    (lambda doc: doc.update(abort={"round": 5, "reason": "x"}), "abort.round: expected an integer [1, 4], got 5"),
+    (lambda doc: doc.update(abort={"round": 1}), "abort.reason: expected a string, got None"),
+    (lambda doc: doc["records"].append(_other_y(doc["records"][3])),
+     "records[7].node: '00' has a second record"),
+    (lambda doc: doc["reveals"].append(_other_claim(doc["reveals"][2])),
+     "reveals[8].leaf: '010' has a second reveal"),
+])
+def test_transcript_from_json_refusals_read_in_full(edit, message):
+    tr, _, _ = _honest_tree_transcript(3, Field(97), 0, seed=4)
+    doc = json.loads(tr.to_json())
+    edited = edit(doc)  # a new document, or None when edited in place
+    with pytest.raises(ValueError) as refused:
+        Transcript.from_json(json.dumps(doc if edited is None else edited))
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("j, key, value", [(1, "round", 2), (2, "color", 1), (3, "color", 2)])

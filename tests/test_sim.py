@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an, tree as tt
-from relbc.field import Field
+from relbc.field import WALK_BLOCK, Field, LossDraws, loss_cut
 from relbc.protocol import Transcript, honest_response, verify_tree
 from relbc.sim import (
     EVENT_MAX_K,
@@ -43,6 +43,41 @@ def test_station_tracker_matches_stationary_fraction():
     exact = loss.stationary_dead_fraction()
     assert exact == pytest.approx(4 * 0.05 / (1 - 0.05 + 4 * 0.05))
     assert frac == pytest.approx(exact, rel=0.05)
+
+
+def _per_station_rounds(n_stations, loss, seed, trial, rounds):
+    """Reference: each round's (counters, changed colors) of the
+    death/revival chain, stepped one station at a time, station c reading
+    draw c - 1 of the round and nothing read at p = 0."""
+    counters = [0] * (n_stations + 1)
+    draws = LossDraws(seed, "tree", trial, n_stations) if loss.p > 0 else None
+    cut = loss_cut(loss.p)
+    for _ in range(rounds):
+        changed = []
+        raw = draws.next_round() if draws else None
+        for c in range(1, n_stations + 1):
+            left = counters[c]
+            if left > 1:
+                counters[c] = left - 1
+            elif raw and raw[c - 1] < cut:
+                counters[c] = loss.m
+                if not left:
+                    changed.append(c)
+            else:
+                counters[c] = 0
+                if left:
+                    changed.append(c)
+        yield list(counters), changed
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n_stations, trial", [(3, 0), (3, WALK_BLOCK + 1), (5, 129)])
+def test_station_tracker_steps_as_the_per_station_loop(p, m, n_stations, trial):
+    loss = LossModel(p=p, m=m)
+    trk = StationTracker(n_stations, loss, seed=8, trial=trial)
+    for r, (counters, changed) in enumerate(_per_station_rounds(n_stations, loss, 8, trial, 40)):
+        assert (trk.step(), trk.counters) == (changed, counters), r
 
 
 def test_honest_runs_accept_without_loss():
@@ -167,6 +202,14 @@ def test_resource_guard_on_huge_lag():
     field = Field(2)
     with pytest.raises(ResourceGuardError):
         run_protocol("tree", 20, field, d=0, seed=1, prune_lag=15)
+
+
+def test_a_refused_layout_is_refused_on_every_run():
+    # a layout's guard is checked once and kept, but a refusal is never kept
+    for _ in range(3):
+        with pytest.raises(ResourceGuardError):
+            run_tree(20, Field(2), 3, 0, LossModel(), seed=1, prune_lag=15)
+    assert run_tree(20, Field(2), 3, 0, LossModel(), seed=1, prune_lag=3).verdict.outcome == "accept"
 
 
 def test_resource_guard_counts_the_arity():
