@@ -35,7 +35,6 @@ from .protocol import (
     Transcript,
     honest_response,
     resolve,
-    tree_shares,
     verify_tree,
 )
 from .sim import ResourceGuardError, capped_product
@@ -499,7 +498,8 @@ def brute_force_binding(
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0) -> StrategyTable:
     """The honest committer as a strategy table: fixed shares, committed
     bit baked into the root answer, honest claims for either open attempt."""
-    a = tree_shares(k, field, derived_rng(0, "heuristic-shares"))
+    rng = derived_rng(0, "heuristic-shares")
+    a = {v: rng.randrange(field.q) for j in range(k) for v in tt.nodes_at_depth(j)}
 
     def respond_fn(v, b, view):
         return honest_response(v, b, a, d_commit, field)
@@ -526,7 +526,7 @@ def late_decision_chain(field: Field, seed: int = 0) -> ChainStrategy:
     bit exactly whenever b_1 = 0 and guess otherwise."""
     rng = derived_rng(seed, "chain-shares")
     q = field.q
-    a1, a2 = field.sample(rng), field.sample(rng)
+    a1, a2 = rng.randrange(q), rng.randrange(q)
     y1 = (a1,) * q
     y2 = tuple((a2 + b2 * a1) % q for b2 in range(q))
     claims = {d: {b1: a2 for b1 in range(q)} for d in (0, 1)}

@@ -23,10 +23,9 @@ import numpy as np
 
 from .binomial import beta_quantile
 from .field import WALK_BLOCK, Field, loss_stream_key
-from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
+from .formulas import _real, comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
 from .protocol import ACCEPT, KIND_TREE, resolve
 from .sim import (
-    EVENT_MAX_K,  # re-exported: callers read analysis.EVENT_MAX_K
     LossModel,
     ResourceGuardError,
     capped_product,
@@ -427,6 +426,7 @@ def monte_carlo_reliability(
         raise ValueError("need at least one trial")
     if comm_samples < 0:
         raise ValueError(f"comm_samples: must be >= 0, got {comm_samples}")
+    _real(m, "m")  # the report's loss figures take m * p as a float
     kind, k, n_stations = resolve(kind, k, n_stations)
     if engine not in ("fast", "events"):
         raise ValueError(f"unknown engine {engine!r}")

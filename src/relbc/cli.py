@@ -146,6 +146,7 @@ class ExperimentConfig:
         fields["prune_lag"] = fields.pop("N")
         cfg = cls(**fields)
         cfg.validate()
+        cfg.p = float(cfg.p)  # a config file's 0 or 1 reports as --p does
         cfg.protocol, cfg.k, cfg.n_stations = resolve(cfg.protocol, cfg.k, cfg.n_stations)
         return cfg
 

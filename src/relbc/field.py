@@ -2,9 +2,9 @@
 
 Every challenge, response and share in the protocols is a residue mod a
 prime q, held as a plain int in [0, q).  A ``Field`` holds the checked
-modulus and draws uniform residues from it; callers reduce their plain
-int arithmetic with ``% q`` themselves, so no wrapper type or method call
-sits between the ints and the hot paths (simulation, brute-force search).
+modulus; callers reduce their plain int arithmetic with ``% q``
+themselves, so no wrapper type or method call sits between the ints and
+the hot paths (simulation, brute-force search).
 
 A run's nodes draw by ``Field.node_draws``: each node has a 32-byte key,
 the SHA-256 of its parent's key and its digit (the root's of the run's
@@ -78,26 +78,28 @@ class Field:
     def __repr__(self) -> str:
         return f"Field({self.q})"
 
-    def sample(self, rng: random.Random) -> int:
-        """Uniform residue via rejection sampling (no modulo bias)."""
-        bits = self.q.bit_length()
-        while True:
-            v = rng.getrandbits(bits)
-            if v < self.q:
-                return v
-
     def sample_hashed(self, seed: int, *labels) -> int:
-        """Uniform residue drawn directly from a named hash stream.
-
-        Equivalent in distribution to ``sample(derived_rng(...))`` but
-        without paying a full PRNG state initialization per stream.  The
-        last label x names the draw, so at least one label is needed: the
-        residue is hashed from the bytes ``"seed:l1:...:x:ctr"`` by
-        ``_residue_rule``.  No run draws from it since ``rng_stream`` 4,
-        whose node draws are ``node_draws``.
+        """Uniform residue drawn from a named hash stream: for ctr = 0, 1,
+        ..., the SHA-256 digest of ``"seed:l1:...:x:ctr"`` is cut into
+        q.bit_length()-bit chunks, lowest first, and the first chunk below
+        q is the draw.  No run draws from it since ``rng_stream`` 4, whose
+        node draws are ``node_draws``; perfbench's events workload still
+        traces it by name.
         """
-        *head, label = labels
-        return self._residue_rule()(_prefix_copier(seed, head), label, f"{label}:0".encode())
+        import hashlib
+
+        q = self.q
+        bits = q.bit_length()
+        mask = (1 << bits) - 1
+        prefix = "".join(f"{x}:" for x in (seed, *labels))
+        ctr = 0
+        while True:
+            val = int.from_bytes(hashlib.sha256(f"{prefix}{ctr}".encode()).digest(), "big")
+            for _ in range(256 // bits):
+                if val & mask < q:
+                    return val & mask
+                val >>= bits
+            ctr += 1
 
     def node_draws(self):
         """The draw rule of a run's nodes (``rng_stream`` 4), built once
@@ -116,39 +118,6 @@ class Field:
         Each node costs one digest of about 34 bytes whatever its depth.
         """
         return _node_draws(self.q)
-
-    def _residue_rule(self):
-        """The draw rule of the hash streams: ``residue(copy_base, label,
-        head)`` hashes ``head``, the bytes of ``f"{label}:0"``, after a
-        copy of the stream's prefix hash, and returns the first chunk of
-        the digest below q; when a digest runs out of chunks, ctr goes up
-        by one and ``f"{label}:{ctr}"`` is hashed instead."""
-        from_bytes = int.from_bytes
-        q = self.q
-        bits = q.bit_length()
-        mask = (1 << bits) - 1
-        chunks = 256 // bits
-
-        def residue(copy_base, label, head: bytes) -> int:
-            h = copy_base()
-            h.update(head)
-            val = from_bytes(h.digest(), "big")
-            v = val & mask
-            if v < q:  # the common case: the first chunk is kept
-                return v
-            ctr = 0
-            while True:
-                for _ in range(chunks):
-                    v = val & mask
-                    if v < q:
-                        return v
-                    val >>= bits
-                ctr += 1
-                h = copy_base()
-                h.update(f"{label}:{ctr}".encode())
-                val = from_bytes(h.digest(), "big")
-
-        return residue
 
 
 @functools.lru_cache(maxsize=64)
@@ -181,14 +150,6 @@ def _node_draws(q: int):
     return draw
 
 
-def _prefix_copier(seed: int, labels: tuple):
-    """The ``copy`` method of a SHA-256 object that has hashed the
-    stream prefix ``"seed:l1:...:"``."""
-    import hashlib
-
-    return hashlib.sha256("".join(f"{x}:" for x in (seed, *labels)).encode()).copy
-
-
 # The inputs of the node keys (rng_stream 4): the root's key is the
 # SHA-256 of "seed:trial:node", and child t's key the SHA-256 of its
 # parent's key, the tag "c" and the byte t.  Draws past a key's own words
@@ -207,9 +168,10 @@ def node_child(t: int) -> bytes:
 def derived_rng(seed: int, *labels) -> random.Random:
     """Child PRNG for a named stream under one master seed.
 
-    Streams are independent per label tuple (trial index, station, node, ...),
-    so adding or removing instrumentation on one stream never perturbs
-    another.  Hashing keeps the derivation stable across Python versions.
+    It seeds only the heuristic strategies of ``relbc.adversary``, whose
+    shares are drawn with ``randrange``; no run draws from it since
+    ``rng_stream`` 4.  Streams are independent per label tuple, and
+    hashing keeps the derivation stable across Python versions.
     """
     import hashlib
 

@@ -32,6 +32,10 @@ KIND_FQ = "fq"
 KIND_TREE = "tree"
 KINDS = (KIND_SINGLE, KIND_FQ, KIND_TREE)
 
+# The deepest transcript ``Transcript.from_json`` reads: its label
+# patterns repeat a digit k times, and ``re`` refuses counts from 2**32 - 1.
+MAX_TRANSCRIPT_K = 2**32 - 2
+
 
 def resolve(kind: str, k: int, n_stations: int = 3) -> tuple[str, int, int]:
     """The (kind, k, n_stations) of the protocol a request runs.
@@ -161,11 +165,12 @@ class Transcript:
         """Parse a transcript document, checking its schema first.
 
         Raises ValueError naming the first field that is missing, has the
-        wrong type or is out of range: an unknown kind, k < 1 (k != 1 for
-        ``single``), integers outside their range (challenges, responses
-        and claims in [0, q)), node labels that are not nodes of the
-        protocol, a record whose round or color is not its node's, or a
-        second record of a node or reveal of a leaf.  A node at depth j
+        wrong type or is out of range: an unknown kind, k < 1 or k >
+        ``MAX_TRANSCRIPT_K`` (k != 1 for ``single``), integers outside
+        their range (challenges, responses and claims in [0, q)), node
+        labels that are not nodes of the protocol, a record whose round
+        or color is not its node's, or a second record of a node or
+        reveal of a leaf.  A node at depth j
         runs in round j + 1 at its canonical color.  A tree takes the
         station counts ``tree.check_tree_stations`` allows (3 when
         ``n_stations`` is missing), and a chain exactly 2.
@@ -175,6 +180,8 @@ class Transcript:
         if kind not in KINDS:
             raise ValueError(f"protocol: must be one of {KINDS}, got {kind!r}")
         k = _int_in(doc.get("k"), "k", 1, None)
+        if k > MAX_TRANSCRIPT_K:
+            raise ValueError(f"k: a transcript is at most {MAX_TRANSCRIPT_K} rounds deep, got {k!r:.40}")
         if kind == KIND_SINGLE and k != 1:
             raise ValueError(f"k: a single transcript is the chain at k = 1, got {k}")
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
@@ -282,17 +289,6 @@ def _not_int(value, name: str, lo: int, hi: Optional[int]) -> ValueError:
     """The refusal of ``value`` as an integer in [lo, hi]."""
     span = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
     return ValueError(f"{name}: expected an integer {span}, got {value!r:.40}")
-
-
-def tree_shares(k: int, field: Field, rng, arity: int = 2) -> dict[str, int]:
-    """Alice's pre-shared random numbers for a depth-k tree, one per
-    internal node, keyed by node label and drawn level by level from one
-    PRNG."""
-    return {
-        v: field.sample(rng)
-        for j in range(k)
-        for v in tt.nodes_at_depth(j, arity)
-    }
 
 
 def honest_response(

@@ -9,9 +9,9 @@ from itertools import product
 import pytest
 
 from relbc import adversary as adv, tree as tt
-from relbc.field import Field
+from relbc.field import Field, derived_rng
 from relbc.formulas import bound_table
-from relbc.protocol import KIND_FQ, Record, Reveal, Transcript, verify_tree
+from relbc.protocol import KIND_FQ, Record, Reveal, Transcript, honest_response, verify_tree
 from relbc.sim import ResourceGuardError
 
 F2 = Field(2)
@@ -293,6 +293,41 @@ def test_strategy_eval_of_the_depth_3_honest_table():
     # 15 nodes, 3**7 challenge histories: every node's accessible list is
     # read once per history and per open attempt
     assert adv.strategy_eval(adv.honest_strategy_table(F3, k=3)) == (1.0, 19 / 27)
+
+
+def _rejection_draw(rng, q):
+    """A residue mod q by the rule the heuristic strategies first drew
+    with: q.bit_length() bits from ``rng`` until they are below q."""
+    bits = q.bit_length()
+    while True:
+        v = rng.getrandbits(bits)
+        if v < q:
+            return v
+
+
+def test_heuristic_strategies_keep_their_draws():
+    # every honest table the budget admits at q = 2 and 3, and the late
+    # chain cheat at 20 seeds, against the tables of the rejection rule
+    for q, k, d_commit in product((2, 3), (1, 2, 3), (0, 1)):
+        field = Field(q)
+        rng = derived_rng(0, "heuristic-shares")
+        shares = {v: _rejection_draw(rng, q) for j in range(k) for v in tt.nodes_at_depth(j)}
+        want = adv.StrategyTable.from_functions(
+            k, field,
+            lambda v, b, view: honest_response(v, b, shares, d_commit, field),
+            lambda leaf, view, d: shares[tt.parent(leaf)],
+        )
+        got = adv.honest_strategy_table(field, k, d_commit)
+        assert (got.responses, got.reveals) == (want.responses, want.reveals), (q, k, d_commit)
+    for q, seed in product((2, 3, 5), range(20)):
+        rng = derived_rng(seed, "chain-shares")
+        a1, a2 = _rejection_draw(rng, q), _rejection_draw(rng, q)
+        want = adv.ChainStrategy(
+            (a1,) * q,
+            tuple((a2 + b2 * a1) % q for b2 in range(q)),
+            {d: {b1: a2 for b1 in range(q)} for d in (0, 1)},
+        )
+        assert adv.late_decision_chain(Field(q), seed) == want, (q, seed)
 
 
 def test_hygiene_audit_catches_missing_keys():

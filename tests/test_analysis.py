@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from relbc import analysis as an
 from relbc import formulas as fm
 from relbc.field import Field, LossDraws
-from relbc.sim import LossModel, comm_cost, run_protocol
+from relbc.sim import EVENT_MAX_K, LossModel, comm_cost, run_protocol
 
 
 def test_p_ok_chain_formula():
@@ -649,7 +649,7 @@ def test_work_budgets_admit_the_readme_and_benchmark_sizes():
     an.check_budget("tree", 200, walk_trials=100_000)
     an.check_budget("fq", 69, walk_trials=100_000)
     an.check_budget("tree", 15, event_runs=1500)
-    an.check_budget("tree", an.EVENT_MAX_K, event_runs=16)
+    an.check_budget("tree", EVENT_MAX_K, event_runs=16)
 
 
 def test_work_budgets_refuse_before_any_work():
@@ -659,12 +659,12 @@ def test_work_budgets_refuse_before_any_work():
     with pytest.raises(an.ResourceGuardError, match="trial-rounds exceeds the budget"):
         an.monte_carlo_reliability("fq", 1000, 0.001, 1, huge // 1000 + 1, seed=1)
     with pytest.raises(an.ResourceGuardError, match="per-run cap"):
-        an.monte_carlo_reliability("tree", an.EVENT_MAX_K + 1, 0.0, 1, 1, seed=1, comm_samples=1)
+        an.monte_carlo_reliability("tree", EVENT_MAX_K + 1, 0.0, 1, 1, seed=1, comm_samples=1)
     with pytest.raises(an.ResourceGuardError, match="scheduled nodes exceed"):
         an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
     # (n-1)^N past 4300 digits is refused by its factors, never formatted
     with pytest.raises(an.ResourceGuardError, match=r"5001 x 10\*\*4400 scheduled nodes .*EVENT_BUDGET"):
-        an.check_budget("tree", an.EVENT_MAX_K, event_runs=5, n_stations=11, prune_lag=4400)
+        an.check_budget("tree", EVENT_MAX_K, event_runs=5, n_stations=11, prune_lag=4400)
     # the exact boundary is admitted
     an.check_budget("fq", 1000, walk_trials=huge // 1000)
     # one round, but more trials than the walk can hold in memory at once;
@@ -673,6 +673,11 @@ def test_work_budgets_refuse_before_any_work():
     with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
         an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
     an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
+
+
+def test_m_past_a_float_is_a_value_error_naming_m():
+    with pytest.raises(ValueError, match="^m: too large for a float"):
+        an.monte_carlo_reliability("tree", 5, 0.0, 10**400, 10, seed=1)
 
 
 def test_walk_state_charges_an_int32_abort_round_per_trial():
@@ -685,10 +690,10 @@ def test_walk_state_charges_an_int32_abort_round_per_trial():
 
 
 def test_label_characters_admit_sixteen_three_station_runs_of_the_cap():
-    an.check_budget("tree", an.EVENT_MAX_K, event_runs=16)
+    an.check_budget("tree", EVENT_MAX_K, event_runs=16)
     for n, lag in ((11, 2), (4, 2), (3, 3)):
         with pytest.raises(an.ResourceGuardError, match="label characters"):
-            an.check_budget("tree", an.EVENT_MAX_K, event_runs=1, n_stations=n, prune_lag=lag)
+            an.check_budget("tree", EVENT_MAX_K, event_runs=1, n_stations=n, prune_lag=lag)
     # four stations, lag 2: 3 + 9 * (k * (k + 1) - 2) / 2 characters, so
     # k = 3333 fits and k = 3334 does not
     an.check_budget("tree", 3333, event_runs=1, n_stations=4)
@@ -708,7 +713,7 @@ def _refused(call):
 EVENT_GRID = [
     (kind, k, n, lag)
     for kind in ("tree", "fq", "single")
-    for k in (1, 2, 5, 14, 15, 199, 200, 3333, 3334, an.EVENT_MAX_K, an.EVENT_MAX_K + 1)
+    for k in (1, 2, 5, 14, 15, 199, 200, 3333, 3334, EVENT_MAX_K, EVENT_MAX_K + 1)
     for n in (3, 4, 11)
     for lag in (1, 2, 4, 14, 15)
     if kind == "tree" or (n, lag) == (3, 2)

@@ -612,6 +612,20 @@ def test_simulate_tree_cost_past_a_float_exit_1_before_the_walk(capsys, tmp_path
     assert code == 0, err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--engine", "fast"), ("--engine", "events"), ("--protocol", "fq"), ("--p", "0"),
+])
+def test_simulate_m_past_a_float_exit_1_naming_m(capsys, tmp_path, flags):
+    # the report's loss figures take m * p as a float
+    code, out, err = run(
+        capsys, "simulate", "--k", "5", "--m", "7" * 400, "--seed", "1", "--trials", "10",
+        "--transcript-out", str(tmp_path / "t.json"), *flags,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: m: too large for a float") and "Traceback" not in err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_simulate_tree_over_eleven_stations_exit_1(capsys):
     # a node label spends one digit per level, so a node has at most ten
     # children; the cap holds for every tree request, so that a report's
@@ -774,6 +788,23 @@ def test_verify_transcript_roundtrip(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["outcome"] == "accept"
     assert doc["revealed"] == 1
+
+
+@pytest.mark.parametrize("k", [2**32 - 1, 10**11])
+def test_verify_transcript_past_the_deepest_k_exit_1_naming_k(capsys, tmp_path, k):
+    # the label patterns repeat a digit k times, and re refuses a count of 2**32 - 1
+    doc = {"protocol": "tree", "k": k, "q": 5, "records": [], "reveals": [], "abort": None}
+    tr_path = tmp_path / "deep.json"
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: transcript: k: a transcript is at most {2**32 - 2} rounds deep, got {k}\n"
+    # the deepest k read: nothing recorded, so the root did not respond
+    doc["k"] = 2**32 - 2
+    tr_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-transcript", str(tr_path))
+    assert code == 0, err
+    assert json.loads(out)["outcome"] == "abort"
 
 
 def test_verify_transcript_missing_file(capsys, tmp_path):
@@ -956,6 +987,22 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--trials", "40")
     assert code == 0
     assert json.loads(out)["trials"] == 40
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_config_file_p_writes_the_bytes_of_the_flag(capsys, tmp_path, p):
+    # a JSON 0 is an int; p is stored as the float --p gives
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p}))
+    outs = []
+    for name, source in (("file", ["--config", str(cfg)]), ("flag", ["--p", str(p)])):
+        csv_path = tmp_path / f"{name}.csv"
+        code, out, err = run(capsys, "simulate", "--k", "5", "--seed", "1", "--trials", "10",
+                             "--out-csv", str(csv_path), *source)
+        assert code == 0, err
+        outs.append((out, csv_path.read_bytes()))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][0])["p"] == float(p)
 
 
 def test_experiment_config_validation_collects_errors():

@@ -17,7 +17,6 @@ from relbc.protocol import (
     alpha_chain,
     honest_response,
     resolve,
-    tree_shares,
     verify_tree,
 )
 from relbc.sim import LossModel, run_protocol
@@ -25,11 +24,12 @@ from relbc.sim import LossModel, run_protocol
 
 def _honest_tree_transcript(k, field, d, seed, reveal_leaf=None):
     col = tt.make_coloring(k, 3)
-    shares = tree_shares(k, field, derived_rng(seed, "shares"))
+    rng = derived_rng(seed, "shares")
+    shares = {v: rng.randrange(field.q) for j in range(k) for v in tt.nodes_at_depth(j)}
     tr = Transcript(kind=KIND_TREE, k=k, q=field.q)
     for j in range(k):
         for v in tt.nodes_at_depth(j):
-            b = field.sample(derived_rng(seed, "b", v))
+            b = derived_rng(seed, "b", v).randrange(field.q)
             tr.records[v] = Record(
                 b=b, y=honest_response(v, b, shares, d, field),
                 round=j + 1, color=col.color(v),
@@ -140,11 +140,11 @@ def test_liveness_is_the_answered_nodes_plus_the_revealing_leaves():
 def _honest_chain_transcript(k, field, d, seed):
     # round j is node "0"*(j-1) of the two-station tree
     rng = derived_rng(seed, "cs")
-    shares = {str(j): field.sample(rng) for j in range(1, k + 1)}
+    shares = {str(j): rng.randrange(field.q) for j in range(1, k + 1)}
     tr = Transcript(kind=KIND_FQ, k=k, q=field.q, n_stations=2)
     prev = d
     for j in range(1, k + 1):
-        b = field.sample(derived_rng(seed, "cb", j))
+        b = derived_rng(seed, "cb", j).randrange(field.q)
         y = (shares[str(j)] + b * prev) % field.q
         tr.records["0" * (j - 1)] = Record(b=b, y=y, round=j, color=1 if j % 2 else 2)
         prev = shares[str(j)]
