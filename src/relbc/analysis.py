@@ -1,12 +1,12 @@
 """Monte Carlo estimators of survival, and their reports.
 
-Two engines: a vectorized station-level walk for large sweeps, and the
-full event-driven simulator for cross-validation at small sizes.  Both
+Every report counts the abort rounds of a vectorized station-level walk,
+and the full event-driven simulator replays some of its trials.  Both
 read their station losses from one stream, ``relbc.field``'s loss stream
-(the one of ``rng_stream`` 3, kept by 4), so they give the same abort
-round on every trial.  Each estimate carries an exact binomial confidence
-interval and sits next to the published closed form of
-``relbc.formulas``; the reports are JSON and CSV.
+(the one of ``rng_stream`` 3, kept by 4), so each replayed run ends in
+its walk trial's round, which every report checks.  Each estimate carries
+an exact binomial confidence interval and sits next to the published
+closed form of ``relbc.formulas``; the reports are JSON and CSV.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .binomial import beta_quantile
 from .field import WALK_BLOCK, Field, loss_stream_key
-from .formulas import _real, comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
-from .protocol import ACCEPT, KIND_TREE, resolve
+from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
+from .protocol import KIND_TREE, Verdict, resolve
 from .sim import (
     LossModel,
     ResourceGuardError,
@@ -56,7 +56,7 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
     on a 2-core x86-64 host.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError(f"trials: must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes: must be in 0..{trials}, got {successes}")
     half = alpha / 2
@@ -85,9 +85,14 @@ RNG_STREAM = 4
 # Station-walk budgets, checked before any work starts.  On a 2-core host
 # the three-station tree walk steps about 1.2e8 trial-rounds/s on one block
 # of trials and 2.3e8 on many, whose blocks run on both cores; the chain
-# walk about 4e8 and 8e8.  So a full walk budget is 4 to 8 s of tree walk.
-# The event engine's caps are sim.check_event_runs, which every run calls.
+# walk about 4e8 and 8e8.  A round also has a fixed cost in numpy calls,
+# however few trials it holds: 12.5 us for the tree walk and 3.5 us for
+# the chain, the work of 1,070 to 1,190 trials in a full block of either,
+# so a round is charged at least WALK_ROUND_TRIALS trials.  A full walk
+# budget is then 4 to 11 s of tree walk at any trial count.  The event
+# engine's caps are sim.check_event_runs, which every run calls.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
+WALK_ROUND_TRIALS = 1200   # the trials a round is charged at least
 WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
 
 
@@ -104,19 +109,23 @@ def check_budget(
     or ``event_runs`` event-engine runs of depth k do not pass
     ``sim.check_event_runs``, the check every run makes itself.
 
-    The walk holds an int32 abort round per trial, so the guard charges 4
-    bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
+    The walk is charged max(trials, WALK_ROUND_TRIALS) x rounds
+    trial-rounds against WALK_BUDGET, since a round of a few trials costs
+    about as much as one of WALK_ROUND_TRIALS; a walk of no trials is
+    free.  It holds an int32 abort round per trial, so the guard charges
+    4 bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
     worker's buffers for one block of at most WALK_BLOCK trials come on
     top.  The sizes are those of the protocol ``protocol.resolve`` gives.
     """
     kind, k, n_stations = resolve(kind, k, n_stations)
     rounds = k + 1 if kind == KIND_TREE else k
+    charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
     # The walk sizes are named by their factors, never multiplied out: the
     # product may have more digits than Python converts to a string.
-    if capped_product((walk_trials, rounds), WALK_BUDGET) > WALK_BUDGET:
+    if capped_product((charged, rounds), WALK_BUDGET) > WALK_BUDGET:
         raise ResourceGuardError(
-            f"station walk of trials x rounds = {walk_trials} x {rounds} trial-rounds "
-            f"exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
+            f"station walk of max(trials, WALK_ROUND_TRIALS) x rounds = {charged} x {rounds} "
+            f"trial-rounds exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
         )
     if capped_product((walk_trials, 4), WALK_STATE_BYTES) > WALK_STATE_BYTES:
         raise ResourceGuardError(
@@ -156,17 +165,19 @@ def _walk_blocks(
     here, before any thread starts; a worker sets its generator to each
     block's state in turn.  ``walker(width)`` allocates one worker's
     buffers for blocks of up to ``width`` trials and returns
-    ``walk(abort, rounds)``, which writes the abort rounds of one block
-    into ``abort``, a view of its trials, as ``rounds`` yields each round
-    r with the block's draws, a (B, n) array.  If any worker raises, the
-    others stop at their next round, and all are joined before the
-    exception propagates.
+    ``walk(abort, rounds)``, which lowers ``abort``, a view of one block's
+    trials filled with rounds + 1, to each trial's first abort round with
+    ``np.minimum``, as ``rounds`` yields each round r with the block's
+    draws, a (B, n) array; the trials left at rounds + 1 survived and are
+    set to 0 after the block.  If any worker raises, the others stop at
+    their next round, and all are joined before the exception propagates.
     """
     abort = np.empty(trials, dtype=np.int32)
     width = min(trials, WALK_BLOCK)
     blocks = range(0, trials, WALK_BLOCK)  # each block's first trial
     workers = [
-        (np.empty((width, n)), walker(width), np.random.Generator(np.random.PCG64(0)))
+        (np.empty((width, n)), walker(width), np.random.Generator(np.random.PCG64(0)),
+         np.empty(width, dtype=bool))
         for _ in range(max(1, min(_cpus(), len(blocks))))
     ]
     starts = iter(blocks)
@@ -192,18 +203,22 @@ def _walk_blocks(
                 bits.advance(pad)
             yield r, draw
 
-    def run(draw: np.ndarray, walk: Callable, rng: np.random.Generator) -> None:
+    def run(draw: np.ndarray, walk: Callable, rng: np.random.Generator, never: np.ndarray) -> None:
         while not stop.is_set():
             with lock:
                 lo = next(starts, None)
             if lo is None:
                 return
             hi = min(lo + WALK_BLOCK, trials)
-            walk(abort[lo:hi], draws(lo, draw[: hi - lo], rng))
+            block, survived = abort[lo:hi], never[: hi - lo]
+            block.fill(rounds + 1)
+            walk(block, draws(lo, draw[: hi - lo], rng))
+            np.equal(block, rounds + 1, out=survived)
+            np.copyto(block, 0, where=survived)
 
-    def run_in_thread(draw: np.ndarray, walk: Callable, rng: np.random.Generator) -> None:
+    def run_in_thread(*worker) -> None:
         try:
-            run(draw, walk, rng)
+            run(*worker)
         except BaseException as exc:  # re-raised in the caller
             failures.append(exc)
             stop.set()
@@ -233,19 +248,14 @@ def chain_abort_rounds(k: int, p: float, trials: int, seed: int) -> np.ndarray:
     draws are the "chain" loss stream: the tree walk's layout at n = 1,
     walked by the same blocks and workers, and read by
     ``sim.ChainTracker`` one trial at a time."""
-    never = k + 1
-
     def walker(width: int) -> Callable:
         died = np.empty(width, dtype=bool)
 
         def walk(abort: np.ndarray, rounds: Iterator) -> None:
             dies = died[: len(abort)]
-            abort.fill(never)
             for r, u in rounds:
                 np.less(u[:, 0], p, out=dies)
                 np.minimum(abort, r, out=abort, where=dies)
-            np.equal(abort, never, out=dies)
-            np.copyto(abort, 0, where=dies)
 
         return walk
 
@@ -279,9 +289,7 @@ def tree_abort_rounds(
     n = n_stations
     m = min(m, k + 1)
     # Aborts are kept with np.minimum, so the first abort round of a trial
-    # stands; `never` marks a trial that has not aborted yet.  An aborted
-    # trial keeps walking, which spares a survivors mask.
-    never = k + 2
+    # stands.  An aborted trial keeps walking, which spares a survivors mask.
     ctype = np.min_scalar_type(n)
     colors = np.arange(n, dtype=ctype)[:, None]
 
@@ -303,7 +311,6 @@ def tree_abort_rounds(
             rev, cur = revive_buf[:, :b], cur_buf[:b]
             rev.fill(0)
             cur.fill(0)
-            abort.fill(never)
             for r, u in rounds:
                 np.less(u, p, out=below)
                 np.copyto(drawn, below.T)
@@ -324,8 +331,6 @@ def tree_abort_rounds(
                     all_dead = dead[n - 1]
                     np.add.reduce(dead, axis=0, dtype=ctype, out=cur)
                 np.minimum(abort, r, out=abort, where=all_dead)
-            np.equal(abort, never, out=own[0])
-            np.copyto(abort, 0, where=own[0])
 
         return walk
 
@@ -408,36 +413,35 @@ def monte_carlo_reliability(
     comm_samples: int = 0,
 ) -> ReliabilityReport:
     """Estimate the no-abort probability with honest parties and compare
-    it against the closed form.
+    it against the closed form, for the protocol ``protocol.resolve`` gives.
 
-    ``engine='fast'`` runs the station-level walk; ``engine='events'``
-    drives full protocol runs and is only practical for small k*trials.
-    Both read the one loss stream, so they abort in the same round on
-    every trial and give the same report but for ``metadata.engine``.
-    Both run, and the report names, the protocol ``protocol.resolve``
-    gives.
-
-    Every event-engine run is made in one loop, trial t committing bit
-    t % 2: each trial under ``'events'``, and only the first
-    min(comm_samples, trials) under ``'fast'``.  Those first runs' mean
-    ``sim.comm_cost`` is the report's ``comm_bits_mean``.
+    Every figure comes from the histogram of the station walk's abort
+    rounds (``tree_abort_rounds`` or ``chain_abort_rounds``).  The engine
+    sets only which trials the event engine replays, trial t committing
+    bit t % 2: each trial under ``'events'`` (practical only for small
+    k*trials), the first min(comm_samples, trials) under ``'fast'``, whose
+    mean ``sim.comm_cost`` is ``comm_bits_mean``.  Both read the one loss
+    stream, so a run that does not end in its walk trial's round, or does
+    not abort and is not accepted revealing its bit, raises AssertionError.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if comm_samples < 0:
         raise ValueError(f"comm_samples: must be >= 0, got {comm_samples}")
-    _real(m, "m")  # the report's loss figures take m * p as a float
+    loss = LossModel(p=p, m=m)
     kind, k, n_stations = resolve(kind, k, n_stations)
     if engine not in ("fast", "events"):
         raise ValueError(f"unknown engine {engine!r}")
-    events = engine == "events"
     comm_samples = min(comm_samples, trials)
-    runs = trials if events else comm_samples
-    check_budget(kind, k, walk_trials=0 if events else trials, event_runs=runs,
+    runs = trials if engine == "events" else comm_samples
+    check_budget(kind, k, walk_trials=trials, event_runs=runs,
                  n_stations=n_stations, prune_lag=prune_lag)
+    if kind == KIND_TREE:
+        aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
+    else:
+        aborts = chain_abort_rounds(k, p, trials, seed)
     field = Field(q_modulus)
-    loss = LossModel(p=p, m=m)
-    n_ok, fcount, comm_total = 0, {}, 0.0
+    comm_total = 0.0
     for trial in range(runs):
         res = run_protocol(
             kind, k, field, d=trial % 2, seed=seed, trial=trial,
@@ -445,22 +449,15 @@ def monte_carlo_reliability(
         )
         if trial < comm_samples:
             comm_total += comm_cost(res.transcript, field)
-        if res.verdict.outcome == ACCEPT:
-            n_ok += 1
-        elif res.transcript.abort_round is not None:
-            fcount[res.transcript.abort_round] = fcount.get(res.transcript.abort_round, 0) + 1
-    if events:
-        # by round, as the walk's histogram gives them, so the hazard sums
-        # them in the same order
-        freq = {r: fcount[r] / trials for r in sorted(fcount)}
-    else:  # the walk gives the estimate; the runs gave only the cost
-        if kind == KIND_TREE:
-            aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
-        else:
-            aborts = chain_abort_rounds(k, p, trials, seed)
-        counts = np.bincount(aborts).tolist()
-        n_ok = counts[0]
-        freq = {r: c / trials for r, c in enumerate(counts) if r and c}
+        ran, walked = res.transcript.abort_round or 0, int(aborts[trial])
+        if ran != walked or not (ran or res.verdict == Verdict.accept(trial % 2)):
+            raise AssertionError(
+                f"trial {trial}: the event engine ended in round {ran} with verdict "
+                f"{res.verdict}, the station walk in round {walked} (0 = no abort)"
+            )
+    counts = np.bincount(aborts).tolist()
+    n_ok = counts[0]
+    freq = {r: c / trials for r, c in enumerate(counts) if r and c}
 
     p_ok_mc = n_ok / trials
     lo, hi = clopper_pearson(n_ok, trials)
@@ -469,7 +466,7 @@ def monte_carlo_reliability(
     meta = {
         "approx_station_loss": mp,
         "station_loss_1m1pm": 1.0 - (1.0 - p) ** m,
-        "exact_stationary_station_loss": LossModel(p=p, m=m).stationary_dead_fraction() if p < 1 else 1.0,
+        "exact_stationary_station_loss": loss.stationary_dead_fraction(),
         "approx_per_round_loss": float(per_round_loss_prob(n_stations, mp)) if kind == KIND_TREE else p,
         "regime_ok": bool(mp < 0.1 and m * 10 <= k),
         "engine": engine,

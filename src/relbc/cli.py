@@ -232,11 +232,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table = bool(cfg.out_csv or args.pretty)
     comm_samples = min(cfg.trials, analysis.COMM_SAMPLES) if table else 0
     # Every work budget is checked here, before the walk or any run starts,
-    # on exactly the event-engine runs that follow.
+    # on the walk and exactly the event-engine runs that follow.
     events = cfg.engine == "events"
     analysis.check_budget(
         cfg.protocol, cfg.k,
-        walk_trials=0 if events else cfg.trials,
+        walk_trials=cfg.trials,
         event_runs=(cfg.trials if events else comm_samples) + bool(args.transcript_out),
         n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
     )

@@ -13,7 +13,7 @@ import math
 from typing import Optional, Sequence
 
 from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
-from .sim import ResourceGuardError
+from .sim import ResourceGuardError, _real
 
 
 def per_round_loss_prob(n_stations: int, mp):
@@ -139,15 +139,6 @@ def bound_table(
             inverse.append({"k": k, "n_stations": n, "target_epsilon": target_epsilon,
                             "status": status, "min_q": min_q})
     return grid + inverse
-
-
-def _real(value: int, name: str) -> float:
-    """An integer parameter as a float; ValueError naming it when it is
-    too large for one."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: too large for a float, got {value!r:.40}") from None
 
 
 def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:

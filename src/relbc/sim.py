@@ -53,6 +53,15 @@ class ResourceGuardError(RuntimeError):
     """A requested computation exceeds the configured enumeration budget."""
 
 
+def _real(value: int, name: str) -> float:
+    """An integer parameter as a float; ValueError naming it when it is
+    too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: too large for a float, got {value!r:.40}") from None
+
+
 def capped_product(factors: Iterable[int], cap: int) -> int:
     """The product of ``factors``, or the first partial product over
     ``cap``.  Factors are multiplied one at a time, so a guard can refuse
@@ -123,7 +132,8 @@ def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prun
 @dataclass(frozen=True)
 class LossModel:
     """Independent per-station failure: an alive station dies with
-    probability p at each round and stays dead for m rounds."""
+    probability p at each round and stays dead for m rounds, m an int
+    that a float can hold (else ValueError naming m)."""
 
     p: float = 0.0
     m: int = 1
@@ -131,8 +141,11 @@ class LossModel:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"death probability must be in [0,1], got {self.p}")
+        if isinstance(self.m, bool) or not isinstance(self.m, int):  # a bool is no count
+            raise ValueError(f"m: dead duration must be an int, got {self.m!r:.40}")
         if self.m < 1:
-            raise ValueError(f"dead duration must be >= 1 round, got {self.m}")
+            raise ValueError(f"m: dead duration must be >= 1 round, got {self.m}")
+        _real(self.m, "m")  # the loss figures take m * p as a float
 
     def stationary_dead_fraction(self) -> float:
         """Exact long-run per-round non-responsiveness of one station."""

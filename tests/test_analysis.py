@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an
 from relbc import formulas as fm
+from relbc import sim
 from relbc.field import Field, LossDraws
+from relbc.protocol import Verdict
 from relbc.sim import EVENT_MAX_K, LossModel, comm_cost, run_protocol
 
 
@@ -55,6 +57,10 @@ def test_p_ok_domain_errors():
         fm.p_ok_formula("fq", 0.1, 0, 5)
     with pytest.raises(ValueError):
         fm.p_ok_formula("what", 0.1, 1, 5)
+    with pytest.raises(ValueError, match="unknown protocol kind 'what'"):
+        fm.half_life("what", 0.1, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        fm.x_sequence(1)
 
 
 def test_half_life_examples():
@@ -249,6 +255,7 @@ def test_clopper_pearson_solves_the_beta_equation_on_a_seeded_sample(trials, alp
     ((3, 10, 1.0), "alpha"),
     ((3, 10, math.nan), "alpha"),
     ((3, 10, 5e-324), "alpha"),
+    ((0, 0), "trials"),
 ])
 def test_clopper_pearson_refuses_what_has_no_interval(args, name):
     # outside these ranges there is no interval to give
@@ -319,6 +326,44 @@ def test_mc_engines_agree():
         )
         assert unnamed(walked) == unnamed(run), kind
         assert 0 < walked.p_ok_mc < 1
+
+
+def _kill_every_station(monkeypatch, trial, rnd):
+    """Make the event engine's station tracker of ``trial`` kill every
+    station from round ``rnd`` on, which the walk knows nothing of."""
+    init, step = sim.StationTracker.__init__, sim.StationTracker.step
+
+    def tracked_init(self, n_stations, loss, seed, trial_):
+        init(self, n_stations, loss, seed, trial_)
+        self.trial, self.round = trial_, 0
+
+    def killing_step(self):
+        self.round += 1
+        if self.trial == trial and self.round >= rnd:
+            self.counters[1:] = [1] * (len(self.counters) - 1)  # every station dead
+            return []
+        return step(self)
+
+    monkeypatch.setattr(sim.StationTracker, "__init__", tracked_init)
+    monkeypatch.setattr(sim.StationTracker, "step", killing_step)
+
+
+@pytest.mark.parametrize("engine, comm_samples", [("events", 0), ("fast", 4)])
+def test_mc_raises_when_a_run_leaves_its_walk_trial(monkeypatch, engine, comm_samples):
+    # a lossless walk never aborts; trial 3's run aborts in round 2
+    _kill_every_station(monkeypatch, trial=3, rnd=2)
+    with pytest.raises(AssertionError, match=r"^trial 3: .* round 2 .* round 0 "):
+        an.monte_carlo_reliability("tree", 6, 0.0, 1, 8, seed=1, engine=engine,
+                                   comm_samples=comm_samples)
+    # a trial that is not a cost sample runs only in the walk
+    rep = an.monte_carlo_reliability("tree", 6, 0.0, 1, 8, seed=1, comm_samples=3)
+    assert rep.p_ok_mc == 1.0
+
+
+def test_mc_raises_when_a_run_that_did_not_abort_is_not_accepted(monkeypatch):
+    monkeypatch.setattr(sim, "verify_tree", lambda *args: Verdict.reject("tampered"))
+    with pytest.raises(AssertionError, match=r"^trial 0: .*round 0 .*reject"):
+        an.monte_carlo_reliability("fq", 4, 0.0, 1, 2, seed=1, engine="events")
 
 
 @pytest.mark.parametrize("engine", ["fast", "events"])
@@ -393,6 +438,9 @@ def test_abort_rate_slope_is_quadratic():
     slope, reports = an.abort_rate_slope([0.02, 0.01, 0.005], 2, 200, 30000, seed=9)
     assert slope == pytest.approx(2.0, abs=0.2)
     assert all(r.fitted_slope == slope for r in reports)
+    # a point with no abort past the burn-in has no log to fit
+    with pytest.raises(ValueError, match="no aborts at mp=1e-06"):
+        an.abort_rate_slope([0.02, 1e-6], 2, 20, 100, seed=9)
 
 
 def test_report_metadata_carries_all_loss_conventions():
@@ -673,6 +721,16 @@ def test_work_budgets_refuse_before_any_work():
     with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
         an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
     an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(trials=0), "need at least one trial"),
+    (dict(engine="exact"), "unknown engine 'exact'"),
+])
+def test_mc_refuses_a_report_it_cannot_make(kw, message):
+    args = dict(kind="tree", k=5, p=0.1, m=2, trials=10, seed=1) | kw
+    with pytest.raises(ValueError, match=message):
+        an.monte_carlo_reliability(**args)
 
 
 def test_m_past_a_float_is_a_value_error_naming_m():

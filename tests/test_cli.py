@@ -444,6 +444,11 @@ def test_bind_oracle_budget_refusal_exit_2(capsys):
 def test_simulate_over_a_work_budget_exit_2_at_once(capsys):
     cases = [
         (["--k", "1000000000", "--p", "0.001", "--trials", "1"], "1000000001 trial-rounds"),
+        # 10^9 rounds of one trial would take hours: a round costs what
+        # WALK_ROUND_TRIALS trials of a full block do, and is charged so
+        (["--k", "999999999", "--trials", "1"], "1200 x 1000000000 trial-rounds"),
+        (["--protocol", "fq", "--k", "1000000000", "--trials", "1"],
+         "1200 x 1000000000 trial-rounds"),
         (["--k", "5001", "--trials", "1", "--pretty"], "per-run cap of 5000"),
         (["--k", "100", "--trials", "100000", "--engine", "events"], "scheduled nodes"),
         # 16 cost samples x 5001 x 2**5 = 2560512 nodes
@@ -661,6 +666,13 @@ def test_chsh_uniform_with_a_y_dist_exit_1_naming_both_flags(capsys):
 
 def test_chsh_uniform_flag_is_the_default(capsys):
     assert run(capsys, "chsh", "--q", "3", "--uniform") == run(capsys, "chsh", "--q", "3")
+
+
+def test_chsh_budget_flag_admits_a_search_past_the_default(capsys):
+    # 19/49 needs more than the default budget of 5000000 (README)
+    code, out, err = run(capsys, "chsh", "--q", "7", "--uniform", "--budget", "50000000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == "19/49"
 
 
 def test_chsh_bad_distribution(capsys):

@@ -91,6 +91,8 @@ def test_spec_validation():
         GameSpec(F2, (0, 1), (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
         GameSpec(F2, (0, 5), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="one entry per residue"):
+        GameSpec(F2, (0, 1), (Fraction(1),))
 
 
 def test_budget_guard():

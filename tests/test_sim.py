@@ -29,6 +29,12 @@ def test_loss_model_validation():
         LossModel(p=1.5)
     with pytest.raises(ValueError):
         LossModel(p=0.1, m=0)
+    # m is a count of rounds that a float can hold; each refusal names it
+    for m in (2.5, True, "3", 10**400):
+        with pytest.raises(ValueError, match="^m: "):
+            LossModel(p=0.1, m=m)
+    with pytest.raises(ValueError, match="^m: too large for a float, got 1000"):
+        LossModel(p=0.1, m=10**400)
 
 
 def test_station_tracker_matches_stationary_fraction():
