@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Callable, Iterator, Optional
 
+from .base import ResourceGuardError, capped_product
 from .field import Field, derived_rng
 from . import games, tree as tt
 from .formulas import binding_ceiling, x_sequence
@@ -37,7 +38,6 @@ from .protocol import (
     resolve,
     verify_tree,
 )
-from .sim import ResourceGuardError, capped_product
 
 DEFAULT_BUDGET = 20_000_000
 

@@ -25,11 +25,15 @@ from .binomial import beta_quantile
 from .field import WALK_BLOCK, Field, loss_stream_key
 from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
 from .protocol import KIND_TREE, Verdict, resolve
-from .sim import (
+# the walk's budget lives in relbc.sim, so a refusal loads no numpy; its
+# names and ResourceGuardError stay importable from here
+from .sim import (  # noqa: F401
+    WALK_BUDGET,
+    WALK_ROUND_TRIALS,
+    WALK_STATE_BYTES,
     LossModel,
     ResourceGuardError,
-    capped_product,
-    check_event_runs,
+    check_budget,
     comm_cost,
     run_protocol,
 )
@@ -80,60 +84,6 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[f
 # same under either engine and at any trial count.  Streams 1 and 2 fed
 # the walk alone.
 RNG_STREAM = 4
-
-
-# Station-walk budgets, checked before any work starts.  On a 2-core host
-# the three-station tree walk steps about 1.2e8 trial-rounds/s on one block
-# of trials and 2.3e8 on many, whose blocks run on both cores; the chain
-# walk about 4e8 and 8e8.  A round also has a fixed cost in numpy calls,
-# however few trials it holds: 12.5 us for the tree walk and 3.5 us for
-# the chain, the work of 1,070 to 1,190 trials in a full block of either,
-# so a round is charged at least WALK_ROUND_TRIALS trials.  A full walk
-# budget is then 4 to 11 s of tree walk at any trial count.  The event
-# engine's caps are sim.check_event_runs, which every run calls.
-WALK_BUDGET = 10**9        # trial-rounds of one station walk
-WALK_ROUND_TRIALS = 1200   # the trials a round is charged at least
-WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
-
-
-def check_budget(
-    kind: str,
-    k: int,
-    walk_trials: int = 0,
-    event_runs: int = 0,
-    n_stations: int = 3,
-    prune_lag: int = 2,
-) -> None:
-    """Raise ResourceGuardError, naming the budget and the size asked for,
-    if a station walk over ``walk_trials`` trials exceeds a work budget,
-    or ``event_runs`` event-engine runs of depth k do not pass
-    ``sim.check_event_runs``, the check every run makes itself.
-
-    The walk is charged max(trials, WALK_ROUND_TRIALS) x rounds
-    trial-rounds against WALK_BUDGET, since a round of a few trials costs
-    about as much as one of WALK_ROUND_TRIALS; a walk of no trials is
-    free.  It holds an int32 abort round per trial, so the guard charges
-    4 bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
-    worker's buffers for one block of at most WALK_BLOCK trials come on
-    top.  The sizes are those of the protocol ``protocol.resolve`` gives.
-    """
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    rounds = k + 1 if kind == KIND_TREE else k
-    charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
-    # The walk sizes are named by their factors, never multiplied out: the
-    # product may have more digits than Python converts to a string.
-    if capped_product((charged, rounds), WALK_BUDGET) > WALK_BUDGET:
-        raise ResourceGuardError(
-            f"station walk of max(trials, WALK_ROUND_TRIALS) x rounds = {charged} x {rounds} "
-            f"trial-rounds exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
-        )
-    if capped_product((walk_trials, 4), WALK_STATE_BYTES) > WALK_STATE_BYTES:
-        raise ResourceGuardError(
-            f"station walk of trials x bytes per trial = {walk_trials} x 4 bytes "
-            f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
-        )
-    if event_runs:
-        check_event_runs(kind, k, event_runs, n_stations, prune_lag)
 
 
 def _cpus() -> int:
@@ -423,7 +373,14 @@ def monte_carlo_reliability(
     mean ``sim.comm_cost`` is ``comm_bits_mean``.  Both read the one loss
     stream, so a run that does not end in its walk trial's round, or does
     not abort and is not accepted revealing its bit, raises AssertionError.
+    A count or seed that is not an int (a bool is none) raises ValueError
+    naming it, and so does a p that is not a real number.
     """
+    counts = (("k", k), ("trials", trials), ("seed", seed), ("n_stations", n_stations),
+              ("prune_lag", prune_lag), ("comm_samples", comm_samples))
+    for name, value in counts:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be an int, got {value!r:.40}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if comm_samples < 0:
@@ -536,9 +493,6 @@ def abort_rate_slope(
 
 # ---------------------------------------------------------------------------
 # Report tables
-
-# The comm_samples of a printed table: its cost is the first 16 trials' mean.
-COMM_SAMPLES = 16
 
 
 def report_row(

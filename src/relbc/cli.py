@@ -6,13 +6,18 @@ Subcommands: ``simulate`` (Monte Carlo reliability runs), ``bind-oracle``
 exported transcript).  Machine-readable JSON/CSV is the primary output;
 ``--pretty`` renders the same data as text tables.
 
-Each subcommand imports only the layers it runs: ``simulate`` the Monte
-Carlo layer (``relbc.analysis``, with numpy), ``bind-oracle`` and
-``chsh`` the exact oracles, and ``bounds`` the closed forms
-(``relbc.formulas``) alone.
+Importing this module loads no relbc layer: the package namespace is
+lazy, and this module needs only the shared names of ``relbc.base``.
+Each subcommand imports the layers it runs: ``simulate`` the event engine
+(``relbc.sim``) and, once its config, its output paths and every work
+budget pass, the Monte Carlo layer (``relbc.analysis``, with numpy), so a
+refusal loads no numpy; ``bind-oracle`` the exact oracles; ``chsh`` the
+game solver (``relbc.games``); ``bounds`` the closed forms
+(``relbc.formulas``) alone; and ``verify-transcript`` the verifier
+(``relbc.protocol``).
 
 ``simulate`` runs the event engine only for output it prints: every
-trial under ``--engine events``, whose first ``analysis.COMM_SAMPLES``
+trial under ``--engine events``, whose first ``COMM_SAMPLES``
 runs are also the cost samples of a table (``--out-csv`` or ``--pretty``,
 whose rows have the cost columns); under the walk, those cost samples
 alone; and one run for ``--transcript-out``.  Its one work-budget check
@@ -35,12 +40,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import tree as tt
-from .field import Field
-from .protocol import KIND_TREE, KINDS, Transcript, resolve, verify_tree
-from .sim import ResourceGuardError
+from .base import KIND_TREE, KINDS, ResourceGuardError, resolve
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
+
+# The comm_samples of a printed table: its cost is the first 16 trials' mean.
+COMM_SAMPLES = 16
 
 
 class ConfigError(ValueError):
@@ -71,6 +76,9 @@ class ExperimentConfig:
     out_json: Optional[str] = None
 
     def validate(self) -> None:
+        from . import tree as tt
+        from .field import Field
+
         errs = self._type_errors()
         if errs:
             raise ConfigError("; ".join(errs))
@@ -218,7 +226,7 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import analysis, formulas  # loaded only by the commands that use them
+    from . import formulas, sim
 
     cfg = ExperimentConfig.from_args(args)
     # Every output path is tried before any work, and nothing is written
@@ -230,11 +238,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Only a printed table (CSV or --pretty) has the cost columns, so only
     # then do the cost samples run.
     table = bool(cfg.out_csv or args.pretty)
-    comm_samples = min(cfg.trials, analysis.COMM_SAMPLES) if table else 0
+    comm_samples = min(cfg.trials, COMM_SAMPLES) if table else 0
     # Every work budget is checked here, before the walk or any run starts,
     # on the walk and exactly the event-engine runs that follow.
     events = cfg.engine == "events"
-    analysis.check_budget(
+    sim.check_budget(
         cfg.protocol, cfg.k,
         walk_trials=cfg.trials,
         event_runs=(cfg.trials if events else comm_samples) + bool(args.transcript_out),
@@ -243,6 +251,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if table:
         # a cost formula too large for a float is bad input, refused before the walk
         formulas.comm_bits_formula(cfg.protocol, cfg.k, cfg.q, cfg.prune_lag)
+    from . import analysis  # numpy loads only for a request that passed every check
+
     rep = analysis.monte_carlo_reliability(
         cfg.protocol,
         cfg.k,
@@ -258,10 +268,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     outputs: list[tuple[str, Optional[str], str]] = []  # (text, path, flag)
     if args.transcript_out:
-        from .sim import LossModel, run_protocol
-        res = run_protocol(
+        from .field import Field
+
+        res = sim.run_protocol(
             cfg.protocol, cfg.k, Field(cfg.q), d=args.commit_bit,
-            seed=cfg.seed, trial=0, loss=LossModel(p=cfg.p, m=cfg.m),
+            seed=cfg.seed, trial=0, loss=sim.LossModel(p=cfg.p, m=cfg.m),
             n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
         )
         outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
@@ -291,8 +302,8 @@ def _search_budget(budget: Optional[int], default: int) -> int:
 
 
 def cmd_bind_oracle(args: argparse.Namespace) -> int:
-    # the exact oracles load only for the two commands that search
     from . import adversary
+    from .field import Field
 
     budget = _search_budget(args.budget, adversary.DEFAULT_BUDGET)
     field = Field(args.q)
@@ -316,6 +327,7 @@ def _parse_y_dist(text: str, q: int) -> tuple[Fraction, ...]:
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     from . import games
+    from .field import Field
 
     if args.uniform and args.y_dist is not None:
         raise ConfigError(
@@ -375,6 +387,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_transcript(args: argparse.Namespace) -> int:
+    from . import tree as tt
+    from .field import Field
+    from .protocol import Transcript, verify_tree
+
     try:
         text = Path(args.transcript).read_text()
         tr = Transcript.from_json(text)

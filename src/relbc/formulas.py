@@ -3,8 +3,9 @@
 Survival probability, half-life, communication cost and the binding
 ceilings, as the paper states them.  They accept exact rationals where
 that makes consistency checks exact, and they are plain Python: this
-module loads neither numpy nor the Monte Carlo layer (``relbc.analysis``),
-so the exact oracles and ``relbc bounds`` read the ceiling without them.
+module loads no numpy and no other relbc layer, only the shared names of
+``relbc.base``, so the exact oracles and ``relbc bounds`` read the
+ceiling without the Monte Carlo layer (``relbc.analysis``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .protocol import KIND_FQ, KIND_SINGLE, KIND_TREE, resolve
-from .sim import ResourceGuardError, _real
+from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, ResourceGuardError, _real, resolve
 
 
 def per_round_loss_prob(n_stations: int, mp):

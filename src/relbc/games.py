@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Sequence
 
+from .base import ResourceGuardError, capped_product
 from .field import Field
-from .sim import ResourceGuardError, capped_product
 
 DEFAULT_BUDGET = 5_000_000
 

@@ -10,7 +10,8 @@ Three protocol kinds share one transcript format and one verifier,
 * ``tree``   — the loss-tolerant protocol on the colored binary (or n-ary)
                tree, one challenge/response round per node.
 
-``resolve`` is the one place that says which of these a request runs.
+``resolve`` (from ``relbc.base``, re-exported here) is the one place
+that says which of these a request runs.
 
 Responses are integers in [0, q); ``None`` encodes a missing response
 (a node whose answer did not arrive in time).
@@ -24,34 +25,14 @@ from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
+# the kinds and resolve live in relbc.base and stay importable from here
+from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, resolve  # noqa: F401
 from .field import Field
 from . import tree as tt
-
-KIND_SINGLE = "single"
-KIND_FQ = "fq"
-KIND_TREE = "tree"
-KINDS = (KIND_SINGLE, KIND_FQ, KIND_TREE)
 
 # The deepest transcript ``Transcript.from_json`` reads: its label
 # patterns repeat a digit k times, and ``re`` refuses counts from 2**32 - 1.
 MAX_TRANSCRIPT_K = 2**32 - 2
-
-
-def resolve(kind: str, k: int, n_stations: int = 3) -> tuple[str, int, int]:
-    """The (kind, k, n_stations) of the protocol a request runs.
-
-    A tree runs as asked.  Any other kind is the chained protocol on two
-    stations, named ``single`` exactly when k = 1; a request for
-    ``single`` always means k = 1.  An unknown kind raises ValueError;
-    the depth is left for the caller to check.
-    """
-    if kind == KIND_TREE:
-        return kind, k, n_stations
-    if kind not in KINDS:
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    if kind == KIND_SINGLE:
-        k = 1
-    return (KIND_SINGLE if k == 1 else KIND_FQ), k, 2
 
 
 ACCEPT = "accept"

@@ -29,51 +29,16 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable
 
+from .base import KIND_FQ, KIND_TREE, ResourceGuardError, _real, capped_product, resolve
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
 from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
 from . import tree as tt
-from .protocol import (
-    KIND_FQ,
-    KIND_TREE,
-    Record,
-    Reveal,
-    Transcript,
-    Verdict,
-    resolve,
-    verify_tree,
-)
-
-
-class ResourceGuardError(RuntimeError):
-    """A requested computation exceeds the configured enumeration budget."""
-
-
-def _real(value: int, name: str) -> float:
-    """An integer parameter as a float; ValueError naming it when it is
-    too large for one."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: too large for a float, got {value!r:.40}") from None
-
-
-def capped_product(factors: Iterable[int], cap: int) -> int:
-    """The product of ``factors``, or the first partial product over
-    ``cap``.  Factors are multiplied one at a time, so a guard can refuse
-    a q**q search without computing q**q; pass the factors as lazy
-    iterables (``itertools.repeat``), and any factor that may be 0 first.
-    """
-    size = 1
-    for f in factors:
-        size *= f
-        if size > cap:
-            break
-    return size
+from .protocol import Record, Reveal, Transcript, Verdict, verify_tree
 
 
 # Rounds in one event-engine run, and nodes scheduled over all runs of a
@@ -129,16 +94,74 @@ def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prun
         )
 
 
+# Station-walk budgets, checked before any work starts.  On a 2-core host
+# the three-station tree walk steps about 1.2e8 trial-rounds/s on one block
+# of trials and 2.3e8 on many, whose blocks run on both cores; the chain
+# walk about 4e8 and 8e8.  A round also has a fixed cost in numpy calls,
+# however few trials it holds: 12.5 us for the tree walk and 3.5 us for
+# the chain, the work of 1,070 to 1,190 trials in a full block of either,
+# so a round is charged at least WALK_ROUND_TRIALS trials.  A full walk
+# budget is then 4 to 11 s of tree walk at any trial count.  The event
+# engine's caps are check_event_runs, which every run calls.
+WALK_BUDGET = 10**9        # trial-rounds of one station walk
+WALK_ROUND_TRIALS = 1200   # the trials a round is charged at least
+WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
+
+
+def check_budget(
+    kind: str,
+    k: int,
+    walk_trials: int = 0,
+    event_runs: int = 0,
+    n_stations: int = 3,
+    prune_lag: int = 2,
+) -> None:
+    """Raise ResourceGuardError, naming the budget and the size asked for,
+    if a station walk over ``walk_trials`` trials exceeds a work budget,
+    or ``event_runs`` event-engine runs of depth k do not pass
+    ``check_event_runs``, the check every run makes itself.  It lives
+    here, not with the walk in ``relbc.analysis``, so ``relbc simulate``
+    refuses before it loads numpy.
+
+    The walk is charged max(trials, WALK_ROUND_TRIALS) x rounds
+    trial-rounds against WALK_BUDGET, since a round of a few trials costs
+    about as much as one of WALK_ROUND_TRIALS; a walk of no trials is
+    free.  It holds an int32 abort round per trial, so the guard charges
+    4 bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
+    worker's buffers for one block of at most ``field.WALK_BLOCK`` trials
+    come on top.  The sizes are those of the protocol ``resolve`` gives.
+    """
+    kind, k, n_stations = resolve(kind, k, n_stations)
+    rounds = k + 1 if kind == KIND_TREE else k
+    charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
+    # The walk sizes are named by their factors, never multiplied out: the
+    # product may have more digits than Python converts to a string.
+    if capped_product((charged, rounds), WALK_BUDGET) > WALK_BUDGET:
+        raise ResourceGuardError(
+            f"station walk of max(trials, WALK_ROUND_TRIALS) x rounds = {charged} x {rounds} "
+            f"trial-rounds exceeds the budget WALK_BUDGET = {WALK_BUDGET}"
+        )
+    if capped_product((walk_trials, 4), WALK_STATE_BYTES) > WALK_STATE_BYTES:
+        raise ResourceGuardError(
+            f"station walk of trials x bytes per trial = {walk_trials} x 4 bytes "
+            f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
+        )
+    if event_runs:
+        check_event_runs(kind, k, event_runs, n_stations, prune_lag)
+
+
 @dataclass(frozen=True)
 class LossModel:
     """Independent per-station failure: an alive station dies with
-    probability p at each round and stays dead for m rounds, m an int
-    that a float can hold (else ValueError naming m)."""
+    probability p, a real number, at each round and stays dead for m
+    rounds, m an int that a float can hold (else ValueError naming p or m)."""
 
     p: float = 0.0
     m: int = 1
 
     def __post_init__(self):
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise ValueError(f"p: death probability must be a real number, got {self.p!r:.40}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"death probability must be in [0,1], got {self.p}")
         if isinstance(self.m, bool) or not isinstance(self.m, int):  # a bool is no count
@@ -319,7 +342,7 @@ def run_tree(
     A depth k < 1 or a station count outside 2 to ``tree.MAX_STATIONS``
     raises ValueError, and a run that ``check_event_runs`` refuses raises
     ResourceGuardError, both before round 1: the one rule
-    ``analysis.check_budget`` applies up front.
+    ``check_budget`` applies up front.
     """
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity

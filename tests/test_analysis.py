@@ -726,6 +726,17 @@ def test_work_budgets_refuse_before_any_work():
 @pytest.mark.parametrize("kw, message", [
     (dict(trials=0), "need at least one trial"),
     (dict(engine="exact"), "unknown engine 'exact'"),
+    # the counts and the seed are ints, and a bool is none; p is a real number
+    (dict(k=2.5), "^k: must be an int, got 2.5"),
+    (dict(k=True), "^k: must be an int, got True"),
+    (dict(trials=2.5), "^trials: must be an int, got 2.5"),
+    (dict(seed=1.5), "^seed: must be an int, got 1.5"),
+    (dict(seed=True), "^seed: must be an int, got True"),
+    (dict(n_stations=3.5), "^n_stations: must be an int, got 3.5"),
+    (dict(prune_lag=2.5), "^prune_lag: must be an int, got 2.5"),
+    (dict(comm_samples=1.5), "^comm_samples: must be an int, got 1.5"),
+    (dict(p="0.1"), "^p: death probability must be a real number, got '0.1'"),
+    (dict(p=None), "^p: death probability must be a real number, got None"),
 ])
 def test_mc_refuses_a_report_it_cannot_make(kw, message):
     args = dict(kind="tree", k=5, p=0.1, m=2, trials=10, seed=1) | kw

@@ -1212,6 +1212,44 @@ def test_the_oracles_load_neither_csv_nor_hashlib():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_each_command_loads_only_the_layers_on_its_path(tmp_path):
+    # import relbc.cli loads no layer, only the shared names of relbc.base;
+    # each command then loads its own, and simulate refuses bad input
+    # (exit 1) or an over-budget walk (exit 2) before it loads numpy
+    transcript = tmp_path / "run.json"
+    transcript.write_text(run_protocol("tree", 4, Field(97), d=1, seed=3, trial=0).transcript.to_json())
+    start = ["relbc", "relbc.base", "relbc.cli"]
+    refusal = [*start, "relbc.field", "relbc.formulas", "relbc.protocol", "relbc.sim", "relbc.tree"]
+    paths = [
+        (None, None, start),
+        (["chsh", "--q", "2", "--uniform"], 0, [*start, "relbc.field", "relbc.games"]),
+        (["bounds", "--k", "1,10", "--q", "97", "--invert-epsilon", "0.5"], 0,
+         [*start, "relbc.formulas"]),
+        (["verify-transcript", str(transcript)], 0,
+         [*start, "relbc.field", "relbc.protocol", "relbc.tree"]),
+        (["bind-oracle", "--protocol", "tree", "--q", "2"], 0,
+         [*start, "relbc.adversary", "relbc.field", "relbc.formulas", "relbc.games",
+          "relbc.protocol", "relbc.tree"]),
+        (["simulate", "--seed", "-1", "--trials", "10"], 1, refusal),
+        (["simulate", "--protocol", "tree", "--k", "999999999", "--seed", "1", "--trials", "1"], 2,
+         refusal),
+    ]
+    for argv, code, modules in paths:
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import relbc.cli\n"
+            "code = None\n"
+            f"if {argv!r} is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"        code = relbc.cli.dispatch({argv!r})\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] in ('relbc', 'numpy'))\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        proc = _run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, sorted(modules)], argv
+
+
 def test_simulate_accepts_a_dead_time_past_int32(capsys):
     code, out, err = run(
         capsys, "simulate", "--protocol", "tree", "--k", "5", "--m", "3000000000",

@@ -35,6 +35,10 @@ def test_loss_model_validation():
             LossModel(p=0.1, m=m)
     with pytest.raises(ValueError, match="^m: too large for a float, got 1000"):
         LossModel(p=0.1, m=10**400)
+    # p is a real number; anything else is refused naming it, not compared
+    for p in ("0.1", None, True):
+        with pytest.raises(ValueError, match="^p: "):
+            LossModel(p=p)
 
 
 def test_station_tracker_matches_stationary_fraction():
