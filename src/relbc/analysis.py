@@ -21,10 +21,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .base import ENGINES
 from .binomial import beta_quantile
 from .field import WALK_BLOCK, Field, loss_stream_key
 from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
-from .protocol import KIND_TREE, Verdict, resolve
+from .protocol import KIND_TREE, Verdict
 # the walk's budget lives in relbc.sim, so a refusal loads no numpy; its
 # names and ResourceGuardError stay importable from here
 from .sim import (  # noqa: F401
@@ -363,7 +364,8 @@ def monte_carlo_reliability(
     comm_samples: int = 0,
 ) -> ReliabilityReport:
     """Estimate the no-abort probability with honest parties and compare
-    it against the closed form, for the protocol ``protocol.resolve`` gives.
+    it against the closed form, for the protocol ``protocol.resolve`` gives
+    on a layout ``check_budget`` admits, checked before the walk starts.
 
     Every figure comes from the histogram of the station walk's abort
     rounds (``tree_abort_rounds`` or ``chain_abort_rounds``).  The engine
@@ -376,9 +378,8 @@ def monte_carlo_reliability(
     A count or seed that is not an int (a bool is none) raises ValueError
     naming it, and so does a p that is not a real number.
     """
-    counts = (("k", k), ("trials", trials), ("seed", seed), ("n_stations", n_stations),
-              ("prune_lag", prune_lag), ("comm_samples", comm_samples))
-    for name, value in counts:
+    # check_budget refuses a k, n_stations or prune_lag that is no int
+    for name, value in (("trials", trials), ("seed", seed), ("comm_samples", comm_samples)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name}: must be an int, got {value!r:.40}")
     if trials < 1:
@@ -386,13 +387,12 @@ def monte_carlo_reliability(
     if comm_samples < 0:
         raise ValueError(f"comm_samples: must be >= 0, got {comm_samples}")
     loss = LossModel(p=p, m=m)
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if engine not in ("fast", "events"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     comm_samples = min(comm_samples, trials)
     runs = trials if engine == "events" else comm_samples
-    check_budget(kind, k, walk_trials=trials, event_runs=runs,
-                 n_stations=n_stations, prune_lag=prune_lag)
+    kind, k, n_stations = check_budget(kind, k, walk_trials=trials, event_runs=runs,
+                                       n_stations=n_stations, prune_lag=prune_lag)
     if kind == KIND_TREE:
         aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
     else:
@@ -495,9 +495,7 @@ def abort_rate_slope(
 # Report tables
 
 
-def report_row(
-    rep: ReliabilityReport, q_modulus: int, prune_lag: int, comm_bits_mean: float
-) -> dict:
+def report_row(rep: ReliabilityReport, q_modulus: int, prune_lag: int) -> dict:
     return {
         "protocol": rep.kind,
         "p": rep.p,
@@ -509,7 +507,7 @@ def report_row(
         "p_ok_mc": rep.p_ok_mc,
         "ci_lo": rep.ci_lo,
         "ci_hi": rep.ci_hi,
-        "comm_bits_mean": comm_bits_mean,
+        "comm_bits_mean": rep.comm_bits_mean,
         "comm_bits_formula": comm_bits_formula(rep.kind, rep.k, q_modulus, prune_lag),
         "half_life_formula": rep.half_life_formula,
     }

@@ -2,9 +2,10 @@
 from relbc.
 
 The protocol kinds and ``resolve``, the one place that says which kind a
-request runs; ``ResourceGuardError``, the refusal of every work budget,
-with ``capped_product``, which sizes a search without multiplying it out;
-and ``_real``, which turns an integer parameter into a float or names it.
+request runs; the Monte Carlo engine names; ``ResourceGuardError``, the
+refusal of every work budget, with ``capped_product``, which sizes a
+search without multiplying it out; and ``_real``, which turns an integer
+parameter into a float or names it.
 ``relbc.protocol`` and ``relbc.sim`` re-export them, and the layers that
 need nothing else (``relbc.games``, ``relbc.formulas``, ``relbc.cli``)
 import them from here, so loading one of those loads no other layer.
@@ -18,6 +19,10 @@ KIND_SINGLE = "single"
 KIND_FQ = "fq"
 KIND_TREE = "tree"
 KINDS = (KIND_SINGLE, KIND_FQ, KIND_TREE)
+
+# The Monte Carlo engines: the station walk alone, or every trial also
+# run through the event engine (``analysis.monte_carlo_reliability``).
+ENGINES = ("fast", "events")
 
 
 def resolve(kind: str, k: int, n_stations: int = 3) -> tuple[str, int, int]:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .base import KIND_TREE, KINDS, ResourceGuardError, resolve
+from .base import ENGINES, KIND_TREE, KINDS, ResourceGuardError, resolve
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
 
@@ -107,8 +107,8 @@ class ExperimentConfig:
             errs.append(f"seed: must be >= 0, got {self.seed}")
         if self.trials < 1:
             errs.append(f"trials: must be >= 1, got {self.trials}")
-        if self.engine not in ("fast", "events"):
-            errs.append(f"engine: must be 'fast' or 'events', got {self.engine!r}")
+        if self.engine not in ENGINES:
+            errs.append(f"engine: must be {' or '.join(map(repr, ENGINES))}, got {self.engine!r}")
         if errs:
             raise ConfigError("; ".join(errs))
 
@@ -277,7 +277,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
     if table:
-        row = analysis.report_row(rep, cfg.q, cfg.prune_lag, rep.comm_bits_mean)
+        row = analysis.report_row(rep, cfg.q, cfg.prune_lag)
         if cfg.out_csv:
             outputs.append((analysis.rows_to_csv([row]), cfg.out_csv, "out-csv"))
         if args.pretty:
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--N", type=int, dest="N", help="pruning information lag")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--trials", type=int)
-    sim.add_argument("--engine", choices=("fast", "events"))
+    sim.add_argument("--engine", choices=ENGINES)
     sim.add_argument("--out-csv", dest="out_csv",
                      help="also write the report row, cost columns included, as CSV")
     sim.add_argument("--out-json", dest="out_json", help="write the JSON report here, not to stdout")

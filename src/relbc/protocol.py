@@ -278,7 +278,7 @@ def honest_response(
     """The honest answer at internal node v, given each node's share.
 
     y = a_v + b_v * a_parent, where a_parent is d at the root: the rule
-    ``sim.run_tree`` answers by.
+    ``sim.run_protocol`` answers by.
     """
     a_parent = d if v == tt.ROOT else shares[tt.parent(v)]
     return (shares[v] + b_v * a_parent) % field.q

@@ -4,7 +4,7 @@ Time is discretized in units of the light travel time between stations:
 round j happens at time j-1 at every active location simultaneously,
 computations are instantaneous and signals move at light speed.  A station
 that is dead at a round answers nothing for every node it hosts that
-round.  Every protocol kind runs in ``run_tree``: a chain is the tree on
+round.  Every protocol kind runs in ``run_protocol``: a chain is the tree on
 two stations, whose one node a round is lost with probability p that
 round only (``ChainTracker``), while a tree's stations die and stay dead
 for m rounds (``StationTracker``).  Both trackers read the run's trial of
@@ -33,7 +33,8 @@ import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .base import KIND_FQ, KIND_TREE, ResourceGuardError, _real, capped_product, resolve
+# KIND_FQ runs nowhere here; it is re-exported with the other shared names
+from .base import KIND_FQ, KIND_TREE, ResourceGuardError, _real, capped_product, resolve  # noqa: F401
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
 from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
@@ -59,41 +60,6 @@ def _label_chars(k: int, arity: int, lag: int) -> int:
     return sum(d * arity**d for d in range(lag)) + arity**lag * (k * (k + 1) - lag * (lag - 1)) // 2
 
 
-def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prune_lag: int = 2) -> None:
-    """Raise ResourceGuardError, naming the cap and the size asked for,
-    unless ``runs`` runs of the protocol ``protocol.resolve`` gives fit:
-    EVENT_MAX_K rounds a run, EVENT_BUDGET nodes in all (multiplied out by
-    factors, so a deep lag is refused without its power), 2**14 nodes a
-    round and the label characters of a three-station, lag-2 run of
-    EVENT_MAX_K rounds.  Every run is counted as if it never aborts, a
-    chain as the tree on two stations: k+1 nodes, one a round.
-    """
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if k > EVENT_MAX_K:
-        raise ResourceGuardError(
-            f"{kind} run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K} rounds, "
-            f"EVENT_MAX_K = {EVENT_MAX_K}"
-        )
-    arity, lag = n_stations - 1, min(prune_lag, k)
-    if capped_product(chain((runs, k + 1), repeat(arity, lag)), EVENT_BUDGET) > EVENT_BUDGET:
-        raise ResourceGuardError(
-            f"event-engine runs x nodes per run = {runs} x {k + 1} x {arity}**{lag} scheduled nodes "
-            f"exceed the budget EVENT_BUDGET = {EVENT_BUDGET}"
-        )
-    if arity**lag > 2**14:  # within the node budget, the power is small
-        raise ResourceGuardError(
-            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
-            "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
-        )
-    chars, cap = _label_chars(k, arity, lag), _label_chars(EVENT_MAX_K, 2, 2)
-    if chars > cap:
-        raise ResourceGuardError(
-            f"tree run of k={k} rounds on {n_stations} stations at prune_lag={prune_lag} holds "
-            f"{chars} label characters, over the cap of {cap}, those of a three-station, "
-            "lag-2 run of EVENT_MAX_K rounds"
-        )
-
-
 # Station-walk budgets, checked before any work starts.  On a 2-core host
 # the three-station tree walk steps about 1.2e8 trial-rounds/s on one block
 # of trials and 2.3e8 on many, whose blocks run on both cores; the chain
@@ -101,8 +67,7 @@ def check_event_runs(kind: str, k: int, runs: int = 1, n_stations: int = 3, prun
 # however few trials it holds: 12.5 us for the tree walk and 3.5 us for
 # the chain, the work of 1,070 to 1,190 trials in a full block of either,
 # so a round is charged at least WALK_ROUND_TRIALS trials.  A full walk
-# budget is then 4 to 11 s of tree walk at any trial count.  The event
-# engine's caps are check_event_runs, which every run calls.
+# budget is then 4 to 11 s of tree walk at any trial count.
 WALK_BUDGET = 10**9        # trial-rounds of one station walk
 WALK_ROUND_TRIALS = 1200   # the trials a round is charged at least
 WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
@@ -115,23 +80,45 @@ def check_budget(
     event_runs: int = 0,
     n_stations: int = 3,
     prune_lag: int = 2,
-) -> None:
-    """Raise ResourceGuardError, naming the budget and the size asked for,
-    if a station walk over ``walk_trials`` trials exceeds a work budget,
-    or ``event_runs`` event-engine runs of depth k do not pass
-    ``check_event_runs``, the check every run makes itself.  It lives
-    here, not with the walk in ``relbc.analysis``, so ``relbc simulate``
-    refuses before it loads numpy.
+) -> tuple[str, int, int]:
+    """The (kind, k, n_stations) of the protocol ``resolve`` gives, once
+    the request passes the one check that ``relbc simulate``,
+    ``analysis.monte_carlo_reliability`` and every run (``_check_one_run``)
+    make before any work.  It lives here, not with the walk in
+    ``relbc.analysis``, so ``relbc simulate`` refuses before it loads
+    numpy.
 
-    The walk is charged max(trials, WALK_ROUND_TRIALS) x rounds
-    trial-rounds against WALK_BUDGET, since a round of a few trials costs
-    about as much as one of WALK_ROUND_TRIALS; a walk of no trials is
-    free.  It holds an int32 abort round per trial, so the guard charges
-    4 bytes per trial against WALK_STATE_BYTES, up to 2**28 trials; each
-    worker's buffers for one block of at most ``field.WALK_BLOCK`` trials
-    come on top.  The sizes are those of the protocol ``resolve`` gives.
+    First the layout, each a ValueError: k, n_stations and prune_lag are
+    ints (a bool is none), the depth k >= 1, a tree on the stations
+    ``tree.check_tree_stations`` allows, and a pruning lag >= 1.
+    Then the work budgets, each a ResourceGuardError naming the budget and
+    the size asked for.
+
+    A station walk over ``walk_trials`` trials is charged
+    max(trials, WALK_ROUND_TRIALS) x rounds trial-rounds against
+    WALK_BUDGET, since a round of a few trials costs about as much as one
+    of WALK_ROUND_TRIALS; a walk of no trials is free.  It holds an int32
+    abort round per trial, so the guard charges 4 bytes per trial against
+    WALK_STATE_BYTES, up to 2**28 trials; each worker's buffers for one
+    block of at most ``field.WALK_BLOCK`` trials come on top.
+
+    ``event_runs`` event-engine runs fit EVENT_MAX_K rounds a run,
+    EVENT_BUDGET nodes in all (multiplied out by factors, so a deep lag is
+    refused without its power), 2**14 nodes a round and the label
+    characters of a three-station, lag-2 run of EVENT_MAX_K rounds.  Every
+    run is counted as if it never aborts, a chain as the tree on two
+    stations: k+1 nodes, one a round.
     """
+    for name, value in (("k", k), ("n_stations", n_stations), ("prune_lag", prune_lag)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name}: must be an int, got {value!r:.40}")
     kind, k, n_stations = resolve(kind, k, n_stations)
+    if k < 1:
+        raise ValueError("depth k must be >= 1")
+    if kind == KIND_TREE:
+        tt.check_tree_stations(n_stations)
+    if prune_lag < 1:
+        raise ValueError("pruning lag must be >= 1")
     rounds = k + 1 if kind == KIND_TREE else k
     charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
     # The walk sizes are named by their factors, never multiplied out: the
@@ -146,8 +133,32 @@ def check_budget(
             f"station walk of trials x bytes per trial = {walk_trials} x 4 bytes "
             f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
-    if event_runs:
-        check_event_runs(kind, k, event_runs, n_stations, prune_lag)
+    if not event_runs:
+        return kind, k, n_stations
+    if k > EVENT_MAX_K:
+        raise ResourceGuardError(
+            f"{kind} run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K} rounds, "
+            f"EVENT_MAX_K = {EVENT_MAX_K}"
+        )
+    arity, lag = n_stations - 1, min(prune_lag, k)
+    if capped_product(chain((event_runs, k + 1), repeat(arity, lag)), EVENT_BUDGET) > EVENT_BUDGET:
+        raise ResourceGuardError(
+            f"event-engine runs x nodes per run = {event_runs} x {k + 1} x {arity}**{lag} "
+            f"scheduled nodes exceed the budget EVENT_BUDGET = {EVENT_BUDGET}"
+        )
+    if arity**lag > 2**14:  # within the node budget, the power is small
+        raise ResourceGuardError(
+            f"prune_lag={prune_lag} with k={k} schedules up to {arity}**{lag} nodes "
+            "per round, over the cap of 2**14; reduce the lag, the depth or the station count"
+        )
+    chars, cap = _label_chars(k, arity, lag), _label_chars(EVENT_MAX_K, 2, 2)
+    if chars > cap:
+        raise ResourceGuardError(
+            f"tree run of k={k} rounds on {n_stations} stations at prune_lag={prune_lag} holds "
+            f"{chars} label characters, over the cap of {cap}, those of a three-station, "
+            "lag-2 run of EVENT_MAX_K rounds"
+        )
+    return kind, k, n_stations
 
 
 @dataclass(frozen=True)
@@ -279,10 +290,11 @@ class ChainTracker:
         return []
 
 
-@functools.lru_cache(maxsize=256)
-def _check_one_run(kind: str, k: int, n_stations: int, prune_lag: int) -> None:
-    """``check_event_runs`` of one run; a refusal raises and is not cached."""
-    check_event_runs(kind, k, 1, n_stations, prune_lag)
+# typed: a cached 2 must not answer for 2.0 or True, which check_budget refuses
+@functools.lru_cache(maxsize=256, typed=True)
+def _check_one_run(kind: str, k: int, n_stations: int, prune_lag: int) -> tuple[str, int, int]:
+    """``check_budget`` of one run; a refusal raises and is not cached."""
+    return check_budget(kind, k, event_runs=1, n_stations=n_stations, prune_lag=prune_lag)
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,53 +315,53 @@ class RunResult:
     events: list[Event]
 
 
-def run_tree(
+def run_protocol(
+    kind: str,
     k: int,
     field: Field,
-    n_stations: int,
     d: int,
-    loss: LossModel,
     seed: int,
     trial: int = 0,
+    loss: LossModel = LossModel(),
+    n_stations: int = 3,
     prune_lag: int = 2,
     collect_events: bool = False,
 ) -> RunResult:
-    """One full protocol run with an honest committer and an honest
-    receiver on the canonical coloring of ``n_stations`` stations: the
-    tree, or at two stations the chain, whose path "", "0", "00", ...
-    schedules one node a round and whose transcript ``protocol.resolve``
-    names (``single`` at k = 1, else ``fq``).
+    """One run of the protocol ``protocol.resolve`` names, with an honest
+    committer of bit ``d`` (0 or 1, an int) and an honest receiver, on
+    the canonical coloring of its stations: the tree on ``n_stations``,
+    or the chain on two, whose path "", "0", "00", ... schedules one node
+    a round.
 
     Every round is one step: the receiver's agents query the nodes below
     the leftmost alive node they know of, learning node statuses with a
     lag of ``prune_lag`` rounds, and each station alive that round
     answers; a tree's stations die as ``StationTracker`` draws, a chain's
-    as ``ChainTracker`` does.  Rounds 1..k query depths 0..k-1, where the
-    committer answers as ``honest_response`` does, with each node's
-    challenge and share drawn from its key by ``Field.node_draws``, one
-    digest of its parent's key and its digit; round k+1 is the reveal,
-    where each alive scheduled leaf sends (d, share of its parent).  Each
-    round's nodes are the children of a block of the last round's, so a
-    parent's key and share travel with its children and no label is
-    hashed.  After each round the leftmost alive path grows by the first
-    live child of its end, and the run aborts if there is none.  The
-    answered nodes and the revealing leaves make up the live set handed
-    to ``verify_tree``.  A run costs little more than its key digests,
-    its loss draws and ``verify_tree``; the child rows, the draw rule and
-    the guard are built once per layout.  On a 2-core host a run takes
-    0.12 to 0.16 ms at k=18 (62 to 67 scheduled nodes, a digest each,
-    lossless or at p = 0.02) and 1.35 to 1.45 ms at k=200 (795 nodes).
-    A depth k < 1 or a station count outside 2 to ``tree.MAX_STATIONS``
-    raises ValueError, and a run that ``check_event_runs`` refuses raises
-    ResourceGuardError, both before round 1: the one rule
-    ``check_budget`` applies up front.
+    as ``ChainTracker`` does, where ``loss`` kills each round's node with
+    probability p and m never matters.  Rounds 1..k query depths 0..k-1,
+    where the committer answers as ``honest_response`` does, with each
+    node's challenge and share drawn from its key by ``Field.node_draws``,
+    one digest of its parent's key and its digit; round k+1 is the
+    reveal, where each alive scheduled leaf sends (d, share of its
+    parent).  Each round's nodes are the children of a block of the last
+    round's, so a parent's key and share travel with its children and no
+    label is hashed.  After each round the leftmost alive path grows by
+    the first live child of its end, and the run aborts if there is none.
+    The answered nodes and the revealing leaves make up the live set
+    handed to ``verify_tree``.  A run costs little more than its key
+    digests, its loss draws and ``verify_tree``; the child rows, the draw
+    rule and the check are made once per layout.  On a 2-core host a run
+    takes 0.12 to 0.16 ms at k=18 (62 to 67 scheduled nodes, a digest
+    each, lossless or at p = 0.02) and 1.35 to 1.45 ms at k=200 (795
+    nodes).  A committed bit other than 0 or 1, or a layout that
+    ``check_budget`` refuses, raises ValueError, and a run over its caps
+    ResourceGuardError, each before round 1.
     """
+    if isinstance(d, bool) or not isinstance(d, int) or d not in (0, 1):
+        raise ValueError("committed bit must be 0 or 1")
+    kind, k, n_stations = _check_one_run(kind, k, n_stations, prune_lag)
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
-    if prune_lag < 1:
-        raise ValueError("pruning lag must be >= 1")
-    kind = KIND_TREE if arity > 1 else resolve(KIND_FQ, k)[0]
-    _check_one_run(kind, k, n_stations, prune_lag)
 
     transcript = Transcript(kind=kind, k=k, q=field.q, n_stations=n_stations)
     records, reveals = transcript.records, transcript.reveals
@@ -442,32 +454,6 @@ def run_tree(
         if violations:  # must never happen; a bug in the scheduler
             raise AssertionError("causality violated:\n" + "\n".join(violations))
     return RunResult(transcript, verdict, events)
-
-
-def run_protocol(
-    kind: str,
-    k: int,
-    field: Field,
-    d: int,
-    seed: int,
-    trial: int = 0,
-    loss: LossModel = LossModel(),
-    n_stations: int = 3,
-    prune_lag: int = 2,
-    collect_events: bool = False,
-) -> RunResult:
-    """Drive one run of the protocol ``protocol.resolve`` names, with an
-    honest receiver and an honest committer of bit ``d``, through
-    ``run_tree``: a tree on the 3 to ``tree.MAX_STATIONS`` stations
-    ``tree.check_tree_stations`` allows (else ValueError), a chain on two,
-    where ``loss`` kills each round's node with probability p and m never
-    matters.  Preparation randomness comes from the per-trial streams."""
-    if d not in (0, 1):
-        raise ValueError("committed bit must be 0 or 1")
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if kind == KIND_TREE:
-        tt.check_tree_stations(n_stations)
-    return run_tree(k, field, n_stations, d, loss, seed, trial, prune_lag, collect_events)
 
 
 def comm_cost(transcript: Transcript, field: Field) -> float:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -458,8 +459,9 @@ def test_report_metadata_carries_all_loss_conventions():
 
 
 def test_csv_schema_and_determinism():
-    rep = an.monte_carlo_reliability("fq", 10, 0.0, 1, 100, seed=1)
-    row = an.report_row(rep, 97, 2, comm_bits_mean=fm.comm_bits_formula("fq", 10, 97))
+    rep = an.monte_carlo_reliability("fq", 10, 0.0, 1, 100, seed=1, q_modulus=97, comm_samples=4)
+    row = an.report_row(rep, 97, 2)
+    assert row["comm_bits_mean"] == rep.comm_bits_mean == pytest.approx(20 * math.log2(97))
     text = an.rows_to_csv([row])
     header = text.splitlines()[0].split(",")
     assert header == [
@@ -802,3 +804,36 @@ def test_check_budget_refuses_exactly_the_runs_the_engine_refuses():
             ran += not refused
         assert time.process_time() - t0 < 0.5, (kind, k, n, lag)
     assert ran >= 20
+
+
+# (kind, k, n_stations, N) of a layout no run takes, and the one refusal
+# every check gives it
+BAD_LAYOUTS = [
+    (("tree", 0, 3, 2), "depth k must be >= 1"),
+    (("fq", 0, 3, 2), "depth k must be >= 1"),
+    *((("tree", 3, n, 2), f"n_stations: a tree takes 3 to 11 stations, got {n}") for n in (0, 1, 2, 12)),
+    *(((kind, 3, 3, lag), "pruning lag must be >= 1") for kind in ("tree", "fq") for lag in (0, -3)),
+]
+
+
+@pytest.mark.parametrize("layout, message", BAD_LAYOUTS,
+                         ids=[f"{kind}-k{k}-n{n}-N{lag}" for (kind, k, n, lag), _ in BAD_LAYOUTS])
+def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, layout, message):
+    # check_budget, a run and a report under either engine give the one
+    # refusal, and no station walk starts
+    def no_walk(*args):
+        raise AssertionError("a station walk started")
+
+    monkeypatch.setattr(an, "tree_abort_rounds", no_walk)
+    monkeypatch.setattr(an, "chain_abort_rounds", no_walk)
+    kind, k, n, lag = layout
+    calls = [
+        lambda: an.check_budget(kind, k, n_stations=n, prune_lag=lag),
+        lambda: run_protocol(kind, k, Field(5), 0, seed=1, n_stations=n, prune_lag=lag),
+        *(lambda engine=engine: an.monte_carlo_reliability(
+            kind, k, 0.1, 2, 10, seed=1, n_stations=n, engine=engine, prune_lag=lag)
+          for engine in ("fast", "events")),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from itertools import product
 
@@ -18,7 +19,6 @@ from relbc.sim import (
     comm_cost,
     message_counts,
     run_protocol,
-    run_tree,
     _label_chars,
     validate_causality,
 )
@@ -101,7 +101,9 @@ def test_honest_runs_accept_without_loss():
 
 @pytest.mark.parametrize("kind", ["single", "fq", "tree"])
 def test_run_protocol_refuses_a_committed_bit_outside_0_1(kind):
-    for d in (2, -1):
+    # a bool or a float is no bit: a transcript would write it as no JSON
+    # (True) or as one its reader refuses (1.0)
+    for d in (2, -1, True, False, 1.0):
         with pytest.raises(ValueError, match="committed bit must be 0 or 1"):
             run_protocol(kind, 3, Field(5), d=d, seed=1)
 
@@ -218,8 +220,23 @@ def test_a_refused_layout_is_refused_on_every_run():
     # a layout's guard is checked once and kept, but a refusal is never kept
     for _ in range(3):
         with pytest.raises(ResourceGuardError):
-            run_tree(20, Field(2), 3, 0, LossModel(), seed=1, prune_lag=15)
-    assert run_tree(20, Field(2), 3, 0, LossModel(), seed=1, prune_lag=3).verdict.outcome == "accept"
+            run_protocol("tree", 20, Field(2), 0, seed=1, prune_lag=15)
+    assert run_protocol("tree", 20, Field(2), 0, seed=1, prune_lag=3).verdict.outcome == "accept"
+
+
+@pytest.mark.parametrize("kind", ["single", "fq", "tree"])
+def test_run_protocol_refuses_a_layout_count_that_is_no_int(kind):
+    # a bool k would export "k": True, no JSON; a float fails deep inside.
+    # Each follows a run of the equal int layout, whose cached check must
+    # not answer for it.
+    for k in (1, 3):
+        run_protocol(kind, k, Field(5), 0, seed=1)
+    cases = [((True, 3, 2), "k: must be an int, got True"), ((3.0, 3, 2), "k: must be an int, got 3.0"),
+             ((3, 3.0, 2), "n_stations: must be an int, got 3.0"),
+             ((3, 3, 2.0), "prune_lag: must be an int, got 2.0")]
+    for (k, n, lag), message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_protocol(kind, k, Field(5), 0, seed=1, n_stations=n, prune_lag=lag)
 
 
 def test_resource_guard_counts_the_arity():
@@ -234,28 +251,18 @@ def test_resource_guard_counts_the_arity():
     assert time.process_time() - t0 < 0.5
 
 
-def test_run_tree_on_two_stations_is_the_chain():
-    # two stations color the chain's path: run_tree runs it as run_protocol
-    # does for fq, transcript, verdict and event log alike
-    field, loss = Field(101), LossModel(p=0.15, m=3)
-    for k in (1, 2, 7):
-        for trial in range(12):
-            got = run_tree(k, field, 2, trial % 2, loss, 7, trial, collect_events=True)
-            want = run_protocol("fq", k, field, trial % 2, 7, trial, loss, collect_events=True)
-            assert got.transcript == want.transcript and got.verdict == want.verdict, (k, trial)
-            assert got.events == want.events, (k, trial)
-            assert got.transcript.kind == ("single" if k == 1 else "fq")
-
-
 @pytest.mark.parametrize("n", [0, 1, 12])
 def test_run_tree_refuses_a_station_count_outside_2_to_11(n):
-    with pytest.raises(ValueError, match=f"^n_stations: a coloring takes 2 to 11 stations, got {n}$"):
-        run_tree(3, Field(5), n, 0, LossModel(), seed=1)
+    # a tree takes 3 to 11 stations; two are the chain's, which no tree
+    # request runs (test_every_check_refuses_a_bad_layout_before_the_walk)
+    with pytest.raises(ValueError, match=f"^n_stations: a tree takes 3 to 11 stations, got {n}$"):
+        run_protocol("tree", 3, Field(5), 0, seed=1, n_stations=n)
 
 
 def test_run_tree_refuses_a_pruning_lag_below_1():
-    with pytest.raises(ValueError, match="^pruning lag must be >= 1$"):
-        run_tree(3, Field(5), 3, 0, LossModel(), seed=1, prune_lag=0)
+    for kind in ("tree", "fq"):
+        with pytest.raises(ValueError, match="^pruning lag must be >= 1$"):
+            run_protocol(kind, 3, Field(5), 0, seed=1, prune_lag=0)
 
 
 def test_root_death_aborts_round_one():
@@ -358,7 +365,7 @@ def _node_share(q: int, seed: int, trial: int, label: str) -> int:
 # 11 stations: ten children per node, the most one-digit level labels name
 @pytest.mark.parametrize("n_stations", [3, 4, 5, 11])
 def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
-    # run_tree computes the honest answer inline from its own share draws;
+    # run_protocol computes the honest answer inline from its own share draws;
     # protocol.honest_response over each node's share, folded from the
     # run's root key here, is the reference
     field = Field(101)
@@ -385,7 +392,7 @@ def test_run_tree_answers_and_reveals_as_the_honest_committer(n_stations):
 @pytest.mark.parametrize("prune_lag", [1, 2, 3])
 @pytest.mark.parametrize("n_stations", [3, 4, 5])
 def test_run_tree_verdict_equals_its_replayed_transcript(n_stations, prune_lag):
-    # run_tree hands verify_tree the live set its round loop kept; the
+    # run_protocol hands verify_tree the live set its round loop kept; the
     # replay rebuilds that set from the transcript alone
     field = Field(31)
     coloring = tt.make_coloring(6, n_stations)
