@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Callable, Iterator, Optional
 
-from .base import ResourceGuardError, capped_product
+from .base import Request, ResourceGuardError, capped_product
 from .field import Field, derived_rng
 from . import games, tree as tt
 from .formulas import binding_ceiling, x_sequence
@@ -35,7 +35,6 @@ from .protocol import (
     Reveal,
     Transcript,
     honest_response,
-    resolve,
     verify_tree,
 )
 
@@ -485,14 +484,12 @@ def brute_force_binding(
     kind: str, k: int, field: Field, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
     """Dispatch to the exact search for the protocol ``protocol.resolve``
-    gives; a depth k the search does not support raises ValueError."""
-    if k < 1:
-        raise ValueError(f"k: depth must be >= 1, got {k}")
-    kind, k, _ = resolve(kind, k)
-    if kind == KIND_TREE:
-        report, _ = brute_force_tree(field, k, budget=budget)
+    gives; a request ``base.Request`` or the search refuses raises ValueError."""
+    req = Request(kind=kind, k=k)
+    if req.kind == KIND_TREE:
+        report, _ = brute_force_tree(field, req.k, budget=budget)
         return report
-    return brute_force_chain(field, k, budget)
+    return brute_force_chain(field, req.k, budget)
 
 
 def honest_strategy_table(field: Field, k: int = 2, d_commit: int = 0) -> StrategyTable:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .base import ENGINES
+from .base import Request, check_int
 from .binomial import beta_quantile
 from .field import WALK_BLOCK, Field, loss_stream_key
 from .formulas import comm_bits_formula, half_life, p_ok_formula, per_round_loss_prob
@@ -375,20 +375,13 @@ def monte_carlo_reliability(
     mean ``sim.comm_cost`` is ``comm_bits_mean``.  Both read the one loss
     stream, so a run that does not end in its walk trial's round, or does
     not abort and is not accepted revealing its bit, raises AssertionError.
-    A count or seed that is not an int (a bool is none) raises ValueError
-    naming it, and so does a p that is not a real number.
+    A request that ``base.Request`` refuses raises its ValueError, and so
+    does a comm_samples that is no int >= 0, each before the walk.
     """
-    # check_budget refuses a k, n_stations or prune_lag that is no int
-    for name, value in (("trials", trials), ("seed", seed), ("comm_samples", comm_samples)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be an int, got {value!r:.40}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if comm_samples < 0:
-        raise ValueError(f"comm_samples: must be >= 0, got {comm_samples}")
+    Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag, p=p, m=m,
+            q=q_modulus, seed=seed, trials=trials, engine=engine)
+    check_int(comm_samples, "comm_samples", 0)
     loss = LossModel(p=p, m=m)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     comm_samples = min(comm_samples, trials)
     runs = trials if engine == "events" else comm_samples
     kind, k, n_stations = check_budget(kind, k, walk_trials=trials, event_runs=runs,

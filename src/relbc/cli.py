@@ -8,13 +8,13 @@ exported transcript).  Machine-readable JSON/CSV is the primary output;
 
 Importing this module loads no relbc layer: the package namespace is
 lazy, and this module needs only the shared names of ``relbc.base``.
-Each subcommand imports the layers it runs: ``simulate`` the event engine
-(``relbc.sim``) and, once its config, its output paths and every work
-budget pass, the Monte Carlo layer (``relbc.analysis``, with numpy), so a
-refusal loads no numpy; ``bind-oracle`` the exact oracles; ``chsh`` the
-game solver (``relbc.games``); ``bounds`` the closed forms
-(``relbc.formulas``) alone; and ``verify-transcript`` the verifier
-(``relbc.protocol``).
+``simulate`` checks its request as a ``base.Request``, then imports the
+event engine (``relbc.sim``) and, once its output paths and every work
+budget pass, the Monte Carlo layer (``relbc.analysis``, with numpy), so
+a refusal loads no numpy.  The other subcommands import the layers they
+run: ``bind-oracle`` the exact oracles, ``chsh`` the game solver
+(``relbc.games``), ``bounds`` the closed forms (``relbc.formulas``) and
+``verify-transcript`` the verifier (``relbc.protocol``).
 
 ``simulate`` runs the event engine only for output it prints: every
 trial under ``--engine events``, whose first ``COMM_SAMPLES``
@@ -35,12 +35,11 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .base import ENGINES, KIND_TREE, KINDS, ResourceGuardError, resolve
+from .base import ENGINES, KIND_TREE, KINDS, Request, ResourceGuardError, type_fault
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
 
@@ -60,103 +59,40 @@ CONFIG_DEFAULTS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    protocol: str
-    k: int
-    q: int
-    p: float
-    m: int
-    n_stations: int
-    prune_lag: int
-    seed: Optional[int]
-    trials: int
-    engine: str = "fast"
-    out_csv: Optional[str] = None
-    out_json: Optional[str] = None
+class Simulation(Request):
+    """A request of ``relbc simulate``: its faults name the pruning lag N,
+    as the flag and the config key do."""
 
-    def validate(self) -> None:
-        from . import tree as tt
-        from .field import Field
+    LAG = "N"
 
-        errs = self._type_errors()
-        if errs:
-            raise ConfigError("; ".join(errs))
-        if self.protocol not in KINDS:
-            errs.append(f"protocol: must be one of {KINDS}, got {self.protocol!r}")
-        if self.k < 1:
-            errs.append(f"k: must be >= 1, got {self.k}")
+
+def _simulation(args: argparse.Namespace) -> tuple[Simulation, Optional[str], Optional[str]]:
+    """The request of ``simulate``'s flags over its config file, and the
+    paths of its report.  A file that cannot be read or parsed, is no
+    object or has a key no flag has is refused first; a path that is no
+    string is a type fault, listed after the request's."""
+    doc = {}
+    if args.config:
         try:
-            Field(self.q)
-        except ValueError as exc:
-            errs.append(f"q: {exc}")
-        if not 0.0 <= self.p <= 1.0:
-            errs.append(f"p: must be in [0,1], got {self.p}")
-        if self.m < 1:
-            errs.append(f"m: must be >= 1, got {self.m}")
-        if self.protocol == KIND_TREE:
-            try:
-                tt.check_tree_stations(self.n_stations)
-            except ValueError as exc:
-                errs.append(str(exc))
-        if self.prune_lag < 1:
-            errs.append(f"N: pruning lag must be >= 1, got {self.prune_lag}")
-        if self.seed is None:
-            errs.append("seed: required for simulation (reproducibility contract)")
-        elif self.seed < 0:
-            errs.append(f"seed: must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            errs.append(f"trials: must be >= 1, got {self.trials}")
-        if self.engine not in ENGINES:
-            errs.append(f"engine: must be {' or '.join(map(repr, ENGINES))}, got {self.engine!r}")
-        if errs:
-            raise ConfigError("; ".join(errs))
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config: top level must be a JSON object")
+        unknown = [key for key in doc if key not in CONFIG_DEFAULTS]
+        if unknown:
+            raise ConfigError("; ".join(f"config: unknown key {key!r:.40}" for key in unknown))
 
-    def _type_errors(self) -> list[str]:
-        """One message per field whose value has the wrong JSON type; a
-        config file can hold any type, and bools are not numbers here."""
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
-
-        checks = [
-            ("protocol", self.protocol, isinstance(self.protocol, str), "a string"),
-            ("k", self.k, is_int(self.k), "an integer"),
-            ("q", self.q, is_int(self.q), "an integer"),
-            ("p", self.p, is_int(self.p) or isinstance(self.p, float), "a number"),
-            ("m", self.m, is_int(self.m), "an integer"),
-            ("n_stations", self.n_stations, is_int(self.n_stations), "an integer"),
-            ("N", self.prune_lag, is_int(self.prune_lag), "an integer"),
-            ("seed", self.seed, self.seed is None or is_int(self.seed), "an integer"),
-            ("trials", self.trials, is_int(self.trials), "an integer"),
-            ("engine", self.engine, isinstance(self.engine, str), "a string"),
-            ("out_csv", self.out_csv, self.out_csv is None or isinstance(self.out_csv, str), "a string"),
-            ("out_json", self.out_json, self.out_json is None or isinstance(self.out_json, str), "a string"),
-        ]
-        return [f"{name}: expected {want}, got {value!r:.40}" for name, value, ok, want in checks if not ok]
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "ExperimentConfig":
-        doc = {}
-        if args.config:
-            try:
-                doc = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"config: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise ConfigError("config: top level must be a JSON object")
-            unknown = [key for key in doc if key not in CONFIG_DEFAULTS]
-            if unknown:
-                raise ConfigError("; ".join(f"config: unknown key {key!r:.40}" for key in unknown))
-        def pick(name, default):
-            cli_val = getattr(args, name, None)
-            return doc.get(name, default) if cli_val is None else cli_val
-        fields = {name: pick(name, default) for name, default in CONFIG_DEFAULTS.items()}
-        fields["prune_lag"] = fields.pop("N")
-        cfg = cls(**fields)
-        cfg.validate()
-        cfg.p = float(cfg.p)  # a config file's 0 or 1 reports as --p does
-        cfg.protocol, cfg.k, cfg.n_stations = resolve(cfg.protocol, cfg.k, cfg.n_stations)
-        return cfg
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    fields = {name: flags.get(name, doc.get(name, default)) for name, default in CONFIG_DEFAULTS.items()}
+    paths = fields.pop("out_csv"), fields.pop("out_json")
+    fields["kind"], fields["prune_lag"] = fields.pop("protocol"), fields.pop("N")
+    bad_paths = [type_fault(name, path, str) for name, path in zip(("out_csv", "out_json"), paths)
+                 if not (path is None or isinstance(path, str))]
+    if bad_paths:
+        raise ConfigError("; ".join(Simulation.type_faults(fields) + bad_paths))
+    req = Simulation(**fields)  # then p as a float: a config file's 0 or 1 reports as --p does
+    return Simulation(**{**vars(req), "p": float(req.p)}), *paths
 
 
 def _out_path(path: str) -> Path:
@@ -228,63 +164,54 @@ def _fmt(v) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import formulas, sim
 
-    cfg = ExperimentConfig.from_args(args)
+    req, out_csv, out_json = _simulation(args)
     # Every output path is tried before any work, and nothing is written
     # until every output is built, so a refusal leaves no file behind.
-    for flag, path in (("transcript-out", args.transcript_out), ("out-csv", cfg.out_csv),
-                       ("out-json", cfg.out_json)):
+    for flag, path in (("transcript-out", args.transcript_out), ("out-csv", out_csv),
+                       ("out-json", out_json)):
         if path:
             _check_out_path(path, flag)
     # Only a printed table (CSV or --pretty) has the cost columns, so only
     # then do the cost samples run.
-    table = bool(cfg.out_csv or args.pretty)
-    comm_samples = min(cfg.trials, COMM_SAMPLES) if table else 0
+    table = bool(out_csv or args.pretty)
+    comm_samples = min(req.trials, COMM_SAMPLES) if table else 0
     # Every work budget is checked here, before the walk or any run starts,
     # on the walk and exactly the event-engine runs that follow.
-    events = cfg.engine == "events"
+    events = req.engine == "events"
     sim.check_budget(
-        cfg.protocol, cfg.k,
-        walk_trials=cfg.trials,
-        event_runs=(cfg.trials if events else comm_samples) + bool(args.transcript_out),
-        n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
+        req.kind, req.k,
+        walk_trials=req.trials,
+        event_runs=(req.trials if events else comm_samples) + bool(args.transcript_out),
+        n_stations=req.n_stations, prune_lag=req.prune_lag,
     )
     if table:
         # a cost formula too large for a float is bad input, refused before the walk
-        formulas.comm_bits_formula(cfg.protocol, cfg.k, cfg.q, cfg.prune_lag)
+        formulas.comm_bits_formula(req.kind, req.k, req.q, req.prune_lag)
     from . import analysis  # numpy loads only for a request that passed every check
 
     rep = analysis.monte_carlo_reliability(
-        cfg.protocol,
-        cfg.k,
-        cfg.p,
-        cfg.m,
-        cfg.trials,
-        cfg.seed,
-        n_stations=cfg.n_stations,
-        engine=cfg.engine,
-        q_modulus=cfg.q,
-        prune_lag=cfg.prune_lag,
-        comm_samples=comm_samples,
+        req.kind, req.k, req.p, req.m, req.trials, req.seed, n_stations=req.n_stations,
+        engine=req.engine, q_modulus=req.q, prune_lag=req.prune_lag, comm_samples=comm_samples,
     )
     outputs: list[tuple[str, Optional[str], str]] = []  # (text, path, flag)
     if args.transcript_out:
         from .field import Field
 
         res = sim.run_protocol(
-            cfg.protocol, cfg.k, Field(cfg.q), d=args.commit_bit,
-            seed=cfg.seed, trial=0, loss=sim.LossModel(p=cfg.p, m=cfg.m),
-            n_stations=cfg.n_stations, prune_lag=cfg.prune_lag,
+            req.kind, req.k, Field(req.q), d=args.commit_bit,
+            seed=req.seed, trial=0, loss=sim.LossModel(p=req.p, m=req.m),
+            n_stations=req.n_stations, prune_lag=req.prune_lag,
         )
         outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
     if table:
-        row = analysis.report_row(rep, cfg.q, cfg.prune_lag)
-        if cfg.out_csv:
-            outputs.append((analysis.rows_to_csv([row]), cfg.out_csv, "out-csv"))
+        row = analysis.report_row(rep, req.q, req.prune_lag)
+        if out_csv:
+            outputs.append((analysis.rows_to_csv([row]), out_csv, "out-csv"))
         if args.pretty:
             outputs.append((_pretty_table([row]), None, "out"))
     # --pretty replaces stdout only: --out-json is written whenever given
-    if cfg.out_json or not args.pretty:
-        outputs.append((rep.to_json() + "\n", cfg.out_json, "out-json"))
+    if out_json or not args.pretty:
+        outputs.append((rep.to_json() + "\n", out_json, "out-json"))
     # stdout's text first, so a stdout that fails leaves no file behind
     for text, path, flag in sorted(outputs, key=lambda out: out[1] is not None):
         _emit(text, path, flag)

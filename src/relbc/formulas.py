@@ -5,7 +5,8 @@ ceilings, as the paper states them.  They accept exact rationals where
 that makes consistency checks exact, and they are plain Python: this
 module loads no numpy and no other relbc layer, only the shared names of
 ``relbc.base``, so the exact oracles and ``relbc bounds`` read the
-ceiling without the Monte Carlo layer (``relbc.analysis``).
+ceiling without the Monte Carlo layer (``relbc.analysis``); checking a
+``base.Request``, ``p_ok_formula`` alone loads ``relbc.field``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, ResourceGuardError, _real, resolve
+from .base import KIND_TREE, Request, ResourceGuardError, _real, resolve
 
 
 def per_round_loss_prob(n_stations: int, mp):
@@ -37,17 +38,14 @@ def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
     Exact Fractions in give an exact Fraction out.  The tree formula is an
     approximation valid for mp << 1 and m << k; callers report that
     caveat, not this function.  The formula is that of the protocol
-    ``protocol.resolve`` gives, so ``single`` is one round.
+    ``protocol.resolve`` gives, so ``single`` is one round; a request
+    ``base.Request`` refuses raises its ValueError.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"death probability must be in [0,1], got {p}")
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be >= 1")
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if kind == KIND_TREE:
-        q = per_round_loss_prob(n_stations, m * p)
-        return (1 - q) ** k
-    return (1 - p) ** k
+    req = Request(kind=kind, k=k, n_stations=n_stations, p=p, m=m)
+    if req.kind == KIND_TREE:
+        q = per_round_loss_prob(req.n_stations, m * p)
+        return (1 - q) ** req.k
+    return (1 - p) ** req.k
 
 
 def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
@@ -58,14 +56,13 @@ def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
     reports carry that value as ``metadata.half_life_from_survival_formula``.
     Tree: 1/q with q from ``per_round_loss_prob``, so at least 1 round.
     """
+    kind, _, _ = resolve(kind, 1)  # an unknown kind is refused, even at p = 0
     if p == 0:
         return math.inf
-    if kind in (KIND_SINGLE, KIND_FQ):
-        return 1.0 / (m * p)
     if kind == KIND_TREE:
         q = per_round_loss_prob(n_stations, m * p)
         return 1.0 / q if q > 0 else math.inf
-    raise ValueError(f"unknown protocol kind {kind!r}")
+    return 1.0 / (m * p)
 
 
 # Largest n for which x_sequence steps its recursion: about 0.04 s of

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
 # the kinds and resolve live in relbc.base and stay importable from here
-from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, resolve  # noqa: F401
+from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Request, resolve  # noqa: F401
 from .field import Field
 from . import tree as tt
 
@@ -153,8 +153,8 @@ class Transcript:
         or color is not its node's, or a second record of a node or
         reveal of a leaf.  A node at depth j
         runs in round j + 1 at its canonical color.  A tree takes the
-        station counts ``tree.check_tree_stations`` allows (3 when
-        ``n_stations`` is missing), and a chain exactly 2.
+        station counts a ``base.Request`` takes (3 when ``n_stations`` is
+        missing), and a chain exactly 2.
         """
         doc = _object(json.loads(text), "transcript")
         kind = doc.get("protocol")
@@ -168,9 +168,7 @@ class Transcript:
         q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
         n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
         if kind == KIND_TREE:
-            if type(n_stations) is not int:
-                raise ValueError(f"n_stations: expected an integer, got {n_stations!r:.40}")
-            tt.check_tree_stations(n_stations)
+            Request(n_stations=n_stations)  # an int on the stations a tree takes
         elif type(n_stations) is not int or n_stations != 2:
             raise ValueError(
                 f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"

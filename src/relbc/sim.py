@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 # KIND_FQ runs nowhere here; it is re-exported with the other shared names
-from .base import KIND_FQ, KIND_TREE, ResourceGuardError, _real, capped_product, resolve  # noqa: F401
+from .base import KIND_FQ, KIND_TREE, Request, ResourceGuardError, capped_product, resolve  # noqa: F401
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
 from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
@@ -88,11 +87,9 @@ def check_budget(
     ``relbc.analysis``, so ``relbc simulate`` refuses before it loads
     numpy.
 
-    First the layout, each a ValueError: k, n_stations and prune_lag are
-    ints (a bool is none), the depth k >= 1, a tree on the stations
-    ``tree.check_tree_stations`` allows, and a pruning lag >= 1.
-    Then the work budgets, each a ResourceGuardError naming the budget and
-    the size asked for.
+    First the layout: ``base.Request``'s rules of kind, k, n_stations and
+    prune_lag, one ValueError with its texts.  Then the work budgets, each
+    a ResourceGuardError naming the budget and the size asked for.
 
     A station walk over ``walk_trials`` trials is charged
     max(trials, WALK_ROUND_TRIALS) x rounds trial-rounds against
@@ -109,16 +106,8 @@ def check_budget(
     run is counted as if it never aborts, a chain as the tree on two
     stations: k+1 nodes, one a round.
     """
-    for name, value in (("k", k), ("n_stations", n_stations), ("prune_lag", prune_lag)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name}: must be an int, got {value!r:.40}")
-    kind, k, n_stations = resolve(kind, k, n_stations)
-    if k < 1:
-        raise ValueError("depth k must be >= 1")
-    if kind == KIND_TREE:
-        tt.check_tree_stations(n_stations)
-    if prune_lag < 1:
-        raise ValueError("pruning lag must be >= 1")
+    layout = Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag)
+    kind, k, n_stations = layout.kind, layout.k, layout.n_stations
     rounds = k + 1 if kind == KIND_TREE else k
     charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
     # The walk sizes are named by their factors, never multiplied out: the
@@ -165,21 +154,13 @@ def check_budget(
 class LossModel:
     """Independent per-station failure: an alive station dies with
     probability p, a real number, at each round and stays dead for m
-    rounds, m an int that a float can hold (else ValueError naming p or m)."""
+    rounds, m an int that a float can hold (else ``base.Request``'s ValueError)."""
 
     p: float = 0.0
     m: int = 1
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-            raise ValueError(f"p: death probability must be a real number, got {self.p!r:.40}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"death probability must be in [0,1], got {self.p}")
-        if isinstance(self.m, bool) or not isinstance(self.m, int):  # a bool is no count
-            raise ValueError(f"m: dead duration must be an int, got {self.m!r:.40}")
-        if self.m < 1:
-            raise ValueError(f"m: dead duration must be >= 1 round, got {self.m}")
-        _real(self.m, "m")  # the loss figures take m * p as a float
+        Request(p=self.p, m=self.m)
 
     def stationary_dead_fraction(self) -> float:
         """Exact long-run per-round non-responsiveness of one station."""

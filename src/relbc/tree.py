@@ -18,18 +18,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
+# the tree's station range is a request rule, re-exported here
+from .base import MAX_STATIONS, check_int, check_tree_stations  # noqa: F401
+
 ROOT = ""
-
-# Each level of a node label is one digit, so a node has at most ten
-# children and a tree at most eleven stations.
-MAX_STATIONS = 11
-
-
-def check_tree_stations(n_stations: int) -> None:
-    """ValueError unless the tree protocol runs on ``n_stations`` stations:
-    3 to MAX_STATIONS, since two stations color the chain's path."""
-    if not 3 <= n_stations <= MAX_STATIONS:
-        raise ValueError(f"n_stations: a tree takes 3 to {MAX_STATIONS} stations, got {n_stations}")
 
 
 def depth(v: str) -> int:
@@ -62,12 +54,13 @@ class Coloring:
     exactly once.  Colors are 1-based.  The coloring is the canonical
     rule, computed per node on demand (see the module docstring); nothing
     is stored.  Two stations give the chain's path; the protocol tree
-    itself takes 3 or more, which ``sim.run_protocol`` checks.
+    itself takes 3 or more, which ``sim.run_protocol`` checks.  A depth or
+    station count that is no int or out of range raises ValueError.
     """
 
     def __init__(self, k: int, n_stations: int):
-        if k < 1:
-            raise ValueError("depth k must be >= 1")
+        check_int(k, "k", 1)
+        check_int(n_stations, "n_stations")
         if not 2 <= n_stations <= MAX_STATIONS:
             raise ValueError(
                 f"n_stations: a coloring takes 2 to {MAX_STATIONS} stations, got {n_stations}"

@@ -421,6 +421,19 @@ def test_dispatcher_routes_all_kinds():
         adv.brute_force_binding("nope", 2, F2)
 
 
+@pytest.mark.parametrize("k, message", [
+    (2.0, "k: expected an integer, got 2.0"),
+    ("2", "k: expected an integer, got '2'"),
+    (True, "k: expected an integer, got True"),
+    (0, "k: must be >= 1, got 0"),
+])
+def test_dispatcher_refuses_a_depth_that_is_no_count(k, message):
+    # a float depth once ran the search, and a string one raised TypeError
+    for kind in ("single", "fq", "tree"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            adv.brute_force_binding(kind, k, F2)
+
+
 def test_binding_report_json_fields():
     import json
 

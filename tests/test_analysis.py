@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from relbc import analysis as an
 from relbc import formulas as fm
 from relbc import sim
+from relbc.cli import dispatch
 from relbc.field import Field, LossDraws
 from relbc.protocol import Verdict
 from relbc.sim import EVENT_MAX_K, LossModel, comm_cost, run_protocol
@@ -60,8 +61,31 @@ def test_p_ok_domain_errors():
         fm.p_ok_formula("what", 0.1, 1, 5)
     with pytest.raises(ValueError, match="unknown protocol kind 'what'"):
         fm.half_life("what", 0.1, 1)
+    # the kind is checked before p = 0 answers inf
+    with pytest.raises(ValueError, match="unknown protocol kind 'bogus'"):
+        fm.half_life("bogus", 0, 1)
     with pytest.raises(ValueError, match="n >= 2"):
         fm.x_sequence(1)
+
+
+@pytest.mark.parametrize("kind, p, m, k, message", [
+    ("fq", 0.1, 1, 2.5, "k: expected an integer, got 2.5"),
+    ("tree", 0.1, 1.5, 5, "m: expected an integer, got 1.5"),
+    ("tree", 0.1, True, 5, "m: expected an integer, got True"),
+    ("fq", "0.1", 1, 5, "p: expected a number, got '0.1'"),
+    ("fq", 0.1, 1, 0, "k: must be >= 1, got 0"),
+    ("fq", Fraction(3, 2), 1, 5, "p: must be in [0,1], got 3/2"),
+])
+def test_p_ok_refuses_what_a_request_refuses(kind, p, m, k, message):
+    # a fractional depth or dead time once gave a number
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fm.p_ok_formula(kind, p, m, k)
+
+
+def test_p_ok_keeps_an_exact_p_exact():
+    for kind in ("single", "fq", "tree"):
+        assert type(fm.p_ok_formula(kind, Fraction(1, 7), 2, 3)) is Fraction
+        assert fm.p_ok_formula(kind, Fraction(0), 2, 3) == 1
 
 
 def test_half_life_examples():
@@ -725,21 +749,27 @@ def test_work_budgets_refuse_before_any_work():
     an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
 
 
-@pytest.mark.parametrize("kw, message", [
-    (dict(trials=0), "need at least one trial"),
-    (dict(engine="exact"), "unknown engine 'exact'"),
+# a report's bad request, and the start of its refusal
+MC_REFUSALS = [
+    (dict(trials=0), "^trials: must be >= 1, got 0$"),
+    (dict(engine="exact"), "^engine: must be 'fast' or 'events', got 'exact'$"),
+    (dict(seed=-1), "^seed: must be >= 0, got -1$"),
     # the counts and the seed are ints, and a bool is none; p is a real number
-    (dict(k=2.5), "^k: must be an int, got 2.5"),
-    (dict(k=True), "^k: must be an int, got True"),
-    (dict(trials=2.5), "^trials: must be an int, got 2.5"),
-    (dict(seed=1.5), "^seed: must be an int, got 1.5"),
-    (dict(seed=True), "^seed: must be an int, got True"),
-    (dict(n_stations=3.5), "^n_stations: must be an int, got 3.5"),
-    (dict(prune_lag=2.5), "^prune_lag: must be an int, got 2.5"),
-    (dict(comm_samples=1.5), "^comm_samples: must be an int, got 1.5"),
-    (dict(p="0.1"), "^p: death probability must be a real number, got '0.1'"),
-    (dict(p=None), "^p: death probability must be a real number, got None"),
-])
+    (dict(k=2.5), "^k: expected an integer, got 2.5"),
+    (dict(k=True), "^k: expected an integer, got True"),
+    (dict(trials=2.5), "^trials: expected an integer, got 2.5"),
+    (dict(seed=1.5), "^seed: expected an integer, got 1.5"),
+    (dict(seed=True), "^seed: expected an integer, got True"),
+    (dict(n_stations=3.5), "^n_stations: expected an integer, got 3.5"),
+    (dict(prune_lag=2.5), "^prune_lag: expected an integer, got 2.5"),
+    (dict(comm_samples=1.5), "^comm_samples: expected an integer, got 1.5"),
+    (dict(p="0.1"), "^p: expected a number, got '0.1'"),
+    (dict(p=None), "^p: expected a number, got None"),
+]
+
+
+@pytest.mark.parametrize("kw, message", MC_REFUSALS,
+                         ids=[",".join(f"{name}={value!r}" for name, value in kw.items()) for kw, _ in MC_REFUSALS])
 def test_mc_refuses_a_report_it_cannot_make(kw, message):
     args = dict(kind="tree", k=5, p=0.1, m=2, trials=10, seed=1) | kw
     with pytest.raises(ValueError, match=message):
@@ -809,18 +839,20 @@ def test_check_budget_refuses_exactly_the_runs_the_engine_refuses():
 # (kind, k, n_stations, N) of a layout no run takes, and the one refusal
 # every check gives it
 BAD_LAYOUTS = [
-    (("tree", 0, 3, 2), "depth k must be >= 1"),
-    (("fq", 0, 3, 2), "depth k must be >= 1"),
+    (("tree", 0, 3, 2), "k: must be >= 1, got 0"),
+    (("fq", 0, 3, 2), "k: must be >= 1, got 0"),
     *((("tree", 3, n, 2), f"n_stations: a tree takes 3 to 11 stations, got {n}") for n in (0, 1, 2, 12)),
-    *(((kind, 3, 3, lag), "pruning lag must be >= 1") for kind in ("tree", "fq") for lag in (0, -3)),
+    *(((kind, 3, 3, lag), f"prune_lag: pruning lag must be >= 1, got {lag}")
+      for kind in ("tree", "fq") for lag in (0, -3)),
 ]
 
 
 @pytest.mark.parametrize("layout, message", BAD_LAYOUTS,
                          ids=[f"{kind}-k{k}-n{n}-N{lag}" for (kind, k, n, lag), _ in BAD_LAYOUTS])
-def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, layout, message):
-    # check_budget, a run and a report under either engine give the one
-    # refusal, and no station walk starts
+def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, capsys, layout, message):
+    # check_budget, a run, a report under either engine and relbc simulate
+    # give the one refusal, and no station walk starts; the command names
+    # the lag N, as its flag does
     def no_walk(*args):
         raise AssertionError("a station walk started")
 
@@ -837,3 +869,7 @@ def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, layout, m
     for call in calls:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+    argv = ["simulate", "--protocol", kind, "--k", str(k), "--n-stations", str(n), "--N", str(lag),
+            "--p", "0.1", "--m", "2", "--trials", "10", "--seed", "1"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message.replace('prune_lag:', 'N:')}\n")

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relbc
-from relbc.cli import ExperimentConfig, ConfigError, dispatch
+from relbc.base import Request
+from relbc.cli import dispatch
 from relbc.field import Field
 from relbc.sim import run_protocol
 
@@ -1017,15 +1018,17 @@ def test_config_file_p_writes_the_bytes_of_the_flag(capsys, tmp_path, p):
     assert json.loads(outs[0][0])["p"] == float(p)
 
 
-def test_experiment_config_validation_collects_errors():
-    cfg = ExperimentConfig(
-        protocol="bogus", k=0, q=4, p=0.5, m=1, n_stations=3,
-        prune_lag=2, seed=None, trials=10,
-    )
-    with pytest.raises(ConfigError) as exc:
-        cfg.validate()
+def test_request_collects_every_fault():
+    with pytest.raises(ValueError) as exc:
+        Request(kind="bogus", k=0, q=4, p=0.5, m=1, n_stations=3, prune_lag=2, seed=None, trials=10)
     msg = str(exc.value)
     assert "protocol" in msg and "k:" in msg and "q:" in msg and "seed" in msg
+
+
+def test_simulate_lists_every_range_fault_in_one_line(capsys):
+    assert run(capsys, "simulate", "--k", "0", "--N", "0", "--trials", "0", "--p", "1.5", "--seed", "1") == (
+        1, "", "error: k: must be >= 1, got 0; p: must be in [0,1], got 1.5; "
+               "N: pruning lag must be >= 1, got 0; trials: must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -1,11 +1,12 @@
 """The lazy package namespace and the shared names of ``relbc.base``."""
 
 import importlib
+from fractions import Fraction
 
 import pytest
 
 import relbc
-from relbc import analysis, base, formulas, games, protocol, sim
+from relbc import analysis, base, formulas, games, protocol, sim, tree
 
 # where each public name of the package lives
 HOMES = {
@@ -46,11 +47,12 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
 
 
 @pytest.mark.parametrize("module, names", [
-    (sim, ("ResourceGuardError", "_real", "capped_product", "resolve", "KIND_FQ", "KIND_TREE")),
+    (sim, ("ResourceGuardError", "Request", "capped_product", "resolve", "KIND_FQ", "KIND_TREE")),
     (protocol, ("KIND_SINGLE", "KIND_FQ", "KIND_TREE", "KINDS", "resolve")),
     (formulas, ("ResourceGuardError", "_real", "resolve", "KIND_TREE")),
     (games, ("ResourceGuardError", "capped_product")),
     (analysis, ("ResourceGuardError",)),
+    (tree, ("MAX_STATIONS", "check_tree_stations")),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_shared_names_are_one_object_in_every_layer(module, names):
     for name in names:
@@ -60,3 +62,30 @@ def test_shared_names_are_one_object_in_every_layer(module, names):
 def test_the_walk_budget_is_one_object_in_analysis_and_sim():
     for name in ("check_budget", "WALK_BUDGET", "WALK_ROUND_TRIALS", "WALK_STATE_BYTES"):
         assert getattr(analysis, name) is getattr(sim, name), name
+
+
+def test_a_request_holds_the_protocol_it_runs():
+    # resolve's canonical layout: single is the chain at k = 1, any chain
+    # runs on two stations, a tree as asked
+    assert (base.Request(kind="single", k=7, n_stations=5).k, base.Request(kind="single").n_stations) == (1, 2)
+    assert base.Request(kind="fq", k=1).kind == "single"
+    assert (base.Request(k=4, n_stations=5).kind, base.Request(k=4, n_stations=5).n_stations) == ("tree", 5)
+    # p stays as given, so an exact Fraction stays exact
+    assert base.Request(p=Fraction(1, 3)).p == Fraction(1, 3)
+    with pytest.raises(AttributeError, match="frozen"):
+        base.Request().k = 2
+
+
+def test_a_request_lists_its_type_faults_alone_then_every_range_fault():
+    # a type fault hides the range faults; each field is named as the
+    # command's flag, the lag as prune_lag
+    with pytest.raises(ValueError, match=r"^k: expected an integer, got 2\.0; engine: expected a string, got 1$"):
+        base.Request(k=2.0, trials=0, engine=1)
+    with pytest.raises(ValueError) as exc:
+        base.Request(kind="ring", k=0, q=4, p=-0.5, m=0, n_stations=2, prune_lag=0, seed=-1, trials=0,
+                     engine="exact")
+    assert [fault.split(":")[0] for fault in str(exc.value).split("; ")] == [
+        "protocol", "k", "q", "p", "m", "prune_lag", "seed", "trials", "engine"]
+    # a tree's stations and an m past a float are range faults too
+    with pytest.raises(ValueError, match="^m: too large for a float, got 1000.*; n_stations: a tree takes 3 to 11"):
+        base.Request(n_stations=2, m=10**400)

@@ -231,9 +231,9 @@ def test_run_protocol_refuses_a_layout_count_that_is_no_int(kind):
     # not answer for it.
     for k in (1, 3):
         run_protocol(kind, k, Field(5), 0, seed=1)
-    cases = [((True, 3, 2), "k: must be an int, got True"), ((3.0, 3, 2), "k: must be an int, got 3.0"),
-             ((3, 3.0, 2), "n_stations: must be an int, got 3.0"),
-             ((3, 3, 2.0), "prune_lag: must be an int, got 2.0")]
+    cases = [((True, 3, 2), "k: expected an integer, got True"), ((3.0, 3, 2), "k: expected an integer, got 3.0"),
+             ((3, 3.0, 2), "n_stations: expected an integer, got 3.0"),
+             ((3, 3, 2.0), "prune_lag: expected an integer, got 2.0")]
     for (k, n, lag), message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_protocol(kind, k, Field(5), 0, seed=1, n_stations=n, prune_lag=lag)
@@ -261,7 +261,7 @@ def test_run_tree_refuses_a_station_count_outside_2_to_11(n):
 
 def test_run_tree_refuses_a_pruning_lag_below_1():
     for kind in ("tree", "fq"):
-        with pytest.raises(ValueError, match="^pruning lag must be >= 1$"):
+        with pytest.raises(ValueError, match="^prune_lag: pruning lag must be >= 1, got 0$"):
             run_protocol(kind, 3, Field(5), 0, seed=1, prune_lag=0)
 
 
@@ -435,9 +435,9 @@ def test_run_chain_answers_and_reveals_from_the_share_stream(kind, k):
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_run_chain_refuses_a_depth_below_1(k):
-    with pytest.raises(ValueError, match="depth k must be >= 1"):
+    with pytest.raises(ValueError, match=f"^k: must be >= 1, got {k}$"):
         run_protocol("fq", k, Field(5), d=0, seed=1)
-    with pytest.raises(ValueError, match="depth k must be >= 1"):
+    with pytest.raises(ValueError, match=f"^k: must be >= 1, got {k}$"):
         run_protocol("tree", k, Field(5), d=0, seed=1)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from relbc import tree as tt
@@ -30,6 +32,20 @@ def test_two_station_coloring_is_the_chain_path():
     for n_stations in (1, tt.MAX_STATIONS + 1):
         with pytest.raises(ValueError, match=f"^n_stations: a coloring takes 2 to 11 stations, got {n_stations}$"):
             tt.make_coloring(3, n_stations)
+
+
+@pytest.mark.parametrize("k, n_stations, message", [
+    (3, 4.0, "n_stations: expected an integer, got 4.0"),
+    (3, True, "n_stations: expected an integer, got True"),
+    (2.5, 3, "k: expected an integer, got 2.5"),
+    (True, 3, "k: expected an integer, got True"),
+    (0, 3, "k: must be >= 1, got 0"),
+])
+def test_coloring_refuses_a_depth_or_station_count_that_is_no_int(k, n_stations, message):
+    # a float station count once built and then failed in child_colors,
+    # and a float depth answered color()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tt.Coloring(k, n_stations)
 
 
 def test_canonical_coloring_nary():
