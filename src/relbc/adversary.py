@@ -483,8 +483,8 @@ def argmax_strategy_table(field: Field, detail) -> StrategyTable:
 def brute_force_binding(
     kind: str, k: int, field: Field, budget: int = DEFAULT_BUDGET
 ) -> BindingReport:
-    """Dispatch to the exact search for the protocol ``protocol.resolve``
-    gives; a request ``base.Request`` or the search refuses raises ValueError."""
+    """Dispatch to the exact search for the protocol a ``base.Request``
+    runs; a request it or the search refuses raises ValueError."""
     req = Request(kind=kind, k=k)
     if req.kind == KIND_TREE:
         report, _ = brute_force_tree(field, req.k, budget=budget)

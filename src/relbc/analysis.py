@@ -364,7 +364,7 @@ def monte_carlo_reliability(
     comm_samples: int = 0,
 ) -> ReliabilityReport:
     """Estimate the no-abort probability with honest parties and compare
-    it against the closed form, for the protocol ``protocol.resolve`` gives
+    it against the closed form, for the protocol a ``base.Request`` runs
     on a layout ``check_budget`` admits, checked before the walk starts.
 
     Every figure comes from the histogram of the station walk's abort

@@ -1,10 +1,10 @@
 """The names every relbc layer shares, in a module that loads no other
 relbc layer until a ``Request`` is checked, which loads ``relbc.field``.
 
-The protocol kinds and ``resolve``, which says which kind a request
-runs; the engine names; ``Request``, each rule of a simulation request
-stated once, with ``check_int`` and ``check_tree_stations`` for a count
-or a station range checked alone; ``ResourceGuardError``, the refusal of
+The protocol kinds and the engine names; ``Request``, each rule of a
+simulation request stated once, the protocol it runs among them, with
+``check_int`` and ``check_tree_stations`` for a count or a station range
+checked alone; ``ResourceGuardError``, the refusal of
 every work budget, with ``capped_product``, which sizes a search without
 multiplying it out; and ``_real``, an integer parameter as a float or a
 ValueError naming it.  ``relbc.protocol``, ``relbc.sim`` and
@@ -29,23 +29,6 @@ ENGINES = ("fast", "events")
 # Each level of a node label is one digit, so a node has at most ten
 # children and a tree at most eleven stations.
 MAX_STATIONS = 11
-
-
-def resolve(kind: str, k: int, n_stations: int = 3) -> tuple[str, int, int]:
-    """The (kind, k, n_stations) of the protocol a request runs.
-
-    A tree runs as asked.  Any other kind is the chained protocol on two
-    stations, named ``single`` exactly when k = 1; a request for
-    ``single`` always means k = 1.  An unknown kind raises ValueError;
-    the depth is left for the caller to check.
-    """
-    if kind == KIND_TREE:
-        return kind, k, n_stations
-    if kind not in KINDS:
-        raise ValueError(f"unknown protocol kind {kind!r}")
-    if kind == KIND_SINGLE:
-        k = 1
-    return (KIND_SINGLE if k == 1 else KIND_FQ), k, 2
 
 
 def check_tree_stations(n_stations: int) -> None:
@@ -95,8 +78,10 @@ class Request:
     A bad request raises one ValueError, its faults joined by "; ": the
     type faults if there are any, else every range fault, in the order
     and with the texts of ``relbc simulate``, which names the lag ``LAG``.
-    A request that passes holds the (kind, k, n_stations) ``resolve``
-    gives, and p as given, so an exact Fraction stays exact.  It is a
+    A request that passes holds the protocol it runs: a tree as asked,
+    any other kind the chained protocol on two stations, named ``single``
+    exactly when k = 1, where a request for ``single`` always means k = 1.
+    It holds p as given, so an exact Fraction stays exact.  It is a
     plain class: a dataclass takes about 1 ms to build at import on a
     2-core host, a tenth of ``import relbc.cli``.
     """
@@ -111,7 +96,9 @@ class Request:
         faults = self.type_faults(vars(self)) or self._range_faults()
         if faults:
             raise ValueError("; ".join(faults))
-        self.__dict__.update(zip(("kind", "k", "n_stations"), resolve(kind, k, n_stations)))
+        if kind != KIND_TREE:
+            k = 1 if kind == KIND_SINGLE else k
+            self.__dict__.update(kind=KIND_SINGLE if k == 1 else KIND_FQ, k=k, n_stations=2)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Request is frozen: cannot set {name}")

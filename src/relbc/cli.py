@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .base import ENGINES, KIND_TREE, KINDS, Request, ResourceGuardError, type_fault
+from .base import ENGINES, KIND_TREE, KINDS, Request, ResourceGuardError, check_int, type_fault
 
 OUT_DIR_ENV = "RELBC_OUT_DIR"
 
@@ -222,9 +222,7 @@ def _search_budget(budget: Optional[int], default: int) -> int:
     """``--budget``, or the search's own default when it is not given."""
     if budget is None:
         return default
-    # a budget below 1 admits no search at all: bad input, not a refusal
-    if budget < 1:
-        raise ConfigError(f"budget: must be >= 1, got {budget}")
+    check_int(budget, "budget", 1)  # below 1 admits no search: bad input, not a refusal
     return budget
 
 

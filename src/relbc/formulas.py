@@ -6,7 +6,8 @@ that makes consistency checks exact, and they are plain Python: this
 module loads no numpy and no other relbc layer, only the shared names of
 ``relbc.base``, so the exact oracles and ``relbc bounds`` read the
 ceiling without the Monte Carlo layer (``relbc.analysis``); checking a
-``base.Request``, ``p_ok_formula`` alone loads ``relbc.field``.
+``base.Request``, ``p_ok_formula``, ``half_life`` and ``comm_bits_formula``
+load ``relbc.field``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .base import KIND_TREE, Request, ResourceGuardError, _real, resolve
+from .base import KIND_TREE, Request, ResourceGuardError, _real, check_int
 
 
 def per_round_loss_prob(n_stations: int, mp):
@@ -37,9 +38,9 @@ def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
 
     Exact Fractions in give an exact Fraction out.  The tree formula is an
     approximation valid for mp << 1 and m << k; callers report that
-    caveat, not this function.  The formula is that of the protocol
-    ``protocol.resolve`` gives, so ``single`` is one round; a request
-    ``base.Request`` refuses raises its ValueError.
+    caveat, not this function.  The formula is that of the protocol a
+    ``base.Request`` runs, so ``single`` is one round; a request it
+    refuses raises its ValueError.
     """
     req = Request(kind=kind, k=k, n_stations=n_stations, p=p, m=m)
     if req.kind == KIND_TREE:
@@ -55,11 +56,12 @@ def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
     survival formula implies 1/p instead, which disagrees for m > 1;
     reports carry that value as ``metadata.half_life_from_survival_formula``.
     Tree: 1/q with q from ``per_round_loss_prob``, so at least 1 round.
+    A request ``base.Request`` refuses raises its ValueError, even at p = 0.
     """
-    kind, _, _ = resolve(kind, 1)  # an unknown kind is refused, even at p = 0
+    req = Request(kind=kind, p=p, m=m, n_stations=n_stations)
     if p == 0:
         return math.inf
-    if kind == KIND_TREE:
+    if req.kind == KIND_TREE:
         q = per_round_loss_prob(n_stations, m * p)
         return 1.0 / q if q > 0 else math.inf
     return 1.0 / (m * p)
@@ -73,9 +75,9 @@ X_SEQUENCE_MAX_N = 10**6
 def x_sequence(n: int) -> float:
     """The conjectured n-agent binding coefficient: x_2 = 1 and
     x_n = x_{n-1} + 1/(4 x_{n-1}); asymptotically sqrt(n/2).  An n over
-    ``X_SEQUENCE_MAX_N`` raises ResourceGuardError before the n-2 steps."""
-    if n < 2:
-        raise ValueError("defined for n >= 2 agents")
+    ``X_SEQUENCE_MAX_N`` raises ResourceGuardError before the n-2 steps;
+    an n that is no int >= 2, ``base.check_int``'s ValueError."""
+    check_int(n, "n", 2)
     if n > X_SEQUENCE_MAX_N:
         raise ResourceGuardError(
             f"x_n at n={n} takes n-2 steps, over the cap of X_SEQUENCE_MAX_N = {X_SEQUENCE_MAX_N}"
@@ -102,12 +104,12 @@ def bound_table(
     (5k/sqrt(2Q)) and conjectured above; then, given a target epsilon, per
     (n, k) the ``min_q`` at which the ceiling, falling as sqrt(2/Q), reaches
     it: 2*(binding_ceiling(k, 2, x_n)/epsilon)^2.  Every input is checked
-    first, each error naming its flag; x_n is stepped once per station count.
+    first, each an int by ``base.check_int`` naming its flag; x_n is stepped
+    once per station count.
     """
     for name, values, least in (("k", ks, 1), ("q", qs, 2), ("n", n_stations, 3)):
         for v in values:
-            if v < least:
-                raise ValueError(f"{name}: must be >= {least}, got {v}")
+            check_int(v, name, least)
     if target_epsilon is not None and not 0 < target_epsilon < math.inf:
         raise ValueError(f"epsilon: target must be positive and finite, got {target_epsilon}")
     grid, inverse = [], []
@@ -141,12 +143,14 @@ def bound_table(
 def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
     """Published communication cost: 2k*log2(Q) for the chained protocol,
     k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N,
-    for the protocol ``protocol.resolve`` gives.  ValueError, naming N
-    (k for the chain), when the cost is too large for a float.
+    for the protocol a ``base.Request`` runs.  A request it refuses raises
+    its ValueError, and so does a cost too large for a float, naming N (k
+    for the chain).
 
     The tree's 2^(N+2) scales the float exponent: the same bits as the
     integer product, without building 2^(N+2) for a huge N."""
-    kind, k, _ = resolve(kind, k)
+    req = Request(kind=kind, k=k, q=q_modulus, prune_lag=prune_lag)
+    kind, k = req.kind, req.k
     log2q = math.log2(q_modulus)
     try:
         bits = math.ldexp(k * log2q, prune_lag + 2) if kind == KIND_TREE else 2 * k * log2q

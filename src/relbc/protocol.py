@@ -10,8 +10,8 @@ Three protocol kinds share one transcript format and one verifier,
 * ``tree``   — the loss-tolerant protocol on the colored binary (or n-ary)
                tree, one challenge/response round per node.
 
-``resolve`` (from ``relbc.base``, re-exported here) is the one place
-that says which of these a request runs.
+``relbc.base.Request`` is the one place that says which of these a
+request runs.
 
 Responses are integers in [0, q); ``None`` encodes a missing response
 (a node whose answer did not arrive in time).
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 
-# the kinds and resolve live in relbc.base and stay importable from here
-from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Request, resolve  # noqa: F401
+# the kinds live in relbc.base and stay importable from here
+from .base import KIND_FQ, KIND_SINGLE, KIND_TREE, KINDS, Request  # noqa: F401
 from .field import Field
 from . import tree as tt
 
@@ -146,30 +146,26 @@ class Transcript:
         """Parse a transcript document, checking its schema first.
 
         Raises ValueError naming the first field that is missing, has the
-        wrong type or is out of range: an unknown kind, k < 1 or k >
-        ``MAX_TRANSCRIPT_K`` (k != 1 for ``single``), integers outside
-        their range (challenges, responses and claims in [0, q)), node
-        labels that are not nodes of the protocol, a record whose round
-        or color is not its node's, or a second record of a node or
-        reveal of a leaf.  A node at depth j
-        runs in round j + 1 at its canonical color.  A tree takes the
-        station counts a ``base.Request`` takes (3 when ``n_stations`` is
-        missing), and a chain exactly 2.
+        wrong type or is out of range.  The header is a ``base.Request``
+        of its protocol, k, q and a tree's n_stations (3 when missing),
+        refused with the request's texts; then k is at most
+        ``MAX_TRANSCRIPT_K``, 1 for ``single``, and a chain runs on
+        exactly 2 stations.  Then integers outside their range
+        (challenges, responses and claims in [0, q)), node labels that
+        are not nodes of the protocol, a record whose round or color is
+        not its node's, or a second record of a node or reveal of a leaf.
+        A node at depth j runs in round j + 1 at its canonical color.
         """
         doc = _object(json.loads(text), "transcript")
-        kind = doc.get("protocol")
-        if kind not in KINDS:
-            raise ValueError(f"protocol: must be one of {KINDS}, got {kind!r}")
-        k = _int_in(doc.get("k"), "k", 1, None)
+        kind, k, q = doc.get("protocol"), doc.get("k"), doc.get("q")
+        n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
+        # a chain's stations are its own rule, below
+        Request(kind=kind, k=k, q=q, n_stations=n_stations if kind == KIND_TREE else 2)
         if k > MAX_TRANSCRIPT_K:
             raise ValueError(f"k: a transcript is at most {MAX_TRANSCRIPT_K} rounds deep, got {k!r:.40}")
         if kind == KIND_SINGLE and k != 1:
             raise ValueError(f"k: a single transcript is the chain at k = 1, got {k}")
-        q = _int_in(doc.get("q"), "q", 2, 2**63 - 1)
-        n_stations = doc.get("n_stations", 3 if kind == KIND_TREE else None)
-        if kind == KIND_TREE:
-            Request(n_stations=n_stations)  # an int on the stations a tree takes
-        elif type(n_stations) is not int or n_stations != 2:
+        if kind != KIND_TREE and (type(n_stations) is not int or n_stations != 2):
             raise ValueError(
                 f"n_stations: a chain transcript runs on 2 stations, got {n_stations!r:.40}"
             )
@@ -223,7 +219,9 @@ class Transcript:
             reveals[leaf] = Reveal(d, claim)
         if doc.get("abort") is not None:
             abort = _object(doc["abort"], "abort")
-            tr.abort_round = _int_in(abort.get("round"), "abort.round", 1, k + 1)
+            tr.abort_round = abort.get("round")
+            if not (type(tr.abort_round) is int and 1 <= tr.abort_round <= k + 1):
+                raise _not_int(tr.abort_round, "abort.round", 1, k + 1)
             tr.abort_reason = abort.get("reason")
             if not isinstance(tr.abort_reason, str):
                 raise ValueError(f"abort.reason: expected a string, got {tr.abort_reason!r:.40}")
@@ -257,17 +255,9 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
-def _int_in(value, name: str, lo: int, hi: Optional[int]) -> int:
-    """value as an integer in [lo, hi] (no upper end when hi is None)."""
-    if type(value) is not int or value < lo or (hi is not None and value > hi):
-        raise _not_int(value, name, lo, hi)
-    return value
-
-
-def _not_int(value, name: str, lo: int, hi: Optional[int]) -> ValueError:
+def _not_int(value, name: str, lo: int, hi: int) -> ValueError:
     """The refusal of ``value`` as an integer in [lo, hi]."""
-    span = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
-    return ValueError(f"{name}: expected an integer {span}, got {value!r:.40}")
+    return ValueError(f"{name}: expected an integer [{lo}, {hi}], got {value!r:.40}")
 
 
 def honest_response(

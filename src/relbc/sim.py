@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 # KIND_FQ runs nowhere here; it is re-exported with the other shared names
-from .base import KIND_FQ, KIND_TREE, Request, ResourceGuardError, capped_product, resolve  # noqa: F401
+from .base import KIND_FQ, KIND_TREE, Request, ResourceGuardError, capped_product  # noqa: F401
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
 from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
@@ -80,7 +80,7 @@ def check_budget(
     n_stations: int = 3,
     prune_lag: int = 2,
 ) -> tuple[str, int, int]:
-    """The (kind, k, n_stations) of the protocol ``resolve`` gives, once
+    """The (kind, k, n_stations) of the protocol a ``base.Request`` runs, once
     the request passes the one check that ``relbc simulate``,
     ``analysis.monte_carlo_reliability`` and every run (``_check_one_run``)
     make before any work.  It lives here, not with the walk in
@@ -169,8 +169,9 @@ class LossModel:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Station layout: every pair of distinct stations sits at the honest
-    separation D, the unit of distance (``tree.in_light_cone``)."""
+    """Station layout: ``n_stations`` stations whose pairwise distances lie
+    in [D, 2D), D the unit of distance and D/c a round, the layouts on
+    which ``tree.in_light_cone`` is exact."""
 
     n_stations: int = 3
 
@@ -308,7 +309,7 @@ def run_protocol(
     prune_lag: int = 2,
     collect_events: bool = False,
 ) -> RunResult:
-    """One run of the protocol ``protocol.resolve`` names, with an honest
+    """One run of the protocol a ``base.Request`` names, with an honest
     committer of bit ``d`` (0 or 1, an int) and an honest receiver, on
     the canonical coloring of its stations: the tree on ``n_stations``,
     or the chain on two, whose path "", "0", "00", ... schedules one node

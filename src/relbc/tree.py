@@ -98,7 +98,13 @@ def in_light_cone(src_time: int, src_station: int, time: int, station: int) -> b
     """The strict light cone: whether an event at (src_time, src_station)
     can be used at (time, station).  At its own station it can from the
     same moment on; at another only strictly after its signal has crossed
-    the distance, one light-round between distinct stations."""
+    the distance, one light-round between distinct stations.
+
+    The rule is exact for any layout whose pairwise station distances lie
+    in [D, 2D), with a round of D/c: at whole rounds, t' - t > d/D holds
+    for every such d exactly when t' - t >= 2.  Any n <= 11 stations fit,
+    on n vertices of a regular icosahedron of edge D (distances D, 1.618D
+    and 1.902D)."""
     return src_time <= time if src_station == station else src_time + 1 < time
 
 

@@ -30,7 +30,7 @@ def test_p_ok_chain_formula():
 
 
 def test_closed_forms_and_budget_treat_single_as_one_round():
-    # protocol.resolve: a single request is the chain at k = 1, whatever k
+    # base.Request: a single request is the chain at k = 1, whatever k
     assert fm.p_ok_formula("single", 0.1, 1, 10) == pytest.approx(0.9)
     assert fm.comm_bits_formula("single", 10, 97) == pytest.approx(2 * math.log2(97))
     an.check_budget("single", 100_000, walk_trials=100_000)
@@ -59,13 +59,18 @@ def test_p_ok_domain_errors():
         fm.p_ok_formula("fq", 0.1, 0, 5)
     with pytest.raises(ValueError):
         fm.p_ok_formula("what", 0.1, 1, 5)
-    with pytest.raises(ValueError, match="unknown protocol kind 'what'"):
+    with pytest.raises(ValueError, match="^protocol: must be one of .*, got 'what'$"):
         fm.half_life("what", 0.1, 1)
-    # the kind is checked before p = 0 answers inf
-    with pytest.raises(ValueError, match="unknown protocol kind 'bogus'"):
+    # the request is checked before p = 0 answers inf
+    with pytest.raises(ValueError, match="^protocol: must be one of .*, got 'bogus'$"):
         fm.half_life("bogus", 0, 1)
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="^m: must be >= 1, got 0$"):
+        fm.half_life("fq", 0, 0)
+    with pytest.raises(ValueError, match="^n: must be >= 2, got 1$"):
         fm.x_sequence(1)
+    # a fractional count was a TypeError from range
+    with pytest.raises(ValueError, match="^n: expected an integer, got 2.5$"):
+        fm.x_sequence(2.5)
 
 
 @pytest.mark.parametrize("kind, p, m, k, message", [
@@ -149,11 +154,15 @@ def test_bound_table_refuses_a_target_that_is_not_positive_and_finite(eps):
     ([1, 0], [97], [3], "k"),
     ([1], [97, 1], [3], "q"),
     ([1], [97], [3, 2], "n"),
+    # a count that is no int once gave a row
+    ([2.5], [97.5], [3], "k"),
+    ([1], [97.5], [3], "q"),
+    ([1], [97], [True], "n"),
 ])
 def test_bound_table_checks_every_input_before_stepping_x_n(monkeypatch, ks, qs, ns, field):
     calls = []
     monkeypatch.setattr(fm, "x_sequence", calls.append)
-    with pytest.raises(ValueError, match=f"^{field}: must be >= "):
+    with pytest.raises(ValueError, match=f"^{field}: (must be >= |expected an integer, got )"):
         fm.bound_table(ks, qs, ns, target_epsilon=0.5)
     assert calls == []
 
@@ -186,6 +195,17 @@ def test_comm_bits_formula():
     assert fm.comm_bits_formula("tree", 10, 97, prune_lag=1) == pytest.approx(
         10 * 8 * math.log2(97)
     )
+
+
+@pytest.mark.parametrize("args, message", [
+    (("fq", 0, 97), "k: must be >= 1, got 0"),  # was 0.0 bits
+    (("tree", -3, 4, 0), "k: must be >= 1, got -3; q: modulus 4 is not prime; "
+                         "prune_lag: pruning lag must be >= 1, got 0"),  # was -24.0 bits
+])
+def test_comm_bits_formula_refuses_what_a_request_refuses(args, message):
+    with pytest.raises(ValueError) as refused:
+        fm.comm_bits_formula(*args)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("k, q", [(1, 2), (3, 97), (200, 101), (5000, 2**61 - 1)])

@@ -1,12 +1,14 @@
 """The lazy package namespace and the shared names of ``relbc.base``."""
 
 import importlib
+import json
 from fractions import Fraction
 
 import pytest
 
 import relbc
-from relbc import analysis, base, formulas, games, protocol, sim, tree
+from relbc import adversary, analysis, base, formulas, games, protocol, sim, tree
+from relbc.field import Field
 
 # where each public name of the package lives
 HOMES = {
@@ -47,9 +49,9 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
 
 
 @pytest.mark.parametrize("module, names", [
-    (sim, ("ResourceGuardError", "Request", "capped_product", "resolve", "KIND_FQ", "KIND_TREE")),
-    (protocol, ("KIND_SINGLE", "KIND_FQ", "KIND_TREE", "KINDS", "resolve")),
-    (formulas, ("ResourceGuardError", "_real", "resolve", "KIND_TREE")),
+    (sim, ("ResourceGuardError", "Request", "capped_product", "KIND_FQ", "KIND_TREE")),
+    (protocol, ("KIND_SINGLE", "KIND_FQ", "KIND_TREE", "KINDS")),
+    (formulas, ("ResourceGuardError", "_real", "check_int", "KIND_TREE")),
     (games, ("ResourceGuardError", "capped_product")),
     (analysis, ("ResourceGuardError",)),
     (tree, ("MAX_STATIONS", "check_tree_stations")),
@@ -65,7 +67,7 @@ def test_the_walk_budget_is_one_object_in_analysis_and_sim():
 
 
 def test_a_request_holds_the_protocol_it_runs():
-    # resolve's canonical layout: single is the chain at k = 1, any chain
+    # the canonical layout: single is the chain at k = 1, any chain
     # runs on two stations, a tree as asked
     assert (base.Request(kind="single", k=7, n_stations=5).k, base.Request(kind="single").n_stations) == (1, 2)
     assert base.Request(kind="fq", k=1).kind == "single"
@@ -89,3 +91,37 @@ def test_a_request_lists_its_type_faults_alone_then_every_range_fault():
     # a tree's stations and an m past a float are range faults too
     with pytest.raises(ValueError, match="^m: too large for a float, got 1000.*; n_stations: a tree takes 3 to 11"):
         base.Request(n_stations=2, m=10**400)
+
+
+def _transcript(kind, k):
+    doc = json.loads(sim.run_protocol("tree", 2, Field(97), d=0, seed=1).transcript.to_json())
+    doc.update(protocol=kind, k=k)
+    return protocol.Transcript.from_json(json.dumps(doc))
+
+
+# Each public entry that takes a request, called with its kind and depth
+ENTRIES = {
+    "Request": lambda kind, k: base.Request(kind=kind, k=k),
+    "p_ok_formula": lambda kind, k: formulas.p_ok_formula(kind, 0.1, 1, k),
+    "half_life": lambda kind, k: formulas.half_life(kind, 0.1, 1),
+    "comm_bits_formula": lambda kind, k: formulas.comm_bits_formula(kind, k, 97),
+    "monte_carlo_reliability": lambda kind, k: analysis.monte_carlo_reliability(kind, k, 0.1, 1, 10, 1),
+    "run_protocol": lambda kind, k: sim.run_protocol(kind, k, Field(97), d=0, seed=1),
+    "brute_force_binding": lambda kind, k: adversary.brute_force_binding(kind, k, Field(3)),
+    "Transcript.from_json": _transcript,
+}
+REFUSALS = {
+    "kind": ("ring", 2, "protocol: must be one of ('single', 'fq', 'tree'), got 'ring'"),
+    "depth": ("tree", 0, "k: must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("entry, refusal", [
+    (entry, refusal) for refusal in REFUSALS for entry in ENTRIES
+    if (entry, refusal) != ("half_life", "depth")  # the half-life takes no depth
+])
+def test_every_entry_refuses_a_request_with_the_one_text(entry, refusal):
+    kind, k, message = REFUSALS[refusal]
+    with pytest.raises(ValueError) as refused:
+        ENTRIES[entry](kind, k)
+    assert str(refused.value) == message

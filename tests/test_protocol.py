@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relbc import tree as tt
+from relbc.base import Request
 from relbc.field import Field, derived_rng
 from relbc.protocol import (
     KIND_FQ,
@@ -16,7 +17,6 @@ from relbc.protocol import (
     Verdict,
     alpha_chain,
     honest_response,
-    resolve,
     verify_tree,
 )
 from relbc.sim import LossModel, run_protocol
@@ -322,9 +322,11 @@ def _chain_doc(protocol, n_stations):
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [], "transcript: expected a JSON object, got []"),
     (lambda doc: doc.update(protocol="ring"), "protocol: must be one of ('single', 'fq', 'tree'), got 'ring'"),
-    (lambda doc: doc.update(k=0), "k: expected an integer >= 1, got 0"),
+    (lambda doc: doc.update(k=0), "k: must be >= 1, got 0"),
     (lambda doc: _chain_doc(KIND_SINGLE, 2), "k: a single transcript is the chain at k = 1, got 3"),
-    (lambda doc: doc.update(q=True), "q: expected an integer [2, 9223372036854775807], got True"),
+    (lambda doc: doc.update(q=True), "q: expected an integer, got True"),
+    # a composite modulus is refused as the transcript is read, not by Field after it
+    (lambda doc: doc.update(q=4), "q: modulus 4 is not prime"),
     (lambda doc: doc.update(n_stations="3"), "n_stations: expected an integer, got '3'"),
     (lambda doc: doc.update(n_stations=12), "n_stations: a tree takes 3 to 11 stations, got 12"),
     (lambda doc: _chain_doc(KIND_FQ, 3), "n_stations: a chain transcript runs on 2 stations, got 3"),
@@ -419,15 +421,12 @@ def test_transcript_from_json_colors_records_in_any_order():
     ((KIND_SINGLE, 1, 3), (KIND_SINGLE, 1, 2)),
 ])
 def test_resolve_names_the_protocol_a_request_runs(asked, runs):
-    # a tree runs as asked; anything else is the two-station chain, named
-    # single exactly at k = 1, and single always means k = 1
-    assert resolve(*asked) == runs
-    assert resolve(*runs) == runs
-
-
-def test_resolve_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="unknown protocol kind 'ring'"):
-        resolve("ring", 3)
+    # a Request resolves its kind: a tree runs as asked; anything else is
+    # the two-station chain, named single exactly at k = 1, and single
+    # always means k = 1
+    for kind, k, n_stations in (asked, runs):
+        req = Request(kind=kind, k=k, n_stations=n_stations)
+        assert (req.kind, req.k, req.n_stations) == runs
 
 
 def test_exhaustive_hiding_small():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an, tree as tt
 from relbc.field import WALK_BLOCK, Field, LossDraws, loss_cut
-from relbc.protocol import Transcript, honest_response, verify_tree
+from relbc.protocol import Transcript, Verdict, honest_response, verify_tree
 from relbc.sim import (
     EVENT_MAX_K,
     Event,
@@ -325,6 +325,41 @@ def test_run_chain_aborts_in_the_walks_round_on_every_trial(k, p, m, seed):
     ]
     walk = an.chain_abort_rounds(k, p, ENGINE_TRIALS[-1] + 1, seed)
     assert rounds == walk[ENGINE_TRIALS].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 10), p=st.floats(0.0, 0.6), m=st.integers(1, 5), n=st.integers(3, 11),
+       lag=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 10**4),
+       d=st.integers(0, 1))
+def test_run_tree_aborts_exactly_where_the_path_rule_says(k, p, m, n, lag, seed, trial, d):
+    # The paper's loss tolerance, deterministic: the run's own tracker says
+    # which stations are dead each round.  Round 1 aborts iff station 1 is
+    # dead; a round r >= 2 iff every station but the path end's is dead, the
+    # path growing to the first alive child of its end.
+    loss = LossModel(p, m)
+    stations = StationTracker(n, loss, seed, trial)
+    dead = []
+    for _ in range(k + 1):
+        stations.step()
+        dead.append({c for c in range(1, n + 1) if stations.counters[c]})
+    child_colors = tt.Coloring(1, n).child_colors
+    expected, candidates = None, [1]
+    for r, gone in enumerate(dead, 1):
+        end = next((c for c in candidates if c not in gone), None)
+        if end is None:
+            expected = r
+            break
+        candidates = child_colors(end)
+    res = run_protocol("tree", k, Field(97), d, seed, trial, loss, n, lag)
+    assert res.transcript.abort_round == expected
+    if expected is None:
+        assert res.verdict == Verdict.accept(d)
+    else:
+        assert res.verdict.outcome == "abort"
+    # so station 1 alive in round 1 and at most n-2 dead stations a round
+    # is accepted, revealing d
+    if 1 not in dead[0] and all(len(gone) <= n - 2 for gone in dead):
+        assert expected is None
 
 
 def test_run_tree_refuses_a_depth_over_its_cap():

@@ -1,4 +1,6 @@
+import math
 import re
+from itertools import product
 
 import pytest
 
@@ -159,3 +161,35 @@ def test_is_accessible_keeps_the_two_round_rule(n_stations):
                 dw, dv = len(w), len(v)
                 old = dw < dv and dw < k and (dw <= dv - 2 or col.color(w) == col.color(v))
                 assert tt.is_accessible(w, v, col) == old, (w, v, k)
+
+
+# The vertices of a regular icosahedron of edge 1: its pairwise distances
+# are 1, the golden ratio (1.618) and 1.902, all in [1, 2).
+_PHI = (1 + math.sqrt(5)) / 2
+ICOSAHEDRON = [
+    (x / 2, y / 2, z / 2)
+    for a, b in product((1, -1), repeat=2)
+    for x, y, z in ((0, a, b * _PHI), (a, b * _PHI, 0), (b * _PHI, 0, a))
+]
+
+
+@pytest.mark.parametrize("n_stations", range(3, 12))
+def test_the_light_cone_is_exact_on_an_icosahedron(n_stations):
+    # Stations on n vertices of the icosahedron of edge D, a round D/c: an
+    # event at time t is usable at time t' at its own station when t <= t',
+    # and at another at distance d when t' - t > d/D, the continuous strict
+    # cone.  in_light_cone, and is_accessible on a shallow tree, agree.
+    where = ICOSAHEDRON[:n_stations]
+
+    def cone(t, a, t2, b):
+        return t <= t2 if a == b else t2 - t > math.dist(where[a - 1], where[b - 1])
+
+    stations, times = range(1, n_stations + 1), range(5)
+    for t, a, t2, b in product(times, stations, times, stations):
+        assert tt.in_light_cone(t, a, t2, b) == cone(t, a, t2, b), (t, a, t2, b)
+    col = tt.make_coloring(3, n_stations)
+    nodes = [v for j in range(4) for v in tt.nodes_at_depth(j, col.arity)]
+    for v in nodes:
+        for w in nodes[:len(nodes) - col.arity**3]:  # only nodes above depth k carry challenges
+            want = len(w) < len(v) and cone(len(w), col.color(w), len(v), col.color(v))
+            assert tt.is_accessible(w, v, col) == want, (w, v)
