@@ -312,12 +312,7 @@ def _steady_hazard(freq: dict[int, float], k: int, m: int, rounds: int) -> float
 
 @dataclass
 class ReliabilityReport:
-    kind: str
-    k: int
-    p: float
-    m: int
-    n_stations: int
-    trials: int
+    request: Request  # the protocol run, its loss, modulus, lag and trials
     p_ok_formula: float
     p_ok_mc: float
     ci_lo: float
@@ -329,14 +324,19 @@ class ReliabilityReport:
     comm_bits_mean: Optional[float] = None  # set by comm_samples; not in the JSON
     metadata: dict = dc_field(default_factory=dict)
 
+    @property
+    def trials(self) -> int:
+        return self.request.trials
+
     def to_json(self) -> str:
+        req = self.request
         doc = {
-            "protocol": self.kind,
-            "k": self.k,
-            "p": self.p,
-            "m": self.m,
-            "n_stations": self.n_stations,
-            "trials": self.trials,
+            "protocol": req.kind,
+            "k": req.k,
+            "p": req.p,
+            "m": req.m,
+            "n_stations": req.n_stations,
+            "trials": req.trials,
             "p_ok_formula": self.p_ok_formula,
             "p_ok_mc": self.p_ok_mc,
             "ci95": [self.ci_lo, self.ci_hi],
@@ -364,8 +364,9 @@ def monte_carlo_reliability(
     comm_samples: int = 0,
 ) -> ReliabilityReport:
     """Estimate the no-abort probability with honest parties and compare
-    it against the closed form, for the protocol a ``base.Request`` runs
-    on a layout ``check_budget`` admits, checked before the walk starts.
+    it against the closed form, for the protocol the ``base.Request`` of
+    these arguments runs, built once and checked, with ``check_budget``,
+    before the walk starts; the report holds it.
 
     Every figure comes from the histogram of the station walk's abort
     rounds (``tree_abort_rounds`` or ``chain_abort_rounds``).  The engine
@@ -378,14 +379,14 @@ def monte_carlo_reliability(
     A request that ``base.Request`` refuses raises its ValueError, and so
     does a comm_samples that is no int >= 0, each before the walk.
     """
-    Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag, p=p, m=m,
-            q=q_modulus, seed=seed, trials=trials, engine=engine)
+    req = Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag, p=p, m=m,
+                  q=q_modulus, seed=seed, trials=trials, engine=engine)
     check_int(comm_samples, "comm_samples", 0)
     loss = LossModel(p=p, m=m)
     comm_samples = min(comm_samples, trials)
     runs = trials if engine == "events" else comm_samples
-    kind, k, n_stations = check_budget(kind, k, walk_trials=trials, event_runs=runs,
-                                       n_stations=n_stations, prune_lag=prune_lag)
+    check_budget(req, walk_trials=trials, event_runs=runs)
+    kind, k, n_stations = req.kind, req.k, req.n_stations
     if kind == KIND_TREE:
         aborts = tree_abort_rounds(k, p, m, n_stations, trials, seed)
     else:
@@ -422,7 +423,7 @@ def monte_carlo_reliability(
         "engine": engine,
         "rng_stream": RNG_STREAM,
     }
-    hl = half_life(kind, p, m, n_stations)
+    hl = half_life(req)
     if math.isinf(hl):
         meta["half_life_note"] = (
             "half-lives are null: the formula expects no abort, so they are "
@@ -433,13 +434,8 @@ def monte_carlo_reliability(
         # formula's 1/p when m > 1; surface both
         meta["half_life_from_survival_formula"] = 1.0 / p if p else None
     return ReliabilityReport(
-        kind=kind,
-        k=k,
-        p=p,
-        m=m,
-        n_stations=n_stations,
-        trials=trials,
-        p_ok_formula=float(p_ok_formula(kind, p, m, k, n_stations)),
+        request=req,
+        p_ok_formula=float(p_ok_formula(req)),
         p_ok_mc=p_ok_mc,
         ci_lo=lo,
         ci_hi=hi,
@@ -488,20 +484,22 @@ def abort_rate_slope(
 # Report tables
 
 
-def report_row(rep: ReliabilityReport, q_modulus: int, prune_lag: int) -> dict:
+def report_row(rep: ReliabilityReport) -> dict:
+    """The CSV row of ``rep``, its modulus and lag N read from its request."""
+    req = rep.request
     return {
-        "protocol": rep.kind,
-        "p": rep.p,
-        "m": rep.m,
-        "k": rep.k,
-        "n": rep.n_stations,
-        "N": prune_lag,
+        "protocol": req.kind,
+        "p": req.p,
+        "m": req.m,
+        "k": req.k,
+        "n": req.n_stations,
+        "N": req.prune_lag,
         "p_ok_formula": rep.p_ok_formula,
         "p_ok_mc": rep.p_ok_mc,
         "ci_lo": rep.ci_lo,
         "ci_hi": rep.ci_hi,
         "comm_bits_mean": rep.comm_bits_mean,
-        "comm_bits_formula": comm_bits_formula(rep.kind, rep.k, q_modulus, prune_lag),
+        "comm_bits_formula": comm_bits_formula(req),
         "half_life_formula": rep.half_life_formula,
     }
 

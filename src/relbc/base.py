@@ -1,13 +1,14 @@
 """The names every relbc layer shares, in a module that loads no other
-relbc layer until a ``Request`` is checked, which loads ``relbc.field``.
+relbc layer until a modulus is checked, alone or in a ``Request``, which
+loads ``relbc.field``.
 
 The protocol kinds and the engine names; ``Request``, each rule of a
 simulation request stated once, the protocol it runs among them, with
-``check_int`` and ``check_tree_stations`` for a count or a station range
-checked alone; ``ResourceGuardError``, the refusal of
-every work budget, with ``capped_product``, which sizes a search without
-multiplying it out; and ``_real``, an integer parameter as a float or a
-ValueError naming it.  ``relbc.protocol``, ``relbc.sim`` and
+``check_int``, ``check_modulus`` and ``check_tree_stations`` for a count,
+a modulus or a station range checked alone; ``ResourceGuardError``, the
+refusal of every work budget, with ``capped_product``, which sizes a
+search without multiplying it out; and ``_real``, an integer parameter
+as a float or a ValueError naming it.  ``relbc.protocol``, ``relbc.sim`` and
 ``relbc.tree`` re-export some of them; ``relbc.games``,
 ``relbc.formulas`` and ``relbc.cli`` need nothing else.
 """
@@ -29,6 +30,16 @@ ENGINES = ("fast", "events")
 # Each level of a node label is one digit, so a node has at most ten
 # children and a tree at most eleven stations.
 MAX_STATIONS = 11
+
+
+def check_modulus(q: int) -> None:
+    """ValueError naming q unless ``relbc.field.Field`` takes it: a prime below its cap."""
+    from .field import Field  # loaded only when a modulus is checked
+
+    try:
+        Field(q)
+    except ValueError as exc:
+        raise ValueError(f"q: {exc}") from None
 
 
 def check_tree_stations(n_stations: int) -> None:
@@ -111,12 +122,10 @@ class Request:
                 if _mistyped(fields[name], took) and not (name == "seed" and fields[name] is None)]
 
     def _range_faults(self) -> list[str]:
-        from .field import Field  # loaded only when a request is checked
-
         faults = [  # one rule a line, each a fault or None
             None if self.kind in KINDS else f"protocol: must be one of {KINDS}, got {self.kind!r}",
             None if self.k >= 1 else _below("k", self.k, 1),
-            _raised(Field, self.q, prefix="q: "),
+            _raised(check_modulus, self.q),
             None if 0 <= self.p <= 1 else f"p: must be in [0,1], got {self.p}",
             _below("m", self.m, 1) if self.m < 1 else _raised(_real, self.m, "m"),
             _raised(check_tree_stations, self.n_stations) if self.kind == KIND_TREE else None,
@@ -130,12 +139,12 @@ class Request:
         return [fault for fault in faults if fault]
 
 
-def _raised(check, *args, prefix: str = "") -> Optional[str]:
-    """The text of the ValueError ``check(*args)`` raises, after ``prefix``, or None."""
+def _raised(check, *args) -> Optional[str]:
+    """The text of the ValueError ``check(*args)`` raises, or None."""
     try:
         check(*args)
     except ValueError as exc:
-        return f"{prefix}{exc}"
+        return str(exc)
     return None
 
 

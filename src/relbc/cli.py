@@ -13,8 +13,8 @@ event engine (``relbc.sim``) and, once its output paths and every work
 budget pass, the Monte Carlo layer (``relbc.analysis``, with numpy), so
 a refusal loads no numpy.  The other subcommands import the layers they
 run: ``bind-oracle`` the exact oracles, ``chsh`` the game solver
-(``relbc.games``), ``bounds`` the closed forms (``relbc.formulas``) and
-``verify-transcript`` the verifier (``relbc.protocol``).
+(``relbc.games``), ``bounds`` the closed forms (``relbc.formulas``, with
+``relbc.field``) and ``verify-transcript`` the verifier (``relbc.protocol``).
 
 ``simulate`` runs the event engine only for output it prints: every
 trial under ``--engine events``, whose first ``COMM_SAMPLES``
@@ -178,15 +178,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Every work budget is checked here, before the walk or any run starts,
     # on the walk and exactly the event-engine runs that follow.
     events = req.engine == "events"
-    sim.check_budget(
-        req.kind, req.k,
-        walk_trials=req.trials,
-        event_runs=(req.trials if events else comm_samples) + bool(args.transcript_out),
-        n_stations=req.n_stations, prune_lag=req.prune_lag,
-    )
+    sim.check_budget(req, walk_trials=req.trials,
+                     event_runs=(req.trials if events else comm_samples) + bool(args.transcript_out))
     if table:
         # a cost formula too large for a float is bad input, refused before the walk
-        formulas.comm_bits_formula(req.kind, req.k, req.q, req.prune_lag)
+        formulas.comm_bits_formula(req)
     from . import analysis  # numpy loads only for a request that passed every check
 
     rep = analysis.monte_carlo_reliability(
@@ -204,7 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         outputs.append((res.transcript.to_json() + "\n", args.transcript_out, "transcript-out"))
     if table:
-        row = analysis.report_row(rep, req.q, req.prune_lag)
+        row = analysis.report_row(rep)
         if out_csv:
             outputs.append((analysis.rows_to_csv([row]), out_csv, "out-csv"))
         if args.pretty:

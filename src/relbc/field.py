@@ -204,7 +204,8 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
-@functools.lru_cache(maxsize=16)
+# typed: a cached seed 1 must not answer for True, whose key hashes "True"
+@functools.lru_cache(maxsize=16, typed=True)
 def loss_stream_key(seed: int, tag: str, block: int) -> tuple[int, int]:
     """(state, increment) of block ``block``'s PCG64 stream of the walk
     ``tag``; cached, since consecutive trials share their block."""

@@ -1,13 +1,13 @@
 """Closed-form performance formulas and the binding ceiling.
 
-Survival probability, half-life, communication cost and the binding
-ceilings, as the paper states them.  They accept exact rationals where
-that makes consistency checks exact, and they are plain Python: this
-module loads no numpy and no other relbc layer, only the shared names of
-``relbc.base``, so the exact oracles and ``relbc bounds`` read the
-ceiling without the Monte Carlo layer (``relbc.analysis``); checking a
-``base.Request``, ``p_ok_formula``, ``half_life`` and ``comm_bits_formula``
-load ``relbc.field``.
+Survival probability, half-life and communication cost of the protocol
+a checked ``base.Request`` runs, and the binding ceilings, as the paper
+states them.  They accept exact rationals where that makes consistency
+checks exact, and they are plain Python: this module loads no numpy and
+no other relbc layer, only the shared names of ``relbc.base``, so the
+exact oracles and ``relbc bounds`` read the ceiling without the Monte
+Carlo layer (``relbc.analysis``); ``bound_table`` checks each modulus,
+which loads ``relbc.field``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .base import KIND_TREE, Request, ResourceGuardError, _real, check_int
+from .base import KIND_TREE, Request, ResourceGuardError, _real, check_int, check_modulus
 
 
 def per_round_loss_prob(n_stations: int, mp):
@@ -32,39 +32,36 @@ def per_round_loss_prob(n_stations: int, mp):
     return min(n * mp ** (n - 1) + mp**n, 1)
 
 
-def p_ok_formula(kind: str, p, m: int, k: int, n_stations: int = 3):
-    """Published no-abort probability: (1-p)^k for the chained protocol,
+def p_ok_formula(req: Request):
+    """Published no-abort probability of the protocol ``req`` runs:
+    (1-p)^k for the chained protocol, so one round for ``single``, and
     (1-q)^k with q = n*(mp)^(n-1) + (mp)^n, capped at 1, for the tree.
 
-    Exact Fractions in give an exact Fraction out.  The tree formula is an
-    approximation valid for mp << 1 and m << k; callers report that
-    caveat, not this function.  The formula is that of the protocol a
-    ``base.Request`` runs, so ``single`` is one round; a request it
-    refuses raises its ValueError.
+    An exact Fraction p gives an exact Fraction out.  The tree formula is
+    an approximation valid for mp << 1 and m << k; callers report that
+    caveat, not this function.
     """
-    req = Request(kind=kind, k=k, n_stations=n_stations, p=p, m=m)
     if req.kind == KIND_TREE:
-        q = per_round_loss_prob(req.n_stations, m * p)
+        q = per_round_loss_prob(req.n_stations, req.m * req.p)
         return (1 - q) ** req.k
-    return (1 - p) ** req.k
+    return (1 - req.p) ** req.k
 
 
-def half_life(kind: str, p: float, m: int, n_stations: int = 3) -> float:
-    """Rounds until the survival probability drops to about 1/e.
+def half_life(req: Request) -> float:
+    """Rounds until the survival probability of the protocol ``req`` runs
+    drops to about 1/e; its depth plays no part.
 
     Chained protocol: returns the published 1/(m*p).  The displayed
     survival formula implies 1/p instead, which disagrees for m > 1;
     reports carry that value as ``metadata.half_life_from_survival_formula``.
     Tree: 1/q with q from ``per_round_loss_prob``, so at least 1 round.
-    A request ``base.Request`` refuses raises its ValueError, even at p = 0.
     """
-    req = Request(kind=kind, p=p, m=m, n_stations=n_stations)
-    if p == 0:
+    if req.p == 0:
         return math.inf
     if req.kind == KIND_TREE:
-        q = per_round_loss_prob(n_stations, m * p)
+        q = per_round_loss_prob(req.n_stations, req.m * req.p)
         return 1.0 / q if q > 0 else math.inf
-    return 1.0 / (m * p)
+    return 1.0 / (req.m * req.p)
 
 
 # Largest n for which x_sequence steps its recursion: about 0.04 s of
@@ -104,12 +101,15 @@ def bound_table(
     (5k/sqrt(2Q)) and conjectured above; then, given a target epsilon, per
     (n, k) the ``min_q`` at which the ceiling, falling as sqrt(2/Q), reaches
     it: 2*(binding_ceiling(k, 2, x_n)/epsilon)^2.  Every input is checked
-    first, each an int by ``base.check_int`` naming its flag; x_n is stepped
-    once per station count.
+    first, each an int by ``base.check_int`` naming its flag, and each Q a
+    prime by ``base.check_modulus``, the modulus rule of a request; x_n is
+    stepped once per station count.
     """
     for name, values, least in (("k", ks, 1), ("q", qs, 2), ("n", n_stations, 3)):
         for v in values:
             check_int(v, name, least)
+    for q in qs:
+        check_modulus(q)
     if target_epsilon is not None and not 0 < target_epsilon < math.inf:
         raise ValueError(f"epsilon: target must be positive and finite, got {target_epsilon}")
     grid, inverse = [], []
@@ -140,17 +140,15 @@ def bound_table(
     return grid + inverse
 
 
-def comm_bits_formula(kind: str, k: int, q_modulus: int, prune_lag: int = 2) -> float:
-    """Published communication cost: 2k*log2(Q) for the chained protocol,
-    k*2^(N+2)*log2(Q) as the worst-case tree envelope with pruning lag N,
-    for the protocol a ``base.Request`` runs.  A request it refuses raises
-    its ValueError, and so does a cost too large for a float, naming N (k
-    for the chain).
+def comm_bits_formula(req: Request) -> float:
+    """Published communication cost of the protocol ``req`` runs, at its
+    modulus Q: 2k*log2(Q) for the chained protocol, k*2^(N+2)*log2(Q) as
+    the worst-case tree envelope with pruning lag N.  A cost too large for
+    a float raises ValueError, naming N (k for the chain).
 
     The tree's 2^(N+2) scales the float exponent: the same bits as the
     integer product, without building 2^(N+2) for a huge N."""
-    req = Request(kind=kind, k=k, q=q_modulus, prune_lag=prune_lag)
-    kind, k = req.kind, req.k
+    kind, k, q_modulus, prune_lag = req.kind, req.k, req.q, req.prune_lag
     log2q = math.log2(q_modulus)
     try:
         bits = math.ldexp(k * log2q, prune_lag + 2) if kind == KIND_TREE else 2 * k * log2q

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 # KIND_FQ runs nowhere here; it is re-exported with the other shared names
-from .base import KIND_FQ, KIND_TREE, Request, ResourceGuardError, capped_product  # noqa: F401
+from .base import KIND_FQ, KIND_TREE, Request, ResourceGuardError, capped_product, check_int  # noqa: F401
 # derived_rng draws no loss; perfbench's events workload traces the name
 # sim.derived_rng, so it stays importable here
 from .field import Field, LossDraws, derived_rng, loss_cut, node_child, node_root
@@ -72,24 +72,13 @@ WALK_ROUND_TRIALS = 1200   # the trials a round is charged at least
 WALK_STATE_BYTES = 2**30   # the abort rounds a station walk holds at once
 
 
-def check_budget(
-    kind: str,
-    k: int,
-    walk_trials: int = 0,
-    event_runs: int = 0,
-    n_stations: int = 3,
-    prune_lag: int = 2,
-) -> tuple[str, int, int]:
-    """The (kind, k, n_stations) of the protocol a ``base.Request`` runs, once
-    the request passes the one check that ``relbc simulate``,
+def check_budget(req: Request, walk_trials: int = 0, event_runs: int = 0) -> None:
+    """The one work-budget check that ``relbc simulate``,
     ``analysis.monte_carlo_reliability`` and every run (``_check_one_run``)
-    make before any work.  It lives here, not with the walk in
-    ``relbc.analysis``, so ``relbc simulate`` refuses before it loads
-    numpy.
-
-    First the layout: ``base.Request``'s rules of kind, k, n_stations and
-    prune_lag, one ValueError with its texts.  Then the work budgets, each
-    a ResourceGuardError naming the budget and the size asked for.
+    make before any work, on the protocol the checked request ``req``
+    runs: each budget a ResourceGuardError naming it and the size asked
+    for.  It lives here, not with the walk in ``relbc.analysis``, so
+    ``relbc simulate`` refuses before it loads numpy.
 
     A station walk over ``walk_trials`` trials is charged
     max(trials, WALK_ROUND_TRIALS) x rounds trial-rounds against
@@ -106,8 +95,7 @@ def check_budget(
     run is counted as if it never aborts, a chain as the tree on two
     stations: k+1 nodes, one a round.
     """
-    layout = Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag)
-    kind, k, n_stations = layout.kind, layout.k, layout.n_stations
+    kind, k, n_stations, prune_lag = req.kind, req.k, req.n_stations, req.prune_lag
     rounds = k + 1 if kind == KIND_TREE else k
     charged = max(walk_trials, WALK_ROUND_TRIALS) if walk_trials else 0
     # The walk sizes are named by their factors, never multiplied out: the
@@ -123,7 +111,7 @@ def check_budget(
             f"of state exceeds WALK_STATE_BYTES = {WALK_STATE_BYTES}"
         )
     if not event_runs:
-        return kind, k, n_stations
+        return
     if k > EVENT_MAX_K:
         raise ResourceGuardError(
             f"{kind} run of k={k} rounds exceeds the per-run cap of {EVENT_MAX_K} rounds, "
@@ -147,7 +135,6 @@ def check_budget(
             f"{chars} label characters, over the cap of {cap}, those of a three-station, "
             "lag-2 run of EVENT_MAX_K rounds"
         )
-    return kind, k, n_stations
 
 
 @dataclass(frozen=True)
@@ -272,11 +259,14 @@ class ChainTracker:
         return []
 
 
-# typed: a cached 2 must not answer for 2.0 or True, which check_budget refuses
+# typed: a cached 2 must not answer for 2.0 or True, which Request refuses
 @functools.lru_cache(maxsize=256, typed=True)
-def _check_one_run(kind: str, k: int, n_stations: int, prune_lag: int) -> tuple[str, int, int]:
-    """``check_budget`` of one run; a refusal raises and is not cached."""
-    return check_budget(kind, k, event_runs=1, n_stations=n_stations, prune_lag=prune_lag)
+def _check_one_run(kind: str, k: int, n_stations: int, prune_lag: int, seed: int) -> Request:
+    """The ``base.Request`` of one run's layout and seed, once it passes
+    ``check_budget``; a refusal raises and is not cached."""
+    req = Request(kind=kind, k=k, n_stations=n_stations, prune_lag=prune_lag, seed=seed)
+    check_budget(req, event_runs=1)
+    return req
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,13 +325,19 @@ def run_protocol(
     rule and the check are made once per layout.  On a 2-core host a run
     takes 0.12 to 0.16 ms at k=18 (62 to 67 scheduled nodes, a digest
     each, lossless or at p = 0.02) and 1.35 to 1.45 ms at k=200 (795
-    nodes).  A committed bit other than 0 or 1, or a layout that
-    ``check_budget`` refuses, raises ValueError, and a run over its caps
+    nodes).  A committed bit other than 0 or 1, a layout or seed that
+    ``base.Request`` refuses (checked once per layout and seed), or a
+    trial that is no int >= 0 raises ValueError, and a run over its caps
     ResourceGuardError, each before round 1.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d not in (0, 1):
         raise ValueError("committed bit must be 0 or 1")
-    kind, k, n_stations = _check_one_run(kind, k, n_stations, prune_lag)
+    try:
+        req = _check_one_run(kind, k, n_stations, prune_lag, seed)
+    except TypeError:  # an unhashable argument, which the uncached check names
+        req = _check_one_run.__wrapped__(kind, k, n_stations, prune_lag, seed)
+    check_int(trial, "trial", 0)
+    kind, k, n_stations = req.kind, req.k, req.n_stations
     coloring = tt.make_coloring(k, n_stations)
     arity = coloring.arity
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from relbc import analysis as an
 from relbc import formulas as fm
 from relbc import sim
+from relbc.base import Request
 from relbc.cli import dispatch
 from relbc.field import Field, LossDraws
 from relbc.protocol import Verdict
@@ -23,17 +24,17 @@ from relbc.sim import EVENT_MAX_K, LossModel, comm_cost, run_protocol
 
 
 def test_p_ok_chain_formula():
-    assert fm.p_ok_formula("fq", 0.0, 1, 50) == 1
-    assert fm.p_ok_formula("fq", 0.01, 1, 69) == pytest.approx(0.99**69)
-    exact = fm.p_ok_formula("fq", Fraction(1, 100), 1, 2)
+    assert fm.p_ok_formula(Request(kind="fq", k=50, p=0.0)) == 1
+    assert fm.p_ok_formula(Request(kind="fq", k=69, p=0.01)) == pytest.approx(0.99**69)
+    exact = fm.p_ok_formula(Request(kind="fq", k=2, p=Fraction(1, 100)))
     assert exact == Fraction(99, 100) ** 2
 
 
 def test_closed_forms_and_budget_treat_single_as_one_round():
     # base.Request: a single request is the chain at k = 1, whatever k
-    assert fm.p_ok_formula("single", 0.1, 1, 10) == pytest.approx(0.9)
-    assert fm.comm_bits_formula("single", 10, 97) == pytest.approx(2 * math.log2(97))
-    an.check_budget("single", 100_000, walk_trials=100_000)
+    assert fm.p_ok_formula(Request(kind="single", k=10, p=0.1)) == pytest.approx(0.9)
+    assert fm.comm_bits_formula(Request(kind="single", k=10, q=97)) == pytest.approx(2 * math.log2(97))
+    an.check_budget(Request(kind="single", k=100_000), walk_trials=100_000)
 
 
 def test_tree_q_formula_examples():
@@ -49,23 +50,26 @@ def test_tree_formula_consistency_n3_exact():
     generic = fm.per_round_loss_prob(3, mp)
     explicit = 3 * mp**2 + mp**3
     assert generic == explicit
-    assert fm.p_ok_formula("tree", Fraction(1, 100), 2, 10, 3) == (1 - explicit) ** 10
+    assert fm.p_ok_formula(Request(kind="tree", k=10, n_stations=3, p=Fraction(1, 100), m=2)) == (
+        (1 - explicit) ** 10
+    )
 
 
 def test_p_ok_domain_errors():
+    # the closed forms take a checked request, so the request refuses
     with pytest.raises(ValueError):
-        fm.p_ok_formula("fq", -0.1, 1, 5)
+        Request(kind="fq", k=5, p=-0.1, m=1)
     with pytest.raises(ValueError):
-        fm.p_ok_formula("fq", 0.1, 0, 5)
+        Request(kind="fq", k=5, p=0.1, m=0)
     with pytest.raises(ValueError):
-        fm.p_ok_formula("what", 0.1, 1, 5)
+        Request(kind="what", k=5, p=0.1, m=1)
     with pytest.raises(ValueError, match="^protocol: must be one of .*, got 'what'$"):
-        fm.half_life("what", 0.1, 1)
-    # the request is checked before p = 0 answers inf
+        Request(kind="what", p=0.1, m=1)
+    # a p = 0 that would answer inf does not pass a bad request
     with pytest.raises(ValueError, match="^protocol: must be one of .*, got 'bogus'$"):
-        fm.half_life("bogus", 0, 1)
+        Request(kind="bogus", p=0, m=1)
     with pytest.raises(ValueError, match="^m: must be >= 1, got 0$"):
-        fm.half_life("fq", 0, 0)
+        Request(kind="fq", p=0, m=0)
     with pytest.raises(ValueError, match="^n: must be >= 2, got 1$"):
         fm.x_sequence(1)
     # a fractional count was a TypeError from range
@@ -82,23 +86,24 @@ def test_p_ok_domain_errors():
     ("fq", Fraction(3, 2), 1, 5, "p: must be in [0,1], got 3/2"),
 ])
 def test_p_ok_refuses_what_a_request_refuses(kind, p, m, k, message):
-    # a fractional depth or dead time once gave a number
+    # a fractional depth or dead time once gave a number; p_ok_formula
+    # takes a checked request, which refuses them
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        fm.p_ok_formula(kind, p, m, k)
+        fm.p_ok_formula(Request(kind=kind, k=k, p=p, m=m))
 
 
 def test_p_ok_keeps_an_exact_p_exact():
     for kind in ("single", "fq", "tree"):
-        assert type(fm.p_ok_formula(kind, Fraction(1, 7), 2, 3)) is Fraction
-        assert fm.p_ok_formula(kind, Fraction(0), 2, 3) == 1
+        assert type(fm.p_ok_formula(Request(kind=kind, k=3, p=Fraction(1, 7), m=2))) is Fraction
+        assert fm.p_ok_formula(Request(kind=kind, k=3, p=Fraction(0), m=2)) == 1
 
 
 def test_half_life_examples():
-    assert fm.half_life("fq", 0.002, 5) == pytest.approx(100)
-    t_tree = fm.half_life("tree", 0.002, 5)
+    assert fm.half_life(Request(kind="fq", p=0.002, m=5)) == pytest.approx(100)
+    t_tree = fm.half_life(Request(kind="tree", p=0.002, m=5))
     assert t_tree == pytest.approx(1 / 3.01e-4, rel=1e-6)
     assert t_tree / 100 == pytest.approx(33.2, rel=0.01)
-    assert fm.half_life("fq", 0.0, 3) == math.inf
+    assert fm.half_life(Request(kind="fq", p=0.0, m=3)) == math.inf
 
 
 def test_x_sequence_values():
@@ -191,8 +196,8 @@ def test_bound_table_steps_x_n_once_per_station_count(monkeypatch):
 
 
 def test_comm_bits_formula():
-    assert fm.comm_bits_formula("fq", 10, 97) == pytest.approx(20 * math.log2(97))
-    assert fm.comm_bits_formula("tree", 10, 97, prune_lag=1) == pytest.approx(
+    assert fm.comm_bits_formula(Request(kind="fq", k=10, q=97)) == pytest.approx(20 * math.log2(97))
+    assert fm.comm_bits_formula(Request(kind="tree", k=10, q=97, prune_lag=1)) == pytest.approx(
         10 * 8 * math.log2(97)
     )
 
@@ -203,8 +208,9 @@ def test_comm_bits_formula():
                          "prune_lag: pruning lag must be >= 1, got 0"),  # was -24.0 bits
 ])
 def test_comm_bits_formula_refuses_what_a_request_refuses(args, message):
+    # args: (kind, k, q, prune_lag if not 2), the request the formula takes
     with pytest.raises(ValueError) as refused:
-        fm.comm_bits_formula(*args)
+        fm.comm_bits_formula(Request(**dict(zip(("kind", "k", "q", "prune_lag"), args))))
     assert str(refused.value) == message
 
 
@@ -219,18 +225,18 @@ def test_comm_bits_formula_is_the_integer_product_up_to_a_float_overflow(k, q):
     # 3*2^(N+2)*log2(97) is finite up to N = 1017 and overflows from 1018
     last = max(n for n in range(1, 1030) if published(n) < math.inf)
     for n in (1, 2, 10, last - 1, last):
-        assert fm.comm_bits_formula("tree", k, q, prune_lag=n) == published(n)
+        assert fm.comm_bits_formula(Request(kind="tree", k=k, q=q, prune_lag=n)) == published(n)
     for n in (last + 1, last + 4, 10**30):
         with pytest.raises(ValueError, match=r"^N: .*too large for a float"):
-            fm.comm_bits_formula("tree", k, q, prune_lag=n)
+            fm.comm_bits_formula(Request(kind="tree", k=k, q=q, prune_lag=n))
     if (k, q) == (3, 97):
         assert last == 1017
 
 
 def test_comm_bits_formula_refuses_a_chain_too_long_for_a_float():
-    assert fm.comm_bits_formula("fq", 10**300, 2) == 2e300
+    assert fm.comm_bits_formula(Request(kind="fq", k=10**300, q=2)) == 2e300
     with pytest.raises(ValueError, match=r"^k: .*too large for a float"):
-        fm.comm_bits_formula("fq", 10**400, 2)
+        fm.comm_bits_formula(Request(kind="fq", k=10**400, q=2))
 
 
 def _root_within(x: float, tail, target, ulps: int = 64) -> bool:
@@ -418,7 +424,7 @@ def test_mc_single_request_is_the_k1_report(engine):
     kw = dict(p=0.1, m=2, trials=500, seed=3, engine=engine)
     asked = an.monte_carlo_reliability("single", 10, n_stations=7, **kw)
     assert asked.to_json() == an.monte_carlo_reliability("single", 1, **kw).to_json()
-    assert (asked.kind, asked.k, asked.n_stations) == ("single", 1, 2)
+    assert (asked.request.kind, asked.request.k, asked.request.n_stations) == ("single", 1, 2)
 
 
 @pytest.mark.parametrize("engine", ["fast", "events"])
@@ -504,7 +510,7 @@ def test_report_metadata_carries_all_loss_conventions():
 
 def test_csv_schema_and_determinism():
     rep = an.monte_carlo_reliability("fq", 10, 0.0, 1, 100, seed=1, q_modulus=97, comm_samples=4)
-    row = an.report_row(rep, 97, 2)
+    row = an.report_row(rep)
     assert row["comm_bits_mean"] == rep.comm_bits_mean == pytest.approx(20 * math.log2(97))
     text = an.rows_to_csv([row])
     header = text.splitlines()[0].split(",")
@@ -738,12 +744,12 @@ def test_a_failing_block_stops_every_worker_and_reaches_the_caller(monkeypatch, 
 def test_work_budgets_admit_the_readme_and_benchmark_sizes():
     # README: k=200 x 100k-trial walk, printed as a table (16 cost runs),
     # with a transcript
-    an.check_budget("tree", 200, walk_trials=100_000, event_runs=17)
+    an.check_budget(Request(kind="tree", k=200), walk_trials=100_000, event_runs=17)
     # criterion-6 sweep, chain point and the engine cross-check
-    an.check_budget("tree", 200, walk_trials=100_000)
-    an.check_budget("fq", 69, walk_trials=100_000)
-    an.check_budget("tree", 15, event_runs=1500)
-    an.check_budget("tree", EVENT_MAX_K, event_runs=16)
+    an.check_budget(Request(kind="tree", k=200), walk_trials=100_000)
+    an.check_budget(Request(kind="fq", k=69), walk_trials=100_000)
+    an.check_budget(Request(kind="tree", k=15), event_runs=1500)
+    an.check_budget(Request(kind="tree", k=EVENT_MAX_K), event_runs=16)
 
 
 def test_work_budgets_refuse_before_any_work():
@@ -758,15 +764,15 @@ def test_work_budgets_refuse_before_any_work():
         an.monte_carlo_reliability("tree", 100, 0.0, 1, 10**5, seed=1, engine="events")
     # (n-1)^N past 4300 digits is refused by its factors, never formatted
     with pytest.raises(an.ResourceGuardError, match=r"5001 x 10\*\*4400 scheduled nodes .*EVENT_BUDGET"):
-        an.check_budget("tree", EVENT_MAX_K, event_runs=5, n_stations=11, prune_lag=4400)
+        an.check_budget(Request(kind="tree", k=EVENT_MAX_K, n_stations=11, prune_lag=4400), event_runs=5)
     # the exact boundary is admitted
-    an.check_budget("fq", 1000, walk_trials=huge // 1000)
+    an.check_budget(Request(kind="fq", k=1000), walk_trials=huge // 1000)
     # one round, but more trials than the walk can hold in memory at once;
     # checked through check_budget alone, so nothing is allocated
     per_trial = 4  # an int32 abort round
     with pytest.raises(an.ResourceGuardError, match="WALK_STATE_BYTES"):
-        an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial + 1, n_stations=3)
-    an.check_budget("tree", 1, walk_trials=an.WALK_STATE_BYTES // per_trial, n_stations=3)
+        an.check_budget(Request(kind="tree", k=1, n_stations=3), walk_trials=an.WALK_STATE_BYTES // per_trial + 1)
+    an.check_budget(Request(kind="tree", k=1, n_stations=3), walk_trials=an.WALK_STATE_BYTES // per_trial)
 
 
 # a report's bad request, and the start of its refusal
@@ -804,22 +810,22 @@ def test_m_past_a_float_is_a_value_error_naming_m():
 def test_walk_state_charges_an_int32_abort_round_per_trial():
     # 40,000,000 trials at k = 1 hold 160 MB of abort rounds, whatever the
     # station count.  Only the guard runs, so nothing is allocated.
-    an.check_budget("tree", 1, walk_trials=40_000_000, n_stations=3)
-    an.check_budget("tree", 1, walk_trials=2**28, n_stations=11)
+    an.check_budget(Request(kind="tree", k=1, n_stations=3), walk_trials=40_000_000)
+    an.check_budget(Request(kind="tree", k=1, n_stations=11), walk_trials=2**28)
     with pytest.raises(an.ResourceGuardError, match=r"= 268435457 x 4 bytes of state exceeds WALK_STATE_BYTES"):
-        an.check_budget("tree", 1, walk_trials=2**28 + 1, n_stations=3)
+        an.check_budget(Request(kind="tree", k=1, n_stations=3), walk_trials=2**28 + 1)
 
 
 def test_label_characters_admit_sixteen_three_station_runs_of_the_cap():
-    an.check_budget("tree", EVENT_MAX_K, event_runs=16)
+    an.check_budget(Request(kind="tree", k=EVENT_MAX_K), event_runs=16)
     for n, lag in ((11, 2), (4, 2), (3, 3)):
         with pytest.raises(an.ResourceGuardError, match="label characters"):
-            an.check_budget("tree", EVENT_MAX_K, event_runs=1, n_stations=n, prune_lag=lag)
+            an.check_budget(Request(kind="tree", k=EVENT_MAX_K, n_stations=n, prune_lag=lag), event_runs=1)
     # four stations, lag 2: 3 + 9 * (k * (k + 1) - 2) / 2 characters, so
     # k = 3333 fits and k = 3334 does not
-    an.check_budget("tree", 3333, event_runs=1, n_stations=4)
+    an.check_budget(Request(kind="tree", k=3333, n_stations=4), event_runs=1)
     with pytest.raises(an.ResourceGuardError, match="label characters"):
-        an.check_budget("tree", 3334, event_runs=1, n_stations=4)
+        an.check_budget(Request(kind="tree", k=3334, n_stations=4), event_runs=1)
 
 
 def _refused(call):
@@ -846,7 +852,8 @@ def test_check_budget_refuses_exactly_the_runs_the_engine_refuses():
     ran = 0
     for kind, k, n, lag in EVENT_GRID:
         t0 = time.process_time()
-        refused = _refused(lambda: an.check_budget(kind, k, event_runs=1, n_stations=n, prune_lag=lag))
+        req = Request(kind=kind, k=k, n_stations=n, prune_lag=lag)
+        refused = _refused(lambda: an.check_budget(req, event_runs=1))
         nodes = (k + 1) * (n - 1) ** min(lag, k) if kind == "tree" else k
         if refused or nodes <= 2000:
             engine = _refused(lambda: run_protocol(kind, k, field, 0, seed=1, n_stations=n, prune_lag=lag))
@@ -870,9 +877,9 @@ BAD_LAYOUTS = [
 @pytest.mark.parametrize("layout, message", BAD_LAYOUTS,
                          ids=[f"{kind}-k{k}-n{n}-N{lag}" for (kind, k, n, lag), _ in BAD_LAYOUTS])
 def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, capsys, layout, message):
-    # check_budget, a run, a report under either engine and relbc simulate
-    # give the one refusal, and no station walk starts; the command names
-    # the lag N, as its flag does
+    # the request that check_budget takes, a run, a report under either
+    # engine and relbc simulate give the one refusal, and no station walk
+    # starts; the command names the lag N, as its flag does
     def no_walk(*args):
         raise AssertionError("a station walk started")
 
@@ -880,7 +887,7 @@ def test_every_check_refuses_a_bad_layout_before_the_walk(monkeypatch, capsys, l
     monkeypatch.setattr(an, "chain_abort_rounds", no_walk)
     kind, k, n, lag = layout
     calls = [
-        lambda: an.check_budget(kind, k, n_stations=n, prune_lag=lag),
+        lambda: Request(kind=kind, k=k, n_stations=n, prune_lag=lag),
         lambda: run_protocol(kind, k, Field(5), 0, seed=1, n_stations=n, prune_lag=lag),
         *(lambda engine=engine: an.monte_carlo_reliability(
             kind, k, 0.1, 2, 10, seed=1, n_stations=n, engine=engine, prune_lag=lag)

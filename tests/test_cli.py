@@ -594,6 +594,18 @@ def test_simulate_writes_out_json_whenever_given(capsys, tmp_path, pretty):
     assert out.startswith("protocol  ") if pretty else out == ""
 
 
+def test_csv_row_reads_the_lag_and_modulus_of_its_request(capsys, tmp_path):
+    # report_row takes both from the report's request, not the defaults 2 and 97
+    path = tmp_path / "row.csv"
+    code, _, err = run(capsys, "simulate", "--protocol", "tree", "--k", "5", "--q", "101", "--N", "3",
+                       "--trials", "50", "--seed", "1", "--out-csv", str(path))
+    assert code == 0, err
+    with path.open() as f:
+        row = next(csv.DictReader(f))
+    assert (row["k"], row["N"]) == ("5", "3")
+    assert float(row["comm_bits_formula"]) == 5 * 2**5 * math.log2(101)
+
+
 def test_simulate_tree_cost_past_a_float_exit_1_before_the_walk(capsys, tmp_path):
     argv = ("simulate", "--protocol", "tree", "--k", "3", "--p", "0.1", "--seed", "1")
     # at k=3, q=97 the cost 3*2^(N+2)*log2(97) is a finite float up to N = 1017
@@ -740,6 +752,8 @@ def test_bounds_pretty_prints_every_column_of_every_row(capsys):
     (["--invert-epsilon", "1e-300"], "epsilon:"),
     (["--k", "0"], "k:"),
     (["--n", "2"], "n:"),
+    # a modulus with no field, refused by the modulus rule of a request
+    (["--k", "2", "--q", "100"], "q: modulus 100 is not prime"),
 ])
 def test_bounds_bad_value_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run(capsys, "bounds", *argv)
@@ -1227,7 +1241,7 @@ def test_each_command_loads_only_the_layers_on_its_path(tmp_path):
         (None, None, start),
         (["chsh", "--q", "2", "--uniform"], 0, [*start, "relbc.field", "relbc.games"]),
         (["bounds", "--k", "1,10", "--q", "97", "--invert-epsilon", "0.5"], 0,
-         [*start, "relbc.formulas"]),
+         [*start, "relbc.field", "relbc.formulas"]),
         (["verify-transcript", str(transcript)], 0,
          [*start, "relbc.field", "relbc.protocol", "relbc.tree"]),
         (["bind-oracle", "--protocol", "tree", "--q", "2"], 0,

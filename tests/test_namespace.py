@@ -102,9 +102,10 @@ def _transcript(kind, k):
 # Each public entry that takes a request, called with its kind and depth
 ENTRIES = {
     "Request": lambda kind, k: base.Request(kind=kind, k=k),
-    "p_ok_formula": lambda kind, k: formulas.p_ok_formula(kind, 0.1, 1, k),
-    "half_life": lambda kind, k: formulas.half_life(kind, 0.1, 1),
-    "comm_bits_formula": lambda kind, k: formulas.comm_bits_formula(kind, k, 97),
+    # the closed forms take a checked request, which refuses
+    "p_ok_formula": lambda kind, k: formulas.p_ok_formula(base.Request(kind=kind, k=k, p=0.1)),
+    "half_life": lambda kind, k: formulas.half_life(base.Request(kind=kind, p=0.1)),
+    "comm_bits_formula": lambda kind, k: formulas.comm_bits_formula(base.Request(kind=kind, k=k, q=97)),
     "monte_carlo_reliability": lambda kind, k: analysis.monte_carlo_reliability(kind, k, 0.1, 1, 10, 1),
     "run_protocol": lambda kind, k: sim.run_protocol(kind, k, Field(97), d=0, seed=1),
     "brute_force_binding": lambda kind, k: adversary.brute_force_binding(kind, k, Field(3)),

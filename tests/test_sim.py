@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbc import analysis as an, tree as tt
-from relbc.field import WALK_BLOCK, Field, LossDraws, loss_cut
+from relbc.field import WALK_BLOCK, Field, LossDraws, loss_cut, loss_stream_key
 from relbc.protocol import Transcript, Verdict, honest_response, verify_tree
 from relbc.sim import (
     EVENT_MAX_K,
@@ -237,6 +237,45 @@ def test_run_protocol_refuses_a_layout_count_that_is_no_int(kind):
     for (k, n, lag), message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_protocol(kind, k, Field(5), 0, seed=1, n_stations=n, prune_lag=lag)
+
+
+def test_run_protocol_refuses_a_bool_seed_after_a_run_of_its_int():
+    # seed=True once hit the cached loss-stream key of seed=1 and drew its
+    # node keys from "True", so it aborted in round 2 after a seed=1 run
+    # and in round 3 in a fresh process
+    run_protocol("tree", 4, Field(5), d=0, seed=1, loss=LossModel(p=0.3, m=2))
+    with pytest.raises(ValueError, match="^seed: expected an integer, got True$"):
+        run_protocol("tree", 4, Field(5), d=0, seed=True, loss=LossModel(p=0.3, m=2))
+    # and the key cache no longer answers for True with the key of 1
+    assert loss_stream_key(True, "tree", 0) == _stream_key("True:tree:0") != loss_stream_key(1, "tree", 0)
+
+
+def _stream_key(text):
+    h = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(h[:16], "big"), int.from_bytes(h[16:], "big") | 1
+
+
+# (argument, value, refusal) of a run's seed or trial
+SEED_TRIAL_REFUSALS = [
+    ("seed", None, "seed: required for simulation (reproducibility contract)"),
+    ("seed", -3, "seed: must be >= 0, got -3"),
+    ("seed", "x", "seed: expected an integer, got 'x'"),
+    ("seed", [1], "seed: expected an integer, got [1]"),  # unhashable, so never cached
+    ("trial", -1, "trial: must be >= 0, got -1"),
+    ("trial", True, "trial: expected an integer, got True"),
+    ("trial", 2.5, "trial: expected an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("kind", ["single", "fq", "tree"])
+@pytest.mark.parametrize("name, value, message", SEED_TRIAL_REFUSALS,
+                         ids=[f"{name}={value!r}" for name, value, _ in SEED_TRIAL_REFUSALS])
+def test_run_protocol_refuses_a_seed_or_trial_before_round_1(monkeypatch, kind, name, value, message):
+    # the seed by base.Request's rule and text, the trial as a count >= 0
+    monkeypatch.setattr(tt, "make_coloring", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(ValueError) as refused:
+        run_protocol(kind, 3, Field(5), d=0, loss=LossModel(p=0.3, m=2), **{"seed": 1, "trial": 0, name: value})
+    assert str(refused.value) == message
 
 
 def test_resource_guard_counts_the_arity():
